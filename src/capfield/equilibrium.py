@@ -28,10 +28,11 @@ from .geometry import (
     south_cap,
 )
 from .singular_quadrature import (
+    FirstStageTable,
     _depth,
-    _g_south_vec,
     _second_stage_integral,
     _stage_F_south_vec,
+    first_stage_table,
 )
 from .support_finder import ffunctional_pointcharge, ffunctional_quadratic
 
@@ -353,19 +354,15 @@ def _check_grid_inside(cap: SphericalCap, grid: PhiGrid) -> None:
 
 
 def _density_general_south(
-    field: ExternalField, alpha: float, phi: np.ndarray
+    g: FirstStageTable, alpha: float, phi: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Pipeline density values and Robin constant on a south cap."""
-
-    def gvec(t: np.ndarray) -> np.ndarray:
-        return _g_south_vec(field, t)
-
     m_max = 2.0 * math.cos(0.5 * alpha) ** 2
-    g_end = float(_second_stage_integral(gvec, np.array([m_max]), alpha)[0])
+    g_end = float(_second_stage_integral(g, np.array([m_max]), alpha)[0])
     fq = PI / (math.sin(alpha) + PI - alpha) * (
         1.0 - 8.0 * math.sqrt(m_max) * g_end
     )
-    inhomog = _stage_F_south_vec(gvec, phi, alpha)
+    inhomog = _stage_F_south_vec(g, phi, alpha)
     values = fq / (4.0 * PI) * edge_factor(alpha, phi) + inhomog
     return values, fq
 
@@ -377,29 +374,32 @@ def density_general(
 
     Runs the two Abel stages on the supplied grid and assembles the density
     as Robin-weighted edge factor plus the field-driven correction.  The
-    grid must stay clear of the rim guard band.  Negative node values are
-    flagged in the result, not clamped: they signal that the prescribed cap
-    is not the true support.
+    first stage is tabulated once per call and shared by the node values,
+    the Robin constant and the profile's density_fn.  The grid must stay
+    clear of the rim guard band.  Negative node values are flagged in the
+    result, not clamped: they signal that the prescribed cap is not the true
+    support.
     """
     _check_grid_inside(cap, grid)
     if cap.orientation is Orientation.SOUTH_CENTERED:
         alpha = cap.alpha
-        values, fq = _density_general_south(field, alpha, grid.nodes)
+        g = first_stage_table(field, alpha)
+        values, fq = _density_general_south(g, alpha, grid.nodes)
 
         def density_fn(p):
-            return _density_general_south(field, alpha, np.asarray(p, float))[0]
+            return _density_general_south(g, alpha, np.asarray(p, float))[0]
 
         return _build_profile(cap, grid, values, fq, density_fn)
 
     # north cap: reflect through the equator, solve south, map back
-    reflected = ReflectedField(field)
     alpha_s = PI - cap.alpha
+    g = first_stage_table(ReflectedField(field), alpha_s)
     nodes_s = np.sort(PI - grid.nodes)
-    values_s, fq = _density_general_south(reflected, alpha_s, nodes_s)
+    values_s, fq = _density_general_south(g, alpha_s, nodes_s)
     values = values_s[::-1]
 
     def density_fn(p):
         p = np.atleast_1d(np.asarray(p, float))
-        return _density_general_south(reflected, alpha_s, PI - p)[0]
+        return _density_general_south(g, alpha_s, PI - p)[0]
 
     return _build_profile(cap, grid, values, fq, density_fn)

@@ -11,6 +11,11 @@ is bounded whenever smooth is, so ordinary adaptive quadrature converges at
 full order.  Differentiated quantities are never obtained by differencing
 singular integrals; each stage is rewritten so the singular factor comes out
 analytically and only a smooth auxiliary function is differentiated.
+
+The first stage depends on the field and on c = cos(t) only, so it is built
+once per density as a Chebyshev table of its smooth factor on
+[-1, cos(alpha)], with the degree doubled until the coefficient tail settles
+(see `first_stage_table`).  The second stage reads g from that table.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
+from scipy.fft import dct
 from scipy.integrate import quad
 
 from ._numerics import gauss_legendre, richardson_derivative
-from .fields import ExternalField, ReflectedField
+from .fields import ExternalField
 from .geometry import Orientation, SphericalCap, _validated_angle
 
 PI = math.pi
@@ -147,35 +154,106 @@ def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _g_south_vec(field: ExternalField, t: np.ndarray) -> np.ndarray:
-    """First Abel stage for a south cap, vectorized over t in [0, pi]."""
-    t = np.asarray(t, dtype=float)
-    c = np.cos(t)
-    h = _first_stage_integral(field, c)
-    hp = richardson_derivative(
-        lambda cc: _first_stage_integral(field, cc), c, -1.0, 1.0, _STEP_FIRST_STAGE
-    )
-    # d/dt of 2*sqrt(1+c)*H(c) with dc/dt = -sin(t), all sqrt(1+c) factors
-    # cancelled analytically against sin(t)
-    return -(np.sqrt(1.0 - c) * (h + 2.0 * (1.0 + c) * hp)) / (4.0 * PI)
+# Chebyshev table of the first stage.  The degree doubles from the start
+# degree through nested Chebyshev points until the tail (largest of the last
+# few coefficients over the largest) drops below the tolerance, or until it
+# stops falling below the plateau level, which is the sampled function's own
+# noise: rounding in the Richardson derivative, or the knots of a tabulated
+# field.  A tail still above that level at the cap degree is an unresolved
+# feature of the field.
+_TABLE_START_DEGREE = 16
+_TABLE_MAX_DEGREE = 1024
+_TABLE_TAIL_TERMS = 4
+_TABLE_TAIL_TOL = 1e-13
+_TABLE_PLATEAU_TOL = 1e-8
 
 
-def abel_stage_g(field: ExternalField, t: float, cap: SphericalCap) -> float:
-    """First Abel stage of the field on a cap, at a point strictly inside it.
+def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through values at cos(j*pi/n), j = 0..n."""
+    n = samples.size - 1
+    coeffs = dct(samples, type=1) / n
+    coeffs[0] *= 0.5
+    coeffs[-1] *= 0.5
+    return coeffs
 
-    On a south cap this is the derivative of the half-line integral of Q
-    taken from t to pi against the inverse-square-root kernel; the north
-    version is its mirror image.  Computed from a smooth auxiliary integral
-    so no singular difference quotient ever forms.
+
+def _tail(coeffs: np.ndarray) -> float:
+    """Largest of the last coefficients relative to the largest overall."""
+    scale = float(np.max(np.abs(coeffs)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(coeffs[-_TABLE_TAIL_TERMS:]))) / scale
+
+
+@dataclass(frozen=True, eq=False)
+class FirstStageTable:
+    """First Abel stage g(t) of a south cap, tabulated in c = cos(t).
+
+    g(t) = -sqrt(1-c) * p(c) / (4*pi), with the smooth factor p held as a
+    Chebyshev series on [-1, c_max]; c_max is the cosine of the rim angle.
+    tail is the relative size of the last coefficients, an estimate of the
+    table's relative accuracy.
     """
-    tt = _validated_angle(t, name="evaluation angle")
-    lo, hi = cap.angular_interval()
-    if not lo < tt < hi:
-        raise ValueError(f"evaluation angle {t!r} not strictly inside the cap")
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        return float(_g_south_vec(field, np.array([tt]))[0])
-    reflected = ReflectedField(field)
-    return float(-_g_south_vec(reflected, np.array([PI - tt]))[0])
+
+    coeffs: np.ndarray
+    c_max: float
+    tail: float
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.size - 1
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        c = np.cos(np.asarray(t, dtype=float))
+        x = (2.0 * c + 1.0 - self.c_max) / (1.0 + self.c_max)
+        # d/dt of 2*sqrt(1+c)*H(c) with dc/dt = -sin(t), all sqrt(1+c)
+        # factors cancelled analytically against sin(t)
+        return -np.sqrt(1.0 - c) * chebval(x, self.coeffs) / (4.0 * PI)
+
+
+def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
+    """Tabulate the first Abel stage on the south cap with rim angle alpha.
+
+    On a south cap g is the derivative of the half-line integral of Q taken
+    from t to pi against the inverse-square-root kernel, computed from the
+    smooth auxiliary integral H so no singular difference quotient forms.
+    The samples sit at nested Chebyshev points, so each doubling of the
+    degree reuses the ones already taken.  Raises NonconvergenceError when
+    the coefficients have not settled by the cap degree.
+    """
+    a = _validated_angle(alpha, name="rim angle")
+    c_max = math.cos(a)
+    if not c_max > -1.0:
+        raise ValueError("rim angle leaves no cap to tabulate")
+
+    def sample(x: np.ndarray) -> np.ndarray:
+        # p(c) = H(c) + 2*(1+c)*H'(c) at the points x of [-1, 1]
+        c = 0.5 * (c_max - 1.0) + 0.5 * (c_max + 1.0) * x
+        h = _first_stage_integral(field, c)
+        hp = richardson_derivative(
+            lambda cc: _first_stage_integral(field, cc), c, -1.0, 1.0, _STEP_FIRST_STAGE
+        )
+        return h + 2.0 * (1.0 + c) * hp
+
+    n = _TABLE_START_DEGREE
+    values = sample(np.cos(PI * np.arange(n + 1) / n))
+    coeffs = _chebyshev_coefficients(values)
+    tail = _tail(coeffs)
+    while not tail <= _TABLE_TAIL_TOL:
+        # a non-finite tail means the field is unbounded on the cap
+        if n >= _TABLE_MAX_DEGREE or not math.isfinite(tail):
+            raise NonconvergenceError(
+                f"first-stage table unresolved at degree {n}", tail, tail
+            )
+        doubled = np.empty(2 * n + 1)
+        doubled[0::2] = values
+        doubled[1::2] = sample(np.cos(PI * (2.0 * np.arange(n) + 1.0) / (2 * n)))
+        n, values = 2 * n, doubled
+        coeffs = _chebyshev_coefficients(values)
+        previous, tail = tail, _tail(coeffs)
+        if tail <= _TABLE_PLATEAU_TOL and tail >= 0.5 * previous:
+            break
+    return FirstStageTable(coeffs=coeffs, c_max=c_max, tail=tail)
 
 
 def _second_stage_integral(

@@ -23,6 +23,7 @@ from .fields import (
     QuadraticField,
 )
 from .geometry import _validated_angle
+from .singular_quadrature import NonconvergenceError
 
 PI = math.pi
 
@@ -143,12 +144,27 @@ def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
     return bracket / (36.0 * (PI - al + math.sin(al)))
 
 
+def _checked_quad(fun, lo: float, hi: float, tol: float) -> float:
+    """Adaptive quad that raises instead of warning when it reports failure."""
+    value, abserr, _, *failure = quad(
+        fun, lo, hi, epsabs=0.1 * tol, epsrel=1e-12, limit=200, full_output=True
+    )
+    if failure:
+        reason = failure[0].split("\n")[0].strip()
+        raise NonconvergenceError(
+            f"F-functional quadrature failed: {reason}", float(value), float(abserr)
+        )
+    return float(value)
+
+
 def ffunctional_numeric(field: ExternalField, alpha: float, tol: float = 1e-10) -> float:
     """F-functional of the south cap with rim alpha by direct quadrature.
 
     The two edge-weighted field integrals are evaluated in the variable
     s = sqrt(cos(alpha) - cos(phi)), which absorbs the rim singularity of
-    the weight; all three integrands are then bounded.
+    the weight; all three integrands are then bounded.  Raises
+    NonconvergenceError, carrying quad's estimate and abserr, when any of
+    them fails to converge.
     """
     a = _validated_angle(alpha, name="rim angle")
     if a >= PI:
@@ -161,7 +177,7 @@ def ffunctional_numeric(field: ExternalField, alpha: float, tol: float = 1e-10) 
         return float(field.value_at_x3(min(1.0, max(-1.0, x))))
 
     # plain field mass over the cap, in x3
-    i1 = quad(qhat, -1.0, ca, epsabs=0.1 * tol, epsrel=1e-12, limit=200)[0]
+    i1 = _checked_quad(qhat, -1.0, ca, tol)
 
     if r1 == 0.0:
         return 0.5 * _surface_factor(a) * (2.0 + i1)
@@ -174,8 +190,8 @@ def ffunctional_numeric(field: ExternalField, alpha: float, tol: float = 1e-10) 
     def w3(s: float) -> float:
         return 2.0 * s * math.atan(sq_r1 / s) * qhat(ca - s * s) if s > 0.0 else 0.0
 
-    i2 = quad(w2, 0.0, smax, epsabs=0.1 * tol, epsrel=1e-12, limit=200)[0]
-    i3 = quad(w3, 0.0, smax, epsabs=0.1 * tol, epsrel=1e-12, limit=200)[0]
+    i2 = _checked_quad(w2, 0.0, smax, tol)
+    i3 = _checked_quad(w3, 0.0, smax, tol)
 
     return 0.5 * _surface_factor(a) * (2.0 + i1 + (2.0 / PI) * (i2 - i3))
 

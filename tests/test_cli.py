@@ -181,6 +181,18 @@ class TestFFunctionalCommand:
         assert code == 0
         assert abs(summary["ffunctional"] - FF_PC_12_AT_1) <= 1e-9
 
+    def test_failed_quadrature_exits_3(self, tmp_path):
+        table = tmp_path / "field.csv"
+        x = np.linspace(-1.0, 1.0, 401)
+        np.savetxt(table, np.column_stack([x, x * x + 2.5 * x + 2.0]), delimiter=",")
+        code, summary = run_cli(
+            ["ffunctional", "--field", "tabulated", "--table", str(table),
+             "--alpha", "1.0"],
+            tmp_path,
+        )
+        assert code == 3
+        assert summary is None
+
 
 class TestVerifyCommand:
     def test_shipped_point_charge_triple(self, tmp_path):

@@ -26,8 +26,10 @@ from capfield.equilibrium import (
     total_mass,
 )
 from capfield.fields import (
+    ExternalField,
     PointChargeField,
     QuadraticField,
+    ReflectedField,
     ShiftedField,
     TabulatedField,
     ZeroField,
@@ -38,6 +40,8 @@ from capfield.geometry import (
     south_cap,
     uniform_grid,
 )
+from capfield.singular_quadrature import NonconvergenceError
+from capfield.support_finder import solve_support_northpole
 
 PI = math.pi
 
@@ -49,6 +53,56 @@ FQ_PC_1HALF = 1.945417876306199508307
 ALPHA0_NP_1 = 1.1217246238633008265287
 ALPHA0_QUAD = 1.905121063815038955604994
 FQ_QUAD = 2.375621847562275707877242
+
+
+class CountingField(ExternalField):
+    """Delegates to a base field and counts the points it evaluates."""
+
+    def __init__(self, base: ExternalField) -> None:
+        self.base = base
+        self.points = 0
+
+    def value_at_x3(self, x3):
+        self.points += np.size(x3)
+        return self.base.value_at_x3(x3)
+
+
+class KinkField(ExternalField):
+    """Q = 5*max(0, x3 - 0.2): nondecreasing and convex, with a kink."""
+
+    def value_at_x3(self, x3):
+        return 5.0 * np.maximum(0.0, np.asarray(x3, dtype=float) - 0.2)
+
+
+def _northpole_case(q: float):
+    sol = solve_support_northpole(q)
+    return (
+        PointChargeField(q, 1.0),
+        sol.alpha0,
+        lambda p: (northpole_density(q, sol.alpha0, p), sol.robin_constant),
+    )
+
+
+# (field, support rim, closed form returning (density, Robin constant))
+CLOSED_FORM_CASES = {
+    "point-charge-h2": lambda: (
+        PointChargeField(1.0, 2.0),
+        ALPHA0_PC_12,
+        lambda p: pointcharge_density(1.0, 2.0, ALPHA0_PC_12, p),
+    ),
+    "point-charge-h0.5": lambda: (
+        PointChargeField(1.0, 0.5),
+        ALPHA0_PC_1HALF,
+        lambda p: pointcharge_density(1.0, 0.5, ALPHA0_PC_1HALF, p),
+    ),
+    "north-pole-q0.5": lambda: _northpole_case(0.5),
+    "north-pole-q1": lambda: _northpole_case(1.0),
+    "quadratic": lambda: (
+        QuadraticField(1.0, 2.5, 2.0),
+        ALPHA0_QUAD,
+        lambda p: quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, p),
+    ),
+}
 
 
 def mass_by_quadrature(f, alpha: float) -> float:
@@ -284,6 +338,43 @@ class TestDensityGeneral:
         grid = PhiGrid(nodes, SpacingPolicy.UNIFORM)
         with pytest.raises(ValueError):
             density_general(ZeroField(), cap, grid)
+
+
+class TestFirstStageTableInPipeline:
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    @pytest.mark.parametrize("orientation", ["south", "north"])
+    def test_matches_closed_form(self, case, orientation):
+        field, alpha0, closed_form = CLOSED_FORM_CASES[case]()
+        if orientation == "south":
+            cap = south_cap(alpha0)
+        else:
+            # the mirrored problem: reflected field on the mirrored cap
+            field, cap = ReflectedField(field), north_cap(PI - alpha0)
+        grid = boundary_clustered_grid(cap, 16)
+        prof = density_general(field, cap, grid)
+        nodes = grid.nodes if orientation == "south" else PI - grid.nodes
+        expected, fq = closed_form(nodes)
+        assert np.max(np.abs(prof.values - expected)) < 1e-5
+        assert prof.robin_constant == pytest.approx(fq, abs=1e-6)
+        assert prof.mass == pytest.approx(1.0, abs=1e-6)
+
+    def test_first_stage_tabulated_once(self):
+        # the per-node first stage made 1.45e8 field evaluations here
+        field = CountingField(PointChargeField(1.0, 2.0))
+        cap = south_cap(ALPHA0_PC_12)
+        density_general(field, cap, boundary_clustered_grid(cap, 64))
+        assert 0 < field.points < 1_000_000
+
+    def test_kink_resolves_or_raises(self):
+        cap = south_cap(0.5)
+        grid = boundary_clustered_grid(cap, 16)
+        try:
+            prof = density_general(KinkField(), cap, grid)
+        except NonconvergenceError as err:
+            assert err.error_bound > 0.0
+        else:
+            assert prof.mass == pytest.approx(1.0, abs=1e-6)
+            assert prof.negative_nodes == ()
 
 
 class TestProfilesAndMass:

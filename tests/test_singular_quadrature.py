@@ -10,15 +10,23 @@ import math
 import numpy as np
 import pytest
 
-from capfield.fields import PointChargeField, ShiftedField, ZeroField
-from capfield.geometry import north_cap, south_cap
+from capfield.fields import (
+    PointChargeField,
+    QuadraticField,
+    ReflectedField,
+    ShiftedField,
+    ZeroField,
+)
+from capfield.geometry import Orientation, north_cap, south_cap
 from capfield.singular_quadrature import (
+    _TABLE_START_DEGREE,
+    _TABLE_TAIL_TOL,
     Endpoint,
     NonconvergenceError,
     SingularIntegrand,
     abel_stage_F,
-    abel_stage_g,
     desingularized,
+    first_stage_table,
     integrate_sqrt_singular,
 )
 
@@ -31,6 +39,15 @@ G_POINTCHARGE_T2 = -0.042627736225968174
 def uniform_first_stage(t: float) -> float:
     # first Abel stage of the unit constant field on a south cap
     return -math.sqrt(2.0) * math.sin(0.5 * t) / (4.0 * PI)
+
+
+def stage_g(field, t: float, cap) -> float:
+    # table-backed first stage; a north cap is solved as the reflected
+    # south cap, as density_general does
+    if cap.orientation is Orientation.SOUTH_CENTERED:
+        return float(first_stage_table(field, cap.alpha)(t))
+    table = first_stage_table(ReflectedField(field), PI - cap.alpha)
+    return float(-table(PI - t))
 
 
 def edge_profile(alpha: float, phi: float) -> float:
@@ -102,13 +119,13 @@ class TestIntegrateSqrtSingular:
 class TestAbelStageG:
     def test_zero_field_gives_zero(self):
         cap = south_cap(0.5)
-        assert abel_stage_g(ZeroField(), 1.7, cap) == 0.0
+        assert stage_g(ZeroField(), 1.7, cap) == 0.0
 
     def test_uniform_field_south_closed_form(self):
         cap = south_cap(0.2)
         f = ShiftedField(ZeroField(), 1.0)
         for t in (0.5, PI / 2, 2.5):
-            assert abel_stage_g(f, t, cap) == pytest.approx(
+            assert stage_g(f, t, cap) == pytest.approx(
                 uniform_first_stage(t), abs=1e-10
             )
 
@@ -117,11 +134,11 @@ class TestAbelStageG:
         f = ShiftedField(ZeroField(), 1.0)
         for t in (0.4, 1.5, 2.7):
             expected = math.sqrt(2.0) * math.cos(0.5 * t) / (4.0 * PI)
-            assert abel_stage_g(f, t, cap) == pytest.approx(expected, abs=1e-10)
+            assert stage_g(f, t, cap) == pytest.approx(expected, abs=1e-10)
 
     def test_point_charge_frozen_value(self):
         cap = south_cap(0.7)
-        g = abel_stage_g(PointChargeField(q=1.0, h=2.0), 2.0, cap)
+        g = stage_g(PointChargeField(q=1.0, h=2.0), 2.0, cap)
         assert g == pytest.approx(G_POINTCHARGE_T2, abs=1e-8)
 
     def test_linear_in_the_field(self):
@@ -129,8 +146,8 @@ class TestAbelStageG:
         f1 = PointChargeField(q=1.0, h=2.0)
         f2 = PointChargeField(q=2.0, h=2.0)
         t = 1.3
-        assert abel_stage_g(f2, t, cap) == pytest.approx(
-            2.0 * abel_stage_g(f1, t, cap), rel=1e-10
+        assert stage_g(f2, t, cap) == pytest.approx(
+            2.0 * stage_g(f1, t, cap), rel=1e-10
         )
 
     def test_constant_shift_adds_uniform_profile(self):
@@ -138,15 +155,26 @@ class TestAbelStageG:
         base = PointChargeField(q=1.0, h=2.0)
         shifted = ShiftedField(base, 3.0)
         t = 2.1
-        expected = abel_stage_g(base, t, cap) + 3.0 * uniform_first_stage(t)
-        assert abel_stage_g(shifted, t, cap) == pytest.approx(expected, abs=1e-9)
+        expected = stage_g(base, t, cap) + 3.0 * uniform_first_stage(t)
+        assert stage_g(shifted, t, cap) == pytest.approx(expected, abs=1e-9)
 
-    def test_rejects_points_outside_cap(self):
-        cap = south_cap(1.0)
+
+class TestFirstStageTable:
+    def test_smooth_field_stops_at_start_degree(self):
+        table = first_stage_table(QuadraticField(1.0, 2.5, 2.0), 1.9)
+        assert table.degree == _TABLE_START_DEGREE
+        assert table.tail <= _TABLE_TAIL_TOL
+
+    def test_degree_grows_for_north_pole_charge(self):
+        # Q = q / sqrt(2 - 2*x3) is unbounded at x3 = 1, just past the table
+        # domain [-1, cos(alpha)], so the coefficients decay slowly
+        table = first_stage_table(PointChargeField(q=0.5, h=1.0), 0.6)
+        assert table.degree > _TABLE_START_DEGREE
+        assert table.tail <= _TABLE_TAIL_TOL
+
+    def test_rejects_empty_cap(self):
         with pytest.raises(ValueError):
-            abel_stage_g(ZeroField(), 0.5, cap)
-        with pytest.raises(ValueError):
-            abel_stage_g(ZeroField(), PI, cap)
+            first_stage_table(ZeroField(), PI)
 
 
 class TestAbelStageF:

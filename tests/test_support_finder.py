@@ -6,9 +6,11 @@ tests/oracles/compute_reference_values.py.
 
 import math
 
+import numpy as np
 import pytest
 
-from capfield.fields import PointChargeField, QuadraticField, ZeroField
+from capfield.fields import PointChargeField, QuadraticField, TabulatedField, ZeroField
+from capfield.singular_quadrature import NonconvergenceError
 from capfield.support_finder import (
     SupportMethod,
     ffunctional_numeric,
@@ -138,6 +140,15 @@ class TestFFunctionalNumeric:
             got = ffunctional_numeric(ZeroField(), alpha)
             expected = PI / (PI - alpha + math.sin(alpha))
             assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_failed_quadrature_raises(self):
+        # adaptive quad across the knots of a 401-sample PCHIP table
+        # detects roundoff; that must not pass as a value
+        x = np.linspace(-1.0, 1.0, 401)
+        field = TabulatedField(x, x * x + 2.5 * x + 2.0)
+        with pytest.raises(NonconvergenceError) as exc:
+            ffunctional_numeric(field, 1.0)
+        assert exc.value.error_bound > 0.0
 
 
 class TestSolveSupportPointCharge:
