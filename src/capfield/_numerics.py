@@ -1,16 +1,11 @@
-"""Shared numerical helpers: quadrature nodes, differentiation, thread map."""
+"""Shared numerical helpers: Gauss-Legendre nodes and Richardson differentiation."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_legendre
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -25,13 +20,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         w.flags.writeable = False
         _GL_CACHE[n] = (x, w)
         return x, w
-
-
-def gauss_legendre_on(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped affinely to [lo, hi]."""
-    x, w = gauss_legendre(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
 
 
 def richardson_derivative(
@@ -87,22 +75,3 @@ def richardson_derivative(
         out[mask] = (8.0 * d_h2 - d_h) / 7.0
 
     return out
-
-
-def thread_count() -> int:
-    """Worker cap from CAPFIELD_THREADS; defaults to 1 (serial, deterministic)."""
-    raw = os.environ.get("CAPFIELD_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(1, k)
-
-
-def ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Map preserving order, threaded when CAPFIELD_THREADS > 1."""
-    k = thread_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))

@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._numerics import ordered_map
 from .equilibrium import DensityProfile, capacity_south_cap, density_general
 from .fields import (
     ExternalField,
@@ -47,17 +46,6 @@ from .support_finder import (
 )
 
 PI = math.pi
-
-# failing operation named in validation messages, per command
-_OP_NAMES = {
-    "capacity": "equilibrium.capacity_south_cap",
-    "support": "support_finder.solve_support",
-    "density": "equilibrium.density_general",
-    "ffunctional": "support_finder.ffunctional",
-    "verify": "potential.verify_equilibrium",
-    "oracle": "oracle.nystrom_solve / oracle.discrete_energy_minimize",
-    "gonchar": "support_finder.gonchar_heights",
-}
 
 # absolute tolerance applied to every numeric leaf when comparing a run
 # against its pinned golden summary
@@ -129,7 +117,7 @@ def emit_density_table(profile: DensityProfile, field: ExternalField, path) -> P
     nodes = np.asarray(profile.grid.nodes)
     f = np.asarray(profile.values)
     q = np.asarray(field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0)))
-    u = np.array(ordered_map(lambda p: potential_on_sphere(profile, float(p)), nodes))
+    u = np.array([potential_on_sphere(profile, float(p)) for p in nodes])
     try:
         with open(path, "w", newline="") as fh:
             fh.write("phi,f,Q,U,weighted_potential\n")
@@ -359,18 +347,30 @@ def _apply_pin(config: RunConfig, summary: dict) -> int:
     return 0
 
 
+def _failing_operation(err: BaseException) -> str:
+    """module.function of the innermost package frame that raised err."""
+    where = "cli.run"
+    tb = err.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith(__package__ + "."):
+            where = f"{module[len(__package__) + 1:]}.{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return where
+
+
 def run(config: RunConfig) -> int:
     started = time.perf_counter()
     try:
         summary, line = _HANDLERS[config.command](config)
     except ValueError as err:
-        print(f"validation error in {_OP_NAMES[config.command]}: {err}", file=sys.stderr)
+        print(f"validation error in {_failing_operation(err)}: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(str(err), file=sys.stderr)
         return 2
     except NonconvergenceError as err:
-        print(f"nonconvergence in {_OP_NAMES[config.command]}: {err}", file=sys.stderr)
+        print(f"nonconvergence in {_failing_operation(err)}: {err}", file=sys.stderr)
         return 3
 
     summary["timings"] = (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import abc
 import csv
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,17 +21,8 @@ from scipy.interpolate import PchipInterpolator
 from .geometry import _validated_angle
 
 
-class FieldKind(enum.Enum):
-    ZERO = "zero"
-    POINT_CHARGE = "point-charge"
-    QUADRATIC = "quadratic"
-    TABULATED = "tabulated"
-
-
 class ExternalField(abc.ABC):
     """Rotationally invariant external field Q on the sphere."""
-
-    kind: FieldKind
 
     @abc.abstractmethod
     def value_at_x3(self, x3):
@@ -48,8 +38,6 @@ class ExternalField(abc.ABC):
 
 
 class ZeroField(ExternalField):
-    kind = FieldKind.ZERO
-
     def value_at_x3(self, x3):
         return np.zeros_like(np.asarray(x3, dtype=float))
 
@@ -68,7 +56,6 @@ class PointChargeField(ExternalField):
 
     q: float
     h: float
-    kind = FieldKind.POINT_CHARGE
 
     def __post_init__(self) -> None:
         if not (self.q > 0.0 and math.isfinite(self.q)):
@@ -97,7 +84,6 @@ class QuadraticField(ExternalField):
     a: float
     b: float
     c: float
-    kind = FieldKind.QUADRATIC
 
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
@@ -128,8 +114,6 @@ class TabulatedField(ExternalField):
     are admitted with a warning, since the equilibrium problem itself only
     needs Q bounded below.
     """
-
-    kind = FieldKind.TABULATED
 
     def __init__(self, x3, values) -> None:
         x = np.asarray(x3, dtype=float)
@@ -188,29 +172,11 @@ class TabulatedField(ExternalField):
         return out
 
 
-class ShiftedField(ExternalField):
-    """base field plus an exact constant offset."""
-
-    def __init__(self, base: ExternalField, offset: float) -> None:
-        if not math.isfinite(float(offset)):
-            raise ValueError("offset must be finite")
-        self.base = base
-        self.offset = float(offset)
-        self.kind = base.kind
-
-    def value_at_x3(self, x3):
-        return self.base.value_at_x3(x3) + self.offset
-
-    def __repr__(self) -> str:
-        return f"ShiftedField({self.base!r}, {self.offset!r})"
-
-
 class ReflectedField(ExternalField):
     """base field seen from the opposite pole: Qhat(x3) -> Qhat(-x3)."""
 
     def __init__(self, base: ExternalField) -> None:
         self.base = base
-        self.kind = base.kind
 
     def value_at_x3(self, x3):
         return self.base.value_at_x3(np.negative(x3))

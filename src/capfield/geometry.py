@@ -24,19 +24,6 @@ def _validated_angle(value: float, *, name: str = "polar angle") -> float:
     return v
 
 
-@dataclass(frozen=True)
-class PolarAngle:
-    """Polar angle in radians, validated to [0, pi]."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _validated_angle(self.value))
-
-    def __float__(self) -> float:
-        return self.value
-
-
 class Orientation(enum.Enum):
     NORTH_CENTERED = "north"
     SOUTH_CENTERED = "south"
@@ -79,13 +66,6 @@ class SphericalCap:
             return (self.alpha, PI)
         return (0.0, self.alpha)
 
-    def contains(self, phi: float) -> bool:
-        """True when phi lies strictly inside the cap (rim excluded)."""
-        p = _validated_angle(float(phi))
-        if self.orientation is Orientation.SOUTH_CENTERED:
-            return p > self.alpha
-        return p < self.alpha
-
 
 def south_cap(alpha: float) -> SphericalCap:
     return SphericalCap(Orientation.SOUTH_CENTERED, float(alpha))
@@ -93,28 +73,6 @@ def south_cap(alpha: float) -> SphericalCap:
 
 def north_cap(alpha: float) -> SphericalCap:
     return SphericalCap(Orientation.NORTH_CENTERED, float(alpha))
-
-
-def cap_area(cap: SphericalCap) -> float:
-    """Surface area of the cap on the unit sphere."""
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        return 2.0 * PI * (1.0 + math.cos(cap.alpha))
-    return 2.0 * PI * (1.0 - math.cos(cap.alpha))
-
-
-def chordal_gamma(phi1: float, theta1: float, phi2: float, theta2: float) -> float:
-    """Inner product of two unit vectors given in spherical coordinates.
-
-    The squared chordal distance between the points is 2 - 2*gamma.  Azimuths
-    are unrestricted; polar angles must lie in [0, pi].
-    """
-    p1 = _validated_angle(phi1)
-    p2 = _validated_angle(phi2)
-    g = math.cos(p1) * math.cos(p2) + math.sin(p1) * math.sin(p2) * math.cos(
-        theta1 - theta2
-    )
-    # rounding can push |g| a few ulp past 1
-    return min(1.0, max(-1.0, g))
 
 
 @dataclass(frozen=True, eq=False)

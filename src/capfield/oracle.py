@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve as dense_solve
 
-from ._numerics import gauss_legendre, ordered_map
+from ._numerics import gauss_legendre
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
 from .fields import ExternalField, ReflectedField
 from .geometry import Orientation, SphericalCap, boundary_clustered_grid, south_cap
@@ -125,7 +125,7 @@ def ring_energy_system(n: int) -> RingSystem:
         out[i] = 0.0
         return out
 
-    interaction = np.vstack(ordered_map(row, range(n)))
+    interaction = np.vstack([row(i) for i in range(n)])
     off = interaction @ area
     diag = (1.0 - off) / area
     interaction[np.arange(n), np.arange(n)] = diag
@@ -229,7 +229,7 @@ def nystrom_solve(
         return kernel_weights @ basis(pts)
 
     system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = np.vstack(ordered_map(assemble, range(n)))
+    system[:n, :n] = np.vstack([assemble(i) for i in range(n)])
     system[:n, n] = -1.0
     antiderivative = basis.antiderivative()
     system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))
@@ -242,7 +242,9 @@ def nystrom_solve(
     values = solution[:n] / knots
     fq = float(solution[n])
     if not (np.all(np.isfinite(values)) and math.isfinite(fq)):
-        raise NonconvergenceError("collocation system produced non-finite values")
+        raise NonconvergenceError(
+            "collocation system produced non-finite values", math.nan, math.inf
+        )
     return profile_from_values(cap, grid, values, fq), fq
 
 

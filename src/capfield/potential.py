@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._numerics import gauss_legendre, ordered_map
+from ._numerics import gauss_legendre
 from .equilibrium import (
     DensityProfile,
     _edge_coordinate_maps,
@@ -260,10 +260,7 @@ def verify_equilibrium(
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValueError("tol must be a positive finite number")
 
-    support_nodes = [float(v) for v in profile.grid.nodes]
-    u_sup = np.array(
-        ordered_map(lambda a: potential_on_sphere(profile, a), support_nodes)
-    )
+    u_sup = np.array([potential_on_sphere(profile, float(a)) for a in profile.grid.nodes])
     q_sup = np.asarray(
         field.value_at_x3(np.clip(np.cos(profile.grid.nodes), -1.0, 1.0)), dtype=float
     )
@@ -283,12 +280,7 @@ def verify_equilibrium(
         else:
             complement = south_cap(cap.alpha)
         off_nodes = boundary_clustered_grid(complement, _N_OFF_SUPPORT).nodes
-        u_off = np.array(
-            ordered_map(
-                lambda a: potential_on_sphere(profile, a),
-                [float(v) for v in off_nodes],
-            )
-        )
+        u_off = np.array([potential_on_sphere(profile, float(a)) for a in off_nodes])
         q_off = np.asarray(
             field.value_at_x3(np.clip(np.cos(off_nodes), -1.0, 1.0)), dtype=float
         )

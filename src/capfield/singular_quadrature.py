@@ -1,16 +1,15 @@
-"""Quadrature for inverse-square-root endpoint singularities and the two
-Abel-type stages that turn an external field into an equilibrium density.
+"""The two Abel-type stages that turn an external field into an equilibrium
+density, on a south cap with rim angle alpha.
 
-All singular integrals here have the form
-
-    integral of smooth(t) / sqrt(|cos(e) - cos(t)|) dt
-
-with the singularity at one endpoint e.  The substitution s^2 = |cos(e) -
-cos(t)| removes it exactly: the transformed integrand 2*smooth(t(s))/sin(t(s))
-is bounded whenever smooth is, so ordinary adaptive quadrature converges at
-full order.  Differentiated quantities are never obtained by differencing
-singular integrals; each stage is rewritten so the singular factor comes out
-analytically and only a smooth auxiliary function is differentiated.
+Each stage is a half-integral against an inverse-square-root kernel
+1/sqrt(|cos(e) - cos(t)|) followed by a derivative.  The substitution
+v^2 (or y^2) proportional to the distance in cos from the singular endpoint
+e removes the singularity exactly and leaves a smooth auxiliary integral,
+evaluated with fixed Gauss-Legendre nodes on whole arrays of points.
+Differentiated quantities are never obtained by differencing singular
+integrals; each stage is rewritten so the singular factor comes out
+analytically and only the smooth auxiliary function is differentiated.
+`equilibrium.density_general` solves a north cap as the reflected south cap.
 
 The first stage depends on the field and on c = cos(t) only, so it is built
 once per density as a Chebyshev table of its smooth factor on
@@ -20,7 +19,6 @@ once per density as a Chebyshev table of its smooth factor on
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,11 +26,10 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from scipy.fft import dct
-from scipy.integrate import quad
 
 from ._numerics import gauss_legendre, richardson_derivative
 from .fields import ExternalField
-from .geometry import Orientation, SphericalCap, _validated_angle
+from .geometry import _validated_angle
 
 PI = math.pi
 
@@ -47,8 +44,6 @@ _N_SECOND_STAGE = 96
 _STEP_FIRST_STAGE = 2.5e-3
 _STEP_SECOND_STAGE_REL = 1.5e-3
 
-RIM_GUARD = 1e-9
-
 
 class NonconvergenceError(RuntimeError):
     """Quadrature or iteration failed to meet its tolerance.
@@ -61,73 +56,6 @@ class NonconvergenceError(RuntimeError):
         super().__init__(f"{message} (estimate={estimate!r}, bound={error_bound!r})")
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-class Endpoint(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
-@dataclass(frozen=True)
-class SingularIntegrand:
-    """smooth_part(t) / sqrt(|cos(endpoint) - cos(t)|) on [lo, hi].
-
-    The singular factor must vanish only at the flagged endpoint, which
-    holds automatically since cos is strictly decreasing on [0, pi].
-    """
-
-    smooth_part: Callable[[float], float]
-    lo: float
-    hi: float
-    singular_end: Endpoint
-
-    def __post_init__(self) -> None:
-        a = _validated_angle(self.lo, name="integration endpoint")
-        b = _validated_angle(self.hi, name="integration endpoint")
-        if not a < b:
-            raise ValueError(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
-        object.__setattr__(self, "lo", a)
-        object.__setattr__(self, "hi", b)
-
-
-def desingularized(integrand: SingularIntegrand) -> tuple[Callable[[float], float], float]:
-    """Transformed bounded integrand psi and its upper limit smax.
-
-    integrate psi over [0, smax] to get the original integral.
-    """
-    lo, hi = integrand.lo, integrand.hi
-    smooth = integrand.smooth_part
-    # cos(lo) - cos(hi), written to stay accurate for nearby endpoints
-    span = 2.0 * math.sin(0.5 * (hi + lo)) * math.sin(0.5 * (hi - lo))
-    smax = math.sqrt(span)
-    if integrand.singular_end is Endpoint.LOWER:
-        base, sign = math.cos(lo), -1.0
-    else:
-        base, sign = math.cos(hi), 1.0
-
-    def psi(s: float) -> float:
-        u = base + sign * s * s
-        u = min(1.0, max(-1.0, u))
-        sint = math.sqrt(max((1.0 - u) * (1.0 + u), 0.0))
-        return 2.0 * smooth(math.acos(u)) / sint
-
-    return psi, smax
-
-
-def integrate_sqrt_singular(integrand: SingularIntegrand, tol: float = 1e-10) -> float:
-    """Integral of a SingularIntegrand with absolute accuracy tol."""
-    psi, smax = desingularized(integrand)
-    value, abserr, info = quad(
-        psi, 0.0, smax, epsabs=0.1 * tol, epsrel=1e-12, limit=200, full_output=True
-    )[:3]
-    ok = isinstance(info, dict)
-    if not ok or abserr > tol or not math.isfinite(value):
-        raise NonconvergenceError(
-            "singular quadrature did not reach the requested tolerance",
-            float(value),
-            float(abserr),
-        )
-    return float(value)
 
 
 # row block size for the auxiliary integrals; bounds peak memory at a few MB
@@ -300,43 +228,3 @@ def _stage_F_south_vec(
     # (2/pi) * d/dm of 2*sqrt(m)*G(m); the 1/sin(phi) prefactor of the
     # original phi-derivative cancels against dm/dphi = sin(phi)
     return (2.0 * gm / np.sqrt(m) + 4.0 * np.sqrt(m) * gp) / PI
-
-
-def _as_vectorized(g: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    def gvec(t: np.ndarray) -> np.ndarray:
-        return np.array([g(float(ti)) for ti in np.asarray(t, dtype=float).ravel()])
-
-    return gvec
-
-
-def abel_stage_F(
-    g: Callable[[float], float], phi: float, cap: SphericalCap
-) -> float:
-    """Second Abel stage: inhomogeneous density contribution at phi.
-
-    `g` is the first-stage profile as a scalar callable on the cap's
-    angular interval.  phi must stay clear of the cap rim by more than the
-    guard band, since the result behaves like 1/sqrt(distance to rim) there
-    and the caller is expected to use the analytic edge factor instead.
-    """
-    pp = _validated_angle(phi, name="evaluation angle")
-    alpha = cap.alpha
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        if pp <= alpha + RIM_GUARD:
-            raise ValueError(
-                f"evaluation angle {phi!r} within the rim guard band of {alpha!r}"
-            )
-        return float(_stage_F_south_vec(_as_vectorized(g), np.array([pp]), alpha)[0])
-    if pp >= alpha - RIM_GUARD:
-        raise ValueError(
-            f"evaluation angle {phi!r} within the rim guard band of {alpha!r}"
-        )
-
-    def g_reflected(t: float) -> float:
-        return g(PI - t)
-
-    return float(
-        -_stage_F_south_vec(
-            _as_vectorized(g_reflected), np.array([PI - pp]), PI - alpha
-        )[0]
-    )

@@ -170,6 +170,21 @@ class TestDensityCommand:
         assert code == 0
         assert abs(summary["mass"] - 1.0) <= 1e-6
 
+    def test_failure_names_the_failing_operation(self, tmp_path, capsys):
+        # the support search fails before any density is computed
+        table = tmp_path / "field.csv"
+        x = np.linspace(-1.0, 1.0, 401)
+        np.savetxt(table, np.column_stack([x, x * x + 2.5 * x + 2.0]), delimiter=",")
+        code, summary = run_cli(
+            ["density", "--field", "tabulated", "--table", str(table), "--n", "32"],
+            tmp_path,
+        )
+        assert code == 3
+        assert summary is None
+        err = capsys.readouterr().err
+        assert "support_finder." in err
+        assert "equilibrium.density_general" not in err
+
 
 class TestFFunctionalCommand:
     def test_point_charge_closed_form(self, tmp_path):
@@ -216,6 +231,17 @@ class TestOracleCommand:
         assert code == 0
         assert summary["method"] == "NystromCollocation"
         assert abs(summary["FQ"] - PI / (PI - alpha + math.sin(alpha))) <= 1e-4
+
+    def test_nystrom_non_finite_solution_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "capfield.oracle.dense_solve", lambda system, rhs: np.full(rhs.shape, np.inf)
+        )
+        code, summary = run_cli(
+            ["oracle", "--field", "zero", "--alpha", "1.0", "--n", "16"], tmp_path
+        )
+        assert code == 3
+        assert summary is None
+        assert "oracle.nystrom_solve" in capsys.readouterr().err
 
     def test_energy_mode_nonconvergence_exit(self, tmp_path):
         code, _ = run_cli(

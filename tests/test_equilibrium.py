@@ -30,7 +30,6 @@ from capfield.fields import (
     PointChargeField,
     QuadraticField,
     ReflectedField,
-    ShiftedField,
     TabulatedField,
     ZeroField,
 )
@@ -42,6 +41,7 @@ from capfield.geometry import (
 )
 from capfield.singular_quadrature import NonconvergenceError
 from capfield.support_finder import solve_support_northpole
+from conftest import ShiftedField
 
 PI = math.pi
 

@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capfield.fields import (
-    FieldKind,
     PointChargeField,
     QuadraticField,
     ReflectedField,
-    ShiftedField,
     TabulatedField,
     ZeroField,
     validate_south_cap_hypotheses,
 )
+from conftest import ShiftedField
 
 PI = math.pi
 
@@ -25,7 +24,6 @@ PI = math.pi
 class TestZeroField:
     def test_vanishes_everywhere(self):
         f = ZeroField()
-        assert f.kind is FieldKind.ZERO
         for phi in (0.0, 1.0, PI):
             assert f.evaluate(phi) == 0.0
 
@@ -77,7 +75,6 @@ class TestPointChargeField:
 class TestQuadraticField:
     def test_example_values(self):
         f = QuadraticField(a=1.0, b=2.5, c=2.0)
-        assert f.kind is FieldKind.QUADRATIC
         assert f.evaluate(0.0) == pytest.approx(5.5, rel=1e-15)
         assert f.evaluate(PI) == pytest.approx(0.5, rel=1e-15)
         assert f.evaluate(PI / 2) == pytest.approx(2.0, rel=1e-15)

@@ -1,21 +1,17 @@
-"""Geometry layer: angles, caps, grids, chordal algebra."""
+"""Geometry layer: angles, caps, grids."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from capfield.geometry import (
     Orientation,
     PhiGrid,
-    PolarAngle,
     SpacingPolicy,
     SphericalCap,
+    _validated_angle,
     boundary_clustered_grid,
-    cap_area,
-    chordal_gamma,
     north_cap,
     south_cap,
     uniform_grid,
@@ -26,71 +22,17 @@ PI = math.pi
 
 class TestPolarAngle:
     def test_accepts_interval_endpoints(self):
-        assert float(PolarAngle(0.0)) == 0.0
-        assert float(PolarAngle(PI)) == PI
+        assert _validated_angle(0.0) == 0.0
+        assert _validated_angle(PI) == PI
 
     @pytest.mark.parametrize("bad", [-1e-12, PI + 1e-12, 7.0, -3.0, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            PolarAngle(bad)
+            south_cap(bad)
 
     def test_float_coercion_round_trips(self):
-        assert float(PolarAngle(1.25)) == 1.25
-
-
-class TestChordalGamma:
-    def test_same_point_gives_one(self):
-        assert chordal_gamma(0.0, 0.0, 0.0, 1.3) == pytest.approx(1.0, abs=1e-15)
-
-    def test_antipodal_poles(self):
-        g = chordal_gamma(0.0, 0.0, PI, 0.0)
-        assert g == pytest.approx(-1.0, abs=1e-15)
-        # squared chordal distance 2 - 2*gamma = 4 at antipodes
-        assert 2.0 - 2.0 * g == pytest.approx(4.0, abs=1e-14)
-
-    def test_orthogonal_equator_points(self):
-        g = chordal_gamma(PI / 2, 0.0, PI / 2, PI / 2)
-        assert g == pytest.approx(0.0, abs=1e-15)
-        assert math.sqrt(2.0 - 2.0 * g) == pytest.approx(math.sqrt(2.0), abs=1e-14)
-
-    def test_matches_cartesian_dot_product(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            p1, p2 = rng.uniform(0.0, PI, size=2)
-            t1, t2 = rng.uniform(-10.0, 10.0, size=2)
-            x1 = np.array(
-                [math.sin(p1) * math.cos(t1), math.sin(p1) * math.sin(t1), math.cos(p1)]
-            )
-            x2 = np.array(
-                [math.sin(p2) * math.cos(t2), math.sin(p2) * math.sin(t2), math.cos(p2)]
-            )
-            assert chordal_gamma(p1, t1, p2, t2) == pytest.approx(
-                float(x1 @ x2), abs=1e-14
-            )
-
-    @given(
-        phi1=st.floats(0.0, PI),
-        phi2=st.floats(0.0, PI),
-        theta1=st.floats(-20.0, 20.0),
-        theta2=st.floats(-20.0, 20.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_symmetry_and_range(self, phi1, phi2, theta1, theta2):
-        g = chordal_gamma(phi1, theta1, phi2, theta2)
-        assert -1.0 <= g <= 1.0
-        assert g == chordal_gamma(phi2, theta2, phi1, theta1)
-
-    @given(
-        phi1=st.floats(0.0, PI),
-        phi2=st.floats(0.0, PI),
-        theta=st.floats(-6.0, 6.0),
-        shift=st.floats(-6.0, 6.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_azimuth_shift_invariance(self, phi1, phi2, theta, shift):
-        g0 = chordal_gamma(phi1, 0.0, phi2, theta)
-        g1 = chordal_gamma(phi1, shift, phi2, theta + shift)
-        assert g1 == pytest.approx(g0, abs=1e-12)
+        value = _validated_angle(np.float64(1.25))
+        assert type(value) is float and value == 1.25
 
 
 class TestSphericalCap:
@@ -111,25 +53,6 @@ class TestSphericalCap:
         cap = north_cap(1.0)
         assert cap.orientation is Orientation.NORTH_CENTERED
         assert cap.angular_interval() == (0.0, 1.0)
-
-    def test_area_full_sphere(self):
-        assert cap_area(south_cap(0.0)) == pytest.approx(4.0 * PI, rel=1e-15)
-
-    def test_area_hemispheres(self):
-        assert cap_area(south_cap(PI / 2)) == pytest.approx(2.0 * PI, rel=1e-15)
-        assert cap_area(north_cap(PI / 2)) == pytest.approx(2.0 * PI, rel=1e-15)
-
-    def test_north_south_areas_partition_sphere(self):
-        for alpha in (0.3, 1.0, 2.5):
-            total = cap_area(south_cap(alpha)) + cap_area(north_cap(alpha))
-            assert total == pytest.approx(4.0 * PI, rel=1e-14)
-
-    def test_contains(self):
-        cap = south_cap(1.0)
-        assert cap.contains(2.0)
-        assert cap.contains(PI)
-        assert not cap.contains(0.5)
-        assert not cap.contains(1.0)  # rim excluded
 
 
 class TestPhiGrid:

@@ -3,10 +3,14 @@
 Closed-form reference values reproduced by tests/oracles/compute_reference_values.py.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import capfield.oracle
 
 from capfield.equilibrium import (
     nofield_density,
@@ -149,6 +153,13 @@ class TestNystromSolve:
             rtol=1e-9,
         )
 
+    def test_non_finite_solution_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            capfield.oracle, "dense_solve", lambda system, rhs: np.full(rhs.shape, np.inf)
+        )
+        with pytest.raises(NonconvergenceError):
+            nystrom_solve(ZeroField(), south_cap(1.0), 16)
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             nystrom_solve(ZeroField(), south_cap(PI / 3), 15)
@@ -234,8 +245,33 @@ class TestDiscreteEnergyMinimize:
         with pytest.raises(ValueError):
             discrete_energy_minimize(ZeroField(), 32, iterations=0)
 
-    def test_assembly_thread_invariant(self, monkeypatch):
-        base = ring_energy_system(48).interaction
-        monkeypatch.setenv("CAPFIELD_THREADS", "4")
-        threaded = ring_energy_system(48).interaction
-        assert np.array_equal(base, threaded)
+
+def _closed_form_density_code(name: str) -> bool:
+    return name.endswith("_density") or name == "edge_factor" or "density_general" in name
+
+
+class TestOracleIndependence:
+    def test_imports_nothing_from_the_density_code(self):
+        # the oracles cross-check the closed forms and the Abel pipeline,
+        # so they must not be built from either
+        tree = ast.parse(Path(capfield.oracle.__file__).read_text())
+        allowed_from_quadrature = {"NonconvergenceError", "_depth"}
+        offending = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").rsplit(".", 1)[-1]
+                for alias in node.names:
+                    name = alias.name
+                    if (
+                        _closed_form_density_code(name)
+                        or name == "singular_quadrature"
+                        or (module == "singular_quadrature" and name not in allowed_from_quadrature)
+                    ):
+                        offending.append(f"{module}.{name}")
+            elif isinstance(node, ast.Import):
+                offending.extend(
+                    alias.name for alias in node.names if "singular_quadrature" in alias.name
+                )
+            elif isinstance(node, ast.Attribute) and _closed_form_density_code(node.attr):
+                offending.append(node.attr)
+        assert offending == []

@@ -248,11 +248,3 @@ class TestVerifyEquilibrium:
         report = verify_equilibrium(PointChargeField(1.0, 2.0), prof, tol=1e-4)
         assert not report.verdict
         assert len(prof.negative_nodes) > 0
-
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        prof = nofield_profile(PI / 3, n=24)
-        r1 = verify_equilibrium(ZeroField(), prof, tol=1e-4)
-        monkeypatch.setenv("CAPFIELD_THREADS", "4")
-        r2 = verify_equilibrium(ZeroField(), prof, tol=1e-4)
-        assert r1.sup_deviation_on_support == r2.sup_deviation_on_support
-        assert r1.min_slack_off_support == r2.min_slack_off_support

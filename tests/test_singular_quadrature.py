@@ -9,26 +9,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from capfield.fields import (
+    ExternalField,
     PointChargeField,
     QuadraticField,
     ReflectedField,
-    ShiftedField,
     ZeroField,
 )
 from capfield.geometry import Orientation, north_cap, south_cap
 from capfield.singular_quadrature import (
     _TABLE_START_DEGREE,
     _TABLE_TAIL_TOL,
-    Endpoint,
     NonconvergenceError,
-    SingularIntegrand,
-    abel_stage_F,
-    desingularized,
+    _first_stage_integral,
+    _second_stage_integral,
+    _stage_F_south_vec,
     first_stage_table,
-    integrate_sqrt_singular,
 )
+from conftest import ShiftedField
 
 PI = math.pi
 
@@ -36,9 +36,14 @@ PI = math.pi
 G_POINTCHARGE_T2 = -0.042627736225968174
 
 
-def uniform_first_stage(t: float) -> float:
+def uniform_first_stage(t):
     # first Abel stage of the unit constant field on a south cap
-    return -math.sqrt(2.0) * math.sin(0.5 * t) / (4.0 * PI)
+    return -math.sqrt(2.0) * np.sin(0.5 * t) / (4.0 * PI)
+
+
+def stage_F(gvec, phi: float, alpha: float) -> float:
+    # second stage at one angle of the south cap with rim alpha
+    return float(_stage_F_south_vec(gvec, np.array([phi]), alpha)[0])
 
 
 def stage_g(field, t: float, cap) -> float:
@@ -56,26 +61,38 @@ def edge_profile(alpha: float, phi: float) -> float:
     return 1.0 + (2.0 / PI) * (math.sqrt(r) - math.atan(math.sqrt(r)))
 
 
+class OscillatingField(ExternalField):
+    """sin(1e4 * x3): far beyond what a degree-1024 table resolves."""
+
+    def value_at_x3(self, x3):
+        return np.sin(1e4 * np.asarray(x3, dtype=float))
+
+
 class TestIntegrateSqrtSingular:
+    # H(c) and G(m) are the two stages' inverse-square-root half-integrals
+    # with the singular endpoint removed by substitution
+
     def test_sine_over_lower_singularity(self):
-        # integral of sin(x)/sqrt(cos(t) - cos(x)) over [t, pi] equals
-        # 2*sqrt(1 + cos(t))
-        for t in (0.3, PI / 2, 2.8):
-            integrand = SingularIntegrand(math.sin, t, PI, Endpoint.LOWER)
-            expected = 2.0 * math.sqrt(1.0 + math.cos(t))
-            assert integrate_sqrt_singular(integrand) == pytest.approx(
-                expected, abs=1e-10
-            )
+        # integral of Qhat(cos(x)) sin(x) / sqrt(cos(t) - cos(x)) over
+        # [t, pi] is 2*sqrt(1+c)*H(c) with c = cos(t); for
+        # Qhat = a*x^2 + b*x + k, w = c - cos(x) gives
+        # H(c) = Qhat(c) - (2ac + b)*L/3 + a*L^2/5 with L = 1 + c
+        a, b, k = 1.0, 2.5, 2.0
+        field = QuadraticField(a, b, k)
+        c = np.cos(np.array([0.3, PI / 2, 2.8]))
+        span = 1.0 + c
+        expected = field.value_at_x3(c) - (2.0 * a * c + b) * span / 3.0 + a * span**2 / 5.0
+        assert np.allclose(_first_stage_integral(field, c), expected, rtol=0.0, atol=1e-13)
 
     def test_sine_over_upper_singularity(self):
-        # integral of sin(x)/sqrt(cos(x) - cos(t)) over [0, t] equals
-        # 2*sqrt(1 - cos(t))
-        for t in (0.4, PI / 2, 2.9):
-            integrand = SingularIntegrand(math.sin, 0.0, t, Endpoint.UPPER)
-            expected = 2.0 * math.sqrt(1.0 - math.cos(t))
-            assert integrate_sqrt_singular(integrand) == pytest.approx(
-                expected, abs=1e-10
-            )
+        # integral of g(x) sin(x) / sqrt(cos(x) - cos(phi)) over [alpha, phi]
+        # is 2*sqrt(m)*G(m) with m = cos(alpha) - cos(phi); for g = cos,
+        # w = cos(x) - cos(phi) gives G(m) = cos(alpha) - 2m/3
+        alpha = 0.7
+        m = np.array([0.05, 0.8, 1.0 + math.cos(alpha)])
+        expected = math.cos(alpha) - 2.0 * m / 3.0
+        got = _second_stage_integral(np.cos, m, alpha)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
     def test_edge_density_mass_factor(self):
         # integral of sqrt(1-cos(a)) * sin(x) / sqrt(cos(a)-cos(x)) over
@@ -83,37 +100,31 @@ class TestIntegrateSqrtSingular:
         # to 2*sin(a)
         a = PI / 3
         k = math.sqrt(1.0 - math.cos(a))
-        integrand = SingularIntegrand(
-            lambda x: k * math.sin(x), a, PI, Endpoint.LOWER
-        )
-        assert integrate_sqrt_singular(integrand) == pytest.approx(
+        h = _first_stage_integral(ShiftedField(ZeroField(), k), np.array([math.cos(a)]))
+        assert 2.0 * math.sqrt(1.0 + math.cos(a)) * h[0] == pytest.approx(
             2.0 * math.sin(a), abs=1e-10
         )
 
     def test_desingularized_is_bounded_at_zero(self):
-        integrand = SingularIntegrand(math.sin, 0.5, PI, Endpoint.LOWER)
-        psi, smax = desingularized(integrand)
-        assert smax == pytest.approx(
-            math.sqrt(math.cos(0.5) + 1.0), rel=1e-14
-        )
-        vals = [psi(s) for s in (1e-8, 1e-4, 0.5 * smax, smax * (1.0 - 1e-12))]
-        assert all(math.isfinite(v) for v in vals)
-        # limit at the singular end: 2*smooth(lo)/sin(lo)
-        assert vals[0] == pytest.approx(2.0, rel=1e-6)
+        # where the interval shrinks to its singular endpoint the
+        # auxiliary integrals tend to the integrand's value there
+        field = PointChargeField(q=1.0, h=2.0)
+        h = _first_stage_integral(field, np.array([-1.0, -1.0 + 1e-12]))
+        assert np.all(np.isfinite(h))
+        assert h == pytest.approx(field.value_at_x3(-1.0), rel=1e-11)
+        g = _second_stage_integral(np.cos, np.array([0.0, 1e-12]), 0.5)
+        assert g == pytest.approx(math.cos(0.5), rel=1e-11)
 
     def test_unresolvable_oscillation_raises_nonconvergence(self):
-        integrand = SingularIntegrand(
-            lambda x: math.sin(1e7 * x * x), 1.0, 2.0, Endpoint.LOWER
-        )
         with pytest.raises(NonconvergenceError) as exc:
-            integrate_sqrt_singular(integrand, tol=1e-12)
+            first_stage_table(OscillatingField(), 1.0)
         assert exc.value.error_bound > 1e-12
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
-            SingularIntegrand(math.sin, 2.0, 1.0, Endpoint.LOWER)
+            first_stage_table(ZeroField(), -0.5)
         with pytest.raises(ValueError):
-            SingularIntegrand(math.sin, -0.5, 1.0, Endpoint.LOWER)
+            first_stage_table(ZeroField(), 4.0)
 
 
 class TestAbelStageG:
@@ -179,48 +190,47 @@ class TestFirstStageTable:
 
 class TestAbelStageF:
     def test_zero_input_gives_zero(self):
-        cap = south_cap(PI / 3)
-        assert abel_stage_F(lambda t: 0.0, 2.0, cap) == pytest.approx(0.0, abs=1e-14)
+        assert stage_F(np.zeros_like, 2.0, PI / 3) == pytest.approx(0.0, abs=1e-14)
 
     def test_uniform_two_stage_south(self):
         # feeding the first-stage profile of the unit field through the
         # second stage must produce -edge_profile/(4*pi)
         alpha = PI / 3
-        cap = south_cap(alpha)
         for phi in (1.3, 2.0, 2.8, PI):
-            got = abel_stage_F(uniform_first_stage, phi, cap)
+            got = stage_F(uniform_first_stage, phi, alpha)
             expected = -edge_profile(alpha, phi) / (4.0 * PI)
             assert got == pytest.approx(expected, abs=2e-8)
 
     def test_regular_at_far_pole(self):
-        cap = south_cap(0.9)
-        got = abel_stage_F(uniform_first_stage, PI, cap)
+        got = stage_F(uniform_first_stage, PI, 0.9)
         assert math.isfinite(got)
         assert got == pytest.approx(-edge_profile(0.9, PI) / (4.0 * PI), abs=2e-8)
 
-    def test_rim_guard(self):
-        cap = south_cap(1.0)
-        with pytest.raises(ValueError):
-            abel_stage_F(lambda t: 1.0, 1.0 + 1e-10, cap)
-
     def test_round_trip_recovers_smooth_profile(self):
-        # push a smooth profile through the forward half-integral, then
-        # invert through the second stage on a north cap; tolerance 1e-6
+        # push a smooth profile through the forward half-integral on a north
+        # cap, then invert through the second stage on the reflected south
+        # cap; tolerance 1e-6
         alpha = 2.0
-        cap = north_cap(alpha)
 
         def profile(x: float) -> float:
             return 1.0 + math.cos(x) ** 2
 
         def forward(z: float) -> float:
-            integrand = SingularIntegrand(
-                lambda x: 0.5 * profile(x) * math.sin(x),
-                z,
-                alpha,
-                Endpoint.LOWER,
+            # integral of profile(x) sin(x) / (2 sqrt(cos(z) - cos(x))) over
+            # [z, alpha], with s^2 = cos(z) - cos(x)
+            smax = math.sqrt(math.cos(z) - math.cos(alpha))
+            value, _ = quad(
+                lambda s: profile(math.acos(math.cos(z) - s * s)),
+                0.0,
+                smax,
+                epsabs=1e-13,
+                epsrel=1e-12,
             )
-            return integrate_sqrt_singular(integrand, tol=1e-12)
+            return value
+
+        def g_reflected(t: np.ndarray) -> np.ndarray:
+            return np.array([forward(PI - ti) for ti in t])
 
         for xi in (0.4, 1.0, 1.6):
-            recovered = -abel_stage_F(forward, xi, cap)
+            recovered = stage_F(g_reflected, PI - xi, PI - alpha)
             assert recovered == pytest.approx(profile(xi), abs=1e-6)
