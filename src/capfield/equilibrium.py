@@ -19,16 +19,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .fields import ExternalField, PointChargeField, QuadraticField, ReflectedField
+from .fields import ExternalField, QuadraticField, ReflectedField
 from .geometry import (
     Orientation,
     PhiGrid,
     SphericalCap,
     _validated_angle,
-    south_cap,
 )
 from .singular_quadrature import (
-    FirstStageTable,
     _depth,
     _second_stage_integral,
     _stage_F_south_vec,
@@ -197,23 +195,22 @@ def quadratic_density(a: float, b: float, c: float, alpha0: float, phi):
 
 @dataclass(frozen=True, eq=False)
 class DensityProfile:
-    """Radial density samples on a cap, with metadata.
+    """Radial density samples on a cap, with its rim-variable density.
 
-    values[i] is the surface density at grid.nodes[i]; negative_nodes lists
-    indices where the computed density came out negative (flagged, never
-    clamped).  density_fn, when present, evaluates the same density at
-    arbitrary angles inside the cap (vectorized).
+    values[i] is the surface density at grid.nodes[i]; sigma(s) is
+    f(phi(s)) * s in the cap's rim variable (see `sigma_interpolant`),
+    which is what potentials and the mass integrate.  mass is 4 pi times
+    the integral of sigma over [0, smax]; negative_nodes lists indices
+    where the computed density came out negative (flagged, never clamped).
     """
 
     cap: SphericalCap
     grid: PhiGrid
     values: np.ndarray
     robin_constant: Optional[float]
-    mass: float
-    negative_nodes: tuple[int, ...]
-    density_fn: Optional[Callable[[np.ndarray], np.ndarray]] = dataclass_field(
-        default=None, repr=False
-    )
+    sigma: PchipInterpolator = dataclass_field(repr=False)
+    mass: float = dataclass_field(init=False)
+    negative_nodes: tuple[int, ...] = dataclass_field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -222,96 +219,62 @@ class DensityProfile:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        if self.robin_constant is not None:
+            object.__setattr__(self, "robin_constant", float(self.robin_constant))
+        _, _, smax = _edge_coordinate_maps(self.cap)
+        object.__setattr__(self, "mass", float(4.0 * PI * self.sigma.integrate(0.0, smax)))
+        negative = tuple(int(i) for i in np.flatnonzero(arr < 0.0))
+        object.__setattr__(self, "negative_nodes", negative)
 
 
 def _edge_coordinate_maps(cap: SphericalCap):
-    """(s_of_phi, phi_of_s, smax) for the cap's rim variable."""
-    alpha = cap.alpha
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
+    """(s_of_phi, phi_of_s, smax) for the cap's rim variable.
 
-        def s_of_phi(p):
-            return np.sqrt(np.maximum(_depth(np.asarray(p, float), alpha), 0.0))
+    A north cap uses the maps of its mirror south cap composed with
+    phi -> pi - phi.
+    """
+    north = cap.orientation is Orientation.NORTH_CENTERED
+    alpha = PI - cap.alpha if north else cap.alpha
+    smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
 
-        def phi_of_s(s):
-            u = math.cos(alpha) - np.square(np.asarray(s, float))
-            return np.arccos(np.clip(u, -1.0, 1.0))
+    def s_of_phi(p):
+        p = np.asarray(p, float)
+        return np.sqrt(np.maximum(_depth(PI - p if north else p, alpha), 0.0))
 
-    else:
-        smax = math.sqrt(2.0) * math.sin(0.5 * alpha)
-
-        def s_of_phi(p):
-            return np.sqrt(np.maximum(-_depth(np.asarray(p, float), alpha), 0.0))
-
-        def phi_of_s(s):
-            u = math.cos(alpha) + np.square(np.asarray(s, float))
-            return np.arccos(np.clip(u, -1.0, 1.0))
+    def phi_of_s(s):
+        u = math.cos(alpha) - np.square(np.asarray(s, float))
+        p = np.arccos(np.clip(u, -1.0, 1.0))
+        return PI - p if north else p
 
     return s_of_phi, phi_of_s, smax
 
 
-def sigma_interpolant(profile: DensityProfile) -> PchipInterpolator:
+def sigma_interpolant(
+    cap: SphericalCap,
+    grid: PhiGrid,
+    values: np.ndarray,
+    density_fn: Optional[Callable[[np.ndarray], np.ndarray]],
+) -> PchipInterpolator:
     """Shape-preserving interpolant of sigma(s) = f(phi(s)) * s.
 
     sigma is smooth and bounded up to s = 0 even though f itself blows up
     at the rim, so this is the right variable for potentials and masses.
-    The interpolant is cached on the profile.
+    With a density callable it samples 256 points clear of the rim guard
+    band; otherwise it interpolates the node values.
     """
-    cached = getattr(profile, "_sigma_cache", None)
-    if cached is not None:
-        return cached
-    s_of_phi, phi_of_s, smax = _edge_coordinate_maps(profile.cap)
-    if profile.density_fn is not None:
+    s_of_phi, phi_of_s, smax = _edge_coordinate_maps(cap)
+    if density_fn is not None:
         # keep clear of the rim guard band when sampling the density
-        alpha = profile.cap.alpha
-        if profile.cap.orientation is Orientation.SOUTH_CENTERED:
-            guard_angle = min(alpha + 2.0 * RIM_GUARD_BAND, PI)
-        else:
-            guard_angle = max(alpha - 2.0 * RIM_GUARD_BAND, 0.0)
+        inward = 1.0 if cap.orientation is Orientation.SOUTH_CENTERED else -1.0
+        guard_angle = min(max(cap.alpha + inward * 2.0 * RIM_GUARD_BAND, 0.0), PI)
         s_lo = max(1e-3 * smax, float(s_of_phi(guard_angle)))
         s = np.linspace(s_lo, smax, _SIGMA_SAMPLES)
-        sig = np.asarray(profile.density_fn(phi_of_s(s)), dtype=float) * s
+        sig = np.asarray(density_fn(phi_of_s(s)), dtype=float) * s
     else:
-        s = np.asarray(s_of_phi(profile.grid.nodes))
-        sig = profile.values * s
-        if profile.cap.orientation is Orientation.NORTH_CENTERED:
-            s, sig = s[::-1], sig[::-1]
-    interp = PchipInterpolator(s, sig, extrapolate=True)
-    object.__setattr__(profile, "_sigma_cache", interp)
-    return interp
-
-
-def total_mass(profile: DensityProfile) -> float:
-    """Total mass 2*pi * integral of f(phi) sin(phi) over the cap.
-
-    Integrated in the rim variable, where the integrand is smooth; linear
-    extension covers the short untabulated stretches at both ends.
-    """
-    _, _, smax = _edge_coordinate_maps(profile.cap)
-    interp = sigma_interpolant(profile)
-    return float(4.0 * PI * interp.integrate(0.0, smax))
-
-
-def _build_profile(
-    cap: SphericalCap,
-    grid: PhiGrid,
-    values: np.ndarray,
-    robin: float,
-    density_fn: Optional[Callable[[np.ndarray], np.ndarray]],
-) -> DensityProfile:
-    values = np.asarray(values, dtype=float)
-    negative = tuple(int(i) for i in np.flatnonzero(values < 0.0))
-    profile = DensityProfile(
-        cap=cap,
-        grid=grid,
-        values=values,
-        robin_constant=None if robin is None else float(robin),
-        mass=math.nan,
-        negative_nodes=negative,
-        density_fn=density_fn,
-    )
-    object.__setattr__(profile, "mass", total_mass(profile))
-    return profile
+        s = np.asarray(s_of_phi(grid.nodes))
+        order = np.argsort(s)
+        s, sig = s[order], (values * s)[order]
+    return PchipInterpolator(s, sig, extrapolate=True)
 
 
 def profile_from_callable(
@@ -322,7 +285,8 @@ def profile_from_callable(
 ) -> DensityProfile:
     """Profile backed by a vectorized density callable."""
     values = np.asarray(fn(grid.nodes), dtype=float)
-    return _build_profile(cap, grid, values, robin_constant, fn)
+    sigma = sigma_interpolant(cap, grid, values, fn)
+    return DensityProfile(cap, grid, values, robin_constant, sigma)
 
 
 def profile_from_values(
@@ -335,7 +299,8 @@ def profile_from_values(
     values = np.asarray(values, dtype=float)
     if values.shape != (len(grid),):
         raise ValueError("values must match the grid node count")
-    return _build_profile(cap, grid, values, robin_constant, None)
+    sigma = sigma_interpolant(cap, grid, values, None)
+    return DensityProfile(cap, grid, values, robin_constant, sigma)
 
 
 def _check_grid_inside(cap: SphericalCap, grid: PhiGrid) -> None:
@@ -353,20 +318,6 @@ def _check_grid_inside(cap: SphericalCap, grid: PhiGrid) -> None:
             )
 
 
-def _density_general_south(
-    g: FirstStageTable, alpha: float, phi: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Pipeline density values and Robin constant on a south cap."""
-    m_max = 2.0 * math.cos(0.5 * alpha) ** 2
-    g_end = float(_second_stage_integral(g, np.array([m_max]), alpha)[0])
-    fq = PI / (math.sin(alpha) + PI - alpha) * (
-        1.0 - 8.0 * math.sqrt(m_max) * g_end
-    )
-    inhomog = _stage_F_south_vec(g, phi, alpha)
-    values = fq / (4.0 * PI) * edge_factor(alpha, phi) + inhomog
-    return values, fq
-
-
 def density_general(
     field: ExternalField, cap: SphericalCap, grid: PhiGrid
 ) -> DensityProfile:
@@ -375,31 +326,26 @@ def density_general(
     Runs the two Abel stages on the supplied grid and assembles the density
     as Robin-weighted edge factor plus the field-driven correction.  The
     first stage is tabulated once per call and shared by the node values,
-    the Robin constant and the profile's density_fn.  The grid must stay
-    clear of the rim guard band.  Negative node values are flagged in the
-    result, not clamped: they signal that the prescribed cap is not the true
-    support.
+    the Robin constant and the samples behind the profile's sigma.  A north
+    cap is solved as its mirror south cap under the reflected field.  The
+    grid must stay clear of the rim guard band.  Negative node values are
+    flagged in the result, not clamped: they signal that the prescribed cap
+    is not the true support.
     """
     _check_grid_inside(cap, grid)
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        alpha = cap.alpha
-        g = first_stage_table(field, alpha)
-        values, fq = _density_general_south(g, alpha, grid.nodes)
-
-        def density_fn(p):
-            return _density_general_south(g, alpha, np.asarray(p, float))[0]
-
-        return _build_profile(cap, grid, values, fq, density_fn)
-
-    # north cap: reflect through the equator, solve south, map back
-    alpha_s = PI - cap.alpha
-    g = first_stage_table(ReflectedField(field), alpha_s)
-    nodes_s = np.sort(PI - grid.nodes)
-    values_s, fq = _density_general_south(g, alpha_s, nodes_s)
-    values = values_s[::-1]
+    north = cap.orientation is Orientation.NORTH_CENTERED
+    alpha = PI - cap.alpha if north else cap.alpha
+    g = first_stage_table(ReflectedField(field) if north else field, alpha)
+    m_max = 2.0 * math.cos(0.5 * alpha) ** 2
+    g_end = float(_second_stage_integral(g, np.array([m_max]), alpha)[0])
+    fq = PI / (math.sin(alpha) + PI - alpha) * (
+        1.0 - 8.0 * math.sqrt(m_max) * g_end
+    )
 
     def density_fn(p):
-        p = np.atleast_1d(np.asarray(p, float))
-        return _density_general_south(g, alpha_s, PI - p)[0]
+        p = np.asarray(p, dtype=float)
+        if north:
+            p = PI - p
+        return fq / (4.0 * PI) * edge_factor(alpha, p) + _stage_F_south_vec(g, p, alpha)
 
-    return _build_profile(cap, grid, values, fq, density_fn)
+    return profile_from_callable(cap, grid, density_fn, fq)

@@ -29,11 +29,6 @@ class Orientation(enum.Enum):
     SOUTH_CENTERED = "south"
 
 
-class SpacingPolicy(enum.Enum):
-    UNIFORM = "uniform"
-    BOUNDARY_CLUSTERED = "boundary-clustered"
-
-
 @dataclass(frozen=True)
 class SphericalCap:
     """Cap with rim at polar angle alpha.
@@ -77,10 +72,9 @@ def north_cap(alpha: float) -> SphericalCap:
 
 @dataclass(frozen=True, eq=False)
 class PhiGrid:
-    """Strictly increasing polar-angle nodes with their spacing policy."""
+    """Strictly increasing polar-angle nodes."""
 
     nodes: np.ndarray
-    spacing: SpacingPolicy
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.nodes, dtype=float)
@@ -99,18 +93,6 @@ class PhiGrid:
         return int(self.nodes.size)
 
 
-def uniform_grid(lo: float, hi: float, n: int) -> PhiGrid:
-    """n equally spaced nodes strictly inside (lo, hi)."""
-    a = _validated_angle(lo, name="interval endpoint")
-    b = _validated_angle(hi, name="interval endpoint")
-    if not a < b:
-        raise ValueError("interval must have lo < hi")
-    if n < 1:
-        raise ValueError("need at least one node")
-    u = np.arange(1, n + 1) / (n + 1.0)
-    return PhiGrid(a + (b - a) * u, SpacingPolicy.UNIFORM)
-
-
 def boundary_clustered_grid(cap: SphericalCap, n: int) -> PhiGrid:
     """n interior nodes clustered quadratically toward the cap rim.
 
@@ -127,4 +109,4 @@ def boundary_clustered_grid(cap: SphericalCap, n: int) -> PhiGrid:
         nodes = cap.alpha + (PI - cap.alpha) * s2
     else:
         nodes = np.sort(cap.alpha * (1.0 - s2))
-    return PhiGrid(nodes, SpacingPolicy.BOUNDARY_CLUSTERED)
+    return PhiGrid(nodes)

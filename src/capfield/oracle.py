@@ -20,20 +20,13 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve as dense_solve
 
-from ._numerics import gauss_legendre
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
 from .fields import ExternalField, ReflectedField
 from .geometry import Orientation, SphericalCap, boundary_clustered_grid, south_cap
-from .potential import _EXP_U, _HALVING, _LEVELS, _TAU_W, _kernel_parts, ring_kernel
-from .singular_quadrature import NonconvergenceError, _depth
+from .potential import kernel_rule, ring_kernel
+from .singular_quadrature import NonconvergenceError
 
 PI = math.pi
-
-# collocation panel rules: smooth inter-knot intervals get a single
-# GL-8 panel, the two intervals meeting the diagonal get graded GL-12
-# panels plus the exponential end rule shared with the potential module
-_X8, _W8 = (lambda xw: (0.5 * (xw[0] + 1.0), 0.5 * xw[1]))(gauss_legendre(8))
-_X12, _W12 = (lambda xw: (0.5 * (xw[0] + 1.0), 0.5 * xw[1]))(gauss_legendre(12))
 
 _MIN_NODES = 16
 _DEGENERATE_GAP = 1e-6
@@ -133,64 +126,6 @@ def ring_energy_system(n: int) -> RingSystem:
     return RingSystem(phi, halfwidth, area, interaction, effective)
 
 
-def _collocation_row(i, knots, alpha, smax, phi_i):
-    """Quadrature for the potential at node i against the density ansatz.
-
-    Returns points and kernel-carrying weights for the pushed-forward
-    integral over the rim coordinate on [0, smax], with panels aligned
-    to the knot intervals and the log singularity at knots[i] resolved
-    by graded panels plus an exponential end rule evaluated in exact
-    offsets.
-    """
-    one_m_cphi = 2.0 * math.sin(0.5 * phi_i) ** 2
-    one_p_cphi = 2.0 * math.cos(0.5 * phi_i) ** 2
-    depth = _depth(phi_i, alpha)
-    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
-    s0 = knots[i]
-    bounds = np.concatenate(([0.0], knots, [smax]))
-    pts_all, ker_all = [], []
-
-    def kernel_at(s):
-        plain = r1 + s * s
-        factored = np.maximum(smax - s, 0.0) * (smax + s)
-        dd = np.abs(depth - s * s)
-        return 2.0 * _kernel_parts(one_m_cphi, one_p_cphi, plain, factored, dd)
-
-    keep = np.array([k for k in range(len(bounds) - 1) if k not in (i, i + 1)])
-    lo = bounds[keep]
-    span = bounds[keep + 1] - lo
-    pts = (lo[:, None] + span[:, None] * _X8[None, :]).ravel()
-    wts = (span[:, None] * _W8[None, :]).ravel()
-    pts_all.append(pts)
-    ker_all.append(wts * kernel_at(pts))
-
-    wr = smax - s0
-    for k, sign in ((i, -1.0), (i + 1, 1.0)):
-        width = (s0 - bounds[k]) if sign < 0 else (bounds[k + 1] - s0)
-        if width <= 0.0:
-            continue
-        edges = width * _HALVING
-        a = s0 + sign * edges[:-1]
-        b = s0 + sign * edges[1:]
-        plo = np.minimum(a, b)
-        phi_hi = np.maximum(a, b)
-        sp = (plo[:, None] + (phi_hi - plo)[:, None] * _X12[None, :]).ravel()
-        sw = ((phi_hi - plo)[:, None] * _W12[None, :]).ravel()
-        pts_all.append(sp)
-        ker_all.append(sw * kernel_at(sp))
-        # innermost stretch in the exact offset u = s - knots[i]
-        delta = width * _HALVING[-1]
-        u = delta * _EXP_U
-        s = s0 + sign * u
-        plain = r1 + s * s
-        factored = np.maximum(wr - sign * u, 0.0) * (smax + s)
-        dd = np.abs(u * (2.0 * s0 + sign * u))
-        kv = 2.0 * _kernel_parts(one_m_cphi, one_p_cphi, plain, factored, dd)
-        pts_all.append(s)
-        ker_all.append(delta * _TAU_W * kv)
-    return np.concatenate(pts_all), np.concatenate(ker_all)
-
-
 def nystrom_solve(
     field: ExternalField, cap: SphericalCap, n: int
 ) -> Tuple[DensityProfile, float]:
@@ -200,10 +135,12 @@ def nystrom_solve(
     coordinate s = sqrt(|cos(rim) - cos(phi)|) the unknown s*f(phi(s))
     is represented by a cubic spline through its values at the n
     boundary-clustered nodes, which builds the inverse-square-root rim
-    behaviour into the ansatz.  Collocating the balance equation at the
-    nodes and appending the unit-mass row yields an (n+1) x (n+1) dense
-    system for the node values and the potential level, returned as a
-    profile plus that level.
+    behaviour into the ansatz.  Each collocation row is
+    `potential.kernel_rule` at a node, with the knots as panel ends,
+    applied to the spline basis, so the rows use the same quadrature as
+    the potential.  Appending the unit-mass row yields an (n+1) x (n+1)
+    dense system for the node values and the potential level, returned as
+    a profile plus that level.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
@@ -225,8 +162,8 @@ def nystrom_solve(
     basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
 
     def assemble(i: int) -> np.ndarray:
-        pts, kernel_weights = _collocation_row(i, knots, alpha, smax, float(nodes[i]))
-        return kernel_weights @ basis(pts)
+        points, weights = kernel_rule(float(nodes[i]), alpha, smax, knots)
+        return weights @ basis(points)
 
     system = np.zeros((n + 1, n + 1))
     system[:n, :n] = np.vstack([assemble(i) for i in range(n)])

@@ -5,23 +5,21 @@ angles phi and xi reduces to a complete elliptic integral; potentials are
 then one-dimensional integrals over the cap, singular on the diagonal.
 Everything here integrates in the rim variable s = sqrt(|cos(alpha) -
 cos(phi)|), where the density is smooth and the kernel's diagonal is a plain
-logarithm.
+logarithm.  `kernel_rule` is the one quadrature of that kernel: the
+potential applies it to a profile's sigma, and the Nystrom oracle applies it
+to its spline basis.  Both work on south caps; a north cap is its mirror.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ._numerics import gauss_legendre
-from .equilibrium import (
-    DensityProfile,
-    _edge_coordinate_maps,
-    sigma_interpolant,
-)
+from .equilibrium import DensityProfile, _edge_coordinate_maps
 from .fields import ExternalField
 from .geometry import (
     Orientation,
@@ -34,11 +32,8 @@ from .singular_quadrature import NonconvergenceError, _depth
 
 PI = math.pi
 
-# graded mesh toward the kernel diagonal: halving panels, then one
-# exponentially substituted panel for the residual log (or inverse-sqrt
-# at the poles) singularity
+# halving panels of the graded rule beside the kernel diagonal
 _LEVELS = 12
-_HALVING = 2.0 ** (-np.arange(_LEVELS + 1, dtype=float))
 _N_OFF_SUPPORT = 64
 _AGM_ITERATIONS = 20
 
@@ -48,16 +43,33 @@ def _unit_gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-_X01, _W01 = _unit_gl(12)
+# one GL-8 panel per smooth interval between knots
+_X8, _W8 = _unit_gl(8)
 
-# nodes for int_0^48 e^(-tau) F(delta e^(-tau)) dtau; the slowest case is
-# an inverse-sqrt endpoint (decay e^(-tau/2)), truncated at e^(-24)
-_t1, _w1 = gauss_legendre(24)
-_t2, _w2 = gauss_legendre(16)
-_t3, _w3 = gauss_legendre(12)
-_TAU = np.concatenate((4.0 * (_t1 + 1.0), 16.0 + 8.0 * _t2, 36.0 + 12.0 * _t3))
-_TAU_W = np.concatenate((4.0 * _w1, 8.0 * _w2, 12.0 * _w3)) * np.exp(-_TAU)
-_EXP_U = np.exp(-_TAU)
+
+def _graded_side() -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets from the diagonal and weights, as fractions of the side width.
+
+    Twelve halving GL-12 panels toward the diagonal, then one panel
+    substituted exponentially for the residual log (or inverse-sqrt at the
+    poles) singularity: nodes for int_0^48 e^(-tau) F(delta e^(-tau)) dtau,
+    where the slowest case, an inverse-sqrt endpoint (decay e^(-tau/2)), is
+    truncated at e^(-24).
+    """
+    x12, w12 = _unit_gl(12)
+    halving = 2.0 ** -np.arange(1, _LEVELS + 1, dtype=float)
+    t1, w1 = gauss_legendre(24)
+    t2, w2 = gauss_legendre(16)
+    t3, w3 = gauss_legendre(12)
+    tau = np.concatenate((4.0 * (t1 + 1.0), 16.0 + 8.0 * t2, 36.0 + 12.0 * t3))
+    tau_w = np.concatenate((4.0 * w1, 8.0 * w2, 12.0 * w3)) * np.exp(-tau)
+    delta = halving[-1]
+    u = (halving[:, None] * (1.0 + x12[None, :])).ravel()
+    w = (halving[:, None] * w12[None, :]).ravel()
+    return np.concatenate((u, delta * np.exp(-tau))), np.concatenate((w, delta * tau_w))
+
+
+_SIDE_U, _SIDE_W = _graded_side()
 
 
 def _agm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,106 +132,81 @@ def ring_kernel(phi, xi):
     return out
 
 
-def _panel_points(bounds: List[Tuple[float, float]]):
-    lo = np.array([b[0] for b in bounds])
-    span = np.array([b[1] - b[0] for b in bounds])
-    pts = lo[:, None] + span[:, None] * _X01[None, :]
-    wts = span[:, None] * _W01[None, :]
-    return pts.ravel(), wts.ravel()
+def kernel_rule(
+    phi: float, alpha: float, smax: float, knots=()
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Quadrature for the potential at phi of a south-cap density.
+
+    Returns points in the rim variable s on [0, smax] and kernel-carrying
+    weights, so that U(phi) = weights @ sigma(points) for the cap of rim
+    alpha.  Every interval between consecutive knots (with 0 and smax
+    added) gets one GL-8 panel; the one or two intervals meeting the
+    kernel diagonal s0 = sqrt(cos(alpha) - cos(phi)) get the graded side
+    rule toward s0.  Off the support s0 = 0, where the kernel peaks but
+    stays bounded.
+    """
+    one_m_cphi = 2.0 * math.sin(0.5 * phi) ** 2
+    one_p_cphi = 2.0 * math.cos(0.5 * phi) ** 2
+    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
+    depth = float(_depth(phi, alpha))  # cos(alpha) - cos(phi)
+    s0 = math.sqrt(max(depth, 0.0))
+    bounds = np.concatenate(([0.0], np.asarray(knots, dtype=float), [smax]))
+    # a diagonal within rounding of a panel end must sit exactly on it:
+    # otherwise a stray ulp poisons the end panel's distance factors
+    nearest = float(bounds[np.argmin(np.abs(bounds - s0))])
+    if abs(nearest - s0) < 4.0 * np.finfo(float).eps * smax:
+        s0 = nearest
+    res = depth - s0 * s0
+    below = int(np.searchsorted(bounds, s0, side="left")) - 1
+    above = int(np.searchsorted(bounds, s0, side="right"))
+
+    # smooth panels, with 1 + cos(xi) and cos(xi) - cos(phi) from s itself
+    keep = np.r_[0 : max(below, 0), above : len(bounds) - 1]
+    lo = bounds[keep]
+    span = bounds[keep + 1] - lo
+    s_parts = [(lo[:, None] + span[:, None] * _X8[None, :]).ravel()]
+    w_parts = [(span[:, None] * _W8[None, :]).ravel()]
+    to_smax_parts = [np.maximum(smax - s_parts[0], 0.0)]
+    dcos_parts = [depth - s_parts[0] * s_parts[0]]
+    # graded sides in the exact offset u from the diagonal: s0 +- u can
+    # round to s0 itself at the deepest substitution nodes
+    for end, sign in ((below, -1.0), (above, 1.0)):
+        if not 0 <= end < len(bounds):
+            continue
+        width = abs(float(bounds[end]) - s0)
+        u = width * _SIDE_U
+        s_parts.append(s0 + sign * u)
+        w_parts.append(width * _SIDE_W)
+        to_smax_parts.append(np.maximum(smax - s0 - sign * u, 0.0))
+        dcos_parts.append(res - sign * u * (2.0 * s0 + sign * u))
+    s = np.concatenate(s_parts)
+    # 1 -+ cos(xi(s)) in factored form so the kernel stays accurate at
+    # the poles, where the plain cosine rounds to +-1
+    kernel = _kernel_parts(
+        one_m_cphi,
+        one_p_cphi,
+        r1 + s * s,
+        np.concatenate(to_smax_parts) * (smax + s),
+        np.abs(np.concatenate(dcos_parts)),
+    )
+    return s, 2.0 * np.concatenate(w_parts) * kernel
 
 
 def potential_on_sphere(profile: DensityProfile, phi) -> float:
     """Potential U(phi) of the profile's surface measure, on the sphere.
 
-    Integrates 2 sigma(s) M(phi, xi(s)) ds with a mesh graded toward the
-    kernel diagonal (halving panels, innermost panel by exponential
-    substitution), so both the rim behavior of the density and the
-    logarithmic diagonal are resolved by smooth-panel quadrature.
+    Integrates 2 sigma(s) M(phi, xi(s)) ds with `kernel_rule`, so both
+    the rim behavior of the density and the logarithmic diagonal are
+    resolved by smooth-panel quadrature.  A north cap is evaluated as its
+    mirror south cap at the mirrored angle.
     """
     p = _validated_angle(phi, name="phi")
-    interp = sigma_interpolant(profile)
-    _, _, smax = _edge_coordinate_maps(profile.cap)
     alpha = profile.cap.alpha
-    one_m_cphi = 2.0 * math.sin(0.5 * p) ** 2
-    one_p_cphi = 2.0 * math.cos(0.5 * p) ** 2
-    depth = _depth(p, alpha)  # cos(alpha) - cos(phi)
-
-    # 1 -+ cos(xi(s)) in factored form so the kernel stays accurate at
-    # the poles, where the plain cosine rounds to +-1
-    south = profile.cap.orientation is Orientation.SOUTH_CENTERED
-    if south:
-        inside = depth >= 0.0
-        s0 = math.sqrt(max(depth, 0.0))
-        r1 = 2.0 * math.sin(0.5 * alpha) ** 2
-    else:
-        inside = depth <= 0.0
-        s0 = math.sqrt(max(-depth, 0.0))
-        r1 = 2.0 * math.cos(0.5 * alpha) ** 2
-    # a diagonal within rounding of an endpoint must sit exactly on it:
-    # otherwise a stray ulp of wr poisons the substitution panel's
-    # distance factors
-    snap = 4.0 * np.finfo(float).eps * smax
-    if inside:
-        if s0 > smax - snap:
-            s0 = smax
-        elif s0 < snap:
-            s0 = 0.0
-    res = depth - s0 * s0 if south else depth + s0 * s0
-    wr = smax - s0
-
-    def kernel_at(s, one_m_cxi, one_p_cxi, absdiff):
-        return (
-            2.0
-            * interp(s)
-            * _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, absdiff)
-        )
-
-    def integrand(s):
-        plain = r1 + s * s
-        factored = np.maximum(smax - s, 0.0) * (smax + s)
-        if south:
-            one_m, one_p, dd = plain, factored, depth - s * s
-        else:
-            one_m, one_p, dd = factored, plain, depth + s * s
-        return kernel_at(s, one_m, one_p, np.abs(dd))
-
-    def integrand_near(u, sign):
-        # distance u from the diagonal, kept symbolic: s0 +- u can round
-        # to s0 itself at the deepest substitution nodes
-        s = s0 + sign * u
-        plain = r1 + s * s
-        factored = np.maximum(wr - sign * u, 0.0) * (smax + s)
-        if south:
-            one_m, one_p = plain, factored
-            dd = res - sign * u * (2.0 * s0 + sign * u)
-        else:
-            one_m, one_p = factored, plain
-            dd = res + sign * u * (2.0 * s0 + sign * u)
-        return kernel_at(s, one_m, one_p, np.abs(dd))
-
-    total = 0.0
-    bounds: List[Tuple[float, float]] = []
-    if inside:
-        for width, sign in ((s0, -1.0), (smax - s0, 1.0)):
-            if width <= 0.0:
-                continue
-            edges = width * _HALVING
-            for j in range(_LEVELS):
-                a, b = s0 + sign * edges[j], s0 + sign * edges[j + 1]
-                bounds.append((min(a, b), max(a, b)))
-            delta = width * _HALVING[-1]
-            total += delta * float(
-                np.dot(_TAU_W, integrand_near(delta * _EXP_U, sign))
-            )
-    else:
-        # kernel peaks at the near rim s = 0 but stays bounded
-        edges = smax * _HALVING
-        for j in range(_LEVELS):
-            bounds.append((edges[j + 1], edges[j]))
-        bounds.append((0.0, edges[-1]))
-
-    gl_pts, gl_wts = _panel_points(bounds)
-    total += float(np.dot(gl_wts, integrand(gl_pts)))
+    if profile.cap.orientation is Orientation.NORTH_CENTERED:
+        p, alpha = PI - p, PI - alpha
+    _, _, smax = _edge_coordinate_maps(profile.cap)
+    points, weights = kernel_rule(p, alpha, smax)
+    total = float(weights @ profile.sigma(points))
     if not math.isfinite(total):
         raise NonconvergenceError(
             "potential quadrature produced a non-finite value", total, math.inf

@@ -150,7 +150,7 @@ def _checked_quad(fun, lo: float, hi: float, tol: float) -> float:
         fun, lo, hi, epsabs=0.1 * tol, epsrel=1e-12, limit=200, full_output=True
     )
     if failure:
-        reason = failure[0].split("\n")[0].strip()
+        reason = " ".join(failure[0].split()).split(". ")[0]
         raise NonconvergenceError(
             f"F-functional quadrature failed: {reason}", float(value), float(abserr)
         )

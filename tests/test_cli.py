@@ -184,6 +184,7 @@ class TestDensityCommand:
         err = capsys.readouterr().err
         assert "support_finder." in err
         assert "equilibrium.density_general" not in err
+        assert "which prevents the requested tolerance from being achieved" in err
 
 
 class TestFFunctionalCommand:

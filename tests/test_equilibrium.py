@@ -23,7 +23,6 @@ from capfield.equilibrium import (
     profile_from_callable,
     profile_from_values,
     quadratic_density,
-    total_mass,
 )
 from capfield.fields import (
     ExternalField,
@@ -37,11 +36,10 @@ from capfield.geometry import (
     boundary_clustered_grid,
     north_cap,
     south_cap,
-    uniform_grid,
 )
 from capfield.singular_quadrature import NonconvergenceError
 from capfield.support_finder import solve_support_northpole
-from conftest import ShiftedField
+from conftest import ShiftedField, uniform_grid
 
 PI = math.pi
 
@@ -333,9 +331,9 @@ class TestDensityGeneral:
     def test_rejects_grid_in_guard_band(self):
         cap = south_cap(1.0)
         nodes = np.array([1.0 + 1e-8, 2.0, 3.0])
-        from capfield.geometry import PhiGrid, SpacingPolicy
+        from capfield.geometry import PhiGrid
 
-        grid = PhiGrid(nodes, SpacingPolicy.UNIFORM)
+        grid = PhiGrid(nodes)
         with pytest.raises(ValueError):
             density_general(ZeroField(), cap, grid)
 
@@ -387,21 +385,21 @@ class TestProfilesAndMass:
             lambda p: pointcharge_density(1.0, 2.0, ALPHA0_PC_12, p)[0],
             FQ_PC_12,
         )
-        assert total_mass(prof) == pytest.approx(1.0, abs=1e-8)
+        assert prof.mass == pytest.approx(1.0, abs=1e-8)
 
     def test_node_only_profile_mass(self):
         cap = south_cap(PI / 3)
         grid = boundary_clustered_grid(cap, 64)
         values = nofield_density(PI / 3, grid.nodes)
         prof = profile_from_values(cap, grid, values, 1.0 / capacity_south_cap(PI / 3))
-        assert total_mass(prof) == pytest.approx(1.0, abs=1e-5)
+        assert prof.mass == pytest.approx(1.0, abs=1e-5)
 
     def test_scaling_scales_mass(self):
         cap = south_cap(PI / 3)
         grid = boundary_clustered_grid(cap, 64)
         values = nofield_density(PI / 3, grid.nodes)
         prof = profile_from_values(cap, grid, 2.0 * values, 0.0)
-        assert total_mass(prof) == pytest.approx(2.0, abs=2e-5)
+        assert prof.mass == pytest.approx(2.0, abs=2e-5)
 
     def test_negative_values_flagged_not_clamped(self):
         cap = south_cap(1.0)
@@ -426,4 +424,4 @@ class TestProfilesAndMass:
             lambda p: nofield_density(PI / 3, PI - np.asarray(p)),
             1.0 / capacity_south_cap(PI / 3),
         )
-        assert total_mass(prof) == pytest.approx(1.0, abs=1e-7)
+        assert prof.mass == pytest.approx(1.0, abs=1e-7)

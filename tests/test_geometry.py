@@ -8,14 +8,13 @@ import pytest
 from capfield.geometry import (
     Orientation,
     PhiGrid,
-    SpacingPolicy,
     SphericalCap,
     _validated_angle,
     boundary_clustered_grid,
     north_cap,
     south_cap,
-    uniform_grid,
 )
+from conftest import uniform_grid
 
 PI = math.pi
 
@@ -58,17 +57,17 @@ class TestSphericalCap:
 class TestPhiGrid:
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
-            PhiGrid(np.array([0.5, 0.4, 0.6]), SpacingPolicy.UNIFORM)
+            PhiGrid(np.array([0.5, 0.4, 0.6]))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            PhiGrid(np.array([0.5, 0.5, 0.6]), SpacingPolicy.UNIFORM)
+            PhiGrid(np.array([0.5, 0.5, 0.6]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            PhiGrid(np.array([-0.1, 0.5]), SpacingPolicy.UNIFORM)
+            PhiGrid(np.array([-0.1, 0.5]))
         with pytest.raises(ValueError):
-            PhiGrid(np.array([0.5, 3.2]), SpacingPolicy.UNIFORM)
+            PhiGrid(np.array([0.5, 3.2]))
 
     def test_uniform_grid_is_open(self):
         g = uniform_grid(1.0, 2.0, 5)
@@ -81,7 +80,6 @@ class TestPhiGrid:
         cap = south_cap(PI / 3)
         g = boundary_clustered_grid(cap, 64)
         assert len(g) == 64
-        assert g.spacing is SpacingPolicy.BOUNDARY_CLUSTERED
         assert g.nodes[0] > PI / 3
         assert g.nodes[-1] < PI
         # quadratic clustering toward the rim: first gap far smaller than the mean gap

@@ -255,7 +255,7 @@ class TestOracleIndependence:
         # the oracles cross-check the closed forms and the Abel pipeline,
         # so they must not be built from either
         tree = ast.parse(Path(capfield.oracle.__file__).read_text())
-        allowed_from_quadrature = {"NonconvergenceError", "_depth"}
+        allowed_from_quadrature = {"NonconvergenceError"}
         offending = []
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):

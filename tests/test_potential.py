@@ -13,14 +13,17 @@ from capfield.equilibrium import (
     profile_from_callable,
 )
 from capfield.fields import PointChargeField, ZeroField
-from capfield.geometry import boundary_clustered_grid, south_cap, uniform_grid
+from capfield.geometry import boundary_clustered_grid, north_cap, south_cap
 from capfield.potential import (
     EquilibriumReport,
     elliptic_k_agm,
+    kernel_rule,
     potential_on_sphere,
     ring_kernel,
     verify_equilibrium,
 )
+from capfield.singular_quadrature import _depth
+from conftest import uniform_grid
 
 PI = math.pi
 
@@ -174,6 +177,47 @@ class TestPotentialOnSphere:
         prof = uniform_profile()
         with pytest.raises(ValueError):
             potential_on_sphere(prof, -0.1)
+
+    def test_north_cap_mirrors_south_cap(self):
+        alpha = PI / 3
+        south = nofield_profile(alpha)
+        cap = north_cap(PI - alpha)
+        north = profile_from_callable(
+            cap,
+            boundary_clustered_grid(cap, 64),
+            lambda p: nofield_density(alpha, PI - p),
+            1.0 / capacity_south_cap(alpha),
+        )
+        for phi in (0.0, 0.3, alpha - 1e-3, alpha, alpha + 1e-9, 1.5, 2.5, PI):
+            assert potential_on_sphere(north, PI - phi) == pytest.approx(
+                potential_on_sphere(south, phi), rel=1e-10
+            )
+
+
+class TestKernelRule:
+    def test_diagonal_snaps_onto_a_knot_one_ulp_away(self):
+        # the diagonal of node phi must land on its own knot even when the
+        # knot was rounded differently; a GL-8 panel next to an unresolved
+        # log singularity would otherwise cost many digits
+        alpha = 0.9
+        smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
+        phi = 1.7
+        s0 = math.sqrt(float(_depth(phi, alpha)))
+        knots = np.sort(np.append(np.linspace(0.05, 0.95, 7) * smax, s0))
+        i = int(np.flatnonzero(knots == s0)[0])
+
+        def smooth_sigma(s):
+            return np.cos(s) + s * s
+
+        def potential(k):
+            points, weights = kernel_rule(phi, alpha, smax, k)
+            return float(weights @ smooth_sigma(points))
+
+        exact = potential(knots)
+        for toward in (-np.inf, np.inf):
+            nudged = knots.copy()
+            nudged[i] = np.nextafter(s0, toward)
+            assert potential(nudged) == pytest.approx(exact, rel=1e-13)
 
 
 class TestVerifyEquilibrium:
