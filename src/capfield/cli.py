@@ -29,9 +29,10 @@ from .fields import (
     QuadraticField,
     TabulatedField,
     ZeroField,
+    validate_south_cap_hypotheses,
 )
 from .geometry import boundary_clustered_grid, south_cap
-from .oracle import discrete_energy_minimize, nystrom_solve, ring_energy_system
+from .oracle import discrete_energy_minimize, nystrom_solve
 from .potential import potential_on_sphere, verify_equilibrium
 from .singular_quadrature import NonconvergenceError
 from .support_finder import (
@@ -75,7 +76,6 @@ class RunConfig:
     alpha: Optional[float] = None
     n: int = 64
     rings: int = 64
-    iterations: int = 20000
     tol: float = 1e-4
     mode: str = "nystrom"
     csv_path: Optional[str] = None
@@ -101,6 +101,16 @@ def build_field(config: RunConfig) -> ExternalField:
             raise ValueError("tabulated field needs --table")
         return TabulatedField.from_csv(config.table)
     raise ValueError(f"unknown field kind {kind!r}")
+
+
+def _admissible_field(config: RunConfig) -> ExternalField:
+    """The field, refused unless it passes the south-cap hypothesis scan."""
+    field = build_field(config)
+    report = validate_south_cap_hypotheses(field)
+    if not report.passed:
+        kind, x3, values = report.first_violation
+        raise ValueError(f"field is not {kind} in x3: Q = {values} at x3 = {x3}")
+    return field
 
 
 def _fmt(x: float) -> str:
@@ -141,7 +151,6 @@ def _solve_support(config: RunConfig, field: ExternalField):
     if kind == "north-pole":
         return solve_support_northpole(config.q)
     if kind == "quadratic":
-        build_field(config)  # admissibility before searching
         return solve_support_quadratic(config.a, config.b, config.c)
     return minimize_ffunctional(field)
 
@@ -161,7 +170,7 @@ def _cmd_capacity(config: RunConfig):
 
 
 def _cmd_support(config: RunConfig):
-    field = build_field(config)
+    field = _admissible_field(config)
     solution = _solve_support(config, field)
     summary = {
         "alpha0": solution.alpha0,
@@ -175,7 +184,7 @@ def _cmd_support(config: RunConfig):
 
 
 def _cmd_density(config: RunConfig):
-    field = build_field(config)
+    field = _admissible_field(config)
     if config.alpha is not None:
         alpha = config.alpha
     else:
@@ -223,7 +232,7 @@ def _cmd_ffunctional(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
-    field = build_field(config)
+    field = _admissible_field(config)
     alpha = _require_alpha(config)
     cap = south_cap(alpha)
     profile = density_general(field, cap, boundary_clustered_grid(cap, config.n))
@@ -245,8 +254,8 @@ def _cmd_verify(config: RunConfig):
 
 
 def _cmd_oracle(config: RunConfig):
-    field = build_field(config)
     if config.mode == "nystrom":
+        field = _admissible_field(config)
         alpha = _require_alpha(config)
         profile, fq = nystrom_solve(field, south_cap(alpha), config.n)
         summary = {
@@ -261,26 +270,22 @@ def _cmd_oracle(config: RunConfig):
             summary["csv"] = str(config.csv_path)
         return summary, f"FQ = {_fmt(fq)}"
 
-    measure = discrete_energy_minimize(field, config.rings, config.iterations)
-    system = ring_energy_system(config.rings)
+    # the energy oracle assumes no support, so it takes any field
+    field = build_field(config)
+    measure, fq, spread, min_slack = discrete_energy_minimize(field, config.rings)
     weights = np.asarray(measure.weights)
-    station = system.interaction @ weights + field.value_at_x3(
-        np.clip(np.cos(system.angles), -1.0, 1.0)
-    )
-    active = weights > 1e-6
-    multiplier = float(np.mean(station[active]))
+    active = weights > 0.0
     summary = {
         "alpha0": None,
-        "FQ": multiplier,
+        "FQ": fq,
         "mass": float(weights.sum()),
-        "residuals": {
-            "kkt_spread": float(station[active].max() - station[active].min()),
-        },
-        "method": "ProjectedGradient",
+        "residuals": {"kkt_spread": spread},
+        "method": "ActiveSet",
+        "min_slack": min_slack,
         "active_rings": int(np.count_nonzero(active)),
-        "first_active_angle": float(system.angles[active][0]),
+        "first_active_angle": float(np.asarray(measure.ring_angles)[active][0]),
     }
-    return summary, f"FQ = {_fmt(multiplier)}  active rings = {int(np.count_nonzero(active))}"
+    return summary, f"FQ = {_fmt(fq)}  active rings = {int(np.count_nonzero(active))}"
 
 
 def _cmd_gonchar(config: RunConfig):
@@ -441,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="cap rim angle (nystrom mode)")
     p.add_argument("--n", type=int, default=64, help="collocation nodes (nystrom mode)")
     p.add_argument("--rings", type=int, default=64, help="latitude rings (energy mode)")
-    p.add_argument("--iterations", type=int, default=20000, help="gradient iterations")
     p.add_argument("--csv", dest="csv_path", metavar="PATH", help="density table sink")
 
     p = sub.add_parser("gonchar", parents=[output], help="critical charge heights")

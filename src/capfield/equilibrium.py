@@ -55,7 +55,7 @@ def edge_factor(alpha, phi):
 
     r = (1 - cos alpha)/(cos alpha - cos phi) measures inverse depth into
     the cap; the factor tends to 1 deep inside and diverges like one over
-    the square root of the rim distance.  Scalar in, scalar out.
+    the square root of the rim distance.  Vectorized over phi.
     """
     a = _validated_angle(alpha, name="rim angle")
     p = np.asarray(phi, dtype=float)

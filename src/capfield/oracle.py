@@ -6,15 +6,15 @@ equation on a prescribed cap by product-integration collocation and
 solves for the density together with the potential level in one dense
 system.  ``discrete_energy_minimize`` drops any support assumption: it
 minimizes the discretized weighted energy over probability weights on
-latitude rings covering the whole sphere, and the support emerges from
-the active set.
+latitude rings covering the whole sphere by an exact active-set solve,
+and the support emerges as the set of rings left free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -32,9 +32,11 @@ _MIN_NODES = 16
 _DEGENERATE_GAP = 1e-6
 
 _MIN_RINGS = 32
-_DEFAULT_ITERATIONS = 20000
-_POWER_ITERATIONS = 100
-_STEP_TOL = 1e-14
+# active-set changes allowed per ring before the solve counts as stuck
+_STEPS_PER_RING = 2
+# a bound ring is freed only when its slack falls below
+# -_SLACK_RTOL * max(|F_Q|, 1); every nonnegative field has F_Q >= 1
+_SLACK_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,9 @@ class DiscreteMeasure:
     ring_halfwidths: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        angles = tuple(float(a) for a in self.ring_angles)
-        weights = tuple(float(w) for w in self.weights)
-        halfwidths = tuple(float(h) for h in self.ring_halfwidths)
-        object.__setattr__(self, "ring_angles", angles)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "ring_halfwidths", halfwidths)
+        for name in ("ring_angles", "weights", "ring_halfwidths"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        angles, weights, halfwidths = self.ring_angles, self.weights, self.ring_halfwidths
         if not (len(angles) == len(weights) == len(halfwidths)) or not angles:
             raise ValueError("ring_angles, weights, ring_halfwidths must share a nonzero length")
         for a in angles:
@@ -78,30 +77,28 @@ class RingSystem:
 
     ``interaction[i, j]`` is the mutual energy of unit masses on rings i
     and j; the diagonal carries the regularized self-energy.
-    ``effective_widths`` restates the diagonal through the thin-ring
-    formula log(8 sin(phi) / width) / (pi sin(phi)) for inspection.
     """
 
     angles: np.ndarray
     halfwidth: float
     area_weights: np.ndarray
     interaction: np.ndarray
-    effective_widths: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("angles", "area_weights", "interaction", "effective_widths"):
+        for name in ("angles", "area_weights", "interaction"):
             getattr(self, name).flags.writeable = False
 
 
 def ring_energy_system(n: int) -> RingSystem:
     """Interaction matrix for n equally spaced latitude rings.
 
-    Off-diagonal entries come from the azimuthally averaged kernel.  The
-    diagonal is calibrated row by row so the known uniform measure on
-    the full sphere (weights proportional to ring areas) reproduces its
-    constant potential 1 at every ring; the total energy then equals the
-    sphere value 1 identically.  The interior effective widths implied
-    by this calibration settle near halfwidth/pi, the thin-ring value.
+    Off-diagonal entries come from the azimuthally averaged kernel, in one
+    call over every ordered pair of distinct rings.  The diagonal is
+    calibrated row by row so the known uniform measure on the full sphere
+    (weights proportional to ring areas) reproduces its constant potential
+    1 at every ring; the total energy then equals the sphere value 1
+    identically.  The interior effective widths implied by this
+    calibration settle near halfwidth/pi, the thin-ring value.
     """
     if not isinstance(n, (int, np.integer)) or n < 8:
         raise ValueError("need at least 8 rings")
@@ -111,19 +108,12 @@ def ring_energy_system(n: int) -> RingSystem:
     sines = np.sin(phi)
     area = sines / sines.sum()
 
-    def row(i: int) -> np.ndarray:
-        out = np.empty(n)
-        mask = np.arange(n) != i
-        out[mask] = ring_kernel(float(phi[i]), phi[mask]) / (2.0 * PI)
-        out[i] = 0.0
-        return out
-
-    interaction = np.vstack([row(i) for i in range(n)])
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    interaction = np.zeros((n, n))
+    interaction[rows, cols] = ring_kernel(phi[rows], phi[cols]) / (2.0 * PI)
     off = interaction @ area
-    diag = (1.0 - off) / area
-    interaction[np.arange(n), np.arange(n)] = diag
-    effective = 8.0 * sines * np.exp(-PI * sines * diag)
-    return RingSystem(phi, halfwidth, area, interaction, effective)
+    interaction[np.arange(n), np.arange(n)] = (1.0 - off) / area
+    return RingSystem(phi, halfwidth, area, interaction)
 
 
 def nystrom_solve(
@@ -185,55 +175,61 @@ def nystrom_solve(
     return profile_from_values(cap, grid, values, fq), fq
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    counts = np.arange(1, len(v) + 1)
-    rho = counts[u - shifted / counts > 0][-1]
-    return np.maximum(v - shifted[rho - 1] / rho, 0.0)
-
-
 def discrete_energy_minimize(
-    field: ExternalField, n: int, iterations: int = _DEFAULT_ITERATIONS
-) -> DiscreteMeasure:
-    """Minimize the discretized weighted energy over ring weights.
+    field: ExternalField, n: int
+) -> Tuple[DiscreteMeasure, float, float, Optional[float]]:
+    """Minimize the discretized weighted energy over ring weights, exactly.
 
-    Projected gradient on w^T K w + 2 q^T w over the probability
-    simplex, fixed step 1/L with L from power iteration on K.  Starts
-    from the uniform (area-weight) measure; no support is assumed.
-    Stops early once the sup-norm step drops below 1e-14; if the
-    iteration cap is hit first, the raised error carries the last
-    iterate and the projected-gradient residual.
+    min w^T K w + 2 q^T w over the probability simplex is a strictly convex
+    QP, solved by a primal active-set method (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., sec. 16.5).  Starting from the area weights with
+    every ring free, each step solves [K_S 1; 1^T 0] on the free set S for
+    the weights and F_Q.  A weight that would go negative stops the step
+    at the boundary and fixes its ring at 0; otherwise the bound ring with
+    the most negative slack Kw + q - F_Q is freed, until no slack lies
+    below rounding.  Returns the measure, F_Q, the spread of Kw + q over S
+    and the least slack off S (None when S holds every ring).  Past the
+    step cap the error carries the last feasible iterate.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_RINGS:
         raise ValueError(f"need at least {_MIN_RINGS} rings")
-    if not isinstance(iterations, (int, np.integer)) or iterations < 1:
-        raise ValueError("iterations must be a positive integer")
     n = int(n)
     system = ring_energy_system(n)
     interaction = system.interaction
     q = field.value_at_x3(np.clip(np.cos(system.angles), -1.0, 1.0))
-
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(_POWER_ITERATIONS):
-        v = interaction @ v
-        v /= np.linalg.norm(v)
-    lipschitz = 2.0 * float(v @ (interaction @ v))
-    step = 1.0 / lipschitz
+    halfwidths = np.full(n, system.halfwidth)
 
     w = system.area_weights.copy()
-    halfwidths = np.full(n, system.halfwidth)
-    for _ in range(int(iterations)):
-        updated = _project_simplex(w - step * 2.0 * (interaction @ w + q))
-        move = float(np.abs(updated - w).max())
-        w = updated
-        if move <= _STEP_TOL:
-            return DiscreteMeasure(system.angles, w, halfwidths)
-    residual = move / step
+    free = np.ones(n, dtype=bool)
+    steps = int(_STEPS_PER_RING * n)
+    for _ in range(steps):
+        idx = np.flatnonzero(free)
+        bordered = np.pad(interaction[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
+        bordered[-1, -1] = 0.0
+        solution = np.linalg.solve(bordered, np.append(-q[idx], 1.0))
+        v, fq = solution[:-1], -float(solution[-1])
+        if np.all(v >= 0.0):
+            w[idx] = v
+            station = interaction @ w + q
+            slack = np.where(free, np.inf, station - fq)
+            j = int(np.argmin(slack))
+            if slack[j] >= -_SLACK_RTOL * max(abs(fq), 1.0):
+                spread = float(np.ptp(station[free]))
+                min_slack = None if free.all() else float(slack[j])
+                return DiscreteMeasure(system.angles, w, halfwidths), fq, spread, min_slack
+            free[j] = True
+        else:
+            step = v - w[idx]
+            blocking = np.flatnonzero(step < 0.0)
+            ratios = w[idx[blocking]] / -step[blocking]
+            k = int(np.argmin(ratios))
+            w[idx] = np.maximum(w[idx] + ratios[k] * step, 0.0)
+            w[idx[blocking[k]]] = 0.0
+            free[idx[blocking[k]]] = False
+    station = interaction @ w + q
+    residual = float(station[free].max() - station.min())
     raise NonconvergenceError(
-        f"projected gradient did not settle in {iterations} iterations "
-        f"(residual {residual:.3e})",
-        estimate=DiscreteMeasure(system.angles, w, halfwidths),
-        error_bound=residual,
+        f"active-set solve did not settle in {steps} steps (KKT residual {residual:.3e})",
+        DiscreteMeasure(system.angles, w, halfwidths),
+        residual,
     )

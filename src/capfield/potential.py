@@ -110,24 +110,25 @@ def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, absdiff):
 def ring_kernel(phi, xi):
     """Azimuthal integral of the inverse chordal distance between rings.
 
-    Log-divergent on the diagonal, which is rejected.  Scalar in phi;
-    xi may be an array.
+    Log-divergent on the diagonal, which is rejected.  Vectorized: phi
+    and xi broadcast against each other.
     """
-    p = _validated_angle(phi, name="phi")
+    p = np.asarray(phi, dtype=float)
     arr = np.asarray(xi, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > PI):
-        raise ValueError("xi must lie in [0, pi]")
+    for name, angles in (("phi", p), ("xi", arr)):
+        if np.any(~np.isfinite(angles)) or np.any(angles < 0.0) or np.any(angles > PI):
+            raise ValueError(f"{name} must lie in [0, pi]")
     if np.any(arr == p):
         raise ValueError("ring kernel is singular on the diagonal phi == xi")
     absdiff = np.abs(2.0 * np.sin(0.5 * (p + arr)) * np.sin(0.5 * (p - arr)))
     out = _kernel_parts(
-        2.0 * math.sin(0.5 * p) ** 2,
-        2.0 * math.cos(0.5 * p) ** 2,
+        2.0 * np.sin(0.5 * p) ** 2,
+        2.0 * np.cos(0.5 * p) ** 2,
         2.0 * np.sin(0.5 * arr) ** 2,
         2.0 * np.cos(0.5 * arr) ** 2,
         absdiff,
     )
-    if arr.ndim == 0:
+    if out.ndim == 0:
         return float(out)
     return out
 

@@ -109,8 +109,6 @@ def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
     if a == 0.0:
         if h > 1.0:
             return 1.0 + q / h
-        if h < 1.0:
-            return 1.0 + q
         return 1.0 + q
     t = math.atan((1.0 / math.tan(0.5 * a)) * (h - 1.0) / (h + 1.0))
     inner = (
@@ -256,7 +254,7 @@ def minimize_ffunctional(
         )
     return SupportSolution(
         alpha0=float(alpha0),
-        robin_constant=f(alpha0),
+        robin_constant=f_star,
         method=SupportMethod.FFUNCTIONAL_MIN,
         residual=width,
         iterations=iterations,

@@ -247,7 +247,7 @@ def test_criterion_08_collocation_oracle():
 def test_criterion_09_support_emergence():
     t0 = time.perf_counter()
     n = 64
-    measure = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
+    measure, *_ = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
     angles = np.asarray(measure.ring_angles)
     weights = np.asarray(measure.weights)
     above = angles < ALPHA0_PC_12 - 2.0 * (PI / n)
@@ -255,7 +255,7 @@ def test_criterion_09_support_emergence():
     leak = float(weights[above].max())
     assert leak < 1e-6, f"weight {leak!r} survives above the support rim"
 
-    full = discrete_energy_minimize(PointChargeField(1.0, 3.0), n)
+    full, *_ = discrete_energy_minimize(PointChargeField(1.0, 3.0), n)
     smallest = min(full.weights)
     assert smallest > 0.0, "support collapsed for a charge beyond its critical height"
     elapsed = time.perf_counter() - t0

@@ -159,7 +159,10 @@ class TestDensityCommand:
 
     def test_tabulated_field(self, tmp_path):
         table = tmp_path / "field.csv"
-        table.write_text("x3,Q\n-1,0.4\n0,0.3\n1,0.2\n")
+        # increasing and (weakly) convex, so the hypothesis scan passes; a
+        # kinked table such as 0.2, 0.3, 0.5 leaves the first-stage table
+        # unresolved at the knot
+        table.write_text("x3,Q\n-1,0.2\n0,0.3\n1,0.4\n")
         code, summary = run_cli(
             [
                 "density", "--field", "tabulated", "--table", str(table),
@@ -169,6 +172,18 @@ class TestDensityCommand:
         )
         assert code == 0
         assert abs(summary["mass"] - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("command", ["support", "density", "verify", "oracle"])
+    def test_decreasing_table_refused(self, tmp_path, capsys, command):
+        table = tmp_path / "field.csv"
+        table.write_text("x3,Q\n-1,0.4\n0,0.3\n1,0.2\n")
+        args = [command, "--field", "tabulated", "--table", str(table)]
+        if command != "support":
+            args += ["--alpha", "1.0", "--n", "16"]
+        code, summary = run_cli(args, tmp_path)
+        assert code == 2
+        assert summary is None
+        assert "not monotone" in capsys.readouterr().err
 
     def test_failure_names_the_failing_operation(self, tmp_path, capsys):
         # the support search fails before any density is computed
@@ -244,13 +259,28 @@ class TestOracleCommand:
         assert summary is None
         assert "oracle.nystrom_solve" in capsys.readouterr().err
 
-    def test_energy_mode_nonconvergence_exit(self, tmp_path):
+    def test_energy_mode_nonconvergence_exit(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("capfield.oracle._STEPS_PER_RING", 0.1)
         code, _ = run_cli(
             ["oracle", "--mode", "energy", "--field", "point-charge", "--q", "1",
-             "--h", "2", "--rings", "32", "--iterations", "5"],
+             "--h", "2", "--rings", "32"],
             tmp_path,
         )
         assert code == 3
+        assert "oracle.discrete_energy_minimize" in capsys.readouterr().err
+
+    def test_energy_mode_takes_any_field(self, tmp_path):
+        # no support is assumed, so a field outside the south-cap
+        # hypotheses still has a discrete energy minimizer
+        table = tmp_path / "field.csv"
+        table.write_text("x3,Q\n-1,0.4\n0,0.3\n1,0.2\n")
+        code, summary = run_cli(
+            ["oracle", "--mode", "energy", "--field", "tabulated", "--table", str(table),
+             "--rings", "32"],
+            tmp_path,
+        )
+        assert code == 0
+        assert summary["residuals"]["kkt_spread"] <= 1e-13 * summary["FQ"]
 
     def test_energy_mode_multiplier(self, tmp_path):
         code, summary = run_cli(
@@ -259,8 +289,9 @@ class TestOracleCommand:
             tmp_path,
         )
         assert code == 0
-        assert summary["method"] == "ProjectedGradient"
+        assert summary["method"] == "ActiveSet"
         assert abs(summary["FQ"] - FQ_PC_12) <= 1e-2 * FQ_PC_12
+        assert 0.0 < summary["min_slack"]
 
 
 class TestPinWorkflow:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capfield.oracle
 
@@ -77,8 +79,12 @@ class TestRingEnergySystem:
         assert abs(a @ (sys64.interaction @ a) - 1.0) <= 1e-12
 
     def test_interior_effective_width_near_delta_over_pi(self):
+        # the thin-ring self-energy log(8 sin(phi) / width) / (pi sin(phi))
+        # solved for the width that the calibrated diagonal implies
         sys64 = ring_energy_system(64)
-        mid = sys64.effective_widths[20:-20] / sys64.halfwidth
+        sines = np.sin(sys64.angles)
+        widths = 8.0 * sines * np.exp(-PI * sines * np.diag(sys64.interaction))
+        mid = widths[20:-20] / sys64.halfwidth
         np.testing.assert_allclose(mid, 1.0 / PI, rtol=2e-2)
 
     def test_area_weights_follow_sines(self):
@@ -173,20 +179,22 @@ class TestNystromSolve:
 
 class TestDiscreteEnergyMinimize:
     def test_zero_field_weights_follow_ring_areas(self):
-        measure = discrete_energy_minimize(ZeroField(), 64)
+        measure, fq, _, min_slack = discrete_energy_minimize(ZeroField(), 64)
         w = np.asarray(measure.weights)
         sys64 = ring_energy_system(64)
         np.testing.assert_allclose(w, sys64.area_weights, rtol=2e-2)
+        assert fq == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert min_slack is None
 
     def test_measure_layout(self):
-        measure = discrete_energy_minimize(ZeroField(), 32)
+        measure, *_ = discrete_energy_minimize(ZeroField(), 32)
         assert len(measure.ring_angles) == 32
         assert measure.ring_angles[0] == pytest.approx(0.5 * PI / 32, rel=0, abs=1e-15)
         assert all(h == pytest.approx(0.5 * PI / 32) for h in measure.ring_halfwidths)
 
     def test_point_charge_support_emerges(self):
         n = 64
-        measure = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
+        measure, *_ = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
         phi = np.asarray(measure.ring_angles)
         w = np.asarray(measure.weights)
         spacing = PI / n
@@ -195,13 +203,13 @@ class TestDiscreteEnergyMinimize:
 
     def test_far_charge_keeps_full_support(self):
         # h = 3 lies beyond the large Gonchar height for q = 1
-        measure = discrete_energy_minimize(PointChargeField(1.0, 3.0), 64)
+        measure, *_ = discrete_energy_minimize(PointChargeField(1.0, 3.0), 64)
         assert min(measure.weights) > 0.0
 
     def test_kkt_consistency_point_charge(self):
         n = 64
         field = PointChargeField(1.0, 2.0)
-        measure = discrete_energy_minimize(field, n)
+        measure, *_ = discrete_energy_minimize(field, n)
         sys_n = ring_energy_system(n)
         w = np.asarray(measure.weights)
         q = field.value_at_x3(np.cos(sys_n.angles))
@@ -215,7 +223,7 @@ class TestDiscreteEnergyMinimize:
     def test_mass_multiplier_matches_quadratic_robin(self):
         n = 64
         field = QuadraticField(1.0, 2.5, 2.0)
-        measure = discrete_energy_minimize(field, n)
+        measure, *_ = discrete_energy_minimize(field, n)
         sys_n = ring_energy_system(n)
         w = np.asarray(measure.weights)
         q = field.value_at_x3(np.cos(sys_n.angles))
@@ -226,24 +234,67 @@ class TestDiscreteEnergyMinimize:
     def test_deterministic(self):
         a = discrete_energy_minimize(PointChargeField(1.0, 2.0), 48)
         b = discrete_energy_minimize(PointChargeField(1.0, 2.0), 48)
-        assert a.weights == b.weights
+        assert a == b
 
-    def test_nonconvergence_reports_iterate(self):
+    def test_kkt_spread_at_rounding_level(self):
+        # the stationarity spread, recomputed from the weights, is at the
+        # rounding level of F_Q
+        n = 64
+        field = PointChargeField(1.0, 2.0)
+        measure, fq, spread, _ = discrete_energy_minimize(field, n)
+        sys_n = ring_energy_system(n)
+        w = np.asarray(measure.weights)
+        station = sys_n.interaction @ w + field.value_at_x3(np.cos(sys_n.angles))
+        assert np.ptp(station[w > 0.0]) <= 1e-13 * FQ_PC_12
+        assert spread <= 1e-13 * fq
+
+    @given(
+        kind=st.sampled_from(["outside", "inside", "on", "quadratic"]),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+        strength=st.floats(0.2, 5.0),
+        n=st.integers(32, 96),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kkt_conditions_hold(self, kind, u, v, strength, n):
+        if kind == "outside":
+            field = PointChargeField(strength, 1.05 + 3.0 * u)
+        elif kind == "inside":
+            field = PointChargeField(strength, 0.05 + 0.9 * u)
+        elif kind == "on":
+            field = PointChargeField(strength, 1.0)
+        else:
+            b = 2.0 * strength * (1.01 + 2.0 * u)
+            field = QuadraticField(strength, b, b * b / (4.0 * strength) + v)
+        measure, fq, spread, min_slack = discrete_energy_minimize(field, n)
+        sys_n = ring_energy_system(n)
+        w = np.asarray(measure.weights)
+        assert np.all(w >= 0.0)
+        assert abs(math.fsum(w) - 1.0) <= 1e-14
+        station = sys_n.interaction @ w + field.value_at_x3(np.cos(sys_n.angles))
+        free = w > 0.0
+        assert np.ptp(station[free]) <= 1e-12 * fq
+        assert spread <= 1e-12 * fq
+        if free.all():
+            assert min_slack is None
+        else:
+            assert (station[~free] - fq).min() >= -1e-12 * fq
+            assert min_slack >= -1e-12 * fq
+
+    def test_nonconvergence_reports_iterate(self, monkeypatch):
+        monkeypatch.setattr(capfield.oracle, "_STEPS_PER_RING", 0.1)
         with pytest.raises(NonconvergenceError) as info:
-            discrete_energy_minimize(PointChargeField(1.0, 2.0), 64, iterations=50)
+            discrete_energy_minimize(PointChargeField(1.0, 2.0), 64)
         err = info.value
         assert err.error_bound > 0.0
         w = np.asarray(err.estimate.weights)
         assert w.shape == (64,)
+        assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-9
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             discrete_energy_minimize(ZeroField(), 31)
-
-    def test_rejects_bad_iteration_count(self):
-        with pytest.raises(ValueError):
-            discrete_energy_minimize(ZeroField(), 32, iterations=0)
 
 
 def _closed_form_density_code(name: str) -> bool:

@@ -25,3 +25,43 @@ def _unused_imports(path: Path) -> list[str]:
 def test_every_imported_name_is_used():
     assert SOURCES
     assert [name for path in SOURCES for name in _unused_imports(path)] == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_definition_is_referenced():
+    # a private name that nothing in src/ reads is left over from code
+    # that went; tests alone do not keep it alive
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in Path(capfield.__file__).parent.glob("*.py")
+    }
+    referenced = set().union(*(_references(tree) for tree in trees.values()))
+    unreferenced = sorted(
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name in _private_definitions(tree) - referenced
+    )
+    assert unreferenced == []
