@@ -125,10 +125,16 @@ def nystrom_solve(
     coordinate s = sqrt(|cos(rim) - cos(phi)|) the unknown s*f(phi(s))
     is represented by a cubic spline through its values at the n
     boundary-clustered nodes, which builds the inverse-square-root rim
-    behaviour into the ansatz.  Each collocation row is
-    `potential.kernel_rule` at a node, with the knots as panel ends,
-    applied to the spline basis, so the rows use the same quadrature as
-    the potential.  Appending the unit-mass row yields an (n+1) x (n+1)
+    behaviour into the ansatz.  Each collocation row applies
+    `potential.kernel_rule` at a node, with the knots as panel ends, so
+    the rows use the same quadrature as the potential.  The basis is never
+    evaluated: the rule's weights are binned by knot interval j into the
+    product-integration moments sum w*(s - s_j)^(3-k) (Atkinson, The
+    Numerical Solution of Integral Equations of the Second Kind, 1997,
+    sec. 4.2), and one product with the spline's pp-form coefficients
+    (de Boor, A Practical Guide to Splines) maps them to the rows.  Points
+    outside the knots fall to the end intervals, as the spline
+    extrapolates.  Appending the unit-mass row yields an (n+1) x (n+1)
     dense system for the node values and the potential level, returned as
     a profile plus that level.
     """
@@ -150,13 +156,24 @@ def nystrom_solve(
     s_of_phi, _, smax = _edge_coordinate_maps(cap)
     knots = np.asarray(s_of_phi(nodes))
     basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
+    # basis.c[k, j] multiplies (s - knots[j])^(3-k); as a view it is row
+    # k*(n-1) + j of coeffs, so moment column k*(n-1) + j pairs with it
+    coeffs = basis.c.reshape(4 * (n - 1), n)
+    powers = np.arange(3, -1, -1)
+    offsets = (n - 1) * np.arange(4)
 
-    def assemble(i: int) -> np.ndarray:
+    # binned one row at a time: all rows' points at once would hold
+    # tens of MB where the moment matrix itself holds a few
+    moments = np.zeros((n, 4 * (n - 1)))
+    for i in range(n):
         points, weights = kernel_rule(float(nodes[i]), alpha, smax, knots)
-        return weights @ basis(points)
+        j = np.clip(np.searchsorted(knots, points, side="right") - 1, 0, n - 2)
+        terms = weights[:, None] * (points - knots[j])[:, None] ** powers
+        columns = j[:, None] + offsets
+        moments[i] = np.bincount(columns.ravel(), terms.ravel(), minlength=4 * (n - 1))
 
     system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = np.vstack([assemble(i) for i in range(n)])
+    system[:n, :n] = moments @ coeffs
     system[:n, n] = -1.0
     antiderivative = basis.antiderivative()
     system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))

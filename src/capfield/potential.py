@@ -6,8 +6,9 @@ then one-dimensional integrals over the cap, singular on the diagonal.
 Everything here integrates in the rim variable s = sqrt(|cos(alpha) -
 cos(phi)|), where the density is smooth and the kernel's diagonal is a plain
 logarithm.  `kernel_rule` is the one quadrature of that kernel: the
-potential applies it to a profile's sigma, and the Nystrom oracle applies it
-to its spline basis.  Both work on south caps; a north cap is its mirror.
+potential applies it to a profile's sigma, and the Nystrom oracle bins its
+weights into moments against the pieces of its spline.  Both work on south
+caps; a north cap is its mirror.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ once per density as a Chebyshev table of its smooth factor on
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,11 +50,14 @@ class NonconvergenceError(RuntimeError):
     """Quadrature or iteration failed to meet its tolerance.
 
     Carries the best available estimate and an error bound so callers can
-    decide whether the result is still usable.
+    decide whether the result is still usable.  The message shows a real
+    estimate by value and any other (a whole iterate, say) by type name
+    only; `.estimate` keeps the object either way.
     """
 
-    def __init__(self, message: str, estimate: float, error_bound: float) -> None:
-        super().__init__(f"{message} (estimate={estimate!r}, bound={error_bound!r})")
+    def __init__(self, message: str, estimate: object, error_bound: float) -> None:
+        shown = repr(estimate) if isinstance(estimate, numbers.Real) else type(estimate).__name__
+        super().__init__(f"{message} (estimate={shown}, bound={error_bound!r})")
         self.estimate = estimate
         self.error_bound = error_bound
 

@@ -267,7 +267,11 @@ class TestOracleCommand:
             tmp_path,
         )
         assert code == 3
-        assert "oracle.discrete_energy_minimize" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "oracle.discrete_energy_minimize" in err
+        # the iterate stays on the exception; the message names its type
+        assert "estimate=DiscreteMeasure" in err
+        assert max(len(line) for line in err.splitlines()) < 300
 
     def test_energy_mode_takes_any_field(self, tmp_path):
         # no support is assumed, so a field outside the south-cap

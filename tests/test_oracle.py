@@ -11,16 +11,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
+from scipy.interpolate import CubicSpline, PPoly
 
 import capfield.oracle
 
 from capfield.equilibrium import (
+    _edge_coordinate_maps,
     nofield_density,
     pointcharge_density,
+    profile_from_values,
     quadratic_density,
 )
-from capfield.fields import PointChargeField, QuadraticField, ZeroField
-from capfield.geometry import north_cap, south_cap
+from capfield.fields import PointChargeField, QuadraticField, ReflectedField, ZeroField
+from capfield.geometry import Orientation, boundary_clustered_grid, north_cap, south_cap
+from capfield.potential import kernel_rule
 from capfield.oracle import (
     DiscreteMeasure,
     discrete_energy_minimize,
@@ -175,6 +180,81 @@ class TestNystromSolve:
             nystrom_solve(ZeroField(), south_cap(PI - 1e-9), 32)
         with pytest.raises(ValueError):
             nystrom_solve(ZeroField(), north_cap(1e-9), 32)
+
+
+def _reference_nystrom(field, cap, n):
+    """The collocation solve with each row built as weights @ basis(points).
+
+    This evaluates every basis spline at every quadrature point of every
+    row; the oracle gets the same rows from product-integration moments.
+    Returns the node values, F_Q and the mass.
+    """
+    grid = boundary_clustered_grid(cap, n)
+    if cap.orientation is Orientation.NORTH_CENTERED:
+        values, fq, _ = _reference_nystrom(ReflectedField(field), south_cap(PI - cap.alpha), n)
+        values = values[::-1]
+    else:
+        nodes = np.asarray(grid.nodes)
+        s_of_phi, _, smax = _edge_coordinate_maps(cap)
+        knots = np.asarray(s_of_phi(nodes))
+        basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
+        system = np.zeros((n + 1, n + 1))
+        for i in range(n):
+            points, weights = kernel_rule(float(nodes[i]), cap.alpha, smax, knots)
+            system[i, :n] = weights @ basis(points)
+        system[:n, n] = -1.0
+        antiderivative = basis.antiderivative()
+        system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))
+        rhs = np.append(-field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0)), 1.0)
+        solution = scipy.linalg.solve(system, rhs)
+        values, fq = solution[:n] / knots, float(solution[n])
+    return values, fq, profile_from_values(cap, grid, values, fq).mass
+
+
+class TestNystromProductIntegration:
+    def test_no_basis_evaluation_per_row(self, monkeypatch):
+        # the rows come from moments times pp-form coefficients; only the
+        # unit-mass row evaluates a spline (its antiderivative, twice)
+        calls = []
+        evaluate = PPoly.__call__
+
+        def counted(self, *args, **kwargs):
+            calls.append(type(self).__name__)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(PPoly, "__call__", counted)
+        counts = {}
+        for n in (16, 64):
+            calls.clear()
+            nystrom_solve(PointChargeField(1.0, 2.0), south_cap(ALPHA0_PC_12), n)
+            counts[n] = len(calls)
+        assert counts[64] == counts[16]
+        assert counts[64] <= 4
+
+    @given(
+        kind=st.sampled_from(["zero", "point-charge", "quadratic"]),
+        alpha=st.floats(0.2, 2.9),
+        north=st.booleans(),
+        n=st.integers(16, 96),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_basis_reference(self, kind, alpha, north, n, u, v):
+        if kind == "zero":
+            field = ZeroField()
+        elif kind == "point-charge":
+            field = PointChargeField(0.2 + 3.0 * u, 1.2 + 3.0 * v)
+        else:
+            b = 2.0 * (1.01 + 2.0 * u)
+            field = QuadraticField(1.0, b, b * b / 4.0 + v)
+        cap = north_cap(alpha) if north else south_cap(alpha)
+        profile, fq = nystrom_solve(field, cap, n)
+        values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
+        assert abs(fq - fq_ref) <= 1e-12
+        assert abs(profile.mass - mass_ref) <= 1e-12
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
 
 
 class TestDiscreteEnergyMinimize:

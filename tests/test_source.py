@@ -1,10 +1,12 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and the committed benchmark records."""
 
 import ast
+import json
 from pathlib import Path
 
 import capfield
 
+ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     p for p in Path(capfield.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
@@ -65,3 +67,21 @@ def test_every_private_definition_is_referenced():
         for name in _private_definitions(tree) - referenced
     )
     assert unreferenced == []
+
+
+def test_benchmark_records_are_well_formed():
+    # a speed claim rests on a committed BENCH_*.json; each must name its
+    # seeds and hold a parent and a change run for every pair it names
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        seeds = record.get("seeds")
+        assert isinstance(seeds, list) and seeds, f"{path.name}: no seeds listed"
+        sides: dict[tuple, set] = {}
+        for run in record["runs"]:
+            assert run["seed"] in seeds, f"{path.name}: seed {run['seed']} not listed"
+            sides.setdefault((run["workload"], run["seed"]), set()).add(run["side"])
+        assert sides, f"{path.name}: no runs"
+        unpaired = {pair: found for pair, found in sides.items() if found != {"parent", "change"}}
+        assert unpaired == {}, f"{path.name}: runs without both sides"
