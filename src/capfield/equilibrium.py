@@ -1,13 +1,14 @@
-"""Equilibrium densities on spherical caps and their masses.
+"""Equilibrium densities on south caps and their masses.
 
 Densities are radial profiles f(phi) of the rotation-invariant equilibrium
-measure d(mass) = f * dS restricted to a cap; every profile carries the
-inverse-square-root edge factor near the rim.  Closed forms cover the
-no-field, point-charge, on-sphere-charge, and quadratic cases; the general
-pipeline handles any admissible field through the two Abel stages.
+measure d(mass) = f * dS restricted to a south cap (alpha, pi]; every
+profile carries the inverse-square-root edge factor near the rim.  Closed
+forms cover the no-field, point-charge, on-sphere-charge, and quadratic
+cases; the general pipeline handles any admissible field through the two
+Abel stages.
 
-All integrations near the rim use the variable s = sqrt(|cos(alpha) -
-cos(phi)|), in which f*ds-densities are smooth and bounded.
+All integrations near the rim use the variable s = sqrt(cos(alpha) -
+cos(phi)), in which f*ds-densities are smooth and bounded.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .fields import ExternalField, QuadraticField, ReflectedField
-from .geometry import (
-    Orientation,
-    PhiGrid,
-    SphericalCap,
-    _validated_angle,
-)
+from .fields import ExternalField, QuadraticField
+from .geometry import PhiGrid, SphericalCap, _validated_angle
 from .singular_quadrature import (
     _depth,
     _second_stage_integral,
@@ -228,23 +224,16 @@ class DensityProfile:
 
 
 def _edge_coordinate_maps(cap: SphericalCap):
-    """(s_of_phi, phi_of_s, smax) for the cap's rim variable.
-
-    A north cap uses the maps of its mirror south cap composed with
-    phi -> pi - phi.
-    """
-    north = cap.orientation is Orientation.NORTH_CENTERED
-    alpha = PI - cap.alpha if north else cap.alpha
+    """(s_of_phi, phi_of_s, smax) for the cap's rim variable."""
+    alpha = cap.alpha
     smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
 
     def s_of_phi(p):
-        p = np.asarray(p, float)
-        return np.sqrt(np.maximum(_depth(PI - p if north else p, alpha), 0.0))
+        return np.sqrt(np.maximum(_depth(np.asarray(p, float), alpha), 0.0))
 
     def phi_of_s(s):
         u = math.cos(alpha) - np.square(np.asarray(s, float))
-        p = np.arccos(np.clip(u, -1.0, 1.0))
-        return PI - p if north else p
+        return np.arccos(np.clip(u, -1.0, 1.0))
 
     return s_of_phi, phi_of_s, smax
 
@@ -265,8 +254,7 @@ def sigma_interpolant(
     s_of_phi, phi_of_s, smax = _edge_coordinate_maps(cap)
     if density_fn is not None:
         # keep clear of the rim guard band when sampling the density
-        inward = 1.0 if cap.orientation is Orientation.SOUTH_CENTERED else -1.0
-        guard_angle = min(max(cap.alpha + inward * 2.0 * RIM_GUARD_BAND, 0.0), PI)
+        guard_angle = min(cap.alpha + 2.0 * RIM_GUARD_BAND, PI)
         s_lo = max(1e-3 * smax, float(s_of_phi(guard_angle)))
         s = np.linspace(s_lo, smax, _SIGMA_SAMPLES)
         sig = np.asarray(density_fn(phi_of_s(s)), dtype=float) * s
@@ -304,18 +292,10 @@ def profile_from_values(
 
 
 def _check_grid_inside(cap: SphericalCap, grid: PhiGrid) -> None:
-    lo, hi = cap.angular_interval()
-    nodes = grid.nodes
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        if nodes[0] < lo + RIM_GUARD_BAND:
-            raise ValueError(
-                f"grid reaches within {RIM_GUARD_BAND} of the cap rim at {lo!r}"
-            )
-    else:
-        if nodes[-1] > hi - RIM_GUARD_BAND:
-            raise ValueError(
-                f"grid reaches within {RIM_GUARD_BAND} of the cap rim at {hi!r}"
-            )
+    if grid.nodes[0] < cap.alpha + RIM_GUARD_BAND:
+        raise ValueError(
+            f"grid reaches within {RIM_GUARD_BAND} of the cap rim at {cap.alpha!r}"
+        )
 
 
 def density_general(
@@ -326,26 +306,22 @@ def density_general(
     Runs the two Abel stages on the supplied grid and assembles the density
     as Robin-weighted edge factor plus the field-driven correction.  The
     first stage is tabulated once per call and shared by the node values,
-    the Robin constant and the samples behind the profile's sigma.  A north
-    cap is solved as its mirror south cap under the reflected field.  The
+    the Robin constant and the samples behind the profile's sigma.  The
     grid must stay clear of the rim guard band.  Negative node values are
     flagged in the result, not clamped: they signal that the prescribed cap
     is not the true support.
     """
     _check_grid_inside(cap, grid)
-    north = cap.orientation is Orientation.NORTH_CENTERED
-    alpha = PI - cap.alpha if north else cap.alpha
-    g = first_stage_table(ReflectedField(field) if north else field, alpha)
+    alpha = cap.alpha
+    p = first_stage_table(field, alpha)
     m_max = 2.0 * math.cos(0.5 * alpha) ** 2
-    g_end = float(_second_stage_integral(g, np.array([m_max]), alpha)[0])
-    fq = PI / (math.sin(alpha) + PI - alpha) * (
-        1.0 - 8.0 * math.sqrt(m_max) * g_end
-    )
+    # 8*sqrt(m_max)*G(m_max), four times the second-stage half-integral
+    # at the pole, is -(2/pi) times this integral
+    pole = _second_stage_integral(lambda c: (1.0 - c) * p(c), np.array([m_max]), alpha)
+    fq = PI / (math.sin(alpha) + PI - alpha) * (1.0 + 2.0 / PI * float(pole[0]))
 
-    def density_fn(p):
-        p = np.asarray(p, dtype=float)
-        if north:
-            p = PI - p
-        return fq / (4.0 * PI) * edge_factor(alpha, p) + _stage_F_south_vec(g, p, alpha)
+    def density_fn(phi):
+        phi = np.asarray(phi, dtype=float)
+        return fq / (4.0 * PI) * edge_factor(alpha, phi) + _stage_F_south_vec(p, phi, alpha)
 
     return profile_from_callable(cap, grid, density_fn, fq)

@@ -1,7 +1,7 @@
 """Axially symmetric external fields on the unit sphere.
 
 A field is a map Q(phi) = Qhat(x3) with x3 = cos(phi), evaluated through
-`value_at_x3` (vectorized over x3) or `evaluate` (scalar polar angle).
+`value_at_x3` (vectorized over x3).
 Fields suitable for a south-cap support are nondecreasing and convex in x3;
 `validate_south_cap_hypotheses` checks those properties on a sample grid.
 """
@@ -18,8 +18,6 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .geometry import _validated_angle
-
 
 class ExternalField(abc.ABC):
     """Rotationally invariant external field Q on the sphere."""
@@ -27,14 +25,6 @@ class ExternalField(abc.ABC):
     @abc.abstractmethod
     def value_at_x3(self, x3):
         """Qhat at x3 in [-1, 1]; accepts scalars or arrays."""
-
-    def evaluate(self, phi: float) -> float:
-        """Q at a polar angle, with domain validation."""
-        p = _validated_angle(phi)
-        v = float(self.value_at_x3(math.cos(p)))
-        if not math.isfinite(v):
-            raise ValueError(f"field is unbounded at phi={p!r}")
-        return v
 
 
 class ZeroField(ExternalField):
@@ -170,19 +160,6 @@ class TabulatedField(ExternalField):
         if x.ndim == 0:
             return float(out)
         return out
-
-
-class ReflectedField(ExternalField):
-    """base field seen from the opposite pole: Qhat(x3) -> Qhat(-x3)."""
-
-    def __init__(self, base: ExternalField) -> None:
-        self.base = base
-
-    def value_at_x3(self, x3):
-        return self.base.value_at_x3(np.negative(x3))
-
-    def __repr__(self) -> str:
-        return f"ReflectedField({self.base!r})"
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
 """Spherical geometry on the unit sphere.
 
 Polar angles are measured from the north pole, in radians, in [0, pi].
-A spherical cap is the set of points whose polar angle lies on one side of
-a rim angle alpha; caps centered at the south pole carry the angular
-interval (alpha, pi], caps centered at the north pole carry [0, alpha).
+A spherical cap is the south-centered cap of points with polar angle in
+(alpha, pi], alpha its rim angle: the fields of the paper increase toward
+the north pole, so their extremal supports are south caps.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,50 +23,28 @@ def _validated_angle(value: float, *, name: str = "polar angle") -> float:
     return v
 
 
-class Orientation(enum.Enum):
-    NORTH_CENTERED = "north"
-    SOUTH_CENTERED = "south"
-
-
 @dataclass(frozen=True)
 class SphericalCap:
-    """Cap with rim at polar angle alpha.
+    """South cap with rim at polar angle alpha.
 
-    South-centered caps allow alpha = 0 (the full sphere) but not alpha = pi;
-    north-centered caps allow alpha = pi but not alpha = 0, so that a cap is
-    never empty.
+    alpha = 0 is the full sphere; alpha = pi, an empty cap, is refused.
     """
 
-    orientation: Orientation
     alpha: float
 
     def __post_init__(self) -> None:
         a = _validated_angle(float(self.alpha), name="cap rim angle")
         object.__setattr__(self, "alpha", a)
-        if self.orientation is Orientation.SOUTH_CENTERED and a == PI:
+        if a == PI:
             raise ValueError("south-centered cap with rim at pi is empty")
-        if self.orientation is Orientation.NORTH_CENTERED and a == 0.0:
-            raise ValueError("north-centered cap with rim at 0 is empty")
 
     @property
     def is_full_sphere(self) -> bool:
-        if self.orientation is Orientation.SOUTH_CENTERED:
-            return self.alpha == 0.0
-        return self.alpha == PI
-
-    def angular_interval(self) -> tuple[float, float]:
-        """Closure of the polar-angle interval covered by the cap."""
-        if self.orientation is Orientation.SOUTH_CENTERED:
-            return (self.alpha, PI)
-        return (0.0, self.alpha)
+        return self.alpha == 0.0
 
 
 def south_cap(alpha: float) -> SphericalCap:
-    return SphericalCap(Orientation.SOUTH_CENTERED, float(alpha))
-
-
-def north_cap(alpha: float) -> SphericalCap:
-    return SphericalCap(Orientation.NORTH_CENTERED, float(alpha))
+    return SphericalCap(float(alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,16 +74,11 @@ def boundary_clustered_grid(cap: SphericalCap, n: int) -> PhiGrid:
     """n interior nodes clustered quadratically toward the cap rim.
 
     Uses the map alpha + (pi - alpha) * sin^2(pi u / 2) on a uniform open
-    u-grid for south-centered caps, and its reflection for north-centered
-    ones.  Spacing near the rim shrinks like 1/n^2, which resolves the
+    u-grid.  Spacing near the rim shrinks like 1/n^2, which resolves the
     inverse-square-root edge behavior of equilibrium densities.
     """
     if n < 1:
         raise ValueError("need at least one node")
     u = np.arange(1, n + 1) / (n + 1.0)
     s2 = np.sin(0.5 * PI * u) ** 2
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        nodes = cap.alpha + (PI - cap.alpha) * s2
-    else:
-        nodes = np.sort(cap.alpha * (1.0 - s2))
-    return PhiGrid(nodes)
+    return PhiGrid(cap.alpha + (PI - cap.alpha) * s2)

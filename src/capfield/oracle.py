@@ -21,8 +21,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve as dense_solve
 
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
-from .fields import ExternalField, ReflectedField
-from .geometry import Orientation, SphericalCap, boundary_clustered_grid, south_cap
+from .fields import ExternalField
+from .geometry import SphericalCap, boundary_clustered_grid
 from .potential import kernel_rule, ring_kernel
 from .singular_quadrature import NonconvergenceError
 
@@ -119,10 +119,10 @@ def ring_energy_system(n: int) -> RingSystem:
 def nystrom_solve(
     field: ExternalField, cap: SphericalCap, n: int
 ) -> Tuple[DensityProfile, float]:
-    """Solve the potential-balance equation on a prescribed cap.
+    """Solve the potential-balance equation on a prescribed south cap.
 
     The density is sought as smooth-times-edge-factor: in the rim
-    coordinate s = sqrt(|cos(rim) - cos(phi)|) the unknown s*f(phi(s))
+    coordinate s = sqrt(cos(alpha) - cos(phi)) the unknown s*f(phi(s))
     is represented by a cubic spline through its values at the n
     boundary-clustered nodes, which builds the inverse-square-root rim
     behaviour into the ansatz.  Each collocation row applies
@@ -141,12 +141,6 @@ def nystrom_solve(
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
     n = int(n)
-    if cap.orientation is Orientation.NORTH_CENTERED:
-        mirrored, fq = nystrom_solve(ReflectedField(field), south_cap(PI - cap.alpha), n)
-        grid = boundary_clustered_grid(cap, n)
-        values = np.asarray(mirrored.values)[::-1]
-        return profile_from_values(cap, grid, values, fq), fq
-
     alpha = cap.alpha
     if PI - alpha <= _DEGENERATE_GAP:
         raise ValueError("cap is degenerate: rim angle within 1e-6 of pi")

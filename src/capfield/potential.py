@@ -2,13 +2,13 @@
 
 The azimuthal average of the Newtonian kernel between two rings of polar
 angles phi and xi reduces to a complete elliptic integral; potentials are
-then one-dimensional integrals over the cap, singular on the diagonal.
-Everything here integrates in the rim variable s = sqrt(|cos(alpha) -
-cos(phi)|), where the density is smooth and the kernel's diagonal is a plain
-logarithm.  `kernel_rule` is the one quadrature of that kernel: the
-potential applies it to a profile's sigma, and the Nystrom oracle bins its
-weights into moments against the pieces of its spline.  Both work on south
-caps; a north cap is its mirror.
+then one-dimensional integrals over the south cap, singular on the
+diagonal.  Everything here integrates in the rim variable s =
+sqrt(cos(alpha) - cos(phi)), where the density is smooth and the kernel's
+diagonal is a plain logarithm.  `kernel_rule` is the one quadrature of
+that kernel: the potential applies it to a profile's sigma, and the
+Nystrom oracle bins its weights into moments against the pieces of its
+spline.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import numpy as np
 from ._numerics import gauss_legendre
 from .equilibrium import DensityProfile, _edge_coordinate_maps
 from .fields import ExternalField
-from .geometry import (
-    Orientation,
-    _validated_angle,
-    boundary_clustered_grid,
-    north_cap,
-    south_cap,
-)
+from .geometry import _validated_angle
 from .singular_quadrature import NonconvergenceError, _depth
 
 PI = math.pi
@@ -77,22 +71,6 @@ def _agm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for _ in range(_AGM_ITERATIONS):
         a, b = 0.5 * (a + b), np.sqrt(a * b)
     return 0.5 * (a + b)
-
-
-def elliptic_k_agm(k):
-    """Complete elliptic integral of the first kind, modulus convention.
-
-    K(k) = int_0^(pi/2) dt / sqrt(1 - k^2 sin^2 t), |k| < 1, via the
-    arithmetic-geometric mean.  Vectorized.
-    """
-    arr = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(np.abs(arr) >= 1.0):
-        raise ValueError("modulus must satisfy |k| < 1")
-    kp = np.sqrt((1.0 - arr) * (1.0 + arr))
-    out = PI / (2.0 * _agm(np.ones_like(kp), kp))
-    if arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, absdiff):
@@ -199,15 +177,11 @@ def potential_on_sphere(profile: DensityProfile, phi) -> float:
 
     Integrates 2 sigma(s) M(phi, xi(s)) ds with `kernel_rule`, so both
     the rim behavior of the density and the logarithmic diagonal are
-    resolved by smooth-panel quadrature.  A north cap is evaluated as its
-    mirror south cap at the mirrored angle.
+    resolved by smooth-panel quadrature.
     """
     p = _validated_angle(phi, name="phi")
-    alpha = profile.cap.alpha
-    if profile.cap.orientation is Orientation.NORTH_CENTERED:
-        p, alpha = PI - p, PI - alpha
     _, _, smax = _edge_coordinate_maps(profile.cap)
-    points, weights = kernel_rule(p, alpha, smax)
+    points, weights = kernel_rule(p, profile.cap.alpha, smax)
     total = float(weights @ profile.sigma(points))
     if not math.isfinite(total):
         raise NonconvergenceError(
@@ -260,15 +234,12 @@ def verify_equilibrium(
         fq = float(np.median(weighted))
     sup_dev = float(np.max(np.abs(weighted - fq)))
 
-    cap = profile.cap
-    if cap.is_full_sphere:
+    if profile.cap.is_full_sphere:
         slack = None
     else:
-        if cap.orientation is Orientation.SOUTH_CENTERED:
-            complement = north_cap(cap.alpha)
-        else:
-            complement = south_cap(cap.alpha)
-        off_nodes = boundary_clustered_grid(complement, _N_OFF_SUPPORT).nodes
+        # off-support nodes on [0, alpha), clustered toward the rim
+        u = np.arange(1, _N_OFF_SUPPORT + 1) / (_N_OFF_SUPPORT + 1.0)
+        off_nodes = np.sort(profile.cap.alpha * (1.0 - np.sin(0.5 * PI * u) ** 2))
         u_off = np.array([potential_on_sphere(profile, float(a)) for a in off_nodes])
         q_off = np.asarray(
             field.value_at_x3(np.clip(np.cos(off_nodes), -1.0, 1.0)), dtype=float

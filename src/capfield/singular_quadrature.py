@@ -7,14 +7,14 @@ v^2 (or y^2) proportional to the distance in cos from the singular endpoint
 e removes the singularity exactly and leaves a smooth auxiliary integral,
 evaluated with fixed Gauss-Legendre nodes on whole arrays of points.
 Differentiated quantities are never obtained by differencing singular
-integrals; each stage is rewritten so the singular factor comes out
-analytically and only the smooth auxiliary function is differentiated.
-`equilibrium.density_general` solves a north cap as the reflected south cap.
+integrals.
 
 The first stage depends on the field and on c = cos(t) only, so it is built
 once per density as a Chebyshev table of its smooth factor on
 [-1, cos(alpha)], with the degree doubled until the coefficient tail settles
-(see `first_stage_table`).  The second stage reads g from that table.
+(see `first_stage_table`); its smooth auxiliary integral is differenced by
+a Richardson stencil.  The second stage differentiates under the integral
+instead: it reads the smooth factor and its exact slope from that table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.fft import dct
 
 from ._numerics import gauss_legendre, richardson_derivative
@@ -36,14 +36,13 @@ PI = math.pi
 
 # Gauss-Legendre sizes for the two smooth auxiliary integrals.  Fixed nodes
 # keep repeated evaluations correlated, so finite differences of the
-# auxiliary functions retain full relative accuracy.
+# first-stage auxiliary function retain full relative accuracy.
 _N_FIRST_STAGE = 96
 _N_SECOND_STAGE = 96
 
-# base finite-difference steps for the auxiliary functions, chosen to
-# balance O(step^4) truncation against rounding amplification
+# base finite-difference step for the first-stage auxiliary function,
+# chosen to balance O(step^4) truncation against rounding amplification
 _STEP_FIRST_STAGE = 2.5e-3
-_STEP_SECOND_STAGE_REL = 1.5e-3
 
 
 class NonconvergenceError(RuntimeError):
@@ -119,10 +118,11 @@ def _tail(coeffs: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FirstStageTable:
-    """First Abel stage g(t) of a south cap, tabulated in c = cos(t).
+    """First Abel stage of a south cap, held as its smooth factor p(c).
 
-    g(t) = -sqrt(1-c) * p(c) / (4*pi), with the smooth factor p held as a
-    Chebyshev series on [-1, c_max]; c_max is the cosine of the rim angle.
+    The stage is g(c) = -sqrt(1-c) * p(c) / (4*pi) with c = cos(t); p is a
+    Chebyshev series on [-1, c_max], c_max the cosine of the rim angle.
+    Calling the table evaluates p, and `slope` the exact derivative dp/dc.
     tail is the relative size of the last coefficients, an estimate of the
     table's relative accuracy.
     """
@@ -131,16 +131,14 @@ class FirstStageTable:
     c_max: float
     tail: float
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
+    def _x(self, c: np.ndarray) -> np.ndarray:
+        return (2.0 * np.asarray(c, dtype=float) + 1.0 - self.c_max) / (1.0 + self.c_max)
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        c = np.cos(np.asarray(t, dtype=float))
-        x = (2.0 * c + 1.0 - self.c_max) / (1.0 + self.c_max)
-        # d/dt of 2*sqrt(1+c)*H(c) with dc/dt = -sin(t), all sqrt(1+c)
-        # factors cancelled analytically against sin(t)
-        return -np.sqrt(1.0 - c) * chebval(x, self.coeffs) / (4.0 * PI)
+    def __call__(self, c: np.ndarray) -> np.ndarray:
+        return chebval(self._x(c), self.coeffs)
+
+    def slope(self, c: np.ndarray) -> np.ndarray:
+        return chebval(self._x(c), chebder(self.coeffs)) * (2.0 / (1.0 + self.c_max))
 
 
 def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
@@ -149,8 +147,10 @@ def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
     On a south cap g is the derivative of the half-line integral of Q taken
     from t to pi against the inverse-square-root kernel, computed from the
     smooth auxiliary integral H so no singular difference quotient forms.
-    The samples sit at nested Chebyshev points, so each doubling of the
-    degree reuses the ones already taken.  Raises NonconvergenceError when
+    g is d/dt of 2*sqrt(1+c)*H(c) with dc/dt = -sin(t); every sqrt(1+c)
+    factor cancels against sin(t), which leaves the smooth factor
+    p = H + 2*(1+c)*H'.  The samples sit at nested Chebyshev points, so
+    each doubling of the degree reuses the ones already taken.  Raises NonconvergenceError when
     the coefficients have not settled by the cap degree.
     """
     a = _validated_angle(alpha, name="rim angle")
@@ -189,25 +189,30 @@ def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
 
 
 def _second_stage_integral(
-    gvec: Callable[[np.ndarray], np.ndarray], m: np.ndarray, alpha: float
+    fn: Callable[[np.ndarray], np.ndarray], m: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """G(m) = integral over y in [0,1] of g(acos(cos(alpha) - m*(1-y^2))).
+    """Integral over tau in [0, tau_max] of fn(1 - (r1 + m) * cos(tau)^2).
 
-    m = cos(alpha) - cos(phi) is the depth into the cap; the second-stage
-    half-integral is 2*sqrt(m)*G(m).
+    m = cos(alpha) - cos(phi) is the depth into the cap, r1 = 1 - cos(alpha)
+    and tan(tau_max) = sqrt(m / r1), so c = 1 - (r1 + m) * cos(tau)^2 runs
+    from cos(phi) up to cos(alpha).  In the second stage's variable y, with
+    c = cos(alpha) - m*(1-y^2), this is y = sqrt((r1 + m) / m) * sin(tau)
+    and sqrt(m) * dy = sqrt(1-c) * dtau.  So the half-integral of g over
+    [0, m] against 1/sqrt(m - u), 2*sqrt(m) times the y-integral of g, is
+    this integral of -(1-c) * p(c) / (2*pi): the sqrt(1-c) of g, which
+    turns over on the scale r1 of a small rim, leaves the integrand.
     """
     m = np.asarray(m, dtype=float)
-    y, w = gauss_legendre(_N_SECOND_STAGE)
-    yy = 0.5 * (y + 1.0)
-    ww = 0.5 * w
-    one_minus_y2 = 1.0 - yy * yy
+    x, w = gauss_legendre(_N_SECOND_STAGE)
+    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
     out = np.empty(m.shape, dtype=float)
     for start in range(0, m.size, _CHUNK):
         block = m[start : start + _CHUNK]
-        u = math.cos(alpha) - block[:, None] * one_minus_y2[None, :]
-        np.clip(u, -1.0, 1.0, out=u)
-        g = np.asarray(gvec(np.arccos(u).ravel()), dtype=float).reshape(u.shape)
-        out[start : start + _CHUNK] = g @ ww
+        tau_max = np.arctan2(np.sqrt(block), math.sqrt(r1))
+        tau = 0.5 * tau_max[:, None] * (x[None, :] + 1.0)
+        c = 1.0 - (r1 + block)[:, None] * np.cos(tau) ** 2
+        values = np.asarray(fn(c.ravel()), dtype=float).reshape(c.shape)
+        out[start : start + _CHUNK] = 0.5 * tau_max * (values @ w)
     return out
 
 
@@ -216,19 +221,23 @@ def _depth(phi: np.ndarray, alpha: float) -> np.ndarray:
     return 2.0 * np.sin(0.5 * (phi + alpha)) * np.sin(0.5 * (phi - alpha))
 
 
-def _stage_F_south_vec(
-    gvec: Callable[[np.ndarray], np.ndarray], phi: np.ndarray, alpha: float
-) -> np.ndarray:
-    """Second Abel stage on a south cap, vectorized over phi in (alpha, pi]."""
+def _stage_F_south_vec(p: FirstStageTable, phi: np.ndarray, alpha: float) -> np.ndarray:
+    """Second Abel stage on a south cap, vectorized over phi in (alpha, pi].
+
+    (2/pi) * d/dm of the half-integral 2*sqrt(m)*G(m), differentiated under
+    the integral: g(cos(alpha))/sqrt(m) - 2*sqrt(m) * (integral over y of
+    dg/dc).  The 1/sin(phi) prefactor of the original phi-derivative
+    cancels against dm/dphi = sin(phi).  In the variable tau of
+    `_second_stage_integral` the y-integral becomes an integral of
+    sqrt(1-c) * dg/dc = (p - 2*(1-c)*p')/(8*pi), which has no 1/sqrt(1-c)
+    left: it stays bounded at the pole of a full-sphere support, where c
+    reaches 1, and smooth on the scale 1 - cos(alpha) of a small rim.
+    """
     phi = np.asarray(phi, dtype=float)
     m_max = 2.0 * math.cos(0.5 * alpha) ** 2
     # rounding in phi can push the pole depth an ulp past its true maximum
     m = np.minimum(_depth(phi, alpha), m_max)
-    step = _STEP_SECOND_STAGE_REL * m_max
-    gm = _second_stage_integral(gvec, m, alpha)
-    gp = richardson_derivative(
-        lambda mm: _second_stage_integral(gvec, mm, alpha), m, 0.0, m_max, step
-    )
-    # (2/pi) * d/dm of 2*sqrt(m)*G(m); the 1/sin(phi) prefactor of the
-    # original phi-derivative cancels against dm/dphi = sin(phi)
-    return (2.0 * gm / np.sqrt(m) + 4.0 * np.sqrt(m) * gp) / PI
+    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
+    rim = math.sqrt(r1) * float(p(math.cos(alpha)))
+    inner = _second_stage_integral(lambda c: p(c) - 2.0 * (1.0 - c) * p.slope(c), m, alpha)
+    return -(rim / np.sqrt(m) + inner) / (2.0 * PI * PI)

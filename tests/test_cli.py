@@ -236,6 +236,23 @@ class TestVerifyCommand:
         assert summary["verdict"] is True
         assert summary["residuals"]["sup_deviation"] <= 1e-4
 
+    @pytest.mark.parametrize(
+        "q,h,alpha",
+        [
+            ("0.5", "2.2", "0"),  # the whole sphere is the support
+            ("5", "0.06015838194201617", "0.05206713760220365"),  # a rim of 0.052
+        ],
+    )
+    def test_true_support_passes_at_small_and_empty_rims(self, tmp_path, q, h, alpha):
+        code, summary = run_cli(
+            ["verify", "--field", "point-charge", "--q", q, "--h", h,
+             "--alpha", alpha, "--n", "32"],
+            tmp_path,
+        )
+        assert code == 0
+        assert summary["verdict"] is True
+        assert summary["residuals"]["mass_error"] <= 1e-8
+
 
 class TestOracleCommand:
     def test_nystrom_zero_field(self, tmp_path):

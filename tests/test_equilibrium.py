@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from capfield.equilibrium import (
@@ -28,17 +30,16 @@ from capfield.fields import (
     ExternalField,
     PointChargeField,
     QuadraticField,
-    ReflectedField,
     TabulatedField,
     ZeroField,
 )
-from capfield.geometry import (
-    boundary_clustered_grid,
-    north_cap,
-    south_cap,
-)
+from capfield.geometry import boundary_clustered_grid, south_cap
 from capfield.singular_quadrature import NonconvergenceError
-from capfield.support_finder import solve_support_northpole
+from capfield.support_finder import (
+    gonchar_heights,
+    solve_support_northpole,
+    solve_support_pointcharge,
+)
 from conftest import ShiftedField, uniform_grid
 
 PI = math.pi
@@ -101,6 +102,31 @@ CLOSED_FORM_CASES = {
         lambda p: quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, p),
     ),
 }
+
+
+@st.composite
+def point_charges(draw):
+    """(q, h) over both proper-cap height ranges, the critical heights
+    h_minus and h_plus approached within 1e-3 relative, and the
+    full-sphere heights beyond them."""
+    q = draw(st.floats(0.2, 5.0))
+    heights = gonchar_heights(q)
+    lo, hi = heights.h_minus, heights.h_plus
+    u = draw(st.floats(0.0, 1.0, exclude_max=True))
+    region = draw(
+        st.sampled_from(
+            ["above", "inside", "near-above", "near-inside", "full-above", "full-inside"]
+        )
+    )
+    h = {
+        "above": 1.02 + u * (hi - 1.02),
+        "inside": 0.98 - u * (0.98 - lo),
+        "near-above": hi * (1.0 - 1e-3 * (1.0 - u)),
+        "near-inside": lo * (1.0 + 1e-3 * (1.0 - u)),
+        "full-above": hi * (1.0 + u),
+        "full-inside": lo * (1.0 - 0.9 * u),
+    }[region]
+    return q, h
 
 
 def mass_by_quadrature(f, alpha: float) -> float:
@@ -313,15 +339,6 @@ class TestDensityGeneral:
         assert np.max(np.abs(prof.values - 1.0 / (4.0 * PI))) < 1e-10
         assert prof.robin_constant == pytest.approx(1.0, abs=1e-12)
 
-    def test_north_cap_mirrors_south(self):
-        # zero field on a north cap of rim 2pi/3 mirrors the south cap of
-        # rim pi/3
-        cap = north_cap(2 * PI / 3)
-        grid = boundary_clustered_grid(cap, 16)
-        prof = density_general(ZeroField(), cap, grid)
-        expected = nofield_density(PI / 3, PI - grid.nodes)
-        assert np.max(np.abs(prof.values - expected)) < 1e-10
-
     def test_rejects_grid_outside_cap(self):
         cap = south_cap(1.0)
         bad = uniform_grid(0.5, 2.0, 8)
@@ -340,18 +357,46 @@ class TestDensityGeneral:
 
 class TestFirstStageTableInPipeline:
     @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
-    @pytest.mark.parametrize("orientation", ["south", "north"])
-    def test_matches_closed_form(self, case, orientation):
+    def test_matches_closed_form(self, case):
         field, alpha0, closed_form = CLOSED_FORM_CASES[case]()
-        if orientation == "south":
-            cap = south_cap(alpha0)
-        else:
-            # the mirrored problem: reflected field on the mirrored cap
-            field, cap = ReflectedField(field), north_cap(PI - alpha0)
+        cap = south_cap(alpha0)
         grid = boundary_clustered_grid(cap, 16)
         prof = density_general(field, cap, grid)
-        nodes = grid.nodes if orientation == "south" else PI - grid.nodes
-        expected, fq = closed_form(nodes)
+        expected, fq = closed_form(grid.nodes)
+        assert np.max(np.abs(prof.values - expected)) < 1e-5
+        assert prof.robin_constant == pytest.approx(fq, abs=1e-6)
+        assert prof.mass == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "q,h,alpha0,n",
+        [
+            # charge far enough out that the whole sphere is the support
+            (0.5, 2.2, 0.0, 32),
+            # 1e-3 above the lower critical height, where the rim is small
+            (5.0, 0.06015838194201617, 0.05206713760220365, 32),
+            (5.0, 0.06015838194201617, 0.05206713760220365, 64),
+        ],
+    )
+    def test_small_and_empty_rims(self, q, h, alpha0, n):
+        # the first stage's sqrt(1-c) turns over on the scale
+        # 1 - cos(alpha0), which the second stage must resolve
+        cap = south_cap(alpha0)
+        grid = boundary_clustered_grid(cap, n)
+        prof = density_general(PointChargeField(q, h), cap, grid)
+        expected, fq = pointcharge_density(q, h, alpha0, grid.nodes)
+        assert np.max(np.abs(prof.values - expected)) < 1e-8
+        assert prof.robin_constant == pytest.approx(fq, abs=1e-8)
+        assert prof.mass == pytest.approx(1.0, abs=1e-8)
+
+    @given(charge=point_charges())
+    @settings(max_examples=40, deadline=None)
+    def test_point_charges_match_closed_form(self, charge):
+        q, h = charge
+        alpha0 = solve_support_pointcharge(q, h).alpha0
+        cap = south_cap(alpha0)
+        grid = boundary_clustered_grid(cap, 16)
+        prof = density_general(PointChargeField(q, h), cap, grid)
+        expected, fq = pointcharge_density(q, h, alpha0, grid.nodes)
         assert np.max(np.abs(prof.values - expected)) < 1e-5
         assert prof.robin_constant == pytest.approx(fq, abs=1e-6)
         assert prof.mass == pytest.approx(1.0, abs=1e-6)
@@ -415,13 +460,13 @@ class TestProfilesAndMass:
         with pytest.raises(ValueError):
             profile_from_values(cap, grid, np.ones(4), 1.0)
 
-    def test_north_profile_mass(self):
-        cap = north_cap(2 * PI / 3)
+    def test_nofield_profile_mass(self):
+        cap = south_cap(PI / 3)
         grid = boundary_clustered_grid(cap, 48)
         prof = profile_from_callable(
             cap,
             grid,
-            lambda p: nofield_density(PI / 3, PI - np.asarray(p)),
+            lambda p: nofield_density(PI / 3, p),
             1.0 / capacity_south_cap(PI / 3),
         )
         assert prof.mass == pytest.approx(1.0, abs=1e-7)

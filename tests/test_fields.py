@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from capfield.fields import (
     PointChargeField,
     QuadraticField,
-    ReflectedField,
     TabulatedField,
     ZeroField,
     validate_south_cap_hypotheses,
@@ -25,7 +24,7 @@ class TestZeroField:
     def test_vanishes_everywhere(self):
         f = ZeroField()
         for phi in (0.0, 1.0, PI):
-            assert f.evaluate(phi) == 0.0
+            assert f.value_at_x3(math.cos(phi)) == 0.0
 
     def test_vectorized_values(self):
         f = ZeroField()
@@ -37,13 +36,13 @@ class TestPointChargeField:
         # distance from the north pole to a charge at height h is h - 1,
         # and to the south pole h + 1
         f = PointChargeField(q=1.0, h=2.0)
-        assert f.evaluate(0.0) == pytest.approx(1.0, rel=1e-15)
-        assert f.evaluate(PI) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert f.value_at_x3(math.cos(0.0)) == pytest.approx(1.0, rel=1e-15)
+        assert f.value_at_x3(math.cos(PI)) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_inside_charge_pole_values(self):
         f = PointChargeField(q=1.0, h=0.5)
-        assert f.evaluate(0.0) == pytest.approx(2.0, rel=1e-15)
-        assert f.evaluate(PI) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert f.value_at_x3(math.cos(0.0)) == pytest.approx(2.0, rel=1e-15)
+        assert f.value_at_x3(math.cos(PI)) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     @pytest.mark.parametrize("q,h", [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0), (1.0, -2.0)])
     def test_rejects_nonpositive_parameters(self, q, h):
@@ -52,10 +51,9 @@ class TestPointChargeField:
 
     def test_charge_on_sphere_is_singular_at_north_pole(self):
         f = PointChargeField(q=1.0, h=1.0)
-        with pytest.raises(ValueError):
-            f.evaluate(0.0)
+        assert f.value_at_x3(1.0) == math.inf
         # finite away from the pole
-        assert math.isfinite(f.evaluate(1e-3))
+        assert math.isfinite(f.value_at_x3(math.cos(1e-3)))
 
     @given(
         q=st.floats(0.1, 10.0),
@@ -69,15 +67,15 @@ class TestPointChargeField:
         if d2 < 1e-20:
             return
         f = PointChargeField(q=q, h=h)
-        assert f.evaluate(phi) * math.sqrt(d2) == pytest.approx(q, rel=1e-13)
+        assert f.value_at_x3(math.cos(phi)) * math.sqrt(d2) == pytest.approx(q, rel=1e-13)
 
 
 class TestQuadraticField:
     def test_example_values(self):
         f = QuadraticField(a=1.0, b=2.5, c=2.0)
-        assert f.evaluate(0.0) == pytest.approx(5.5, rel=1e-15)
-        assert f.evaluate(PI) == pytest.approx(0.5, rel=1e-15)
-        assert f.evaluate(PI / 2) == pytest.approx(2.0, rel=1e-15)
+        assert f.value_at_x3(math.cos(0.0)) == pytest.approx(5.5, rel=1e-15)
+        assert f.value_at_x3(math.cos(PI)) == pytest.approx(0.5, rel=1e-15)
+        assert f.value_at_x3(math.cos(PI / 2)) == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize(
         "a,b,c",
@@ -131,7 +129,7 @@ class TestTabulatedField:
         with pytest.raises(ValueError):
             f.value_at_x3(0.75)
         with pytest.raises(ValueError):
-            f.evaluate(PI)  # x3 = -1 below the table
+            f.value_at_x3(math.cos(PI))  # x3 = -1 below the table
 
     def test_negative_samples_warn_but_construct(self):
         with pytest.warns(UserWarning):
@@ -169,24 +167,12 @@ class TestTabulatedField:
         assert np.max(np.abs(diff)) < 1e-15
 
 
-class TestShiftedAndReflected:
+class TestShiftedField:
     def test_shift_is_exact_everywhere(self):
         base = PointChargeField(q=1.0, h=2.0)
         f = ShiftedField(base, 0.75)
         for phi in (0.0, 1.1, PI):
-            assert f.evaluate(phi) == base.evaluate(phi) + 0.75
-
-    def test_reflection_swaps_poles(self):
-        base = PointChargeField(q=1.0, h=2.0)
-        f = ReflectedField(base)
-        for phi in (0.0, 0.7, 2.2, PI):
-            assert f.evaluate(phi) == pytest.approx(base.evaluate(PI - phi), rel=1e-15)
-
-    def test_double_reflection_is_identity(self):
-        base = QuadraticField(a=1.0, b=2.5, c=2.0)
-        f = ReflectedField(ReflectedField(base))
-        x = np.linspace(-1.0, 1.0, 11)
-        assert np.allclose(f.value_at_x3(x), base.value_at_x3(x), rtol=0, atol=0)
+            assert f.value_at_x3(math.cos(phi)) == base.value_at_x3(math.cos(phi)) + 0.75
 
 
 class TestValidateSouthCapHypotheses:

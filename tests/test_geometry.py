@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from capfield.geometry import (
-    Orientation,
     PhiGrid,
     SphericalCap,
     _validated_angle,
     boundary_clustered_grid,
-    north_cap,
     south_cap,
 )
 from conftest import uniform_grid
@@ -38,20 +36,10 @@ class TestSphericalCap:
     def test_south_cap_allows_zero_means_full_sphere(self):
         cap = south_cap(0.0)
         assert cap.is_full_sphere
-        assert cap.angular_interval() == (0.0, PI)
 
     def test_south_cap_rejects_pi(self):
         with pytest.raises(ValueError):
             south_cap(PI)
-
-    def test_north_cap_rejects_zero(self):
-        with pytest.raises(ValueError):
-            north_cap(0.0)
-
-    def test_north_cap_interval(self):
-        cap = north_cap(1.0)
-        assert cap.orientation is Orientation.NORTH_CENTERED
-        assert cap.angular_interval() == (0.0, 1.0)
 
 
 class TestPhiGrid:
@@ -89,14 +77,6 @@ class TestPhiGrid:
         cap = south_cap(1.0)
         g = boundary_clustered_grid(cap, 256)
         assert g.nodes[0] - 1.0 > 1e-6
-
-    def test_boundary_clustered_north(self):
-        cap = north_cap(1.2)
-        g = boundary_clustered_grid(cap, 32)
-        assert np.all(g.nodes > 0.0) and np.all(g.nodes < 1.2)
-        assert np.all(np.diff(g.nodes) > 0.0)
-        # clustered toward the rim at 1.2
-        assert 1.2 - g.nodes[-1] < 0.1 * 1.2 / 32
 
     def test_full_sphere_grid(self):
         g = boundary_clustered_grid(south_cap(0.0), 16)

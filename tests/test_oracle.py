@@ -23,8 +23,8 @@ from capfield.equilibrium import (
     profile_from_values,
     quadratic_density,
 )
-from capfield.fields import PointChargeField, QuadraticField, ReflectedField, ZeroField
-from capfield.geometry import Orientation, boundary_clustered_grid, north_cap, south_cap
+from capfield.fields import PointChargeField, QuadraticField, ZeroField
+from capfield.geometry import boundary_clustered_grid, south_cap
 from capfield.potential import kernel_rule
 from capfield.oracle import (
     DiscreteMeasure,
@@ -149,21 +149,6 @@ class TestNystromSolve:
             np.asarray(profile.values), 1.0 / (4.0 * PI), rtol=1e-4
         )
 
-    def test_north_cap_mirrors_south(self):
-        south_profile, fq_s = nystrom_solve(ZeroField(), south_cap(PI / 3), 48)
-        north_profile, fq_n = nystrom_solve(ZeroField(), north_cap(2 * PI / 3), 48)
-        assert fq_n == pytest.approx(fq_s, rel=0, abs=1e-12)
-        s_nodes = np.asarray(south_profile.grid.nodes)
-        n_nodes = np.asarray(north_profile.grid.nodes)
-        np.testing.assert_allclose(n_nodes, (PI - s_nodes)[::-1], rtol=0, atol=1e-12)
-        # pi/3 and pi - 2*pi/3 differ by an ulp, so the two solves are not
-        # bitwise twins, only numerically so
-        np.testing.assert_allclose(
-            np.asarray(north_profile.values),
-            np.asarray(south_profile.values)[::-1],
-            rtol=1e-9,
-        )
-
     def test_non_finite_solution_raises(self, monkeypatch):
         monkeypatch.setattr(
             capfield.oracle, "dense_solve", lambda system, rhs: np.full(rhs.shape, np.inf)
@@ -178,8 +163,6 @@ class TestNystromSolve:
     def test_rejects_degenerate_caps(self):
         with pytest.raises(ValueError):
             nystrom_solve(ZeroField(), south_cap(PI - 1e-9), 32)
-        with pytest.raises(ValueError):
-            nystrom_solve(ZeroField(), north_cap(1e-9), 32)
 
 
 def _reference_nystrom(field, cap, n):
@@ -190,24 +173,20 @@ def _reference_nystrom(field, cap, n):
     Returns the node values, F_Q and the mass.
     """
     grid = boundary_clustered_grid(cap, n)
-    if cap.orientation is Orientation.NORTH_CENTERED:
-        values, fq, _ = _reference_nystrom(ReflectedField(field), south_cap(PI - cap.alpha), n)
-        values = values[::-1]
-    else:
-        nodes = np.asarray(grid.nodes)
-        s_of_phi, _, smax = _edge_coordinate_maps(cap)
-        knots = np.asarray(s_of_phi(nodes))
-        basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
-        system = np.zeros((n + 1, n + 1))
-        for i in range(n):
-            points, weights = kernel_rule(float(nodes[i]), cap.alpha, smax, knots)
-            system[i, :n] = weights @ basis(points)
-        system[:n, n] = -1.0
-        antiderivative = basis.antiderivative()
-        system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))
-        rhs = np.append(-field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0)), 1.0)
-        solution = scipy.linalg.solve(system, rhs)
-        values, fq = solution[:n] / knots, float(solution[n])
+    nodes = np.asarray(grid.nodes)
+    s_of_phi, _, smax = _edge_coordinate_maps(cap)
+    knots = np.asarray(s_of_phi(nodes))
+    basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
+    system = np.zeros((n + 1, n + 1))
+    for i in range(n):
+        points, weights = kernel_rule(float(nodes[i]), cap.alpha, smax, knots)
+        system[i, :n] = weights @ basis(points)
+    system[:n, n] = -1.0
+    antiderivative = basis.antiderivative()
+    system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))
+    rhs = np.append(-field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0)), 1.0)
+    solution = scipy.linalg.solve(system, rhs)
+    values, fq = solution[:n] / knots, float(solution[n])
     return values, fq, profile_from_values(cap, grid, values, fq).mass
 
 
@@ -234,13 +213,12 @@ class TestNystromProductIntegration:
     @given(
         kind=st.sampled_from(["zero", "point-charge", "quadratic"]),
         alpha=st.floats(0.2, 2.9),
-        north=st.booleans(),
         n=st.integers(16, 96),
         u=st.floats(0.0, 1.0),
         v=st.floats(0.0, 1.0),
     )
     @settings(max_examples=25, deadline=None)
-    def test_matches_basis_reference(self, kind, alpha, north, n, u, v):
+    def test_matches_basis_reference(self, kind, alpha, n, u, v):
         if kind == "zero":
             field = ZeroField()
         elif kind == "point-charge":
@@ -248,7 +226,7 @@ class TestNystromProductIntegration:
         else:
             b = 2.0 * (1.01 + 2.0 * u)
             field = QuadraticField(1.0, b, b * b / 4.0 + v)
-        cap = north_cap(alpha) if north else south_cap(alpha)
+        cap = south_cap(alpha)
         profile, fq = nystrom_solve(field, cap, n)
         values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
         assert abs(fq - fq_ref) <= 1e-12

@@ -13,10 +13,10 @@ from capfield.equilibrium import (
     profile_from_callable,
 )
 from capfield.fields import PointChargeField, ZeroField
-from capfield.geometry import boundary_clustered_grid, north_cap, south_cap
+from capfield.geometry import boundary_clustered_grid, south_cap
 from capfield.potential import (
     EquilibriumReport,
-    elliptic_k_agm,
+    _agm,
     kernel_rule,
     potential_on_sphere,
     ring_kernel,
@@ -61,9 +61,16 @@ def pointcharge_profile(n=64):
     )
 
 
+def elliptic_k(k):
+    # complete elliptic integral of the first kind, modulus k, from the
+    # arithmetic-geometric mean the ring kernel uses
+    kp = np.sqrt((1.0 - k) * (1.0 + k))
+    return PI / (2.0 * _agm(np.ones_like(kp), kp))
+
+
 class TestEllipticK:
     def test_zero_modulus_exact(self):
-        assert elliptic_k_agm(0.0) == pytest.approx(PI / 2, abs=0.0)
+        assert elliptic_k(0.0) == pytest.approx(PI / 2, abs=0.0)
 
     @pytest.mark.parametrize(
         "k,ref",
@@ -74,17 +81,11 @@ class TestEllipticK:
         ],
     )
     def test_frozen_values(self, k, ref):
-        assert elliptic_k_agm(k) == pytest.approx(ref, rel=1e-14)
+        assert elliptic_k(k) == pytest.approx(ref, rel=1e-14)
 
     def test_matches_scipy_parameter_convention(self):
         for k in np.linspace(0.01, 0.99, 23):
-            assert elliptic_k_agm(k) == pytest.approx(
-                float(scipy_ellipk(k * k)), rel=1e-13
-            )
-
-    def test_rejects_unit_modulus(self):
-        with pytest.raises(ValueError):
-            elliptic_k_agm(1.0)
+            assert elliptic_k(k) == pytest.approx(float(scipy_ellipk(k * k)), rel=1e-14)
 
 
 class TestRingKernel:
@@ -171,27 +172,25 @@ class TestPotentialOnSphere:
         field = PointChargeField(1.0, 2.0)
         for phi in (1.0, 1.8, 2.6, PI):
             u = potential_on_sphere(prof, phi)
-            assert u + field.evaluate(phi) == pytest.approx(FQ_PC_12, abs=1e-4)
+            assert u + field.value_at_x3(math.cos(phi)) == pytest.approx(FQ_PC_12, abs=1e-4)
 
     def test_rejects_bad_angle(self):
         prof = uniform_profile()
         with pytest.raises(ValueError):
             potential_on_sphere(prof, -0.1)
 
-    def test_north_cap_mirrors_south_cap(self):
+    def test_nofield_cap_across_the_rim(self):
+        # U meets the Robin constant at the rim from inside the cap and
+        # falls below it like the square root of the distance outside
         alpha = PI / 3
-        south = nofield_profile(alpha)
-        cap = north_cap(PI - alpha)
-        north = profile_from_callable(
-            cap,
-            boundary_clustered_grid(cap, 64),
-            lambda p: nofield_density(alpha, PI - p),
-            1.0 / capacity_south_cap(alpha),
-        )
-        for phi in (0.0, 0.3, alpha - 1e-3, alpha, alpha + 1e-9, 1.5, 2.5, PI):
-            assert potential_on_sphere(north, PI - phi) == pytest.approx(
-                potential_on_sphere(south, phi), rel=1e-10
-            )
+        prof = nofield_profile(alpha)
+        w = 1.0 / capacity_south_cap(alpha)
+        for phi in (alpha, alpha + 1e-9, alpha + 1e-3):
+            assert potential_on_sphere(prof, phi) == pytest.approx(w, abs=2e-6)
+        near = w - potential_on_sphere(prof, alpha - 1e-9)
+        far = w - potential_on_sphere(prof, alpha - 1e-3)
+        assert 0.0 < near < far
+        assert far / near == pytest.approx(1e3, rel=1e-2)
 
 
 class TestKernelRule:

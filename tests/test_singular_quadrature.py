@@ -15,10 +15,9 @@ from capfield.fields import (
     ExternalField,
     PointChargeField,
     QuadraticField,
-    ReflectedField,
     ZeroField,
 )
-from capfield.geometry import Orientation, north_cap, south_cap
+from capfield.geometry import south_cap
 from capfield.singular_quadrature import (
     _TABLE_START_DEGREE,
     _TABLE_TAIL_TOL,
@@ -41,18 +40,29 @@ def uniform_first_stage(t):
     return -math.sqrt(2.0) * np.sin(0.5 * t) / (4.0 * PI)
 
 
-def stage_F(gvec, phi: float, alpha: float) -> float:
+class SmoothFactor:
+    """A first stage g = -sqrt(1-c) * p(c) / (4*pi) given by p and dp/dc."""
+
+    def __init__(self, p, slope) -> None:
+        self._p = p
+        self.slope = slope
+
+    def __call__(self, c):
+        return self._p(np.asarray(c, dtype=float))
+
+
+UNIFORM = SmoothFactor(np.ones_like, np.zeros_like)  # the unit constant field
+
+
+def stage_F(p, phi: float, alpha: float) -> float:
     # second stage at one angle of the south cap with rim alpha
-    return float(_stage_F_south_vec(gvec, np.array([phi]), alpha)[0])
+    return float(_stage_F_south_vec(p, np.array([phi]), alpha)[0])
 
 
 def stage_g(field, t: float, cap) -> float:
-    # table-backed first stage; a north cap is solved as the reflected
-    # south cap, as density_general does
-    if cap.orientation is Orientation.SOUTH_CENTERED:
-        return float(first_stage_table(field, cap.alpha)(t))
-    table = first_stage_table(ReflectedField(field), PI - cap.alpha)
-    return float(-table(PI - t))
+    # table-backed first stage at the angle t
+    c = math.cos(t)
+    return -math.sqrt(1.0 - c) * float(first_stage_table(field, cap.alpha)(c)) / (4.0 * PI)
 
 
 def edge_profile(alpha: float, phi: float) -> float:
@@ -91,7 +101,8 @@ class TestIntegrateSqrtSingular:
         alpha = 0.7
         m = np.array([0.05, 0.8, 1.0 + math.cos(alpha)])
         expected = math.cos(alpha) - 2.0 * m / 3.0
-        got = _second_stage_integral(np.cos, m, alpha)
+        # the rule's variable tau has sqrt(m) * dy = sqrt(1-c) * dtau
+        got = _second_stage_integral(lambda c: c * np.sqrt(1.0 - c), m, alpha) / np.sqrt(m)
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
     def test_edge_density_mass_factor(self):
@@ -112,8 +123,13 @@ class TestIntegrateSqrtSingular:
         h = _first_stage_integral(field, np.array([-1.0, -1.0 + 1e-12]))
         assert np.all(np.isfinite(h))
         assert h == pytest.approx(field.value_at_x3(-1.0), rel=1e-11)
-        g = _second_stage_integral(np.cos, np.array([0.0, 1e-12]), 0.5)
-        assert g == pytest.approx(math.cos(0.5), rel=1e-11)
+        # the second stage's range in tau shrinks to tau_max, with
+        # tan(tau_max) = sqrt(m / (1 - cos(alpha)))
+        m = np.array([0.0, 1e-12])
+        tau_max = np.arctan(np.sqrt(m / (1.0 - math.cos(0.5))))
+        g = _second_stage_integral(lambda c: c, m, 0.5)
+        assert np.all(np.isfinite(g))
+        assert g == pytest.approx(tau_max * math.cos(0.5), rel=1e-11)
 
     def test_unresolvable_oscillation_raises_nonconvergence(self):
         with pytest.raises(NonconvergenceError) as exc:
@@ -139,13 +155,6 @@ class TestAbelStageG:
             assert stage_g(f, t, cap) == pytest.approx(
                 uniform_first_stage(t), abs=1e-10
             )
-
-    def test_uniform_field_north_closed_form(self):
-        cap = north_cap(2.9)
-        f = ShiftedField(ZeroField(), 1.0)
-        for t in (0.4, 1.5, 2.7):
-            expected = math.sqrt(2.0) * math.cos(0.5 * t) / (4.0 * PI)
-            assert stage_g(f, t, cap) == pytest.approx(expected, abs=1e-10)
 
     def test_point_charge_frozen_value(self):
         cap = south_cap(0.7)
@@ -173,15 +182,22 @@ class TestAbelStageG:
 class TestFirstStageTable:
     def test_smooth_field_stops_at_start_degree(self):
         table = first_stage_table(QuadraticField(1.0, 2.5, 2.0), 1.9)
-        assert table.degree == _TABLE_START_DEGREE
+        assert table.coeffs.size - 1 == _TABLE_START_DEGREE
         assert table.tail <= _TABLE_TAIL_TOL
 
     def test_degree_grows_for_north_pole_charge(self):
         # Q = q / sqrt(2 - 2*x3) is unbounded at x3 = 1, just past the table
         # domain [-1, cos(alpha)], so the coefficients decay slowly
         table = first_stage_table(PointChargeField(q=0.5, h=1.0), 0.6)
-        assert table.degree > _TABLE_START_DEGREE
+        assert table.coeffs.size - 1 > _TABLE_START_DEGREE
         assert table.tail <= _TABLE_TAIL_TOL
+
+    def test_slope_is_the_derivative_of_the_table(self):
+        table = first_stage_table(PointChargeField(q=1.0, h=2.0), 0.7)
+        c = np.array([-0.95, -0.2, 0.5, math.cos(0.7) - 1e-3])
+        step = 1e-5
+        central = (table(c + step) - table(c - step)) / (2.0 * step)
+        assert np.allclose(table.slope(c), central, rtol=1e-8, atol=0.0)
 
     def test_rejects_empty_cap(self):
         with pytest.raises(ValueError):
@@ -190,47 +206,45 @@ class TestFirstStageTable:
 
 class TestAbelStageF:
     def test_zero_input_gives_zero(self):
-        assert stage_F(np.zeros_like, 2.0, PI / 3) == pytest.approx(0.0, abs=1e-14)
+        zero = SmoothFactor(np.zeros_like, np.zeros_like)
+        assert stage_F(zero, 2.0, PI / 3) == pytest.approx(0.0, abs=1e-14)
 
     def test_uniform_two_stage_south(self):
         # feeding the first-stage profile of the unit field through the
         # second stage must produce -edge_profile/(4*pi)
         alpha = PI / 3
         for phi in (1.3, 2.0, 2.8, PI):
-            got = stage_F(uniform_first_stage, phi, alpha)
+            got = stage_F(UNIFORM, phi, alpha)
             expected = -edge_profile(alpha, phi) / (4.0 * PI)
             assert got == pytest.approx(expected, abs=2e-8)
 
     def test_regular_at_far_pole(self):
-        got = stage_F(uniform_first_stage, PI, 0.9)
+        got = stage_F(UNIFORM, PI, 0.9)
         assert math.isfinite(got)
         assert got == pytest.approx(-edge_profile(0.9, PI) / (4.0 * PI), abs=2e-8)
 
     def test_round_trip_recovers_smooth_profile(self):
-        # push a smooth profile through the forward half-integral on a north
-        # cap, then invert through the second stage on the reflected south
-        # cap; tolerance 1e-6
-        alpha = 2.0
+        # the second stage inverts the Abel transform
+        # g(c) = 1/2 * integral over w in [c, cos(alpha)] of F(acos(w)) / sqrt(w - c):
+        # push g = -sqrt(1-c) * p(c) / (4*pi) with a smooth p through it,
+        # then back through that transform, on the whole sphere, a small
+        # rim and a large one; F carries the rim's 1/sqrt(cos(alpha) - w),
+        # which the quadrature weight takes out
+        p = SmoothFactor(lambda c: 1.0 + c * c, lambda c: 2.0 * c)
+        for alpha in (0.0, 0.05, 2.0):
+            ca = math.cos(alpha)
+            rim = -math.sqrt(2.0) * math.sin(0.5 * alpha) * (1.0 + ca * ca) / (2.0 * PI * PI)
 
-        def profile(x: float) -> float:
-            return 1.0 + math.cos(x) ** 2
+            def weighted(w: float) -> float:
+                # F(acos(w)) * sqrt(cos(alpha) - w), with its limit at the rim
+                phi = math.acos(w)
+                if phi <= alpha:
+                    return rim
+                return stage_F(p, phi, alpha) * math.sqrt(ca - w)
 
-        def forward(z: float) -> float:
-            # integral of profile(x) sin(x) / (2 sqrt(cos(z) - cos(x))) over
-            # [z, alpha], with s^2 = cos(z) - cos(x)
-            smax = math.sqrt(math.cos(z) - math.cos(alpha))
-            value, _ = quad(
-                lambda s: profile(math.acos(math.cos(z) - s * s)),
-                0.0,
-                smax,
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )
-            return value
-
-        def g_reflected(t: np.ndarray) -> np.ndarray:
-            return np.array([forward(PI - ti) for ti in t])
-
-        for xi in (0.4, 1.0, 1.6):
-            recovered = stage_F(g_reflected, PI - xi, PI - alpha)
-            assert recovered == pytest.approx(profile(xi), abs=1e-6)
+            for c in (-0.9, ca - 0.5, ca - 1e-3):
+                value, _ = quad(
+                    weighted, c, ca, weight="alg", wvar=(-0.5, -0.5), epsabs=1e-13, epsrel=1e-12
+                )
+                expected = -math.sqrt(1.0 - c) * (1.0 + c * c) / (4.0 * PI)
+                assert 0.5 * value == pytest.approx(expected, abs=1e-10)

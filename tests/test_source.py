@@ -85,3 +85,49 @@ def test_benchmark_records_are_well_formed():
         assert sides, f"{path.name}: no runs"
         unpaired = {pair: found for pair, found in sides.items() if found != {"parent", "change"}}
         assert unpaired == {}, f"{path.name}: runs without both sides"
+
+
+# the closed forms that the tests and the acceptance gate compare the
+# pipeline and the oracles against; nothing in src/ needs to call them
+CLOSED_FORM_DENSITIES = {
+    "equilibrium.nofield_density",
+    "equilibrium.pointcharge_density",
+    "equilibrium.northpole_density",
+    "equilibrium.quadratic_density",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of public module-level functions and
+    classes, and of public methods and properties."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _reads(tree: ast.AST) -> list[tuple[str, ast.AST]]:
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, node))
+    return reads
+
+
+def test_every_public_name_is_used():
+    # a public name that only tests read is an interface src/ does not
+    # need; its own body does not count as a reader
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    reads = [read for tree in trees.values() for read in _reads(tree)]
+    unused = []
+    for path, tree in trees.items():
+        for qualified, definition in _public_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(name == definition.name and id(node) not in inside for name, node in reads):
+                unused.append(f"{path.stem}.{qualified}")
+    assert sorted(set(unused) - CLOSED_FORM_DENSITIES) == []
