@@ -127,7 +127,7 @@ def emit_density_table(profile: DensityProfile, field: ExternalField, path) -> P
     nodes = np.asarray(profile.grid.nodes)
     f = np.asarray(profile.values)
     q = np.asarray(field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0)))
-    u = np.array([potential_on_sphere(profile, float(p)) for p in nodes])
+    u = potential_on_sphere(profile, nodes)
     try:
         with open(path, "w", newline="") as fh:
             fh.write("phi,f,Q,U,weighted_potential\n")

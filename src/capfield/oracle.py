@@ -23,7 +23,7 @@ from scipy.linalg import solve as dense_solve
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
 from .fields import ExternalField
 from .geometry import SphericalCap, boundary_clustered_grid
-from .potential import kernel_rule, ring_kernel
+from .potential import _ROW_BLOCK, _panels, kernel_rule, ring_kernel
 from .singular_quadrature import NonconvergenceError
 
 PI = math.pi
@@ -93,12 +93,12 @@ def ring_energy_system(n: int) -> RingSystem:
     """Interaction matrix for n equally spaced latitude rings.
 
     Off-diagonal entries come from the azimuthally averaged kernel, in one
-    call over every ordered pair of distinct rings.  The diagonal is
-    calibrated row by row so the known uniform measure on the full sphere
-    (weights proportional to ring areas) reproduces its constant potential
-    1 at every ring; the total energy then equals the sphere value 1
-    identically.  The interior effective widths implied by this
-    calibration settle near halfwidth/pi, the thin-ring value.
+    call over the pairs i < j, mirrored: the kernel is bitwise symmetric.
+    The diagonal is calibrated row by row so the known uniform measure on
+    the full sphere (weights proportional to ring areas) reproduces its
+    constant potential 1 at every ring; the total energy then equals the
+    sphere value 1 identically.  The interior effective widths implied by
+    this calibration settle near halfwidth/pi, the thin-ring value.
     """
     if not isinstance(n, (int, np.integer)) or n < 8:
         raise ValueError("need at least 8 rings")
@@ -108,9 +108,10 @@ def ring_energy_system(n: int) -> RingSystem:
     sines = np.sin(phi)
     area = sines / sines.sum()
 
-    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    rows, cols = np.triu_indices(n, 1)
     interaction = np.zeros((n, n))
     interaction[rows, cols] = ring_kernel(phi[rows], phi[cols]) / (2.0 * PI)
+    interaction[cols, rows] = interaction[rows, cols]
     off = interaction @ area
     interaction[np.arange(n), np.arange(n)] = (1.0 - off) / area
     return RingSystem(phi, halfwidth, area, interaction)
@@ -125,14 +126,18 @@ def nystrom_solve(
     coordinate s = sqrt(cos(alpha) - cos(phi)) the unknown s*f(phi(s))
     is represented by a cubic spline through its values at the n
     boundary-clustered nodes, which builds the inverse-square-root rim
-    behaviour into the ansatz.  Each collocation row applies
-    `potential.kernel_rule` at a node, with the knots as panel ends, so
-    the rows use the same quadrature as the potential.  The basis is never
-    evaluated: the rule's weights are binned by knot interval j into the
-    product-integration moments sum w*(s - s_j)^(3-k) (Atkinson, The
-    Numerical Solution of Integral Equations of the Second Kind, 1997,
-    sec. 4.2), and one product with the spline's pp-form coefficients
-    (de Boor, A Practical Guide to Splines) maps them to the rows.  Points
+    behaviour into the ansatz.  The collocation rows apply
+    `potential.kernel_rule` at the nodes, a block of rows at a time, with
+    the knots as panel ends, so the rows use the same quadrature as the
+    potential.  The basis is never evaluated: the rule's weights are
+    binned by knot interval j into the product-integration moments
+    sum w*(s - s_j)^(3-k) (Atkinson, The Numerical Solution of Integral
+    Equations of the Second Kind, 1997, sec. 4.2), and one product with
+    the spline's pp-form coefficients (de Boor, A Practical Guide to
+    Splines) maps them to the rows.  The rule's GL-8 panels are shared by
+    all rows, so their powers are one precomputed tensor and their
+    moments one product per panel; a node's diagonal is its own knot, so
+    each of its two graded sides lies in one knot interval.  Points
     outside the knots fall to the end intervals, as the spline
     extrapolates.  Appending the unit-mass row yields an (n+1) x (n+1)
     dense system for the node values and the potential level, returned as
@@ -153,24 +158,45 @@ def nystrom_solve(
     # basis.c[k, j] multiplies (s - knots[j])^(3-k); as a view it is row
     # k*(n-1) + j of coeffs, so moment column k*(n-1) + j pairs with it
     coeffs = basis.c.reshape(4 * (n - 1), n)
-    powers = np.arange(3, -1, -1)
-    offsets = (n - 1) * np.arange(4)
 
-    # binned one row at a time: all rows' points at once would hold
-    # tens of MB where the moment matrix itself holds a few
-    moments = np.zeros((n, 4 * (n - 1)))
-    for i in range(n):
-        points, weights = kernel_rule(float(nodes[i]), alpha, smax, knots)
-        j = np.clip(np.searchsorted(knots, points, side="right") - 1, 0, n - 2)
-        terms = weights[:, None] * (points - knots[j])[:, None] ** powers
-        columns = j[:, None] + offsets
-        moments[i] = np.bincount(columns.ravel(), terms.ravel(), minlength=4 * (n - 1))
+    # the rule's panels: one per interval of 0, the knots and smax, the
+    # first and last falling to the spline's end intervals
+    panel_s, _ = _panels(np.concatenate(([0.0], knots, [smax])))
+    panel_j = np.clip(np.arange(n + 1) - 1, 0, n - 2)
+    panel_powers = (panel_s - knots[panel_j][:, None])[:, :, None] ** np.arange(3, -1, -1)
+    shared = panel_s.size
+    # row i's graded sides, below then above, span spline intervals i - 1
+    # and i
+    side_j = np.clip(np.arange(n)[:, None] + np.array([-1, 0]), 0, n - 2)
+    moments = np.zeros((n, 4, n - 1))
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        points, weights = kernel_rule(nodes[rows], alpha, smax, knots)
+        m = len(points)
+        block = moments[rows]
+        # (panel, row, k): one 8 x 4 product per panel
+        panel_w = weights[:, :shared].reshape(m, n + 1, 8).transpose(1, 0, 2)
+        per_panel = np.matmul(panel_w, panel_powers)
+        block += per_panel[1:n].transpose(1, 2, 0)
+        block[:, :, 0] += per_panel[0]
+        block[:, :, -1] += per_panel[n]
+        # (row, side, point, k): w (s - s_j)^(3-k) by repeated products,
+        # several times faster than a power with an array of exponents
+        j = side_j[rows]
+        offset = points[:, shared:].reshape(m, 2, -1) - knots[j][:, :, None]
+        terms = np.empty(offset.shape + (4,))
+        terms[..., 3] = weights[:, shared:].reshape(offset.shape)
+        for k in (2, 1, 0):
+            np.multiply(terms[..., k + 1], offset, out=terms[..., k])
+        per_side = terms.sum(axis=2)
+        r = np.arange(m)
+        block[r, :, j[:, 0]] += per_side[:, 0]
+        block[r, :, j[:, 1]] += per_side[:, 1]
 
     system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = moments @ coeffs
+    system[:n, :n] = moments.reshape(n, 4 * (n - 1)) @ coeffs
     system[:n, n] = -1.0
-    antiderivative = basis.antiderivative()
-    system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))
+    system[n, :n] = 4.0 * PI * basis.integrate(0.0, smax)
 
     rhs = np.zeros(n + 1)
     rhs[:n] = -field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0))

@@ -6,9 +6,10 @@ then one-dimensional integrals over the south cap, singular on the
 diagonal.  Everything here integrates in the rim variable s =
 sqrt(cos(alpha) - cos(phi)), where the density is smooth and the kernel's
 diagonal is a plain logarithm.  `kernel_rule` is the one quadrature of
-that kernel: the potential applies it to a profile's sigma, and the
-Nystrom oracle bins its weights into moments against the pieces of its
-spline.
+that kernel, batched over the observation angles: the potential applies
+it to a profile's sigma, and the Nystrom oracle bins its weights into
+moments against the pieces of its spline, both a block of angles at a
+time.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import ellipkm1
 
 from ._numerics import gauss_legendre
 from .equilibrium import DensityProfile, _edge_coordinate_maps
 from .fields import ExternalField
-from .geometry import _validated_angle
 from .singular_quadrature import NonconvergenceError, _depth
 
 PI = math.pi
@@ -30,7 +31,11 @@ PI = math.pi
 # halving panels of the graded rule beside the kernel diagonal
 _LEVELS = 12
 _N_OFF_SUPPORT = 64
-_AGM_ITERATIONS = 20
+# angles per application of the kernel rule, which holds (angles, points)
+# arrays: about 300 kB a block for Nystrom rows at n = 256, and no more
+# for many angles.  Blocks of 32 rows raised the peak memory of a process
+# running Nystrom solves by 2 MB; blocks of 8 ran slower
+_ROW_BLOCK = 16
 
 
 def _unit_gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -67,36 +72,36 @@ def _graded_side() -> Tuple[np.ndarray, np.ndarray]:
 _SIDE_U, _SIDE_W = _graded_side()
 
 
-def _agm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    for _ in range(_AGM_ITERATIONS):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
 def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, absdiff):
     """Ring average of 1/distance from precomputed half-angle products.
 
     Callers supply 1 -+ cos of both angles and |cos(xi) - cos(phi)| in
-    cancellation-free form; a^2 - b^2 = 2(cos(xi) - cos(phi)).
+    cancellation-free form; a^2 - b^2 = 2(cos(xi) - cos(phi)).  The
+    average is 4 K / max(a, b), K the complete elliptic integral whose
+    complementary parameter 2 |cos(xi) - cos(phi)| / max(a^2, b^2) goes
+    to `ellipkm1` as is, so K keeps its relative accuracy down the
+    logarithmic diagonal.
     """
-    a2 = one_m_cphi * one_p_cxi
-    b2 = one_m_cxi * one_p_cphi
-    mx = np.sqrt(np.maximum(a2, b2))
-    kp = np.minimum(np.sqrt(2.0 * absdiff) / mx, 1.0)
-    return 2.0 * PI / (mx * _agm(np.ones_like(kp), kp))
+    mx2 = np.maximum(one_m_cphi * one_p_cxi, one_m_cxi * one_p_cphi)
+    return 4.0 * ellipkm1(np.minimum(2.0 * absdiff / mx2, 1.0)) / np.sqrt(mx2)
+
+
+def _validated_angles(value, name: str) -> np.ndarray:
+    angles = np.asarray(value, dtype=float)
+    if np.any(~np.isfinite(angles)) or np.any(angles < 0.0) or np.any(angles > PI):
+        raise ValueError(f"{name} must lie in [0, pi]")
+    return angles
 
 
 def ring_kernel(phi, xi):
     """Azimuthal integral of the inverse chordal distance between rings.
 
     Log-divergent on the diagonal, which is rejected.  Vectorized: phi
-    and xi broadcast against each other.
+    and xi broadcast against each other.  Bitwise symmetric in its two
+    arguments.
     """
-    p = np.asarray(phi, dtype=float)
-    arr = np.asarray(xi, dtype=float)
-    for name, angles in (("phi", p), ("xi", arr)):
-        if np.any(~np.isfinite(angles)) or np.any(angles < 0.0) or np.any(angles > PI):
-            raise ValueError(f"{name} must lie in [0, pi]")
+    p = _validated_angles(phi, "phi")
+    arr = _validated_angles(xi, "xi")
     if np.any(arr == p):
         raise ValueError("ring kernel is singular on the diagonal phi == xi")
     absdiff = np.abs(2.0 * np.sin(0.5 * (p + arr)) * np.sin(0.5 * (p - arr)))
@@ -112,81 +117,116 @@ def ring_kernel(phi, xi):
     return out
 
 
-def kernel_rule(
-    phi: float, alpha: float, smax: float, knots=()
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Quadrature for the potential at phi of a south-cap density.
+def _panels(bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """GL-8 points and weights of every interval between sorted bounds.
 
-    Returns points in the rim variable s on [0, smax] and kernel-carrying
-    weights, so that U(phi) = weights @ sigma(points) for the cap of rim
-    alpha.  Every interval between consecutive knots (with 0 and smax
-    added) gets one GL-8 panel; the one or two intervals meeting the
-    kernel diagonal s0 = sqrt(cos(alpha) - cos(phi)) get the graded side
-    rule toward s0.  Off the support s0 = 0, where the kernel peaks but
-    stays bounded.
+    Both of shape (intervals, 8).
     """
-    one_m_cphi = 2.0 * math.sin(0.5 * phi) ** 2
-    one_p_cphi = 2.0 * math.cos(0.5 * phi) ** 2
+    span = np.diff(bounds)[:, None]
+    return bounds[:-1, None] + span * _X8, span * _W8
+
+
+def kernel_rule(phi, alpha: float, smax: float, knots=()) -> Tuple[np.ndarray, np.ndarray]:
+    """Quadrature for the potential at m angles phi of a south-cap density.
+
+    Returns (m, P) points in the rim variable s on [0, smax] and
+    kernel-carrying weights, so that U(phi[i]) = weights[i] @
+    sigma(points[i]) for the cap of rim alpha.  The layout is the same
+    for every row.  The first 8 * (intervals) columns are one GL-8 panel
+    on every interval between consecutive knots (with 0 and smax added),
+    shared by all rows; the one or two intervals meeting a row's kernel
+    diagonal s0 = sqrt(cos(alpha) - cos(phi)) carry weight 0 there.  The
+    last columns are the graded side rule on each side of s0, below then
+    above; a side of zero width (s0 on 0 or smax: off the support, at the
+    rim, at phi = pi) has weight 0.  Off the support s0 = 0, where the
+    kernel peaks but stays bounded.
+    """
+    phi = np.asarray(phi, dtype=float).reshape(-1, 1)
+    one_m_cphi = 2.0 * np.sin(0.5 * phi) ** 2
+    one_p_cphi = 2.0 * np.cos(0.5 * phi) ** 2
     r1 = 2.0 * math.sin(0.5 * alpha) ** 2
-    depth = float(_depth(phi, alpha))  # cos(alpha) - cos(phi)
-    s0 = math.sqrt(max(depth, 0.0))
+    depth = _depth(phi, alpha)  # cos(alpha) - cos(phi)
+    # near phi = pi, depth can round past smax^2 for a rim close to pi
+    s0 = np.minimum(np.sqrt(np.maximum(depth, 0.0)), smax)
     bounds = np.concatenate(([0.0], np.asarray(knots, dtype=float), [smax]))
+    last = len(bounds) - 1  # number of intervals
     # a diagonal within rounding of a panel end must sit exactly on it:
     # otherwise a stray ulp poisons the end panel's distance factors
-    nearest = float(bounds[np.argmin(np.abs(bounds - s0))])
-    if abs(nearest - s0) < 4.0 * np.finfo(float).eps * smax:
-        s0 = nearest
+    i = np.clip(np.searchsorted(bounds, s0), 1, last)
+    lo, hi = bounds[i - 1], bounds[i]
+    nearest = np.where(s0 - lo <= hi - s0, lo, hi)
+    s0 = np.where(np.abs(nearest - s0) < 4.0 * np.finfo(float).eps * smax, nearest, s0)
     res = depth - s0 * s0
-    below = int(np.searchsorted(bounds, s0, side="left")) - 1
-    above = int(np.searchsorted(bounds, s0, side="right"))
+    below = np.searchsorted(bounds, s0, side="left") - 1
+    above = np.searchsorted(bounds, s0, side="right")
 
-    # smooth panels, with 1 + cos(xi) and cos(xi) - cos(phi) from s itself
-    keep = np.r_[0 : max(below, 0), above : len(bounds) - 1]
-    lo = bounds[keep]
-    span = bounds[keep + 1] - lo
-    s_parts = [(lo[:, None] + span[:, None] * _X8[None, :]).ravel()]
-    w_parts = [(span[:, None] * _W8[None, :]).ravel()]
-    to_smax_parts = [np.maximum(smax - s_parts[0], 0.0)]
-    dcos_parts = [depth - s_parts[0] * s_parts[0]]
-    # graded sides in the exact offset u from the diagonal: s0 +- u can
-    # round to s0 itself at the deepest substitution nodes
-    for end, sign in ((below, -1.0), (above, 1.0)):
-        if not 0 <= end < len(bounds):
-            continue
-        width = abs(float(bounds[end]) - s0)
-        u = width * _SIDE_U
-        s_parts.append(s0 + sign * u)
-        w_parts.append(width * _SIDE_W)
-        to_smax_parts.append(np.maximum(smax - s0 - sign * u, 0.0))
-        dcos_parts.append(res - sign * u * (2.0 * s0 + sign * u))
-    s = np.concatenate(s_parts)
-    # 1 -+ cos(xi(s)) in factored form so the kernel stays accurate at
-    # the poles, where the plain cosine rounds to +-1
-    kernel = _kernel_parts(
+    # shared panels, with 1 -+ cos(xi) from s itself: the same for every
+    # row.  1 - cos(xi) = r1 + s^2 and 1 + cos(xi) = (smax - s)(smax + s)
+    # stay accurate at the poles, where the plain cosine rounds to +-1
+    panel_s, panel_w = _panels(bounds)
+    shared_s = panel_s.ravel()
+    absdiff = np.abs(depth - shared_s * shared_s)
+    # the one or two panels that meet a row's diagonal get weight 0; their
+    # points may sit on the diagonal itself, so they see a stand-in
+    # distance, add exactly 0 and raise nothing
+    rows = np.arange(len(phi))[:, None]
+    hit = np.clip(np.concatenate((below, above - 1), axis=1), 0, last - 1)
+    hit = (8 * hit[:, :, None] + np.arange(8)).reshape(len(phi), 16)
+    absdiff[rows, hit] = 1.0
+    shared_w = (2.0 * panel_w.ravel()) * _kernel_parts(
         one_m_cphi,
         one_p_cphi,
-        r1 + s * s,
-        np.concatenate(to_smax_parts) * (smax + s),
-        np.abs(np.concatenate(dcos_parts)),
+        r1 + shared_s * shared_s,
+        np.maximum(smax - shared_s, 0.0) * (smax + shared_s),
+        absdiff,
     )
-    return s, 2.0 * np.concatenate(w_parts) * kernel
+    shared_w[rows, hit] = 0.0
+
+    # graded sides, below then above, in the exact offset u from the
+    # diagonal: s0 +- u can round to s0 itself at the deepest nodes
+    width_below = np.where(below >= 0, s0 - bounds[np.maximum(below, 0)], 0.0)
+    width_above = np.where(above <= last, bounds[np.minimum(above, last)] - s0, 0.0)
+    u = np.concatenate((width_below * _SIDE_U, width_above * _SIDE_U), axis=1)
+    side_w = np.concatenate((width_below * _SIDE_W, width_above * _SIDE_W), axis=1)
+    sign = np.repeat([-1.0, 1.0], _SIDE_U.size)
+    side_s = s0 + sign * u
+    # a side of zero width has its points on the diagonal, for phi = pi
+    # on the pole itself, where both 1 + cos vanish: stand-ins there too
+    dead = side_w == 0.0
+    side_w *= 2.0 * _kernel_parts(
+        one_m_cphi,
+        one_p_cphi,
+        np.where(dead, 1.0, r1 + side_s * side_s),
+        np.where(dead, 1.0, np.maximum(smax - s0 - sign * u, 0.0) * (smax + side_s)),
+        np.where(dead, 1.0, np.abs(res - sign * u * (2.0 * s0 + sign * u))),
+    )
+    points = np.concatenate((np.broadcast_to(shared_s, absdiff.shape), side_s), axis=1)
+    return points, np.concatenate((shared_w, side_w), axis=1)
 
 
-def potential_on_sphere(profile: DensityProfile, phi) -> float:
+def potential_on_sphere(profile: DensityProfile, phi):
     """Potential U(phi) of the profile's surface measure, on the sphere.
 
     Integrates 2 sigma(s) M(phi, xi(s)) ds with `kernel_rule`, so both
     the rim behavior of the density and the logarithmic diagonal are
-    resolved by smooth-panel quadrature.
+    resolved by smooth-panel quadrature.  Vectorized over phi; a scalar
+    phi gives a float.
     """
-    p = _validated_angle(phi, name="phi")
+    p = _validated_angles(phi, "phi")
     _, _, smax = _edge_coordinate_maps(profile.cap)
-    points, weights = kernel_rule(p, profile.cap.alpha, smax)
-    total = float(weights @ profile.sigma(points))
-    if not math.isfinite(total):
+    flat = p.ravel()
+    total = np.empty(flat.size)
+    for start in range(0, flat.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        points, weights = kernel_rule(flat[rows], profile.cap.alpha, smax)
+        total[rows] = np.einsum("ij,ij->i", weights, profile.sigma(points))
+    total = total.reshape(p.shape)
+    if not np.all(np.isfinite(total)):
         raise NonconvergenceError(
             "potential quadrature produced a non-finite value", total, math.inf
         )
+    if total.ndim == 0:
+        return float(total)
     return total
 
 
@@ -223,28 +263,24 @@ def verify_equilibrium(
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValueError("tol must be a positive finite number")
 
-    u_sup = np.array([potential_on_sphere(profile, float(a)) for a in profile.grid.nodes])
-    q_sup = np.asarray(
-        field.value_at_x3(np.clip(np.cos(profile.grid.nodes), -1.0, 1.0)), dtype=float
-    )
-    weighted = u_sup + q_sup
-
-    fq = profile.robin_constant
-    if fq is None:
-        fq = float(np.median(weighted))
-    sup_dev = float(np.max(np.abs(weighted - fq)))
-
+    nodes = profile.grid.nodes
     if profile.cap.is_full_sphere:
-        slack = None
+        off_nodes = np.empty(0)
     else:
         # off-support nodes on [0, alpha), clustered toward the rim
         u = np.arange(1, _N_OFF_SUPPORT + 1) / (_N_OFF_SUPPORT + 1.0)
         off_nodes = np.sort(profile.cap.alpha * (1.0 - np.sin(0.5 * PI * u) ** 2))
-        u_off = np.array([potential_on_sphere(profile, float(a)) for a in off_nodes])
-        q_off = np.asarray(
-            field.value_at_x3(np.clip(np.cos(off_nodes), -1.0, 1.0)), dtype=float
-        )
-        slack = float(np.min(u_off + q_off - fq))
+    angles = np.concatenate((nodes, off_nodes))
+    weighted = potential_on_sphere(profile, angles) + np.asarray(
+        field.value_at_x3(np.clip(np.cos(angles), -1.0, 1.0)), dtype=float
+    )
+    on, off = weighted[: nodes.size], weighted[nodes.size :]
+
+    fq = profile.robin_constant
+    if fq is None:
+        fq = float(np.median(on))
+    sup_dev = float(np.max(np.abs(on - fq)))
+    slack = None if profile.cap.is_full_sphere else float(np.min(off - fq))
 
     mass_error = abs(profile.mass - 1.0)
     ok = (

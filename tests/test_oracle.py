@@ -15,6 +15,7 @@ import scipy.linalg
 from scipy.interpolate import CubicSpline, PPoly
 
 import capfield.oracle
+import capfield.potential
 
 from capfield.equilibrium import (
     _edge_coordinate_maps,
@@ -25,7 +26,7 @@ from capfield.equilibrium import (
 )
 from capfield.fields import PointChargeField, QuadraticField, ZeroField
 from capfield.geometry import boundary_clustered_grid, south_cap
-from capfield.potential import kernel_rule
+from capfield.potential import kernel_rule, ring_kernel
 from capfield.oracle import (
     DiscreteMeasure,
     discrete_energy_minimize,
@@ -96,6 +97,19 @@ class TestRingEnergySystem:
         sys32 = ring_energy_system(32)
         s = np.sin(sys32.angles)
         np.testing.assert_allclose(sys32.area_weights, s / s.sum(), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_mirrored_pairs_equal_the_all_pairs_build(self, n):
+        # the kernel is bitwise symmetric, so evaluating i < j and mirroring
+        # loses nothing against evaluating every ordered pair
+        system = ring_energy_system(n)
+        phi = system.angles
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+        interaction = np.zeros((n, n))
+        interaction[rows, cols] = ring_kernel(phi[rows], phi[cols]) / (2.0 * PI)
+        off = interaction @ system.area_weights
+        interaction[np.arange(n), np.arange(n)] = (1.0 - off) / system.area_weights
+        assert np.array_equal(system.interaction, interaction)
 
 
 class TestNystromSolve:
@@ -179,8 +193,8 @@ def _reference_nystrom(field, cap, n):
     basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
     system = np.zeros((n + 1, n + 1))
     for i in range(n):
-        points, weights = kernel_rule(float(nodes[i]), cap.alpha, smax, knots)
-        system[i, :n] = weights @ basis(points)
+        points, weights = kernel_rule(nodes[i : i + 1], cap.alpha, smax, knots)
+        system[i, :n] = weights[0] @ basis(points[0])
     system[:n, n] = -1.0
     antiderivative = basis.antiderivative()
     system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))
@@ -229,6 +243,23 @@ class TestNystromProductIntegration:
         cap = south_cap(alpha)
         profile, fq = nystrom_solve(field, cap, n)
         values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
+        assert abs(fq - fq_ref) <= 1e-12
+        assert abs(profile.mass - mass_ref) <= 1e-12
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
+
+
+    @pytest.mark.parametrize(
+        "field,alpha",
+        [(PointChargeField(1.0, 2.0), ALPHA0_PC_12), (ZeroField(), 0.0), (ZeroField(), 2.5)],
+    )
+    def test_row_blocks_match_basis_reference(self, field, alpha):
+        # n is no multiple of the row block, so the last block is short
+        n = 2 * capfield.potential._ROW_BLOCK + 5
+        cap = south_cap(alpha)
+        with np.errstate(all="raise"):
+            profile, fq = nystrom_solve(field, cap, n)
+            values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
         assert abs(fq - fq_ref) <= 1e-12
         assert abs(profile.mass - mass_ref) <= 1e-12
         scale = np.max(np.abs(values))

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ellipk as scipy_ellipk
 
 from capfield.equilibrium import (
+    _edge_coordinate_maps,
     capacity_south_cap,
     nofield_density,
     pointcharge_density,
@@ -16,7 +18,7 @@ from capfield.fields import PointChargeField, ZeroField
 from capfield.geometry import boundary_clustered_grid, south_cap
 from capfield.potential import (
     EquilibriumReport,
-    _agm,
+    _kernel_parts,
     kernel_rule,
     potential_on_sphere,
     ring_kernel,
@@ -62,10 +64,24 @@ def pointcharge_profile(n=64):
 
 
 def elliptic_k(k):
-    # complete elliptic integral of the first kind, modulus k, from the
-    # arithmetic-geometric mean the ring kernel uses
-    kp = np.sqrt((1.0 - k) * (1.0 + k))
-    return PI / (2.0 * _agm(np.ones_like(kp), kp))
+    # complete elliptic integral of the first kind, modulus k, as the
+    # factor the ring kernel takes it from: with max(a^2, b^2) = 1 the
+    # kernel is 4 K(k) at complementary parameter 2 |cos(xi) - cos(phi)|
+    kp2 = (1.0 - k) * (1.0 + k)
+    return _kernel_parts(1.0, 1.0, 1.0, 1.0, 0.5 * kp2) / 4.0
+
+
+def mp_ring_kernel(phi, xi):
+    # int_0^2pi d(eta) / sqrt(A - B cos(eta)) = 4 K(m) / sqrt(A + B), with
+    # A + B = 4 sin^2((phi + xi)/2) and 1 - m = sin^2((phi - xi)/2) / that;
+    # 1 - m is formed from the half-angle sines, free of cancellation
+    with mp.workdps(30):
+        p, x = mp.mpf(float(phi)), mp.mpf(float(xi))
+        plus = mp.sin((p + x) / 2) ** 2
+        kp2 = mp.sin((p - x) / 2) ** 2 / plus
+        with mp.workdps(30 + 30):  # 1 - k'^2 keeps k'^2's digits
+            m = 1 - kp2
+        return float(4 * mp.ellipk(m) / (2 * mp.sqrt(plus)))
 
 
 class TestEllipticK:
@@ -86,6 +102,32 @@ class TestEllipticK:
     def test_matches_scipy_parameter_convention(self):
         for k in np.linspace(0.01, 0.99, 23):
             assert elliptic_k(k) == pytest.approx(float(scipy_ellipk(k * k)), rel=1e-14)
+
+    @pytest.mark.parametrize("kp", np.geomspace(1e-12, 1.0, 25))
+    def test_matches_mpmath_down_the_log_diagonal(self, kp):
+        # the factor, with the complementary modulus k' given directly;
+        # k' -> 0 is the kernel's logarithmic diagonal
+        factor = _kernel_parts(1.0, 1.0, 1.0, 1.0, 0.5 * kp * kp) / 4.0
+        with mp.workdps(30 + 30):
+            ref = mp.ellipk(1 - mp.mpf(kp) ** 2)
+        assert factor == pytest.approx(float(ref), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "phi,xi",
+        [
+            (0.0, 0.4),
+            (0.0, 2.0),
+            (PI, 2.0),
+            (PI, 0.3),
+            (1.2, 1.2 + 1e-12),
+            (2.0, 2.0 - 1e-9),
+            (0.7, 0.7 + 1e-5),
+            (0.7, 1.9),
+        ],
+    )
+    def test_ring_kernel_matches_mpmath(self, phi, xi):
+        # the whole kernel, at both poles and close to the diagonal
+        assert ring_kernel(phi, xi) == pytest.approx(mp_ring_kernel(phi, xi), rel=1e-14)
 
 
 class TestRingKernel:
@@ -192,6 +234,29 @@ class TestPotentialOnSphere:
         assert 0.0 < near < far
         assert far / near == pytest.approx(1e3, rel=1e-2)
 
+    @pytest.mark.parametrize("phi", [PI, PI - 1e-9])
+    def test_nofield_cap_at_the_south_pole_for_a_rim_near_pi(self, phi):
+        # with the rim near pi, cos(alpha) - cos(phi) rounds past smax^2 at
+        # the pole; a diagonal left beyond smax ended the last GL-8 panel on
+        # the log singularity and gave U 113% too large at phi = pi
+        alpha = 3.1
+        prof = nofield_profile(alpha)
+        w = 1.0 / capacity_south_cap(alpha)
+        assert potential_on_sphere(prof, phi) == pytest.approx(w, rel=1e-6)
+
+    def test_vectorized_angles(self):
+        # more angles than one application of the rule takes
+        prof = nofield_profile(PI / 3)
+        angles = np.linspace(0.0, PI, 39).reshape(3, 13)
+        values = potential_on_sphere(prof, angles)
+        assert values.shape == (3, 13)
+        for phi, value in zip(angles.ravel(), values.ravel()):
+            assert value == pytest.approx(potential_on_sphere(prof, float(phi)), rel=1e-14)
+
+
+def smooth_sigma(s):
+    return np.cos(s) + s * s
+
 
 class TestKernelRule:
     def test_diagonal_snaps_onto_a_knot_one_ulp_away(self):
@@ -205,18 +270,71 @@ class TestKernelRule:
         knots = np.sort(np.append(np.linspace(0.05, 0.95, 7) * smax, s0))
         i = int(np.flatnonzero(knots == s0)[0])
 
-        def smooth_sigma(s):
-            return np.cos(s) + s * s
-
         def potential(k):
-            points, weights = kernel_rule(phi, alpha, smax, k)
-            return float(weights @ smooth_sigma(points))
+            points, weights = kernel_rule([phi], alpha, smax, k)
+            return float(weights[0] @ smooth_sigma(points[0]))
 
         exact = potential(knots)
         for toward in (-np.inf, np.inf):
             nudged = knots.copy()
             nudged[i] = np.nextafter(s0, toward)
             assert potential(nudged) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.9, 2.4, 3.1])
+    @pytest.mark.parametrize("with_knots", [False, True])
+    def test_batched_rows_match_one_angle_at_a_time(self, alpha, with_knots):
+        cap = south_cap(alpha)
+        s_of_phi, _, smax = _edge_coordinate_maps(cap)
+        nodes = boundary_clustered_grid(cap, 20).nodes
+        knots = s_of_phi(nodes) if with_knots else ()
+        angles = [
+            0.0,
+            0.5 * alpha,  # off the support, or the north pole again
+            alpha,  # the rim
+            alpha + 1e-9,
+            nodes[3],  # on a knot
+            np.nextafter(nodes[3], PI),  # one ulp off it
+            nodes[3] + 1e-3,
+            nodes[-1],
+            np.nextafter(PI, 0.0),
+            PI,
+        ]
+        with np.errstate(all="raise"):
+            points, weights = kernel_rule(angles, alpha, smax, knots)
+            assert points.shape == weights.shape
+            assert points.shape[0] == len(angles)
+            batched = np.sum(weights * smooth_sigma(points), axis=1)
+            for phi, value in zip(angles, batched):
+                p1, w1 = kernel_rule([phi], alpha, smax, knots)
+                assert p1.shape == (1, points.shape[1])
+                single = float(w1[0] @ smooth_sigma(p1[0]))
+                assert np.isfinite(single)
+                assert value == pytest.approx(single, rel=1e-14)
+
+    def test_shared_columns_are_the_same_for_every_row(self):
+        alpha = 0.9
+        cap = south_cap(alpha)
+        s_of_phi, _, smax = _edge_coordinate_maps(cap)
+        knots = s_of_phi(boundary_clustered_grid(cap, 12).nodes)
+        points, weights = kernel_rule([0.0, 1.3, 2.0, PI], alpha, smax, knots)
+        shared = 8 * (len(knots) + 1)
+        assert np.all(points[:, :shared] == points[0, :shared])
+        # each row leaves out the one or two panels that meet its diagonal
+        dead = np.sum(weights[:, :shared].reshape(4, -1, 8) == 0.0, axis=(1, 2))
+        assert np.all((dead == 8) | (dead == 16))
+        assert np.all(weights[:, shared:] >= 0.0)
+
+    def test_zero_width_sides_add_nothing(self):
+        # off the support and at phi = pi one graded side has zero width
+        alpha = 0.9
+        smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
+        with np.errstate(all="raise"):
+            points, weights = kernel_rule([0.3, PI], alpha, smax)
+        assert np.all(np.isfinite(weights))
+        sides = weights[:, 8:].reshape(2, 2, -1)
+        assert np.all(sides[0, 0] == 0.0)  # below s0 = 0
+        assert np.all(sides[1, 1] == 0.0)  # above s0 = smax
+        assert np.all(sides[0, 1] > 0.0) and np.all(sides[1, 0] > 0.0)
 
 
 class TestVerifyEquilibrium:
