@@ -12,6 +12,7 @@ numerical nonconvergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -398,7 +399,9 @@ def run(config: RunConfig) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="capfield",
         description="Weighted equilibrium measures on spherical caps.",

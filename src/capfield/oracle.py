@@ -7,7 +7,9 @@ solves for the density together with the potential level in one dense
 system.  ``discrete_energy_minimize`` drops any support assumption: it
 minimizes the discretized weighted energy over probability weights on
 latitude rings covering the whole sphere by an exact active-set solve,
-and the support emerges as the set of rings left free.
+and the support emerges as the set of rings left free.  Its steps update
+one inverse of the ring interaction matrix on the free set by rank-one
+changes; a single fresh bordered solve certifies the result.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve as dense_solve
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
 from .fields import ExternalField
@@ -212,6 +216,41 @@ def nystrom_solve(
     return profile_from_values(cap, grid, values, fq), fq
 
 
+def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, formed in one
+    Fortran-ordered copy: Cholesky factor, its inverse, then the upper
+    triangle mirrored column by column."""
+    inverse, info = dpotrf(np.array(matrix, order="F"), overwrite_a=1)
+    if info == 0:
+        inverse, info = dpotri(inverse, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"ring interaction matrix not positive definite (info {info})")
+    for i in range(inverse.shape[0] - 1):
+        inverse[i + 1 :, i] = inverse[i, i + 1 :]
+    return inverse
+
+
+def _drop_ring(inverse: np.ndarray, r: int) -> None:
+    """Bind ring r in place: the inverse on S minus r is G - g g^T / g_r
+    on the rest, where g is column r of the inverse G on S."""
+    column = inverse[:, r].copy()
+    dger(-1.0 / column[r], column, column, a=inverse, overwrite_a=1)
+    inverse[r, :] = 0.0
+    inverse[:, r] = 0.0
+
+
+def _free_ring(inverse: np.ndarray, interaction: np.ndarray, j: int) -> None:
+    """Free bound ring j in place, by the Schur complement
+    sigma = K_jj - K_Sj^T G K_Sj of the bordered inverse."""
+    coupling = interaction[j]
+    u = inverse @ coupling
+    sigma = interaction[j, j] - coupling @ u
+    dger(1.0 / sigma, u, u, a=inverse, overwrite_a=1)
+    inverse[:, j] = -u / sigma
+    inverse[j, :] = inverse[:, j]
+    inverse[j, j] = 1.0 / sigma
+
+
 def discrete_energy_minimize(
     field: ExternalField, n: int
 ) -> Tuple[DiscreteMeasure, float, float, Optional[float]]:
@@ -221,12 +260,18 @@ def discrete_energy_minimize(
     QP, solved by a primal active-set method (Nocedal & Wright, Numerical
     Optimization, 2nd ed., sec. 16.5).  Starting from the area weights with
     every ring free, each step solves [K_S 1; 1^T 0] on the free set S for
-    the weights and F_Q.  A weight that would go negative stops the step
-    at the boundary and fixes its ring at 0; otherwise the bound ring with
-    the most negative slack Kw + q - F_Q is freed, until no slack lies
-    below rounding.  Returns the measure, F_Q, the spread of Kw + q over S
-    and the least slack off S (None when S holds every ring).  Past the
-    step cap the error carries the last feasible iterate.
+    the weights and F_Q through the kept inverse G of K_S (zero on bound
+    rings): with x = G q and y = G 1, F_Q = (1 + sum x) / sum y and the
+    weights are F_Q y - x.  G starts as K^-1 from one Cholesky factor and
+    changes by a rank-one update whenever S gains or loses a ring.  A
+    weight that would go negative stops the step at the boundary and fixes
+    its ring at 0.  Once every weight is nonnegative, one fresh bordered
+    solve on S certifies them (a negative weight there is dropped the same
+    way); then the bound ring with the most negative slack Kw + q - F_Q is
+    freed, until no slack lies below rounding.  Returns the measure and
+    F_Q of that fresh solve, the spread of Kw + q over S and the least
+    slack off S (None when S holds every ring).  Past the step cap the
+    error carries the last feasible iterate.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_RINGS:
         raise ValueError(f"need at least {_MIN_RINGS} rings")
@@ -236,15 +281,21 @@ def discrete_energy_minimize(
     q = field.value_at_x3(np.clip(np.cos(system.angles), -1.0, 1.0))
     halfwidths = np.full(n, system.halfwidth)
 
+    inverse = _spd_inverse(interaction)
+    rhs = np.column_stack((q, np.ones(n)))
     w = system.area_weights.copy()
     free = np.ones(n, dtype=bool)
     steps = int(_STEPS_PER_RING * n)
     for _ in range(steps):
         idx = np.flatnonzero(free)
-        bordered = np.pad(interaction[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
-        bordered[-1, -1] = 0.0
-        solution = np.linalg.solve(bordered, np.append(-q[idx], 1.0))
-        v, fq = solution[:-1], -float(solution[-1])
+        x, y = (inverse @ rhs).T
+        fq = (1.0 + x.sum()) / y.sum()
+        v = fq * y[idx] - x[idx]
+        if np.all(v >= 0.0):
+            bordered = np.pad(interaction[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
+            bordered[-1, -1] = 0.0
+            solution = np.linalg.solve(bordered, np.append(-q[idx], 1.0))
+            v, fq = solution[:-1], -float(solution[-1])
         if np.all(v >= 0.0):
             w[idx] = v
             station = interaction @ w + q
@@ -255,14 +306,17 @@ def discrete_energy_minimize(
                 min_slack = None if free.all() else float(slack[j])
                 return DiscreteMeasure(system.angles, w, halfwidths), fq, spread, min_slack
             free[j] = True
+            _free_ring(inverse, interaction, j)
         else:
             step = v - w[idx]
             blocking = np.flatnonzero(step < 0.0)
             ratios = w[idx[blocking]] / -step[blocking]
             k = int(np.argmin(ratios))
+            r = int(idx[blocking[k]])
             w[idx] = np.maximum(w[idx] + ratios[k] * step, 0.0)
-            w[idx[blocking[k]]] = 0.0
-            free[idx[blocking[k]]] = False
+            w[r] = 0.0
+            free[r] = False
+            _drop_ring(inverse, r)
     station = interaction @ w + q
     residual = float(station[free].max() - station.min())
     raise NonconvergenceError(

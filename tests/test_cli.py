@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import capfield
-from capfield.cli import emit_density_table, main
+from capfield.cli import build_parser, emit_density_table, main
 from capfield.equilibrium import density_general, nofield_density, profile_from_callable
 from capfield.fields import ZeroField
 from capfield.geometry import boundary_clustered_grid, south_cap
@@ -359,3 +359,13 @@ class TestArgumentHandling:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        # main reuses one parser; a command parsed after another with
+        # different flags matches a fresh parser's namespace
+        parser = build_parser()
+        assert build_parser() is parser
+        parser.parse_args(["density", "--alpha", "0.7", "--n", "16", "--timings"])
+        fresh = build_parser.__wrapped__()
+        for argv in (["support"], ["oracle", "--mode", "energy", "--rings", "32"]):
+            assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from scipy.interpolate import CubicSpline, PPoly
@@ -29,6 +29,9 @@ from capfield.geometry import boundary_clustered_grid, south_cap
 from capfield.potential import kernel_rule, ring_kernel
 from capfield.oracle import (
     DiscreteMeasure,
+    _drop_ring,
+    _free_ring,
+    _spd_inverse,
     discrete_energy_minimize,
     nystrom_solve,
     ring_energy_system,
@@ -345,6 +348,7 @@ class TestDiscreteEnergyMinimize:
         n=st.integers(32, 96),
     )
     @settings(max_examples=40, deadline=None)
+    @example(kind="quadratic", u=0.625, v=0.0, strength=0.6171875, n=32)
     def test_kkt_conditions_hold(self, kind, u, v, strength, n):
         if kind == "outside":
             field = PointChargeField(strength, 1.05 + 3.0 * u)
@@ -354,7 +358,11 @@ class TestDiscreteEnergyMinimize:
             field = PointChargeField(strength, 1.0)
         else:
             b = 2.0 * strength * (1.01 + 2.0 * u)
-            field = QuadraticField(strength, b, b * b / (4.0 * strength) + v)
+            c = b * b / (4.0 * strength) + v
+            # at v = 0 the rounded c can leave 4ac one ulp below b^2
+            while not b * b <= 4.0 * strength * c:
+                c = np.nextafter(c, math.inf)
+            field = QuadraticField(strength, b, c)
         measure, fq, spread, min_slack = discrete_energy_minimize(field, n)
         sys_n = ring_energy_system(n)
         w = np.asarray(measure.weights)
@@ -384,6 +392,59 @@ class TestDiscreteEnergyMinimize:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             discrete_energy_minimize(ZeroField(), 31)
+
+    @pytest.mark.parametrize(
+        "field", [QuadraticField(1.0, 2.5, 2.0), PointChargeField(1.0, 2.0)], ids=["quad", "pc"]
+    )
+    def test_one_dense_solve_at_256_rings(self, field, monkeypatch):
+        # every active-set step goes through the kept inverse; the only
+        # dense solve is the one that certifies the final free set
+        calls = []
+        real_solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(capfield.oracle.np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(capfield.oracle, "dense_solve", counting_solve)
+        measure, fq, spread, min_slack = discrete_energy_minimize(field, 256)
+        assert len(calls) == 1
+        assert min(measure.weights) == 0.0
+        assert spread <= 1e-13 * fq
+        assert min_slack >= 0.0
+
+
+def _padded_inverse(interaction, free):
+    expected = np.zeros_like(interaction)
+    idx = np.flatnonzero(free)
+    expected[np.ix_(idx, idx)] = np.linalg.inv(interaction[np.ix_(idx, idx)])
+    return expected
+
+
+class TestInverseUpdates:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_drops_then_frees_match_a_fresh_inverse(self, n):
+        interaction = ring_energy_system(n).interaction
+        inverse = _spd_inverse(interaction)
+        # the updates write in place, which needs Fortran order
+        assert inverse.flags.f_contiguous
+        free = np.ones(n, dtype=bool)
+        expected = _padded_inverse(interaction, free)
+        assert np.abs(inverse - expected).max() <= 1e-12 * np.abs(expected).max()
+        rng = np.random.default_rng(n)
+        dropped = rng.permutation(n)[: n // 2]
+        for r in dropped:
+            _drop_ring(inverse, int(r))
+            free[r] = False
+        expected = _padded_inverse(interaction, free)
+        assert np.abs(inverse - expected).max() <= 1e-12 * np.abs(expected).max()
+        for j in dropped[::2]:
+            _free_ring(inverse, interaction, int(j))
+            free[j] = True
+        expected = _padded_inverse(interaction, free)
+        assert np.abs(inverse - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.all(inverse[~free] == 0.0) and np.all(inverse[:, ~free] == 0.0)
 
 
 def _closed_form_density_code(name: str) -> bool:
