@@ -1,11 +1,105 @@
-"""Shared numerical helpers: Gauss-Legendre nodes and Richardson differentiation."""
+"""Shared numerical helpers: the nonconvergence error, a bracketed root
+finder, Gauss-Legendre nodes and Richardson differentiation.
+
+Only numpy is imported at module level, so that commands which need no
+quadrature start without scipy.
+"""
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
+
+
+class NonconvergenceError(RuntimeError):
+    """Quadrature or iteration failed to meet its tolerance.
+
+    Carries the best available estimate and an error bound so callers can
+    decide whether the result is still usable.  The message shows a real
+    estimate by value and any other (a whole iterate, say) by type name
+    only; `.estimate` keeps the object either way.
+    """
+
+    def __init__(self, message: str, estimate: object, error_bound: float) -> None:
+        shown = repr(estimate) if isinstance(estimate, numbers.Real) else type(estimate).__name__
+        super().__init__(f"{message} (estimate={shown}, bound={error_bound!r})")
+        self.estimate = estimate
+        self.error_bound = error_bound
+
+
+def brent_root(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+) -> tuple[float, int]:
+    """Root of f in the bracket [a, b] by Brent's method; returns (root, iterations).
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4:
+    inverse quadratic or secant steps, kept only while they shrink fast
+    enough, else bisection.  Each pass keeps f(b) and f(c) of opposite
+    signs with |f(b)| <= |f(c)|, and stops once the half-width
+    |c - b| / 2 falls below delta = (xtol + rtol * |b|) / 2 or f(b) == 0.
+    iterations counts the passes, the last one included, and is 0 when an
+    end of the bracket is an exact zero.  Raises ValueError when f(a) and
+    f(b) do not differ in sign, and NonconvergenceError, carrying the last
+    iterate and the bracket width, after maxiter passes.
+    """
+    a, b = float(a), float(b)
+    fa, fb = float(f(a)), float(f(b))
+    if fa == 0.0:
+        return a, 0
+    if fb == 0.0:
+        return b, 0
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ValueError(f"f({a!r}) = {fa!r} and f({b!r}) = {fb!r} do not bracket a root")
+    c, fc = a, fa
+    d = e = b - a
+    for iterations in range(1, maxiter + 1):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        delta = 0.5 * (xtol + rtol * abs(b))
+        m = 0.5 * (c - b)
+        if fb == 0.0 or abs(m) < delta:
+            return b, iterations
+        if abs(e) < delta or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # accept the interpolated step only if it stays well inside
+            # the bracket and is under half the step before last
+            if 2.0 * p < 3.0 * m * q - abs(delta * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > delta else math.copysign(delta, m)
+        fb = float(f(b))
+        if (fb > 0.0) == (fc > 0.0):
+            # the sign change now lies between the new iterate and the
+            # previous one, which becomes the contrapoint
+            c, fc = a, fa
+            d = e = b - a
+    raise NonconvergenceError(
+        f"root finder did not converge in {maxiter} iterations", b, abs(c - b)
+    )
+
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -15,6 +109,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     try:
         return _GL_CACHE[n]
     except KeyError:
+        from scipy.special import roots_legendre
+
         x, w = roots_legendre(n)
         x.flags.writeable = False
         w.flags.writeable = False

@@ -19,11 +19,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .equilibrium import DensityProfile, capacity_south_cap, density_general
+from ._numerics import NonconvergenceError
 from .fields import (
     ExternalField,
     PointChargeField,
@@ -32,10 +32,7 @@ from .fields import (
     ZeroField,
     validate_south_cap_hypotheses,
 )
-from .geometry import boundary_clustered_grid, south_cap
-from .oracle import discrete_energy_minimize, nystrom_solve
-from .potential import potential_on_sphere, verify_equilibrium
-from .singular_quadrature import NonconvergenceError
+from .geometry import boundary_clustered_grid, capacity_south_cap, south_cap
 from .support_finder import (
     ffunctional_numeric,
     ffunctional_pointcharge,
@@ -46,6 +43,12 @@ from .support_finder import (
     solve_support_pointcharge,
     solve_support_quadratic,
 )
+
+# the pipeline, the potentials and the oracles (and with them scipy) are
+# imported by the handlers that call them, so that the closed-form
+# commands start on numpy alone
+if TYPE_CHECKING:
+    from .equilibrium import DensityProfile
 
 PI = math.pi
 
@@ -124,6 +127,8 @@ def emit_density_table(profile: DensityProfile, field: ExternalField, path) -> P
     One row per grid node, 17 significant digits, LF endings; rerunning
     with the same profile and field is byte-identical.
     """
+    from .potential import potential_on_sphere
+
     path = Path(path)
     nodes = np.asarray(profile.grid.nodes)
     f = np.asarray(profile.values)
@@ -185,6 +190,8 @@ def _cmd_support(config: RunConfig):
 
 
 def _cmd_density(config: RunConfig):
+    from .equilibrium import density_general
+
     field = _admissible_field(config)
     if config.alpha is not None:
         alpha = config.alpha
@@ -233,6 +240,9 @@ def _cmd_ffunctional(config: RunConfig):
 
 
 def _cmd_verify(config: RunConfig):
+    from .equilibrium import density_general
+    from .potential import verify_equilibrium
+
     field = _admissible_field(config)
     alpha = _require_alpha(config)
     cap = south_cap(alpha)
@@ -255,6 +265,8 @@ def _cmd_verify(config: RunConfig):
 
 
 def _cmd_oracle(config: RunConfig):
+    from .oracle import discrete_energy_minimize, nystrom_solve
+
     if config.mode == "nystrom":
         field = _admissible_field(config)
         alpha = _require_alpha(config)
@@ -354,12 +366,16 @@ def _apply_pin(config: RunConfig, summary: dict) -> int:
 
 
 def _failing_operation(err: BaseException) -> str:
-    """module.function of the innermost package frame that raised err."""
+    """module.function of the innermost package frame that raised err.
+
+    The shared helpers of `_numerics` are skipped: a root finder or a
+    derivative that fails names the computation that called it.
+    """
     where = "cli.run"
     tb = err.__traceback__
     while tb is not None:
         module = tb.tb_frame.f_globals.get("__name__", "")
-        if module.startswith(__package__ + "."):
+        if module.startswith(__package__ + ".") and module != f"{__package__}._numerics":
             where = f"{module[len(__package__) + 1:]}.{tb.tb_frame.f_code.co_name}"
         tb = tb.tb_next
     return where

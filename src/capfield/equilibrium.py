@@ -40,12 +40,6 @@ RIM_GUARD_BAND = 1e-6
 _SIGMA_SAMPLES = 256
 
 
-def capacity_south_cap(alpha: float) -> float:
-    """Newtonian capacity of the south cap with rim angle alpha."""
-    a = _validated_angle(alpha, name="rim angle")
-    return (PI - a + math.sin(a)) / PI
-
-
 def edge_factor(alpha, phi):
     """Universal rim profile 1 + (2/pi)*(sqrt(r) - atan(sqrt(r))).
 

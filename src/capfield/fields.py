@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 
 class ExternalField(abc.ABC):
@@ -123,6 +122,8 @@ class TabulatedField(ExternalField):
                 UserWarning,
                 stacklevel=2,
             )
+        from scipy.interpolate import PchipInterpolator
+
         self._x = x
         self._y = y
         self._interp = PchipInterpolator(x, y, extrapolate=False)

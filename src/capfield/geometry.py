@@ -47,6 +47,12 @@ def south_cap(alpha: float) -> SphericalCap:
     return SphericalCap(float(alpha))
 
 
+def capacity_south_cap(alpha: float) -> float:
+    """Newtonian capacity of the south cap with rim angle alpha."""
+    a = _validated_angle(alpha, name="rim angle")
+    return (PI - a + math.sin(a)) / PI
+
+
 @dataclass(frozen=True, eq=False)
 class PhiGrid:
     """Strictly increasing polar-angle nodes."""

@@ -24,11 +24,11 @@ from scipy.linalg import solve as dense_solve
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri
 
+from ._numerics import NonconvergenceError
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
 from .fields import ExternalField
 from .geometry import SphericalCap, boundary_clustered_grid
 from .potential import _ROW_BLOCK, _panels, kernel_rule, ring_kernel
-from .singular_quadrature import NonconvergenceError
 
 PI = math.pi
 

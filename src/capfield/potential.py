@@ -21,10 +21,10 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import ellipkm1
 
-from ._numerics import gauss_legendre
+from ._numerics import NonconvergenceError, gauss_legendre
 from .equilibrium import DensityProfile, _edge_coordinate_maps
 from .fields import ExternalField
-from .singular_quadrature import NonconvergenceError, _depth
+from .singular_quadrature import _depth
 
 PI = math.pi
 

@@ -20,15 +20,13 @@ instead: it reads the smooth factor and its exact slope from that table.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
-from scipy.fft import dct
 
-from ._numerics import gauss_legendre, richardson_derivative
+from ._numerics import NonconvergenceError, gauss_legendre, richardson_derivative
 from .fields import ExternalField
 from .geometry import _validated_angle
 
@@ -43,22 +41,6 @@ _N_SECOND_STAGE = 96
 # base finite-difference step for the first-stage auxiliary function,
 # chosen to balance O(step^4) truncation against rounding amplification
 _STEP_FIRST_STAGE = 2.5e-3
-
-
-class NonconvergenceError(RuntimeError):
-    """Quadrature or iteration failed to meet its tolerance.
-
-    Carries the best available estimate and an error bound so callers can
-    decide whether the result is still usable.  The message shows a real
-    estimate by value and any other (a whole iterate, say) by type name
-    only; `.estimate` keeps the object either way.
-    """
-
-    def __init__(self, message: str, estimate: object, error_bound: float) -> None:
-        shown = repr(estimate) if isinstance(estimate, numbers.Real) else type(estimate).__name__
-        super().__init__(f"{message} (estimate={shown}, bound={error_bound!r})")
-        self.estimate = estimate
-        self.error_bound = error_bound
 
 
 # row block size for the auxiliary integrals; bounds peak memory at a few MB
@@ -101,6 +83,8 @@ _TABLE_PLATEAU_TOL = 1e-8
 
 def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
     """Coefficients of the interpolant through values at cos(j*pi/n), j = 0..n."""
+    from scipy.fft import dct
+
     n = samples.size - 1
     coeffs = dct(samples, type=1) / n
     coeffs[0] *= 0.5

@@ -14,16 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from ._numerics import NonconvergenceError, brent_root
 from .fields import (
     ExternalField,
     PointChargeField,
     QuadraticField,
 )
 from .geometry import _validated_angle
-from .singular_quadrature import NonconvergenceError
 
 PI = math.pi
 
@@ -81,13 +79,13 @@ def gonchar_heights(q: float) -> GoncharHeights:
     hi = 3.0 + 3.0 * q
     while cubic(hi) <= 0.0:
         hi *= 2.0
-    h_plus = brentq(cubic, 1.0, hi, xtol=1e-15, rtol=8.9e-16)
+    h_plus, _ = brent_root(cubic, 1.0, hi, xtol=1e-15, rtol=8.9e-16)
 
     # inside: smaller root of (1+q)h^2 - (2+3q)h + 1, which lies in (0, 1)
     disc = math.sqrt(q * (9.0 * q + 8.0))
     h_minus = ((2.0 + 3.0 * q) - disc) / (2.0 * (1.0 + q))
 
-    return GoncharHeights(q=q, h_plus=float(h_plus), h_minus=float(h_minus))
+    return GoncharHeights(q=q, h_plus=h_plus, h_minus=float(h_minus))
 
 
 def _surface_factor(alpha: float) -> float:
@@ -144,6 +142,8 @@ def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
 
 def _checked_quad(fun, lo: float, hi: float, tol: float) -> float:
     """Adaptive quad that raises instead of warning when it reports failure."""
+    from scipy.integrate import quad
+
     value, abserr, _, *failure = quad(
         fun, lo, hi, epsabs=0.1 * tol, epsrel=1e-12, limit=200, full_output=True
     )
@@ -300,15 +300,13 @@ def _root_solution(
             iterations=0,
         )
     i = int(sign_change[0])
-    root, info = brentq(
-        residual, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16, full_output=True
-    )
+    root, iterations = brent_root(residual, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
     return SupportSolution(
-        alpha0=float(root),
-        robin_constant=robin_at(float(root)),
+        alpha0=root,
+        robin_constant=robin_at(root),
         method=SupportMethod.TRANSCENDENTAL_ROOT,
-        residual=float(residual(float(root))),
-        iterations=int(info.iterations),
+        residual=float(residual(root)),
+        iterations=iterations,
     )
 
 
@@ -354,15 +352,13 @@ def solve_support_northpole(q: float) -> SupportSolution:
     def residual(a: float) -> float:
         return PI * (1.0 - math.cos(a)) - q * (PI - a) * math.cos(a) - q * math.sin(a)
 
-    root, info = brentq(
-        residual, 1e-12, PI, xtol=1e-14, rtol=8.9e-16, full_output=True
-    )
+    root, iterations = brent_root(residual, 1e-12, PI, xtol=1e-14, rtol=8.9e-16)
     return SupportSolution(
-        alpha0=float(root),
-        robin_constant=_robin_northpole(q, float(root)),
+        alpha0=root,
+        robin_constant=_robin_northpole(q, root),
         method=SupportMethod.TRANSCENDENTAL_ROOT,
-        residual=float(residual(float(root))),
-        iterations=int(info.iterations),
+        residual=float(residual(root)),
+        iterations=iterations,
     )
 
 

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from capfield.equilibrium import (
-    capacity_south_cap,
     density_general,
     nofield_density,
     northpole_density,
@@ -20,7 +19,7 @@ from capfield.equilibrium import (
     quadratic_density,
 )
 from capfield.fields import PointChargeField, QuadraticField, ZeroField
-from capfield.geometry import boundary_clustered_grid, south_cap
+from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
 from capfield.oracle import discrete_energy_minimize, nystrom_solve
 from capfield.potential import verify_equilibrium
 from capfield.support_finder import (

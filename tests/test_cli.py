@@ -5,6 +5,9 @@ Reference values reproduced by tests/oracles/compute_reference_values.py.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,6 +15,8 @@ import numpy as np
 import pytest
 
 import capfield
+from capfield import support_finder
+from capfield._numerics import brent_root
 from capfield.cli import build_parser, emit_density_table, main
 from capfield.equilibrium import density_general, nofield_density, profile_from_callable
 from capfield.fields import ZeroField
@@ -70,6 +75,54 @@ class TestSupportCommand:
             ["support", "--field", "point-charge", "--q", "-1", "--h", "2"], tmp_path
         )
         assert code == 2
+
+    def test_root_finder_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def one_pass(f, a, b, xtol, rtol):
+            return brent_root(f, a, b, xtol, rtol, maxiter=1)
+
+        monkeypatch.setattr(support_finder, "brent_root", one_pass)
+        code, summary = run_cli(
+            ["support", "--field", "point-charge", "--q", "1", "--h", "2"], tmp_path
+        )
+        assert code == 3
+        assert summary is None
+        assert "nonconvergence in support_finder." in capsys.readouterr().err
+
+
+# the closed-form commands, each run in a fresh interpreter, since
+# sys.modules only grows within one
+NUMPY_ONLY_COMMANDS = [
+    ["support", "--field", "point-charge", "--q", "1", "--h", "2"],
+    ["support", "--field", "point-charge", "--q", "1", "--h", "0.5"],
+    ["support", "--field", "north-pole", "--q", "1"],
+    ["support", "--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "2"],
+    ["gonchar", "--q", "1"],
+    ["capacity", "--alpha", "1"],
+    ["ffunctional", "--field", "zero", "--alpha", "1"],
+    ["ffunctional", "--field", "point-charge", "--q", "1", "--h", "2", "--alpha", "1"],
+    ["ffunctional", "--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "2",
+     "--alpha", "1"],
+]
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("argv", NUMPY_ONLY_COMMANDS, ids=" ".join)
+    def test_closed_form_commands_import_no_scipy(self, tmp_path, argv):
+        code = (
+            "import json, sys, capfield.cli\n"
+            "rc = capfield.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--json", str(tmp_path / "out.json")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        rc, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+        assert rc == 0
+        assert scipy_modules == []
 
 
 class TestCapacityCommand:

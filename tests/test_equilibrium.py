@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from capfield.equilibrium import (
     DensityProfile,
-    capacity_south_cap,
     density_general,
     edge_factor,
     nofield_density,
@@ -33,7 +32,7 @@ from capfield.fields import (
     TabulatedField,
     ZeroField,
 )
-from capfield.geometry import boundary_clustered_grid, south_cap
+from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
 from capfield.singular_quadrature import NonconvergenceError
 from capfield.support_finder import (
     gonchar_heights,

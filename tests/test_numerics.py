@@ -1,0 +1,76 @@
+"""The shared numerical helpers: Brent's bracketed root finder."""
+
+import math
+import random
+
+import pytest
+from scipy.optimize import brentq
+
+from capfield import support_finder
+from capfield._numerics import NonconvergenceError, brent_root
+
+
+def _support_brackets(monkeypatch, count: int = 64):
+    """(f, a, b, xtol, rtol) of every root solve made by the support solvers.
+
+    The residuals are the solvers' own: the point-charge rim equation on
+    both sides of the sphere, the on-sphere one, the quadratic one and the
+    critical-height cubic, for parameters drawn from a fixed seed.
+    """
+    calls = []
+
+    def recording(f, a, b, xtol, rtol):
+        calls.append((f, a, b, xtol, rtol))
+        return brent_root(f, a, b, xtol, rtol)
+
+    monkeypatch.setattr(support_finder, "brent_root", recording)
+    rng = random.Random(20260)
+    for _ in range(count):
+        q = rng.uniform(0.3, 3.0)
+        support_finder.solve_support_pointcharge(q, rng.uniform(0.05, 0.99))
+        support_finder.solve_support_pointcharge(q, rng.uniform(1.01, 2.0))
+        support_finder.solve_support_northpole(q)
+        a = rng.uniform(0.5, 2.0)
+        b = a * rng.uniform(2.05, 3.0)
+        support_finder.solve_support_quadratic(a, b, b * b / (4.0 * a) + rng.uniform(0.0, 1.0))
+        support_finder.gonchar_heights(q)
+    return calls
+
+
+def test_agrees_with_scipy_brentq(monkeypatch):
+    brackets = _support_brackets(monkeypatch)
+    assert len(brackets) >= 200
+    same_count = 0
+    for f, a, b, xtol, rtol in brackets:
+        root, iterations = brent_root(f, a, b, xtol, rtol)
+        reference, info = brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
+        assert abs(root - reference) <= xtol + 4.0 * rtol * abs(reference)
+        same_count += iterations == info.iterations
+    assert same_count >= 0.95 * len(brackets)
+
+
+def test_same_sign_bracket_is_refused():
+    with pytest.raises(ValueError, match="do not bracket"):
+        brent_root(math.cos, 0.0, 1.0, 1e-12, 1e-15)
+    with pytest.raises(ValueError, match="do not bracket"):
+        brent_root(lambda x: math.nan, 0.0, 1.0, 1e-12, 1e-15)
+
+
+@pytest.mark.parametrize("end", [0.0, 2.0])
+def test_exact_zero_at_an_end(end):
+    root, iterations = brent_root(lambda x: x - end, 0.0, 2.0, 1e-12, 1e-15)
+    assert (root, iterations) == (end, 0)
+
+
+def test_deterministic():
+    def f(x):
+        return math.exp(x) - 3.0 * x * x
+
+    assert brent_root(f, 0.0, 1.0, 1e-14, 8.9e-16) == brent_root(f, 0.0, 1.0, 1e-14, 8.9e-16)
+
+
+def test_nonconvergence_carries_the_last_iterate():
+    with pytest.raises(NonconvergenceError) as info:
+        brent_root(lambda x: x - 0.3, 0.0, 1.0, 1e-14, 8.9e-16, maxiter=1)
+    assert 0.0 < info.value.estimate < 1.0
+    assert 0.0 < info.value.error_bound <= 1.0

@@ -9,13 +9,12 @@ from scipy.special import ellipk as scipy_ellipk
 
 from capfield.equilibrium import (
     _edge_coordinate_maps,
-    capacity_south_cap,
     nofield_density,
     pointcharge_density,
     profile_from_callable,
 )
 from capfield.fields import PointChargeField, ZeroField
-from capfield.geometry import boundary_clustered_grid, south_cap
+from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
 from capfield.potential import (
     EquilibriumReport,
     _kernel_parts,

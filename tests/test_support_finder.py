@@ -213,6 +213,19 @@ class TestSolveSupportNorthpole:
             near = solve_support_pointcharge(1.0, h)
             assert near.alpha0 == pytest.approx(sol.alpha0, abs=1e-6)
 
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0])
+    def test_point_charge_rim_tends_to_it_linearly(self, q, side):
+        # the rim is continuous through h = 1 from either side: each tenfold
+        # step of h toward 1 shrinks the gap to the on-sphere rim tenfold
+        on_sphere = solve_support_northpole(q).alpha0
+        steps = [10.0**-k for k in (2, 3, 4)]
+        gaps = [abs(solve_support_pointcharge(q, 1.0 + side * e).alpha0 - on_sphere)
+                for e in steps]
+        assert all(0.0 < g < e for g, e in zip(gaps, steps))
+        for k in range(len(steps) - 1):
+            assert gaps[k + 1] <= 1.1 * gaps[k] * steps[k + 1] / steps[k]
+
 
 class TestSolveSupportQuadratic:
     def test_frozen_value(self):
