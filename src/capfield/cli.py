@@ -42,6 +42,7 @@ from .support_finder import (
     solve_support_northpole,
     solve_support_pointcharge,
     solve_support_quadratic,
+    solve_support_tabulated,
 )
 
 # the pipeline, the potentials and the oracles (and with them scipy) are
@@ -158,6 +159,8 @@ def _solve_support(config: RunConfig, field: ExternalField):
         return solve_support_northpole(config.q)
     if kind == "quadratic":
         return solve_support_quadratic(config.a, config.b, config.c)
+    if kind == "tabulated":
+        return solve_support_tabulated(field)
     return minimize_ffunctional(field)
 
 

@@ -105,7 +105,7 @@ class TabulatedField(ExternalField):
     """
 
     def __init__(self, x3, values) -> None:
-        x = np.asarray(x3, dtype=float)
+        x = np.array(x3, dtype=float)  # a private copy, handed out read-only by `knots`
         y = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.size < 2 or x.shape != y.shape:
             raise ValueError("need matching 1-d arrays with at least two samples")
@@ -124,9 +124,11 @@ class TabulatedField(ExternalField):
             )
         from scipy.interpolate import PchipInterpolator
 
+        x.flags.writeable = False
         self._x = x
         self._y = y
         self._interp = PchipInterpolator(x, y, extrapolate=False)
+        self._slope = self._interp.derivative()
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedField":
@@ -148,19 +150,27 @@ class TabulatedField(ExternalField):
         return cls(np.asarray(xs), np.asarray(ys))
 
     @property
-    def sample_range(self) -> tuple[float, float]:
-        return float(self._x[0]), float(self._x[-1])
+    def knots(self) -> np.ndarray:
+        """The sample abscissae: the interpolant is one cubic between neighbours."""
+        return self._x
 
-    def value_at_x3(self, x3):
+    def _evaluate(self, pieces, x3):
         x = np.asarray(x3, dtype=float)
         if np.any(x < self._x[0]) or np.any(x > self._x[-1]):
             raise ValueError(
                 f"x3 outside tabulated range [{self._x[0]!r}, {self._x[-1]!r}]"
             )
-        out = self._interp(x)
+        out = pieces(x)
         if x.ndim == 0:
             return float(out)
         return out
+
+    def value_at_x3(self, x3):
+        return self._evaluate(self._interp, x3)
+
+    def slope_at_x3(self, x3):
+        """dQhat/dx3, the exact piecewise-quadratic derivative of the interpolant."""
+        return self._evaluate(self._slope, x3)
 
 
 @dataclass(frozen=True)
@@ -195,10 +205,8 @@ def validate_south_cap_hypotheses(field: ExternalField, n: int = 200) -> Hypothe
     if n < 3:
         raise ValueError("need at least three samples")
     x = np.linspace(-1.0, 1.0, n)
-    tab_lo, tab_hi = -1.0, 1.0
     if isinstance(field, TabulatedField):
-        tab_lo, tab_hi = field.sample_range
-        x = np.linspace(tab_lo, tab_hi, n)
+        x = np.linspace(field.knots[0], field.knots[-1], n)
     with np.errstate(divide="ignore"):
         q = np.asarray(field.value_at_x3(x), dtype=float)
 

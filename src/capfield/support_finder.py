@@ -5,21 +5,32 @@ south-centered cap whose rim angle solves a transcendental equation; the
 same angle minimizes the F-functional over cap families.  Both routes are
 implemented so they can cross-check each other.  When the support equation
 has no root in (0, pi) the support is the whole sphere.
+
+The point charge and the quadratic field have both in closed form.  For
+any other field the F-functional is one sum over a fixed Gauss rule in the
+rim variable s = sqrt(cos(alpha) - x3), whose panels break at the knots of
+a tabulated field, so the table's cubic pieces are integrated exactly.  A
+table's rim solves the rim equation F_Q(alpha) = p(cos(alpha)), where the
+density's edge coefficient vanishes, on that same rule
+(`solve_support_tabulated`); golden section over the F-functional
+(`minimize_ffunctional`) serves the remaining fields and cross-checks.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import NonconvergenceError, brent_root
+from ._numerics import NonconvergenceError, brent_root, gauss_legendre
 from .fields import (
     ExternalField,
     PointChargeField,
     QuadraticField,
+    TabulatedField,
 )
 from .geometry import _validated_angle
 
@@ -88,6 +99,13 @@ def gonchar_heights(q: float) -> GoncharHeights:
     return GoncharHeights(q=q, h_plus=h_plus, h_minus=float(h_minus))
 
 
+def _rim_angle(alpha: float) -> float:
+    a = _validated_angle(alpha, name="rim angle")
+    if a >= PI:
+        raise ValueError("rim angle must be below pi")
+    return a
+
+
 def _surface_factor(alpha: float) -> float:
     # pi over the cap capacity normalizer
     return PI / (PI - alpha + math.sin(alpha))
@@ -101,9 +119,7 @@ def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
     """
     if not (q > 0.0 and h > 0.0):
         raise ValueError("need q > 0 and h > 0")
-    a = _validated_angle(alpha, name="rim angle")
-    if a >= PI:
-        raise ValueError("rim angle must be below pi")
+    a = _rim_angle(alpha)
     if a == 0.0:
         if h > 1.0:
             return 1.0 + q / h
@@ -120,9 +136,7 @@ def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
 def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
     """F-functional of the south cap with rim alpha under the quadratic field."""
     QuadraticField(a, b, c)  # coefficient admissibility
-    al = _validated_angle(alpha, name="rim angle")
-    if al >= PI:
-        raise ValueError("rim angle must be below pi")
+    al = _rim_angle(alpha)
     ca = math.cos(al)
     bracket = (
         math.tan(0.5 * al)
@@ -140,58 +154,64 @@ def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
     return bracket / (36.0 * (PI - al + math.sin(al)))
 
 
-def _checked_quad(fun, lo: float, hi: float, tol: float) -> float:
-    """Adaptive quad that raises instead of warning when it reports failure."""
-    from scipy.integrate import quad
-
-    value, abserr, _, *failure = quad(
-        fun, lo, hi, epsabs=0.1 * tol, epsrel=1e-12, limit=200, full_output=True
-    )
-    if failure:
-        reason = " ".join(failure[0].split()).split(". ")[0]
-        raise NonconvergenceError(
-            f"F-functional quadrature failed: {reason}", float(value), float(abserr)
-        )
-    return float(value)
+# the Gauss rule in the rim variable s = sqrt(cos(alpha) - x3): uniform
+# panels on [0, sqrt(1 + cos(alpha))], an edge at every table knot, and
+# panels graded by doubling from s = sqrt(1 - cos(alpha)) when that scale,
+# on which the edge weight turns over, is finer than one uniform panel
+_RULE_PANELS = 16
+_RULE_POINTS = 8
 
 
-def ffunctional_numeric(field: ExternalField, alpha: float, tol: float = 1e-10) -> float:
-    """F-functional of the south cap with rim alpha by direct quadrature.
+def _rim_rule(field: ExternalField, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Abscissae x3 = cos(alpha) - s^2, weights and edge weights of the rule.
 
-    The two edge-weighted field integrals are evaluated in the variable
-    s = sqrt(cos(alpha) - cos(phi)), which absorbs the rim singularity of
-    the weight; all three integrands are then bounded.  Raises
-    NonconvergenceError, carrying quad's estimate and abserr, when any of
-    them fails to converge.
+    Between two neighbouring knots a tabulated field is one cubic in x3,
+    so a polynomial of degree 6 in s, and each panel's Gauss-Legendre
+    nodes integrate it, and its quadratic slope, exactly.  The edge weight
+    is kappa(s) = 2s + (4/pi)(sqrt(r1) - s*atan(sqrt(r1)/s)), r1 =
+    1 - cos(alpha): the plain measure dx3 = 2s ds plus the edge factor of
+    the cap's equilibrium density.
     """
-    a = _validated_angle(alpha, name="rim angle")
-    if a >= PI:
-        raise ValueError("rim angle must be below pi")
-    ca = math.cos(a)
-    r1 = 1.0 - ca
-    smax = math.sqrt(1.0 + ca)
+    ca = math.cos(alpha)
+    smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
+    sq_r1 = math.sqrt(2.0) * math.sin(0.5 * alpha)
+    width = smax / _RULE_PANELS
+    edges = [np.linspace(0.0, smax, _RULE_PANELS + 1)]
+    if 0.0 < sq_r1 < width:
+        edges.append(sq_r1 * 2.0 ** np.arange(math.ceil(math.log2(width / sq_r1))))
+    if isinstance(field, TabulatedField):
+        knots = field.knots
+        edges.append(np.sqrt(ca - knots[(knots > -1.0) & (knots < ca)]))
+    edges = np.unique(np.concatenate(edges))
+    x, w = gauss_legendre(_RULE_POINTS)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (mid + half * x).ravel()
+    weights = (half * w).ravel()
+    kappa = 2.0 * s + (4.0 / PI) * (sq_r1 - s * np.arctan2(sq_r1, s))
+    return np.clip(ca - s * s, -1.0, 1.0), weights, kappa
 
-    def qhat(x: float) -> float:
-        return float(field.value_at_x3(min(1.0, max(-1.0, x))))
 
-    # plain field mass over the cap, in x3
-    i1 = _checked_quad(qhat, -1.0, ca, tol)
+def _ffunctional_on_rule(alpha: float, weights: np.ndarray, kappa: np.ndarray,
+                         q: np.ndarray) -> float:
+    # the field mass and the two edge-weighted field integrals of the
+    # F-functional, in one sum over the rule.  A plain sum, not a BLAS dot:
+    # on a multi-threaded BLAS a dot of this length can cost milliseconds
+    return 0.5 * _surface_factor(alpha) * (2.0 + float(np.sum(weights * kappa * q)))
 
-    if r1 == 0.0:
-        return 0.5 * _surface_factor(a) * (2.0 + i1)
 
-    sq_r1 = math.sqrt(r1)
+def ffunctional_numeric(field: ExternalField, alpha: float) -> float:
+    """F-functional of the south cap with rim alpha by a fixed Gauss rule.
 
-    def w2(s: float) -> float:
-        return 2.0 * sq_r1 * qhat(ca - s * s)
-
-    def w3(s: float) -> float:
-        return 2.0 * s * math.atan(sq_r1 / s) * qhat(ca - s * s) if s > 0.0 else 0.0
-
-    i2 = _checked_quad(w2, 0.0, smax, tol)
-    i3 = _checked_quad(w3, 0.0, smax, tol)
-
-    return 0.5 * _surface_factor(a) * (2.0 + i1 + (2.0 / PI) * (i2 - i3))
+    The field mass over the cap and the two edge-weighted field integrals
+    are taken together in the variable s = sqrt(cos(alpha) - cos(phi)),
+    which absorbs the rim singularity of the weight, on the panels of
+    `_rim_rule`: one vectorized field evaluation per call.
+    """
+    a = _rim_angle(alpha)
+    x3, weights, kappa = _rim_rule(field, a)
+    q = np.asarray(field.value_at_x3(x3), dtype=float)
+    return _ffunctional_on_rule(a, weights, kappa, q)
 
 
 def _ffunctional_evaluator(field: ExternalField):
@@ -390,4 +410,59 @@ def solve_support_quadratic(a: float, b: float, c: float) -> SupportSolution:
         lambda al: ffunctional_quadratic(a, b, c, al),
         1e-4,
         PI - 1e-6,
+    )
+
+
+def _rim_terms(field: TabulatedField, alpha: float) -> tuple[float, float]:
+    """F_Q(alpha) and the rim residual F_Q(alpha) - p(cos(alpha)), from one rule.
+
+    p is the smooth factor of the first Abel stage, p(c) = Q(-1) +
+    2*sqrt(1+c) times the integral of Q'(c - s^2) over s in [0,
+    sqrt(1+c)]; at c = cos(alpha) that integral runs over the nodes of
+    `_rim_rule`, where the table's quadratic slope is integrated exactly.
+    """
+    x3, weights, kappa = _rim_rule(field, alpha)
+    fq = _ffunctional_on_rule(alpha, weights, kappa, field.value_at_x3(x3))
+    smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
+    p = field.value_at_x3(-1.0) + 2.0 * smax * float(np.sum(weights * field.slope_at_x3(x3)))
+    return fq, fq - p
+
+
+def solve_support_tabulated(field: TabulatedField) -> SupportSolution:
+    """Support rim angle for a tabulated field, from the rim equation.
+
+    At the rim the edge coefficient of the density vanishes, so the rim
+    solves F_Q(alpha) = p(cos(alpha)) (see `_rim_terms`).  The residual
+    F_Q - p is negative at 0+ exactly when a proper cap exists and grows
+    without bound toward pi, so one bracket holds the root; a nonnegative
+    residual at its left end means the whole sphere.  Raises
+    NonconvergenceError when the residual does not turn positive by the
+    right end.
+    """
+    terms = functools.cache(lambda alpha: _rim_terms(field, alpha))
+
+    def residual(alpha: float) -> float:
+        return terms(alpha)[1]
+
+    lo, hi = 1e-7, PI - 1e-6
+    if residual(lo) >= 0.0:
+        return SupportSolution(
+            alpha0=0.0,
+            robin_constant=ffunctional_numeric(field, 0.0),
+            method=SupportMethod.FULL_SPHERE,
+            residual=residual(lo),
+            iterations=0,
+        )
+    if not residual(hi) > 0.0:
+        raise NonconvergenceError(
+            f"rim equation keeps its sign on [{lo!r}, {hi!r}]", residual(hi), hi - lo
+        )
+    root, iterations = brent_root(residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    fq, r = terms(root)
+    return SupportSolution(
+        alpha0=root,
+        robin_constant=fq,
+        method=SupportMethod.TRANSCENDENTAL_ROOT,
+        residual=r,
+        iterations=iterations,
     )

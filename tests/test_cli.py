@@ -28,12 +28,19 @@ ALPHA0_PC_12 = 0.7270148450291979835692054
 FQ_PC_12 = 1.491533425110004003327
 ALPHA0_NP_1 = 1.1217246238633008265287
 FF_PC_12_AT_1 = 1.499752751127168435835
+ALPHA0_QUAD = 1.905121063815038955604994
+FF_QUAD_AT_1 = 2.971200326891697139886
 H_PLUS_1 = 2.6180339887498948482
 H_MINUS_1 = 0.21922359359558486254
 
 SCHEMA = json.loads(
     (Path(capfield.__file__).parent / "schemas" / "summary.schema.json").read_text()
 )
+
+
+def write_table(path, x, values):
+    np.savetxt(path, np.column_stack([x, values]), delimiter=",")
+    return path
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -88,6 +95,36 @@ class TestSupportCommand:
         assert summary is None
         assert "nonconvergence in support_finder." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [201, 401])
+    @pytest.mark.parametrize(
+        "values,alpha0",
+        [
+            (lambda x: 1.0 / np.sqrt(5.0 - 4.0 * x), ALPHA0_PC_12),  # point charge (1, 2)
+            (lambda x: x * x + 2.5 * x + 2.0, ALPHA0_QUAD),  # quadratic (1, 2.5, 2)
+        ],
+        ids=["point-charge", "quadratic"],
+    )
+    def test_coarse_tables(self, tmp_path, values, alpha0, samples):
+        # adaptive quad once found roundoff at the knots of such tables
+        x = np.linspace(-1.0, 1.0, samples)
+        table = write_table(tmp_path / "field.csv", x, values(x))
+        code, summary = run_cli(["support", "--field", "tabulated", "--table", str(table)],
+                                tmp_path)
+        assert code == 0
+        assert summary["method"] == "TranscendentalRoot"
+        assert abs(summary["alpha0"] - alpha0) <= 1e-6
+
+    def test_linear_table_full_sphere(self, tmp_path):
+        # golden section once stalled on the flat functional at alpha0 = 9.8e-5
+        table = tmp_path / "field.csv"
+        table.write_text("x3,Q\n-1,0.2\n0,0.3\n1,0.4\n")
+        code, summary = run_cli(["support", "--field", "tabulated", "--table", str(table)],
+                                tmp_path)
+        assert code == 0
+        assert summary["method"] == "FullSphere"
+        assert summary["alpha0"] == 0.0
+        assert abs(summary["FQ"] - 1.3) <= 1e-12
+
 
 # the closed-form commands, each run in a fresh interpreter, since
 # sys.modules only grows within one
@@ -105,24 +142,40 @@ NUMPY_ONLY_COMMANDS = [
 ]
 
 
+def scipy_modules_after(argv, tmp_path):
+    """Run a command in a fresh interpreter; return the scipy modules it loaded."""
+    code = (
+        "import json, sys, capfield.cli\n"
+        "rc = capfield.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--json", str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rc, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0
+    return scipy_modules
+
+
 class TestStartUp:
     @pytest.mark.parametrize("argv", NUMPY_ONLY_COMMANDS, ids=" ".join)
     def test_closed_form_commands_import_no_scipy(self, tmp_path, argv):
-        code = (
-            "import json, sys, capfield.cli\n"
-            "rc = capfield.cli.main(sys.argv[1:])\n"
-            "print(json.dumps([rc, sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy')]))\n"
+        assert scipy_modules_after(argv, tmp_path) == []
+
+    def test_tabulated_support_imports_no_integrate(self, tmp_path):
+        # the table's support comes from a fixed Gauss rule, not from quad
+        x = np.linspace(-1.0, 1.0, 201)
+        table = write_table(tmp_path / "field.csv", x, x * x + 2.5 * x + 2.0)
+        modules = scipy_modules_after(
+            ["support", "--field", "tabulated", "--table", str(table)], tmp_path
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv, "--json", str(tmp_path / "out.json")],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        rc, scipy_modules = json.loads(done.stdout.splitlines()[-1])
-        assert rc == 0
-        assert scipy_modules == []
+        assert "scipy.interpolate" in modules
+        assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
+                       for m in modules)
 
 
 class TestCapacityCommand:
@@ -238,11 +291,23 @@ class TestDensityCommand:
         assert summary is None
         assert "not monotone" in capsys.readouterr().err
 
-    def test_failure_names_the_failing_operation(self, tmp_path, capsys):
-        # the support search fails before any density is computed
+    def test_linear_table_without_rim(self, tmp_path):
+        # the support is the whole sphere, so the density has unit mass there
         table = tmp_path / "field.csv"
+        table.write_text("x3,Q\n-1,0.2\n0,0.3\n1,0.4\n")
+        code, summary = run_cli(
+            ["density", "--field", "tabulated", "--table", str(table), "--n", "32"],
+            tmp_path,
+        )
+        assert code == 0
+        assert summary["alpha0"] == 0.0
+        assert abs(summary["mass"] - 1.0) <= 1e-9
+
+    def test_failure_names_the_failing_operation(self, tmp_path, capsys):
+        # the support is found, and the first Abel stage then fails on the
+        # knots inside the cap before any density is formed
         x = np.linspace(-1.0, 1.0, 401)
-        np.savetxt(table, np.column_stack([x, x * x + 2.5 * x + 2.0]), delimiter=",")
+        table = write_table(tmp_path / "field.csv", x, x * x + 2.5 * x + 2.0)
         code, summary = run_cli(
             ["density", "--field", "tabulated", "--table", str(table), "--n", "32"],
             tmp_path,
@@ -250,9 +315,9 @@ class TestDensityCommand:
         assert code == 3
         assert summary is None
         err = capsys.readouterr().err
-        assert "support_finder." in err
+        assert "nonconvergence in singular_quadrature.first_stage_table" in err
+        assert "first-stage table unresolved" in err
         assert "equilibrium.density_general" not in err
-        assert "which prevents the requested tolerance from being achieved" in err
 
 
 class TestFFunctionalCommand:
@@ -265,17 +330,19 @@ class TestFFunctionalCommand:
         assert code == 0
         assert abs(summary["ffunctional"] - FF_PC_12_AT_1) <= 1e-9
 
-    def test_failed_quadrature_exits_3(self, tmp_path):
-        table = tmp_path / "field.csv"
+    def test_coarse_table(self, tmp_path):
+        # the rule's panels break at the knots, so no quadrature error
+        # hides in the 401-sample PCHIP of the quadratic
         x = np.linspace(-1.0, 1.0, 401)
-        np.savetxt(table, np.column_stack([x, x * x + 2.5 * x + 2.0]), delimiter=",")
+        table = write_table(tmp_path / "field.csv", x, x * x + 2.5 * x + 2.0)
         code, summary = run_cli(
             ["ffunctional", "--field", "tabulated", "--table", str(table),
              "--alpha", "1.0"],
             tmp_path,
         )
-        assert code == 3
-        assert summary is None
+        assert code == 0
+        assert summary["method"] == "Numeric"
+        assert abs(summary["ffunctional"] - FF_QUAD_AT_1) <= 1e-10
 
 
 class TestVerifyCommand:

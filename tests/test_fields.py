@@ -131,6 +131,35 @@ class TestTabulatedField:
         with pytest.raises(ValueError):
             f.value_at_x3(math.cos(PI))  # x3 = -1 below the table
 
+    def test_slope_is_the_derivative_of_the_pieces(self):
+        # one cubic between knots, so one Richardson step on central
+        # differences is exact up to rounding
+        x = np.linspace(-1.0, 1.0, 9)
+        f = TabulatedField(x, 1.0 / np.sqrt(5.0 - 4.0 * x))
+        probe = np.linspace(-0.99, 0.99, 97)
+        probe = probe[np.min(np.abs(probe[:, None] - x[None, :]), axis=1) > 1e-3]
+
+        def central(eps):
+            return (f.value_at_x3(probe + eps) - f.value_at_x3(probe - eps)) / (2.0 * eps)
+
+        extrapolated = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+        assert np.max(np.abs(f.slope_at_x3(probe) - extrapolated)) < 1e-9
+        # continuous across the knots, and checked against the range
+        inner = x[1:-1]
+        assert np.allclose(f.slope_at_x3(inner - 1e-12), f.slope_at_x3(inner + 1e-12),
+                           rtol=0, atol=1e-9)
+        with pytest.raises(ValueError):
+            f.slope_at_x3(1.5)
+
+    def test_knots_are_the_abscissae_and_read_only(self):
+        x = np.linspace(-1.0, 0.5, 7)
+        f = TabulatedField(x, 2.0 + x)
+        x[0] = -0.9  # the field keeps its own copy
+        assert f.knots[0] == -1.0
+        assert f.knots.size == 7
+        with pytest.raises(ValueError):
+            f.knots[0] = 0.0
+
     def test_negative_samples_warn_but_construct(self):
         with pytest.warns(UserWarning):
             TabulatedField(np.array([-1.0, 0.0, 1.0]), np.array([1.0, -0.25, 1.0]))

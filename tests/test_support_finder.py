@@ -13,6 +13,7 @@ from capfield.fields import PointChargeField, QuadraticField, TabulatedField, Ze
 from capfield.singular_quadrature import NonconvergenceError
 from capfield.support_finder import (
     SupportMethod,
+    _rim_terms,
     ffunctional_numeric,
     ffunctional_pointcharge,
     ffunctional_quadratic,
@@ -21,6 +22,7 @@ from capfield.support_finder import (
     solve_support_northpole,
     solve_support_pointcharge,
     solve_support_quadratic,
+    solve_support_tabulated,
 )
 
 PI = math.pi
@@ -141,14 +143,91 @@ class TestFFunctionalNumeric:
             expected = PI / (PI - alpha + math.sin(alpha))
             assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_failed_quadrature_raises(self):
-        # adaptive quad across the knots of a 401-sample PCHIP table
-        # detects roundoff; that must not pass as a value
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-4, 1e-2, 1.0, 3.0])
+    @pytest.mark.parametrize("h", [0.5, 0.9, 1.1, 2.0])
+    def test_point_charge_at_small_and_large_rims(self, h, alpha):
+        # near h = 1 the field turns over on the scale |1 - h| at the pole,
+        # and at small rims the edge weight on the scale sqrt(1 - cos alpha)
+        got = ffunctional_numeric(PointChargeField(1.0, h), alpha)
+        assert got == pytest.approx(ffunctional_pointcharge(1.0, h, alpha), rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-4, 1e-2, 1.0, 3.0])
+    def test_quadratic_at_small_and_large_rims(self, alpha):
+        got = ffunctional_numeric(QuadraticField(1.0, 2.5, 2.0), alpha)
+        assert got == pytest.approx(
+            ffunctional_quadratic(1.0, 2.5, 2.0, alpha), rel=0, abs=1e-8
+        )
+
+    def test_coarse_table_matches_closed_form(self):
+        # the panels break at the knots of the 401-sample PCHIP, whose
+        # pieces are exact here: the quadratic is one cubic between knots
         x = np.linspace(-1.0, 1.0, 401)
         field = TabulatedField(x, x * x + 2.5 * x + 2.0)
-        with pytest.raises(NonconvergenceError) as exc:
-            ffunctional_numeric(field, 1.0)
-        assert exc.value.error_bound > 0.0
+        got = ffunctional_numeric(field, 1.0)
+        assert got == pytest.approx(FF_QUAD_AT_1, rel=0, abs=1e-10)
+
+
+def _table(field, samples):
+    x = np.linspace(-1.0, 1.0, samples)
+    return TabulatedField(x, field.value_at_x3(x))
+
+
+# fine tables of the closed-form fields, with their frozen rims
+FINE_TABLES = [
+    (PointChargeField(1.0, 2.0), ALPHA0_PC_12, FQ_PC_12),
+    (PointChargeField(1.0, 0.5), ALPHA0_PC_1HALF, FQ_PC_1HALF),
+    (PointChargeField(2.0, 1.5), ALPHA0_PC_2_15, FQ_PC_2_15),
+    (QuadraticField(1.0, 2.5, 2.0), ALPHA0_QUAD, FQ_QUAD),
+]
+FINE_TABLE_IDS = ["pc-1-2", "pc-1-0.5", "pc-2-1.5", "quad"]
+
+
+class TestSolveSupportTabulated:
+    @pytest.mark.parametrize("field,alpha0,fq", FINE_TABLES, ids=FINE_TABLE_IDS)
+    def test_fine_table_rim(self, field, alpha0, fq):
+        table = _table(field, 1601)
+        sol = solve_support_tabulated(table)
+        assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
+        assert sol.alpha0 == pytest.approx(alpha0, rel=0, abs=1e-8)
+        assert sol.robin_constant == pytest.approx(fq, rel=1e-9)
+        assert abs(sol.residual) < 1e-12
+        assert 0 < sol.iterations <= 20
+        # golden section over the same rule agrees
+        by_min = minimize_ffunctional(table)
+        assert by_min.method is SupportMethod.FFUNCTIONAL_MIN
+        assert by_min.alpha0 == pytest.approx(sol.alpha0, rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize("field", [f for f, _, _ in FINE_TABLES], ids=FINE_TABLE_IDS)
+    def test_residual_changes_sign_once(self, field):
+        # the two-end bracket relies on a single sign change, from
+        # negative at 0+ to positive toward pi
+        table = _table(field, 1601)
+        scan = np.array([_rim_terms(table, a)[1] for a in np.linspace(1e-7, PI - 1e-6, 64)])
+        assert scan[0] < 0.0 < scan[-1]
+        assert np.count_nonzero(np.diff(np.sign(scan))) == 1
+
+    def test_residual_vanishes_at_closed_form_rim(self):
+        fq, residual = _rim_terms(_table(PointChargeField(1.0, 2.0), 1601), ALPHA0_PC_12)
+        assert fq == pytest.approx(FQ_PC_12, rel=1e-9)
+        assert abs(residual) < 1e-8
+
+    def test_linear_table_full_sphere(self):
+        # the functional is flat at 0 and golden section once stalled on it
+        table = TabulatedField(np.array([-1.0, 0.0, 1.0]), np.array([0.2, 0.3, 0.4]))
+        sol = solve_support_tabulated(table)
+        assert sol.method is SupportMethod.FULL_SPHERE
+        assert sol.alpha0 == 0.0
+        assert sol.iterations == 0
+        assert sol.robin_constant == pytest.approx(1.3, rel=0, abs=1e-12)
+        assert sol.residual >= 0.0
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        table = _table(PointChargeField(1.0, 2.0), 201)
+        monkeypatch.setattr(
+            "capfield.support_finder._rim_terms", lambda field, alpha: (1.0, -1.0)
+        )
+        with pytest.raises(NonconvergenceError, match="rim equation"):
+            solve_support_tabulated(table)
 
 
 class TestSolveSupportPointCharge:
