@@ -1,5 +1,6 @@
 """Shared numerical helpers: the nonconvergence error, a bracketed root
-finder, Gauss-Legendre nodes and Richardson differentiation.
+finder, Gauss-Legendre nodes, Richardson differentiation and adaptive
+Chebyshev tables.
 
 Only numpy is imported at module level, so that commands which need no
 quadrature start without scipy.
@@ -171,3 +172,66 @@ def richardson_derivative(
         out[mask] = (8.0 * d_h2 - d_h) / 7.0
 
     return out
+
+
+# Adaptive Chebyshev tables.  The degree doubles from the start degree
+# through nested Chebyshev points until the tail (largest of the last few
+# coefficients over the largest) drops below the tolerance, or until it
+# stops falling below the plateau level, which is the sampled function's
+# own noise: rounding in a Richardson derivative, or the knots of a
+# tabulated field.  A tail still above that level at the cap degree is an
+# unresolved feature of the sampled function.
+_TABLE_START_DEGREE = 16
+_TABLE_MAX_DEGREE = 1024
+_TABLE_TAIL_TERMS = 4
+_TABLE_TAIL_TOL = 1e-13
+_TABLE_PLATEAU_TOL = 1e-8
+
+
+def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through values at cos(j*pi/n), j = 0..n."""
+    from scipy.fft import dct
+
+    n = samples.size - 1
+    coeffs = dct(samples, type=1) / n
+    coeffs[0] *= 0.5
+    coeffs[-1] *= 0.5
+    return coeffs
+
+
+def _tail(coeffs: np.ndarray) -> float:
+    """Largest of the last coefficients relative to the largest overall."""
+    scale = float(np.max(np.abs(coeffs)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(coeffs[-_TABLE_TAIL_TERMS:]))) / scale
+
+
+def chebyshev_table(
+    sample: Callable[[np.ndarray], np.ndarray], what: str
+) -> tuple[np.ndarray, float]:
+    """(coefficients, tail) of a Chebyshev interpolant of sample on [-1, 1].
+
+    sample takes an array of points in [-1, 1] and returns the values
+    there.  The points are nested Chebyshev points of the second kind,
+    so each doubling of the degree reuses the samples already taken.
+    Raises NonconvergenceError, naming what, when the coefficients have
+    not settled by the cap degree or the tail is not finite.
+    """
+    n = _TABLE_START_DEGREE
+    values = sample(np.cos(math.pi * np.arange(n + 1) / n))
+    coeffs = _chebyshev_coefficients(values)
+    tail = _tail(coeffs)
+    while not tail <= _TABLE_TAIL_TOL:
+        # a non-finite tail means the sampled function is unbounded
+        if n >= _TABLE_MAX_DEGREE or not math.isfinite(tail):
+            raise NonconvergenceError(f"{what} unresolved at degree {n}", tail, tail)
+        doubled = np.empty(2 * n + 1)
+        doubled[0::2] = values
+        doubled[1::2] = sample(np.cos(math.pi * (2.0 * np.arange(n) + 1.0) / (2 * n)))
+        n, values = 2 * n, doubled
+        coeffs = _chebyshev_coefficients(values)
+        previous, tail = tail, _tail(coeffs)
+        if tail <= _TABLE_PLATEAU_TOL and tail >= 0.5 * previous:
+            break
+    return coeffs, tail

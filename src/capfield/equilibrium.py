@@ -8,7 +8,11 @@ cases; the general pipeline handles any admissible field through the two
 Abel stages.
 
 All integrations near the rim use the variable s = sqrt(cos(alpha) -
-cos(phi)), in which f*ds-densities are smooth and bounded.
+cos(phi)), in which f*ds-densities are smooth and bounded.  A profile
+backed by a density callable holds sigma(s) = s*f(phi(s)) as an adaptive
+Chebyshev table in a variable graded toward the rim, read out as a cubic
+Hermite spline (`sigma_interpolant`); its integral is the mass, and the
+potentials integrate it against the ring kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from numpy.polynomial.chebyshev import chebder, chebval
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator, PPoly
 
+from ._numerics import chebyshev_table
 from .fields import ExternalField, QuadraticField
 from .geometry import PhiGrid, SphericalCap, _validated_angle
 from .singular_quadrature import (
@@ -36,8 +42,9 @@ PI = math.pi
 # model switches to the analytic edge factor
 RIM_GUARD_BAND = 1e-6
 
-# sample count for the sigma interpolant of pipeline-backed profiles
-_SIGMA_SAMPLES = 256
+# knots of the sigma spline of callable-backed profiles, in each of its two
+# sets: graded toward the rim, and uniform in s
+_SIGMA_KNOTS = 512
 
 
 def edge_factor(alpha, phi):
@@ -188,17 +195,18 @@ class DensityProfile:
     """Radial density samples on a cap, with its rim-variable density.
 
     values[i] is the surface density at grid.nodes[i]; sigma(s) is
-    f(phi(s)) * s in the cap's rim variable (see `sigma_interpolant`),
-    which is what potentials and the mass integrate.  mass is 4 pi times
-    the integral of sigma over [0, smax]; negative_nodes lists indices
-    where the computed density came out negative (flagged, never clamped).
+    f(phi(s)) * s in the cap's rim variable, a piecewise cubic (see
+    `sigma_interpolant`), which is what potentials and the mass
+    integrate.  mass is 4 pi times the integral of sigma over [0, smax];
+    negative_nodes lists indices where the computed density came out
+    negative (flagged, never clamped).
     """
 
     cap: SphericalCap
     grid: PhiGrid
     values: np.ndarray
     robin_constant: Optional[float]
-    sigma: PchipInterpolator = dataclass_field(repr=False)
+    sigma: PPoly = dataclass_field(repr=False)
     mass: float = dataclass_field(init=False)
     negative_nodes: tuple[int, ...] = dataclass_field(init=False)
 
@@ -237,26 +245,47 @@ def sigma_interpolant(
     grid: PhiGrid,
     values: np.ndarray,
     density_fn: Optional[Callable[[np.ndarray], np.ndarray]],
-) -> PchipInterpolator:
-    """Shape-preserving interpolant of sigma(s) = f(phi(s)) * s.
+) -> PPoly:
+    """Piecewise cubic sigma(s) = f(phi(s)) * s in the cap's rim variable.
 
     sigma is smooth and bounded up to s = 0 even though f itself blows up
     at the rim, so this is the right variable for potentials and masses.
-    With a density callable it samples 256 points clear of the rim guard
-    band; otherwise it interpolates the node values.
+    With a density callable, sigma is a Chebyshev table of adaptive degree
+    (see `chebyshev_table`) in the variable u of [0, 1] with
+    s = s_lo + d*sinh(A*u), graded toward the rim on the scale
+    d = max(sqrt(1 - cos(alpha)), s_lo) on which the edge part turns over,
+    however small the rim; a full sphere has no edge part, and d = smax.
+    The samples start at s_lo, clear of the rim guard band, where phi(s)
+    still lies strictly inside the cap.  The result is the cubic Hermite
+    spline through the table's values and exact slopes at fixed knots,
+    graded ones and ones uniform in s, which resolve the field's own
+    scale; its first piece also covers [0, s_lo].  Without a callable it
+    is the shape-preserving interpolant of the node values.
     """
     s_of_phi, phi_of_s, smax = _edge_coordinate_maps(cap)
-    if density_fn is not None:
-        # keep clear of the rim guard band when sampling the density
-        guard_angle = min(cap.alpha + 2.0 * RIM_GUARD_BAND, PI)
-        s_lo = max(1e-3 * smax, float(s_of_phi(guard_angle)))
-        s = np.linspace(s_lo, smax, _SIGMA_SAMPLES)
-        sig = np.asarray(density_fn(phi_of_s(s)), dtype=float) * s
-    else:
+    if density_fn is None:
         s = np.asarray(s_of_phi(grid.nodes))
         order = np.argsort(s)
-        s, sig = s[order], (values * s)[order]
-    return PchipInterpolator(s, sig, extrapolate=True)
+        return PchipInterpolator(s[order], (values * s)[order], extrapolate=True)
+
+    alpha = cap.alpha
+    s_lo = float(s_of_phi(min(alpha + 2.0 * RIM_GUARD_BAND, 0.5 * (alpha + PI))))
+    scale = max(math.sqrt(2.0) * math.sin(0.5 * alpha), s_lo) if alpha > 0.0 else smax
+    stretch = math.asinh((smax - s_lo) / scale)
+
+    def sample(x: np.ndarray) -> np.ndarray:
+        # sigma at the points x = 2*u - 1 of [-1, 1]
+        s = s_lo + scale * np.sinh(0.5 * stretch * (x + 1.0))
+        return s * np.asarray(density_fn(phi_of_s(s)), dtype=float)
+
+    coeffs, _ = chebyshev_table(sample, "sigma table")
+    graded = s_lo + scale * np.sinh(stretch * np.linspace(0.0, 1.0, _SIGMA_KNOTS)[:-1])
+    s = np.union1d(graded, np.linspace(s_lo, smax, _SIGMA_KNOTS))
+    u = np.arcsinh((s - s_lo) / scale) / stretch
+    x = 2.0 * u - 1.0
+    # d(sigma)/ds = d(sigma)/dx * dx/du * du/ds
+    slopes = chebval(x, chebder(coeffs)) * 2.0 / (stretch * scale * np.cosh(stretch * u))
+    return CubicHermiteSpline(s, chebval(x, coeffs), slopes)
 
 
 def profile_from_callable(
@@ -300,7 +329,7 @@ def density_general(
     Runs the two Abel stages on the supplied grid and assembles the density
     as Robin-weighted edge factor plus the field-driven correction.  The
     first stage is tabulated once per call and shared by the node values,
-    the Robin constant and the samples behind the profile's sigma.  The
+    the Robin constant and the profile's sigma table.  The
     grid must stay clear of the rim guard band.  Negative node values are
     flagged in the result, not clamped: they signal that the prescribed cap
     is not the true support.

@@ -14,19 +14,21 @@ once per density as a Chebyshev table of its smooth factor on
 [-1, cos(alpha)], with the degree doubled until the coefficient tail settles
 (see `first_stage_table`); its smooth auxiliary integral is differenced by
 a Richardson stencil.  The second stage differentiates under the integral
-instead: it reads the smooth factor and its exact slope from that table.
+instead: its integrand p - 2*(1-c)*p' is one Chebyshev series, built once
+per table from the table's own coefficients, so each second-stage point
+costs one series evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder, chebmulx, chebval
 
-from ._numerics import NonconvergenceError, gauss_legendre, richardson_derivative
+from ._numerics import chebyshev_table, gauss_legendre, richardson_derivative
 from .fields import ExternalField
 from .geometry import _validated_angle
 
@@ -67,53 +69,35 @@ def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
     return out
 
 
-# Chebyshev table of the first stage.  The degree doubles from the start
-# degree through nested Chebyshev points until the tail (largest of the last
-# few coefficients over the largest) drops below the tolerance, or until it
-# stops falling below the plateau level, which is the sampled function's own
-# noise: rounding in the Richardson derivative, or the knots of a tabulated
-# field.  A tail still above that level at the cap degree is an unresolved
-# feature of the field.
-_TABLE_START_DEGREE = 16
-_TABLE_MAX_DEGREE = 1024
-_TABLE_TAIL_TERMS = 4
-_TABLE_TAIL_TOL = 1e-13
-_TABLE_PLATEAU_TOL = 1e-8
-
-
-def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
-    """Coefficients of the interpolant through values at cos(j*pi/n), j = 0..n."""
-    from scipy.fft import dct
-
-    n = samples.size - 1
-    coeffs = dct(samples, type=1) / n
-    coeffs[0] *= 0.5
-    coeffs[-1] *= 0.5
-    return coeffs
-
-
-def _tail(coeffs: np.ndarray) -> float:
-    """Largest of the last coefficients relative to the largest overall."""
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(coeffs[-_TABLE_TAIL_TERMS:]))) / scale
-
-
 @dataclass(frozen=True, eq=False)
 class FirstStageTable:
     """First Abel stage of a south cap, held as its smooth factor p(c).
 
     The stage is g(c) = -sqrt(1-c) * p(c) / (4*pi) with c = cos(t); p is a
     Chebyshev series on [-1, c_max], c_max the cosine of the rim angle.
-    Calling the table evaluates p, and `slope` the exact derivative dp/dc.
-    tail is the relative size of the last coefficients, an estimate of the
-    table's relative accuracy.
+    Calling the table evaluates p.  The second stage integrates
+    p - 2*(1-c)*p', which the table keeps as one more series of the same
+    degree, built once from its own coefficients.  tail is the relative
+    size of the last coefficients, an estimate of the table's relative
+    accuracy.
     """
 
     coeffs: np.ndarray
     c_max: float
     tail: float
+    _fused: np.ndarray = dataclass_field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # in the table variable x, 1 - c = ((3 - c_max) - (1 + c_max)*x)/2
+        # and dp/dc = 2/(1 + c_max) * dp/dx, so 2*(1-c)*p' is
+        # 2*(3 - c_max)/(1 + c_max) * dp/dx - 2*x*dp/dx.  chebmulx drops
+        # trailing zero coefficients, so each term fills only its own length
+        d = chebder(self.coeffs)
+        xd = chebmulx(d)
+        fused = np.array(self.coeffs, dtype=float)
+        fused[: d.size] -= (2.0 * (3.0 - self.c_max) / (1.0 + self.c_max)) * d
+        fused[: xd.size] += 2.0 * xd
+        object.__setattr__(self, "_fused", fused)
 
     def _x(self, c: np.ndarray) -> np.ndarray:
         return (2.0 * np.asarray(c, dtype=float) + 1.0 - self.c_max) / (1.0 + self.c_max)
@@ -121,8 +105,9 @@ class FirstStageTable:
     def __call__(self, c: np.ndarray) -> np.ndarray:
         return chebval(self._x(c), self.coeffs)
 
-    def slope(self, c: np.ndarray) -> np.ndarray:
-        return chebval(self._x(c), chebder(self.coeffs)) * (2.0 / (1.0 + self.c_max))
+    def _integrand(self, c: np.ndarray) -> np.ndarray:
+        """The second-stage integrand p(c) - 2*(1-c)*p'(c)."""
+        return chebval(self._x(c), self._fused)
 
 
 def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
@@ -133,9 +118,9 @@ def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
     smooth auxiliary integral H so no singular difference quotient forms.
     g is d/dt of 2*sqrt(1+c)*H(c) with dc/dt = -sin(t); every sqrt(1+c)
     factor cancels against sin(t), which leaves the smooth factor
-    p = H + 2*(1+c)*H'.  The samples sit at nested Chebyshev points, so
-    each doubling of the degree reuses the ones already taken.  Raises NonconvergenceError when
-    the coefficients have not settled by the cap degree.
+    p = H + 2*(1+c)*H'.  The table's degree adapts as `chebyshev_table`
+    sets out; raises NonconvergenceError when the coefficients have not
+    settled by the cap degree.
     """
     a = _validated_angle(alpha, name="rim angle")
     c_max = math.cos(a)
@@ -151,24 +136,7 @@ def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
         )
         return h + 2.0 * (1.0 + c) * hp
 
-    n = _TABLE_START_DEGREE
-    values = sample(np.cos(PI * np.arange(n + 1) / n))
-    coeffs = _chebyshev_coefficients(values)
-    tail = _tail(coeffs)
-    while not tail <= _TABLE_TAIL_TOL:
-        # a non-finite tail means the field is unbounded on the cap
-        if n >= _TABLE_MAX_DEGREE or not math.isfinite(tail):
-            raise NonconvergenceError(
-                f"first-stage table unresolved at degree {n}", tail, tail
-            )
-        doubled = np.empty(2 * n + 1)
-        doubled[0::2] = values
-        doubled[1::2] = sample(np.cos(PI * (2.0 * np.arange(n) + 1.0) / (2 * n)))
-        n, values = 2 * n, doubled
-        coeffs = _chebyshev_coefficients(values)
-        previous, tail = tail, _tail(coeffs)
-        if tail <= _TABLE_PLATEAU_TOL and tail >= 0.5 * previous:
-            break
+    coeffs, tail = chebyshev_table(sample, "first-stage table")
     return FirstStageTable(coeffs=coeffs, c_max=c_max, tail=tail)
 
 
@@ -223,5 +191,5 @@ def _stage_F_south_vec(p: FirstStageTable, phi: np.ndarray, alpha: float) -> np.
     m = np.minimum(_depth(phi, alpha), m_max)
     r1 = 2.0 * math.sin(0.5 * alpha) ** 2
     rim = math.sqrt(r1) * float(p(math.cos(alpha)))
-    inner = _second_stage_integral(lambda c: p(c) - 2.0 * (1.0 - c) * p.slope(c), m, alpha)
+    inner = _second_stage_integral(p._integrand, m, alpha)
     return -(rim / np.sqrt(m) + inner) / (2.0 * PI * PI)

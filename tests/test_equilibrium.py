@@ -32,8 +32,9 @@ from capfield.fields import (
     TabulatedField,
     ZeroField,
 )
+from capfield import singular_quadrature
 from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
-from capfield.singular_quadrature import NonconvergenceError
+from capfield._numerics import NonconvergenceError
 from capfield.support_finder import (
     gonchar_heights,
     solve_support_northpole,
@@ -407,6 +408,24 @@ class TestFirstStageTableInPipeline:
         density_general(field, cap, boundary_clustered_grid(cap, 64))
         assert 0 < field.points < 1_000_000
 
+    def test_one_series_per_second_stage_point(self, monkeypatch):
+        # every second-stage integrand point costs one evaluation of one
+        # Chebyshev series: 64 nodes and a sigma table of 33 points, 96
+        # each, plus the pole.  Sampling sigma at 256 points would add
+        # 24,576; a second series per point would double the count
+        points = []
+        evaluate = singular_quadrature.chebval
+
+        def counting(x, c):
+            points.append(np.size(x))
+            return evaluate(x, c)
+
+        monkeypatch.setattr(singular_quadrature, "chebval", counting)
+        cap = south_cap(ALPHA0_PC_12)
+        prof = density_general(PointChargeField(1.0, 2.0), cap, boundary_clustered_grid(cap, 64))
+        assert sum(points) < 15_000
+        assert prof.mass == pytest.approx(1.0, abs=1e-11)
+
     def test_kink_resolves_or_raises(self):
         cap = south_cap(0.5)
         grid = boundary_clustered_grid(cap, 16)
@@ -469,3 +488,50 @@ class TestProfilesAndMass:
             1.0 / capacity_south_cap(PI / 3),
         )
         assert prof.mass == pytest.approx(1.0, abs=1e-7)
+
+
+class TestSigmaTable:
+    @pytest.mark.parametrize("alpha", [0.3, 0.1, 1e-2, 1e-3, 1e-4, 0.0])
+    def test_small_rim_mass(self, alpha):
+        # the edge part turns over on the scale sqrt(1 - cos(alpha)), which
+        # the graded table resolves however small the rim
+        cap = south_cap(alpha)
+        prof = profile_from_callable(
+            cap,
+            boundary_clustered_grid(cap, 64),
+            lambda p: pointcharge_density(0.5, 2.2, alpha, p)[0],
+            None,
+        )
+        assert abs(prof.mass - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("h", [3.0, (1.0 + math.sqrt(5.0)) / 2.0 + 1.0])
+    def test_full_sphere_pipeline_mass(self, h):
+        # beyond and at the critical height of a unit charge
+        cap = south_cap(0.0)
+        grid = boundary_clustered_grid(cap, 64)
+        prof = density_general(PointChargeField(1.0, h), cap, grid)
+        expected, _ = pointcharge_density(1.0, h, 0.0, grid.nodes)
+        assert np.max(np.abs(prof.values - expected)) < 1e-8
+        assert abs(prof.mass - 1.0) <= 1e-11
+
+    def test_spline_matches_the_density(self):
+        # values and slopes of the Hermite spline come from the table, so it
+        # reproduces sigma between its knots too
+        alpha = 0.05
+        cap = south_cap(alpha)
+        prof = profile_from_callable(
+            cap, boundary_clustered_grid(cap, 16), lambda p: nofield_density(alpha, p), None
+        )
+        # s from phi by the product form of cos(alpha) - cos(phi), which
+        # keeps its relative accuracy at the rim
+        phi = np.linspace(alpha + 1e-5, PI, 1001)
+        s = np.sqrt(2.0 * np.sin(0.5 * (phi + alpha)) * np.sin(0.5 * (phi - alpha)))
+        expected = s * nofield_density(alpha, phi)
+        assert np.max(np.abs(prof.sigma(s) - expected)) <= 1e-11 * np.max(expected)
+
+    def test_unresolved_density_raises(self):
+        cap = south_cap(0.5)
+        with pytest.raises(NonconvergenceError, match="sigma table unresolved"):
+            profile_from_callable(
+                cap, boundary_clustered_grid(cap, 8), lambda p: np.sin(1e4 * p), None
+            )

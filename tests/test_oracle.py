@@ -36,7 +36,7 @@ from capfield.oracle import (
     nystrom_solve,
     ring_energy_system,
 )
-from capfield.singular_quadrature import NonconvergenceError
+from capfield._numerics import NonconvergenceError
 
 PI = math.pi
 

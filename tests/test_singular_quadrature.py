@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebder, chebval
 from scipy.integrate import quad
 
 from capfield.fields import (
@@ -18,10 +19,9 @@ from capfield.fields import (
     ZeroField,
 )
 from capfield.geometry import south_cap
+from capfield._numerics import _TABLE_START_DEGREE, _TABLE_TAIL_TOL, NonconvergenceError
 from capfield.singular_quadrature import (
-    _TABLE_START_DEGREE,
-    _TABLE_TAIL_TOL,
-    NonconvergenceError,
+    FirstStageTable,
     _first_stage_integral,
     _second_stage_integral,
     _stage_F_south_vec,
@@ -41,14 +41,22 @@ def uniform_first_stage(t):
 
 
 class SmoothFactor:
-    """A first stage g = -sqrt(1-c) * p(c) / (4*pi) given by p and dp/dc."""
+    """A first stage g = -sqrt(1-c) * p(c) / (4*pi) given by p and dp/dc.
+
+    Like a FirstStageTable, calling it gives p and `_integrand` gives the
+    second-stage integrand p - 2*(1-c)*p'.
+    """
 
     def __init__(self, p, slope) -> None:
         self._p = p
-        self.slope = slope
+        self._slope = slope
 
     def __call__(self, c):
         return self._p(np.asarray(c, dtype=float))
+
+    def _integrand(self, c):
+        c = np.asarray(c, dtype=float)
+        return self._p(c) - 2.0 * (1.0 - c) * self._slope(c)
 
 
 UNIFORM = SmoothFactor(np.ones_like, np.zeros_like)  # the unit constant field
@@ -192,12 +200,30 @@ class TestFirstStageTable:
         assert table.coeffs.size - 1 > _TABLE_START_DEGREE
         assert table.tail <= _TABLE_TAIL_TOL
 
-    def test_slope_is_the_derivative_of_the_table(self):
+    def test_integrand_is_built_from_the_table_derivative(self):
+        # the fused series is p - 2*(1-c)*p' for the table's own p; the
+        # slope it implies matches a central difference of the table, and
+        # the derivative series that numpy forms from the coefficients
         table = first_stage_table(PointChargeField(q=1.0, h=2.0), 0.7)
         c = np.array([-0.95, -0.2, 0.5, math.cos(0.7) - 1e-3])
+        implied = (table(c) - table._integrand(c)) / (2.0 * (1.0 - c))
         step = 1e-5
         central = (table(c + step) - table(c - step)) / (2.0 * step)
-        assert np.allclose(table.slope(c), central, rtol=1e-8, atol=0.0)
+        assert np.allclose(implied, central, rtol=1e-8, atol=0.0)
+        x = (2.0 * c + 1.0 - table.c_max) / (1.0 + table.c_max)
+        exact = chebval(x, chebder(table.coeffs)) * 2.0 / (1.0 + table.c_max)
+        assert np.allclose(implied, exact, rtol=1e-12, atol=0.0)
+
+    def test_integrand_with_trailing_zero_coefficients(self):
+        # a table whose last coefficients are exactly zero, as a polynomial
+        # field's table can be: the fused series keeps the table's length
+        coeffs = np.array([0.5, -0.25, 0.125, 0.0, 0.0])
+        table = FirstStageTable(coeffs=coeffs, c_max=0.3, tail=0.0)
+        c = np.linspace(-1.0, 0.3, 7)
+        x = (2.0 * c + 1.0 - 0.3) / 1.3
+        slope = chebval(x, chebder(coeffs)) * 2.0 / 1.3
+        expected = chebval(x, coeffs) - 2.0 * (1.0 - c) * slope
+        assert np.allclose(table._integrand(c), expected, rtol=0.0, atol=1e-15)
 
     def test_rejects_empty_cap(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from capfield.fields import PointChargeField, QuadraticField, TabulatedField, ZeroField
-from capfield.singular_quadrature import NonconvergenceError
+from capfield._numerics import NonconvergenceError
 from capfield.support_finder import (
     SupportMethod,
     _rim_terms,
