@@ -180,7 +180,10 @@ def richardson_derivative(
 # stops falling below the plateau level, which is the sampled function's
 # own noise: rounding in a Richardson derivative, or the knots of a
 # tabulated field.  A tail still above that level at the cap degree is an
-# unresolved feature of the sampled function.
+# unresolved feature of the sampled function.  A function read from another
+# table can state that table's noise: its degree and relative tail.  From
+# that degree on, a tail at or below that level also ends the loop, since a
+# finer table would resolve only the other table's truncation.
 _TABLE_START_DEGREE = 16
 _TABLE_MAX_DEGREE = 1024
 _TABLE_TAIL_TERMS = 4
@@ -208,21 +211,26 @@ def _tail(coeffs: np.ndarray) -> float:
 
 
 def chebyshev_table(
-    sample: Callable[[np.ndarray], np.ndarray], what: str
+    sample: Callable[[np.ndarray], np.ndarray],
+    what: str,
+    noise: tuple[float, int] = (0.0, 0),
 ) -> tuple[np.ndarray, float]:
     """(coefficients, tail) of a Chebyshev interpolant of sample on [-1, 1].
 
     sample takes an array of points in [-1, 1] and returns the values
     there.  The points are nested Chebyshev points of the second kind,
     so each doubling of the degree reuses the samples already taken.
-    Raises NonconvergenceError, naming what, when the coefficients have
-    not settled by the cap degree or the tail is not finite.
+    noise is (relative tail, degree) of the table that sample reads, if
+    any; the default states none.  Raises NonconvergenceError, naming
+    what, when the coefficients have not settled by the cap degree or the
+    tail is not finite.
     """
+    noise_tail, noise_degree = noise
     n = _TABLE_START_DEGREE
     values = sample(np.cos(math.pi * np.arange(n + 1) / n))
     coeffs = _chebyshev_coefficients(values)
     tail = _tail(coeffs)
-    while not tail <= _TABLE_TAIL_TOL:
+    while not (tail <= _TABLE_TAIL_TOL or (n >= noise_degree and tail <= noise_tail)):
         # a non-finite tail means the sampled function is unbounded
         if n >= _TABLE_MAX_DEGREE or not math.isfinite(tail):
             raise NonconvergenceError(f"{what} unresolved at degree {n}", tail, tail)

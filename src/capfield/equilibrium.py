@@ -245,6 +245,7 @@ def sigma_interpolant(
     grid: PhiGrid,
     values: np.ndarray,
     density_fn: Optional[Callable[[np.ndarray], np.ndarray]],
+    noise: tuple[float, int] = (0.0, 0),
 ) -> PPoly:
     """Piecewise cubic sigma(s) = f(phi(s)) * s in the cap's rim variable.
 
@@ -259,8 +260,10 @@ def sigma_interpolant(
     still lies strictly inside the cap.  The result is the cubic Hermite
     spline through the table's values and exact slopes at fixed knots,
     graded ones and ones uniform in s, which resolve the field's own
-    scale; its first piece also covers [0, s_lo].  Without a callable it
-    is the shape-preserving interpolant of the node values.
+    scale; its first piece also covers [0, s_lo].  noise is (relative
+    tail, degree) of the series the callable reads, if any: the table stops
+    once it is as fine as that.  Without a callable it is the
+    shape-preserving interpolant of the node values.
     """
     s_of_phi, phi_of_s, smax = _edge_coordinate_maps(cap)
     if density_fn is None:
@@ -278,7 +281,7 @@ def sigma_interpolant(
         s = s_lo + scale * np.sinh(0.5 * stretch * (x + 1.0))
         return s * np.asarray(density_fn(phi_of_s(s)), dtype=float)
 
-    coeffs, _ = chebyshev_table(sample, "sigma table")
+    coeffs, _ = chebyshev_table(sample, "sigma table", noise)
     graded = s_lo + scale * np.sinh(stretch * np.linspace(0.0, 1.0, _SIGMA_KNOTS)[:-1])
     s = np.union1d(graded, np.linspace(s_lo, smax, _SIGMA_KNOTS))
     u = np.arcsinh((s - s_lo) / scale) / stretch
@@ -293,10 +296,15 @@ def profile_from_callable(
     grid: PhiGrid,
     fn: Callable[[np.ndarray], np.ndarray],
     robin_constant: Optional[float],
+    noise: tuple[float, int] = (0.0, 0),
 ) -> DensityProfile:
-    """Profile backed by a vectorized density callable."""
+    """Profile backed by a vectorized density callable.
+
+    noise is (relative tail, degree) of the series fn reads, if any (see
+    `sigma_interpolant`).
+    """
     values = np.asarray(fn(grid.nodes), dtype=float)
-    sigma = sigma_interpolant(cap, grid, values, fn)
+    sigma = sigma_interpolant(cap, grid, values, fn, noise)
     return DensityProfile(cap, grid, values, robin_constant, sigma)
 
 
@@ -347,4 +355,7 @@ def density_general(
         phi = np.asarray(phi, dtype=float)
         return fq / (4.0 * PI) * edge_factor(alpha, phi) + _stage_F_south_vec(p, phi, alpha)
 
-    return profile_from_callable(cap, grid, density_fn, fq)
+    # sigma reads the second-stage integrand series: on a field that the
+    # first stage resolves only to its plateau, a sigma table finer than
+    # that series would chase its truncation up to the cap degree
+    return profile_from_callable(cap, grid, density_fn, fq, p.integrand_noise)

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebmulx, chebval
 
-from ._numerics import chebyshev_table, gauss_legendre, richardson_derivative
+from ._numerics import _tail, chebyshev_table, gauss_legendre, richardson_derivative
 from .fields import ExternalField
 from .geometry import _validated_angle
 
@@ -79,13 +79,15 @@ class FirstStageTable:
     p - 2*(1-c)*p', which the table keeps as one more series of the same
     degree, built once from its own coefficients.  tail is the relative
     size of the last coefficients, an estimate of the table's relative
-    accuracy.
+    accuracy; integrand_noise is (relative tail, degree) of that second
+    series, the resolution of anything the second stage computes.
     """
 
     coeffs: np.ndarray
     c_max: float
     tail: float
     _fused: np.ndarray = dataclass_field(init=False, repr=False)
+    integrand_noise: tuple[float, int] = dataclass_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # in the table variable x, 1 - c = ((3 - c_max) - (1 + c_max)*x)/2
@@ -98,6 +100,7 @@ class FirstStageTable:
         fused[: d.size] -= (2.0 * (3.0 - self.c_max) / (1.0 + self.c_max)) * d
         fused[: xd.size] += 2.0 * xd
         object.__setattr__(self, "_fused", fused)
+        object.__setattr__(self, "integrand_noise", (_tail(fused), fused.size - 1))
 
     def _x(self, c: np.ndarray) -> np.ndarray:
         return (2.0 * np.asarray(c, dtype=float) + 1.0 - self.c_max) / (1.0 + self.c_max)

@@ -22,7 +22,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,12 +39,6 @@ PI = math.pi
 # rim angles this close to 0 are reported as a full-sphere support; the
 # distinction below this scale is numerically meaningless
 _FULL_SPHERE_CUTOFF = 1e-6
-
-# numpy's ufuncs under the names of math's functions.  The support
-# equations are written once against either: the sign scan evaluates them
-# over a whole grid of angles, the root finder through math, whose scalar
-# results the solved rims keep to the last bit
-_ARRAYS = SimpleNamespace(cos=np.cos, sin=np.sin, tan=np.tan, atan=np.arctan)
 
 
 class SupportMethod(enum.Enum):
@@ -113,9 +106,9 @@ def _rim_angle(alpha: float) -> float:
     return a
 
 
-def _surface_factor(alpha, fns=math):
+def _surface_factor(alpha: float) -> float:
     # pi over the cap capacity normalizer
-    return PI / (PI - alpha + fns.sin(alpha))
+    return PI / (PI - alpha + math.sin(alpha))
 
 
 def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
@@ -131,19 +124,13 @@ def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
         if h > 1.0:
             return 1.0 + q / h
         return 1.0 + q
-    return _pointcharge_terms(q, h, a, math)
-
-
-def _pointcharge_terms(q: float, h: float, a, fns):
-    # the point charge's F-functional at rim angles 0 < a < pi, through
-    # fns = math or _ARRAYS
-    t = fns.atan((1.0 / fns.tan(0.5 * a)) * (h - 1.0) / (h + 1.0))
+    t = math.atan((1.0 / math.tan(0.5 * a)) * (h - 1.0) / (h + 1.0))
     inner = (
         1.0
         + q * (h + 1.0) / (2.0 * h) * (1.0 - a / PI)
         - q * (h - 1.0) / (PI * h) * t
     )
-    return _surface_factor(a, fns) * inner
+    return _surface_factor(a) * inner
 
 
 def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
@@ -304,9 +291,7 @@ def _root_solution(
 
     The residual is negative at 0+ exactly when a proper cap exists and
     grows to +inf toward pi, so a sign scan over a rim-refined grid finds
-    the unique bracket.  residual(alpha, fns) evaluates the equation
-    through fns: the scan passes _ARRAYS and the whole grid at once, the
-    root finder and the reported residuals take math's default.
+    the unique bracket.
     """
     grid = np.concatenate(
         [
@@ -314,7 +299,7 @@ def _root_solution(
             np.linspace(0.1, hi, 320)[1:],
         ]
     )
-    vals = residual(grid, _ARRAYS)
+    vals = np.array([residual(x) for x in grid])
     exact = np.flatnonzero(vals == 0.0)
     if exact.size:
         root = float(grid[int(exact[0])])
@@ -331,7 +316,7 @@ def _root_solution(
             alpha0=0.0,
             robin_constant=robin_at(0.0),
             method=SupportMethod.FULL_SPHERE,
-            residual=float(residual(float(grid[0]))),
+            residual=float(vals[0]),
             iterations=0,
         )
     i = int(sign_change[0])
@@ -357,9 +342,9 @@ def solve_support_pointcharge(q: float, h: float) -> SupportSolution:
     if h == 1.0:
         return solve_support_northpole(q)
 
-    def residual(a, fns=math):
-        rim_field = q * (h + 1.0) / (h * h + 1.0 - 2.0 * h * fns.cos(a))
-        return _pointcharge_terms(q, h, a, fns) - rim_field
+    def residual(a: float) -> float:
+        rim_field = q * (h + 1.0) / (h * h + 1.0 - 2.0 * h * math.cos(a))
+        return ffunctional_pointcharge(q, h, a) - rim_field
 
     return _root_solution(
         residual,
@@ -407,13 +392,13 @@ def solve_support_quadratic(a: float, b: float, c: float) -> SupportSolution:
     """
     QuadraticField(a, b, c)
 
-    def residual(al, fns=math):
-        ca, sa = fns.cos(al), fns.sin(al)
+    def residual(al: float) -> float:
+        ca, sa = math.cos(al), math.sin(al)
         tail = PI - al
         lhs = (
             8.0 * a * ca**3 * (2.0 * sa + 3.0 * tail)
             + ca**2 * ((2.0 * a + 9.0 * b) * sa - 6.0 * (2.0 * a - 3.0 * b) * tail)
-            + 0.5 * fns.sin(2.0 * al) * (9.0 * b - 22.0 * a)
+            + 0.5 * math.sin(2.0 * al) * (9.0 * b - 22.0 * a)
             + 3.0 * (2.0 * a - 3.0 * b) * tail
             + 9.0 * PI
         )

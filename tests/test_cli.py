@@ -303,6 +303,27 @@ class TestDensityCommand:
         assert summary["alpha0"] == 0.0
         assert abs(summary["mass"] - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "samples,values",
+        [
+            (201, lambda x: 0.919728 * x * x + 2.355968 * x + 2.062475),
+            (201, lambda x: 0.965269 * x * x + 2.346555 * x + 1.817326),
+            (401, lambda x: 0.759799 / np.sqrt(1.0 + 1.565008**2 - 2.0 * 1.565008 * x)),
+        ],
+        ids=["quadratic-201", "quadratic-201-b", "point-charge-401"],
+    )
+    def test_coarse_table_density(self, tmp_path, samples, values):
+        # the first stage of these tables ends on its plateau, so sigma
+        # stops at the resolution of the second-stage series it reads
+        x = np.linspace(-1.0, 1.0, samples)
+        table = write_table(tmp_path / "field.csv", x, values(x))
+        code, summary = run_cli(
+            ["density", "--field", "tabulated", "--table", str(table), "--n", "32"],
+            tmp_path,
+        )
+        assert code == 0
+        assert abs(summary["mass"] - 1.0) <= 1e-6
+
     def test_failure_names_the_failing_operation(self, tmp_path, capsys):
         # the support is found, and the first Abel stage then fails on the
         # knots inside the cap before any density is formed

@@ -1,13 +1,15 @@
-"""The shared numerical helpers: Brent's bracketed root finder."""
+"""The shared numerical helpers: Brent's bracketed root finder and the
+adaptive Chebyshev tables."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from capfield import support_finder
-from capfield._numerics import NonconvergenceError, brent_root
+from capfield._numerics import NonconvergenceError, brent_root, chebyshev_table
 
 
 def _support_brackets(monkeypatch, count: int = 64):
@@ -74,3 +76,16 @@ def test_nonconvergence_carries_the_last_iterate():
         brent_root(lambda x: x - 0.3, 0.0, 1.0, 1e-14, 8.9e-16, maxiter=1)
     assert 0.0 < info.value.estimate < 1.0
     assert 0.0 < info.value.error_bound <= 1.0
+
+
+def test_table_stops_at_the_stated_noise():
+    # |x| has Chebyshev coefficients falling like 1/n^2: no plateau, and a
+    # relative tail near 1e-6 at the cap degree
+    with pytest.raises(NonconvergenceError, match="kink unresolved at degree 1024"):
+        chebyshev_table(np.abs, "kink")
+    coeffs, tail = chebyshev_table(np.abs, "kink", noise=(1e-4, 256))
+    assert coeffs.size - 1 == 256
+    assert tail <= 1e-4
+    # the stated degree holds even where the tail is already below the noise
+    coeffs, _ = chebyshev_table(np.abs, "kink", noise=(1e-2, 256))
+    assert coeffs.size - 1 == 256
