@@ -17,9 +17,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,17 +32,7 @@ from .fields import (
     validate_south_cap_hypotheses,
 )
 from .geometry import boundary_clustered_grid, capacity_south_cap, south_cap
-from .support_finder import (
-    ffunctional_numeric,
-    ffunctional_pointcharge,
-    ffunctional_quadratic,
-    gonchar_heights,
-    minimize_ffunctional,
-    solve_support_northpole,
-    solve_support_pointcharge,
-    solve_support_quadratic,
-    solve_support_tabulated,
-)
+from .support_finder import ffunctional, gonchar_heights, solve_support
 
 # the pipeline, the potentials and the oracles (and with them scipy) are
 # imported by the handlers that call them, so that the closed-form
@@ -66,51 +55,29 @@ _PIN_TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its field, sizes and sinks."""
-
-    command: str
-    field_kind: str = "zero"
-    q: float = 1.0
-    h: float = 2.0
-    a: Optional[float] = None
-    b: Optional[float] = None
-    c: Optional[float] = None
-    table: Optional[str] = None
-    alpha: Optional[float] = None
-    n: int = 64
-    rings: int = 64
-    tol: float = 1e-4
-    mode: str = "nystrom"
-    csv_path: Optional[str] = None
-    json_path: Optional[str] = None
-    pin_path: Optional[str] = None
-    timings_enabled: bool = False
-
-
-def build_field(config: RunConfig) -> ExternalField:
-    kind = config.field_kind
+def build_field(args: argparse.Namespace) -> ExternalField:
+    """The field named by the parsed --field options."""
+    kind = args.field_kind
     if kind == "zero":
         return ZeroField()
     if kind == "point-charge":
-        return PointChargeField(config.q, config.h)
+        return PointChargeField(args.q, args.h)
     if kind == "north-pole":
-        return PointChargeField(config.q, 1.0)
+        return PointChargeField(args.q, 1.0)
     if kind == "quadratic":
-        if None in (config.a, config.b, config.c):
+        if None in (args.a, args.b, args.c):
             raise ValueError("quadratic field needs --a, --b and --c")
-        return QuadraticField(config.a, config.b, config.c)
+        return QuadraticField(args.a, args.b, args.c)
     if kind == "tabulated":
-        if config.table is None:
+        if args.table is None:
             raise ValueError("tabulated field needs --table")
-        return TabulatedField.from_csv(config.table)
+        return TabulatedField.from_csv(args.table)
     raise ValueError(f"unknown field kind {kind!r}")
 
 
-def _admissible_field(config: RunConfig) -> ExternalField:
+def _admissible_field(args: argparse.Namespace) -> ExternalField:
     """The field, refused unless it passes the south-cap hypothesis scan."""
-    field = build_field(config)
+    field = build_field(args)
     report = validate_south_cap_hypotheses(field)
     if not report.passed:
         kind, x3, values = report.first_violation
@@ -145,27 +112,14 @@ def emit_density_table(profile: DensityProfile, field: ExternalField, path) -> P
     return path
 
 
-def _require_alpha(config: RunConfig) -> float:
-    if config.alpha is None:
+def _require_alpha(args: argparse.Namespace) -> float:
+    if args.alpha is None:
         raise ValueError("this command needs --alpha (radians)")
-    return config.alpha
+    return args.alpha
 
 
-def _solve_support(config: RunConfig, field: ExternalField):
-    kind = config.field_kind
-    if kind == "point-charge":
-        return solve_support_pointcharge(config.q, config.h)
-    if kind == "north-pole":
-        return solve_support_northpole(config.q)
-    if kind == "quadratic":
-        return solve_support_quadratic(config.a, config.b, config.c)
-    if kind == "tabulated":
-        return solve_support_tabulated(field)
-    return minimize_ffunctional(field)
-
-
-def _cmd_capacity(config: RunConfig):
-    alpha = _require_alpha(config)
+def _cmd_capacity(args: argparse.Namespace):
+    alpha = _require_alpha(args)
     value = capacity_south_cap(alpha)
     summary = {
         "alpha0": alpha,
@@ -178,9 +132,9 @@ def _cmd_capacity(config: RunConfig):
     return summary, _fmt(value)
 
 
-def _cmd_support(config: RunConfig):
-    field = _admissible_field(config)
-    solution = _solve_support(config, field)
+def _cmd_support(args: argparse.Namespace):
+    field = _admissible_field(args)
+    solution = solve_support(field)
     summary = {
         "alpha0": solution.alpha0,
         "FQ": solution.robin_constant,
@@ -192,16 +146,16 @@ def _cmd_support(config: RunConfig):
     return summary, f"alpha0 = {_fmt(solution.alpha0)} ({solution.method.value})"
 
 
-def _cmd_density(config: RunConfig):
+def _cmd_density(args: argparse.Namespace):
     from .equilibrium import density_general
 
-    field = _admissible_field(config)
-    if config.alpha is not None:
-        alpha = config.alpha
+    field = _admissible_field(args)
+    if args.alpha is not None:
+        alpha = args.alpha
     else:
-        alpha = _solve_support(config, field).alpha0
+        alpha = solve_support(field).alpha0
     cap = south_cap(alpha)
-    grid = boundary_clustered_grid(cap, config.n)
+    grid = boundary_clustered_grid(cap, args.n)
     profile = density_general(field, cap, grid)
     summary = {
         "alpha0": alpha,
@@ -211,26 +165,16 @@ def _cmd_density(config: RunConfig):
         "method": "TwoStageInversion",
         "negative_nodes": len(profile.negative_nodes),
     }
-    if config.csv_path is not None:
-        emit_density_table(profile, field, config.csv_path)
-        summary["csv"] = str(config.csv_path)
+    if args.csv_path is not None:
+        emit_density_table(profile, field, args.csv_path)
+        summary["csv"] = str(args.csv_path)
     return summary, f"alpha0 = {_fmt(alpha)}  mass = {_fmt(profile.mass)}"
 
 
-def _cmd_ffunctional(config: RunConfig):
-    field = build_field(config)
-    alpha = _require_alpha(config)
-    kind = config.field_kind
-    if kind == "zero":
-        value, method = 1.0 / capacity_south_cap(alpha), "ClosedForm"
-    elif kind == "point-charge":
-        value, method = ffunctional_pointcharge(config.q, config.h, alpha), "ClosedForm"
-    elif kind == "north-pole":
-        value, method = ffunctional_pointcharge(config.q, 1.0, alpha), "ClosedForm"
-    elif kind == "quadratic":
-        value, method = ffunctional_quadratic(config.a, config.b, config.c, alpha), "ClosedForm"
-    else:
-        value, method = ffunctional_numeric(field, alpha), "Numeric"
+def _cmd_ffunctional(args: argparse.Namespace):
+    field = build_field(args)
+    alpha = _require_alpha(args)
+    value, method = ffunctional(field, alpha)
     summary = {
         "alpha0": alpha,
         "FQ": None,
@@ -242,15 +186,15 @@ def _cmd_ffunctional(config: RunConfig):
     return summary, _fmt(value)
 
 
-def _cmd_verify(config: RunConfig):
+def _cmd_verify(args: argparse.Namespace):
     from .equilibrium import density_general
     from .potential import verify_equilibrium
 
-    field = _admissible_field(config)
-    alpha = _require_alpha(config)
+    field = _admissible_field(args)
+    alpha = _require_alpha(args)
     cap = south_cap(alpha)
-    profile = density_general(field, cap, boundary_clustered_grid(cap, config.n))
-    report = verify_equilibrium(field, profile, tol=config.tol)
+    profile = density_general(field, cap, boundary_clustered_grid(cap, args.n))
+    report = verify_equilibrium(field, profile, tol=args.tol)
     summary = {
         "alpha0": alpha,
         "FQ": report.robin_constant,
@@ -267,13 +211,13 @@ def _cmd_verify(config: RunConfig):
     return summary, f"verdict = {'pass' if report.verdict else 'fail'}"
 
 
-def _cmd_oracle(config: RunConfig):
+def _cmd_oracle(args: argparse.Namespace):
     from .oracle import discrete_energy_minimize, nystrom_solve
 
-    if config.mode == "nystrom":
-        field = _admissible_field(config)
-        alpha = _require_alpha(config)
-        profile, fq = nystrom_solve(field, south_cap(alpha), config.n)
+    if args.mode == "nystrom":
+        field = _admissible_field(args)
+        alpha = _require_alpha(args)
+        profile, fq = nystrom_solve(field, south_cap(alpha), args.n)
         summary = {
             "alpha0": alpha,
             "FQ": fq,
@@ -281,14 +225,14 @@ def _cmd_oracle(config: RunConfig):
             "residuals": {"mass_error": abs(profile.mass - 1.0)},
             "method": "NystromCollocation",
         }
-        if config.csv_path is not None:
-            emit_density_table(profile, field, config.csv_path)
-            summary["csv"] = str(config.csv_path)
+        if args.csv_path is not None:
+            emit_density_table(profile, field, args.csv_path)
+            summary["csv"] = str(args.csv_path)
         return summary, f"FQ = {_fmt(fq)}"
 
     # the energy oracle assumes no support, so it takes any field
-    field = build_field(config)
-    measure, fq, spread, min_slack = discrete_energy_minimize(field, config.rings)
+    field = build_field(args)
+    measure, fq, spread, min_slack = discrete_energy_minimize(field, args.rings)
     weights = np.asarray(measure.weights)
     active = weights > 0.0
     summary = {
@@ -304,8 +248,8 @@ def _cmd_oracle(config: RunConfig):
     return summary, f"FQ = {_fmt(fq)}  active rings = {int(np.count_nonzero(active))}"
 
 
-def _cmd_gonchar(config: RunConfig):
-    heights = gonchar_heights(config.q)
+def _cmd_gonchar(args: argparse.Namespace):
+    heights = gonchar_heights(args.q)
     summary = {
         "alpha0": None,
         "FQ": None,
@@ -351,16 +295,16 @@ def _pin_compare(golden, fresh, tol: float, trail: str = "") -> list[str]:
     return problems
 
 
-def _apply_pin(config: RunConfig, summary: dict) -> int:
+def _apply_pin(args: argparse.Namespace, summary: dict) -> int:
     """Golden-file workflow: first run records, later runs must agree."""
     pinnable = {k: v for k, v in summary.items() if k != "timings"}
-    path = Path(config.pin_path)
+    path = Path(args.pin_path)
     if not path.exists():
         path.write_text(json.dumps(pinnable, sort_keys=True, indent=2) + "\n")
         print(f"pinned golden summary to {path}", file=sys.stderr)
         return 0
     golden = json.loads(path.read_text())
-    problems = _pin_compare(golden, pinnable, _PIN_TOLERANCES[config.command])
+    problems = _pin_compare(golden, pinnable, _PIN_TOLERANCES[args.command])
     if problems:
         for p in problems:
             print(f"pin mismatch: {p}", file=sys.stderr)
@@ -384,10 +328,10 @@ def _failing_operation(err: BaseException) -> str:
     return where
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
-        summary, line = _HANDLERS[config.command](config)
+        summary, line = _HANDLERS[args.command](args)
     except ValueError as err:
         print(f"validation error in {_failing_operation(err)}: {err}", file=sys.stderr)
         return 2
@@ -399,19 +343,19 @@ def run(config: RunConfig) -> int:
         return 3
 
     summary["timings"] = (
-        {"total_s": time.perf_counter() - started} if config.timings_enabled else {}
+        {"total_s": time.perf_counter() - started} if args.timings_enabled else {}
     )
     status = 0
-    if config.pin_path is not None:
-        status = _apply_pin(config, summary)
+    if args.pin_path is not None:
+        status = _apply_pin(args, summary)
 
     payload = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
     print(line)
-    if config.json_path is not None:
+    if args.json_path is not None:
         try:
-            Path(config.json_path).write_text(payload)
+            Path(args.json_path).write_text(payload)
         except OSError as err:
-            print(f"cannot write summary {config.json_path}: {err}", file=sys.stderr)
+            print(f"cannot write summary {args.json_path}: {err}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(payload)
@@ -482,10 +426,7 @@ def main(argv=None) -> int:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    known = RunConfig.__dataclass_fields__
-    config = RunConfig(**{k: v for k, v in vars(namespace).items() if k in known})
-    return run(config)
-
+    return run(namespace)
 
 if __name__ == "__main__":
     sys.exit(main())

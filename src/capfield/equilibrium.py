@@ -242,18 +242,16 @@ def _edge_coordinate_maps(cap: SphericalCap):
 
 def sigma_interpolant(
     cap: SphericalCap,
-    grid: PhiGrid,
-    values: np.ndarray,
-    density_fn: Optional[Callable[[np.ndarray], np.ndarray]],
-    noise: tuple[float, int] = (0.0, 0),
+    density_fn: Callable[[np.ndarray], np.ndarray],
+    noise: tuple[float, int],
 ) -> PPoly:
     """Piecewise cubic sigma(s) = f(phi(s)) * s in the cap's rim variable.
 
     sigma is smooth and bounded up to s = 0 even though f itself blows up
     at the rim, so this is the right variable for potentials and masses.
-    With a density callable, sigma is a Chebyshev table of adaptive degree
-    (see `chebyshev_table`) in the variable u of [0, 1] with
-    s = s_lo + d*sinh(A*u), graded toward the rim on the scale
+    It is tabulated from the density callable as a Chebyshev series of
+    adaptive degree (see `chebyshev_table`) in the variable u of [0, 1]
+    with s = s_lo + d*sinh(A*u), graded toward the rim on the scale
     d = max(sqrt(1 - cos(alpha)), s_lo) on which the edge part turns over,
     however small the rim; a full sphere has no edge part, and d = smax.
     The samples start at s_lo, clear of the rim guard band, where phi(s)
@@ -262,15 +260,9 @@ def sigma_interpolant(
     graded ones and ones uniform in s, which resolve the field's own
     scale; its first piece also covers [0, s_lo].  noise is (relative
     tail, degree) of the series the callable reads, if any: the table stops
-    once it is as fine as that.  Without a callable it is the
-    shape-preserving interpolant of the node values.
+    once it is as fine as that.
     """
     s_of_phi, phi_of_s, smax = _edge_coordinate_maps(cap)
-    if density_fn is None:
-        s = np.asarray(s_of_phi(grid.nodes))
-        order = np.argsort(s)
-        return PchipInterpolator(s[order], (values * s)[order], extrapolate=True)
-
     alpha = cap.alpha
     s_lo = float(s_of_phi(min(alpha + 2.0 * RIM_GUARD_BAND, 0.5 * (alpha + PI))))
     scale = max(math.sqrt(2.0) * math.sin(0.5 * alpha), s_lo) if alpha > 0.0 else smax
@@ -304,7 +296,7 @@ def profile_from_callable(
     `sigma_interpolant`).
     """
     values = np.asarray(fn(grid.nodes), dtype=float)
-    sigma = sigma_interpolant(cap, grid, values, fn, noise)
+    sigma = sigma_interpolant(cap, fn, noise)
     return DensityProfile(cap, grid, values, robin_constant, sigma)
 
 
@@ -314,11 +306,18 @@ def profile_from_values(
     values: np.ndarray,
     robin_constant: Optional[float],
 ) -> DensityProfile:
-    """Profile backed by node samples only."""
+    """Profile backed by node samples only.
+
+    sigma is the shape-preserving (PCHIP) interpolant of the node values
+    times s, extrapolated to the rim and to smax.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(grid),):
         raise ValueError("values must match the grid node count")
-    sigma = sigma_interpolant(cap, grid, values, None)
+    s_of_phi, _, _ = _edge_coordinate_maps(cap)
+    s = np.asarray(s_of_phi(grid.nodes))
+    order = np.argsort(s)
+    sigma = PchipInterpolator(s[order], (values * s)[order], extrapolate=True)
     return DensityProfile(cap, grid, values, robin_constant, sigma)
 
 

@@ -6,13 +6,16 @@ same angle minimizes the F-functional over cap families.  Both routes are
 implemented so they can cross-check each other.  When the support equation
 has no root in (0, pi) the support is the whole sphere.
 
-The point charge and the quadratic field have both in closed form.  For
-any other field the F-functional is one sum over a fixed Gauss rule in the
-rim variable s = sqrt(cos(alpha) - x3), whose panels break at the knots of
-a tabulated field, so the table's cubic pieces are integrated exactly.  A
+`solve_support(field)` and `ffunctional(field, alpha)` pick the method
+from the field's type.  The point charge and the quadratic field have both
+the F-functional and the support equation in closed form.  For any other
+field the F-functional is one sum over a fixed Gauss rule in the rim
+variable s = sqrt(cos(alpha) - x3), whose panels break at the knots of a
+tabulated field, so the table's cubic pieces are integrated exactly.  A
 table's rim solves the rim equation F_Q(alpha) = p(cos(alpha)), where the
 density's edge coefficient vanishes, on that same rule
-(`solve_support_tabulated`); golden section over the F-functional
+(`solve_support_tabulated`).  Every support equation is solved by one
+bracketed Brent root (`_rim_root`); golden section over the F-functional
 (`minimize_ffunctional`) serves the remaining fields and cross-checks.
 """
 
@@ -31,8 +34,9 @@ from .fields import (
     PointChargeField,
     QuadraticField,
     TabulatedField,
+    ZeroField,
 )
-from .geometry import _validated_angle
+from .geometry import _validated_angle, capacity_south_cap
 
 PI = math.pi
 
@@ -214,12 +218,20 @@ def ffunctional_numeric(field: ExternalField, alpha: float) -> float:
     return _ffunctional_on_rule(a, weights, kappa, q)
 
 
-def _ffunctional_evaluator(field: ExternalField):
+def ffunctional(field: ExternalField, alpha: float) -> tuple[float, str]:
+    """F-functional of the south cap with rim alpha, and how it was taken.
+
+    Returns (value, "ClosedForm") for the zero field (1/capacity), the
+    point charge and the quadratic field, and (value, "Numeric") from the
+    Gauss rule of `ffunctional_numeric` for any other field.
+    """
+    if isinstance(field, ZeroField):
+        return 1.0 / capacity_south_cap(alpha), "ClosedForm"
     if isinstance(field, PointChargeField):
-        return lambda a: ffunctional_pointcharge(field.q, field.h, a)
+        return ffunctional_pointcharge(field.q, field.h, alpha), "ClosedForm"
     if isinstance(field, QuadraticField):
-        return lambda a: ffunctional_quadratic(field.a, field.b, field.c, a)
-    return lambda a: ffunctional_numeric(field, a)
+        return ffunctional_quadratic(field.a, field.b, field.c, alpha), "ClosedForm"
+    return ffunctional_numeric(field, alpha), "Numeric"
 
 
 def minimize_ffunctional(
@@ -233,7 +245,9 @@ def minimize_ffunctional(
     The functional is unimodal on [0, pi) for admissible fields; a minimum
     pinned to the left edge means the support is the whole sphere.
     """
-    f = _ffunctional_evaluator(field)
+    def f(alpha: float) -> float:
+        return ffunctional(field, alpha)[0]
+
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = float(lo), float(hi)
     if not 0.0 <= a < b < PI:
@@ -281,46 +295,31 @@ def minimize_ffunctional(
     )
 
 
-def _root_solution(
-    residual,
-    robin_at,
-    lo: float,
-    hi: float,
-) -> SupportSolution:
+def _rim_root(residual, robin_at, lo: float, hi: float) -> SupportSolution:
     """Root of a support equation on [lo, hi], or a full-sphere verdict.
 
-    The residual is negative at 0+ exactly when a proper cap exists and
-    grows to +inf toward pi, so a sign scan over a rim-refined grid finds
-    the unique bracket.
+    Every support equation here is negative at 0+ exactly when a proper
+    cap exists and grows toward pi, so the two ends of the bracket decide:
+    a residual >= 0 at lo means the whole sphere, one that is not > 0 at
+    hi raises NonconvergenceError, and otherwise Brent's method runs on
+    [lo, hi].  robin_at(alpha) is the Robin constant of the cap with rim
+    alpha.
     """
-    grid = np.concatenate(
-        [
-            np.geomspace(lo, 0.1, 80),
-            np.linspace(0.1, hi, 320)[1:],
-        ]
-    )
-    vals = np.array([residual(x) for x in grid])
-    exact = np.flatnonzero(vals == 0.0)
-    if exact.size:
-        root = float(grid[int(exact[0])])
-        return SupportSolution(
-            alpha0=root,
-            robin_constant=robin_at(root),
-            method=SupportMethod.TRANSCENDENTAL_ROOT,
-            residual=0.0,
-            iterations=0,
-        )
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    if sign_change.size == 0:
+    at_lo = float(residual(lo))
+    if at_lo >= 0.0:
         return SupportSolution(
             alpha0=0.0,
             robin_constant=robin_at(0.0),
             method=SupportMethod.FULL_SPHERE,
-            residual=float(vals[0]),
+            residual=at_lo,
             iterations=0,
         )
-    i = int(sign_change[0])
-    root, iterations = brent_root(residual, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+    at_hi = float(residual(hi))
+    if not at_hi > 0.0:
+        raise NonconvergenceError(
+            f"rim equation keeps its sign on [{lo!r}, {hi!r}]", at_hi, hi - lo
+        )
+    root, iterations = brent_root(residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
     return SupportSolution(
         alpha0=root,
         robin_constant=robin_at(root),
@@ -328,6 +327,23 @@ def _root_solution(
         residual=float(residual(root)),
         iterations=iterations,
     )
+
+
+def solve_support(field: ExternalField) -> SupportSolution:
+    """Support rim angle of the field, by the method its type allows.
+
+    The point charge (the on-sphere equation at h = 1) and the quadratic
+    field solve their closed-form support equations, a table solves the
+    rim equation, and any other field falls back to golden section over
+    the F-functional.
+    """
+    if isinstance(field, PointChargeField):
+        return solve_support_pointcharge(field.q, field.h)
+    if isinstance(field, QuadraticField):
+        return solve_support_quadratic(field.a, field.b, field.c)
+    if isinstance(field, TabulatedField):
+        return solve_support_tabulated(field)
+    return minimize_ffunctional(field)
 
 
 def solve_support_pointcharge(q: float, h: float) -> SupportSolution:
@@ -346,12 +362,7 @@ def solve_support_pointcharge(q: float, h: float) -> SupportSolution:
         rim_field = q * (h + 1.0) / (h * h + 1.0 - 2.0 * h * math.cos(a))
         return ffunctional_pointcharge(q, h, a) - rim_field
 
-    return _root_solution(
-        residual,
-        lambda a: ffunctional_pointcharge(q, h, a),
-        1e-7,
-        PI - 1e-6,
-    )
+    return _rim_root(residual, lambda a: ffunctional_pointcharge(q, h, a), 1e-7, PI - 1e-6)
 
 
 def _robin_northpole(q: float, a: float) -> float:
@@ -372,23 +383,15 @@ def solve_support_northpole(q: float) -> SupportSolution:
     def residual(a: float) -> float:
         return PI * (1.0 - math.cos(a)) - q * (PI - a) * math.cos(a) - q * math.sin(a)
 
-    root, iterations = brent_root(residual, 1e-12, PI, xtol=1e-14, rtol=8.9e-16)
-    return SupportSolution(
-        alpha0=root,
-        robin_constant=_robin_northpole(q, root),
-        method=SupportMethod.TRANSCENDENTAL_ROOT,
-        residual=float(residual(root)),
-        iterations=iterations,
-    )
+    return _rim_root(residual, lambda a: _robin_northpole(q, a), 1e-12, PI)
 
 
 def solve_support_quadratic(a: float, b: float, c: float) -> SupportSolution:
     """Support rim angle for the quadratic field.
 
     The rim condition is polynomial-trigonometric and has alpha = 0 as a
-    spurious root for every admissible coefficient triple, so the scan
-    starts away from zero; no interior sign change means the support is the
-    whole sphere.
+    spurious root for every admissible coefficient triple, so the bracket
+    starts away from zero.
     """
     QuadraticField(a, b, c)
 
@@ -405,12 +408,7 @@ def solve_support_quadratic(a: float, b: float, c: float) -> SupportSolution:
         rhs = 9.0 * ca * (PI + (2.0 * a + b) * tail) - 2.0 * sa * (2.0 * a - 9.0 * b)
         return lhs - rhs
 
-    return _root_solution(
-        residual,
-        lambda al: ffunctional_quadratic(a, b, c, al),
-        1e-4,
-        PI - 1e-6,
-    )
+    return _rim_root(residual, lambda al: ffunctional_quadratic(a, b, c, al), 1e-4, PI - 1e-6)
 
 
 def _rim_terms(field: TabulatedField, alpha: float) -> tuple[float, float]:
@@ -434,35 +432,7 @@ def solve_support_tabulated(field: TabulatedField) -> SupportSolution:
     At the rim the edge coefficient of the density vanishes, so the rim
     solves F_Q(alpha) = p(cos(alpha)) (see `_rim_terms`).  The residual
     F_Q - p is negative at 0+ exactly when a proper cap exists and grows
-    without bound toward pi, so one bracket holds the root; a nonnegative
-    residual at its left end means the whole sphere.  Raises
-    NonconvergenceError when the residual does not turn positive by the
-    right end.
+    without bound toward pi, so one bracket holds the root (`_rim_root`).
     """
     terms = functools.cache(lambda alpha: _rim_terms(field, alpha))
-
-    def residual(alpha: float) -> float:
-        return terms(alpha)[1]
-
-    lo, hi = 1e-7, PI - 1e-6
-    if residual(lo) >= 0.0:
-        return SupportSolution(
-            alpha0=0.0,
-            robin_constant=ffunctional_numeric(field, 0.0),
-            method=SupportMethod.FULL_SPHERE,
-            residual=residual(lo),
-            iterations=0,
-        )
-    if not residual(hi) > 0.0:
-        raise NonconvergenceError(
-            f"rim equation keeps its sign on [{lo!r}, {hi!r}]", residual(hi), hi - lo
-        )
-    root, iterations = brent_root(residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    fq, r = terms(root)
-    return SupportSolution(
-        alpha0=root,
-        robin_constant=fq,
-        method=SupportMethod.TRANSCENDENTAL_ROOT,
-        residual=r,
-        iterations=iterations,
-    )
+    return _rim_root(lambda a: terms(a)[1], lambda a: terms(a)[0], 1e-7, PI - 1e-6)

@@ -95,6 +95,17 @@ class TestSupportCommand:
         assert summary is None
         assert "nonconvergence in support_finder." in capsys.readouterr().err
 
+    def test_residual_keeping_its_sign_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a support equation that never turns positive is a failure, not a
+        # full-sphere support
+        monkeypatch.setattr(support_finder, "ffunctional_pointcharge", lambda q, h, a: -1.0)
+        code, summary = run_cli(
+            ["support", "--field", "point-charge", "--q", "1", "--h", "2"], tmp_path
+        )
+        assert code == 3
+        assert summary is None
+        assert "rim equation keeps its sign" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", [201, 401])
     @pytest.mark.parametrize(
         "values,alpha0",
@@ -129,6 +140,7 @@ class TestSupportCommand:
 # the closed-form commands, each run in a fresh interpreter, since
 # sys.modules only grows within one
 NUMPY_ONLY_COMMANDS = [
+    ["support", "--field", "zero"],
     ["support", "--field", "point-charge", "--q", "1", "--h", "2"],
     ["support", "--field", "point-charge", "--q", "1", "--h", "0.5"],
     ["support", "--field", "north-pole", "--q", "1"],

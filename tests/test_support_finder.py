@@ -5,20 +5,25 @@ tests/oracles/compute_reference_values.py.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from capfield.fields import PointChargeField, QuadraticField, TabulatedField, ZeroField
 from capfield._numerics import NonconvergenceError
+from capfield.geometry import capacity_south_cap
 from capfield.support_finder import (
     SupportMethod,
+    _rim_root,
     _rim_terms,
+    ffunctional,
     ffunctional_numeric,
     ffunctional_pointcharge,
     ffunctional_quadratic,
     gonchar_heights,
     minimize_ffunctional,
+    solve_support,
     solve_support_northpole,
     solve_support_pointcharge,
     solve_support_quadratic,
@@ -350,3 +355,75 @@ class TestMinimizeFFunctional:
     def test_minimum_value_is_robin_constant(self):
         sol = minimize_ffunctional(PointChargeField(1.0, 2.0))
         assert sol.robin_constant == pytest.approx(FQ_PC_12, rel=1e-9)
+
+
+class TestRimRoot:
+    def test_point_charge_full_sphere_exactly_beyond_critical_heights(self):
+        # the sign of the residual at the two bracket ends decides the
+        # method; it must match the critical heights on both sides of the
+        # sphere, away from the transitions themselves
+        rng = random.Random(14001)
+        draws = 0
+        while draws < 600:
+            q, h = rng.uniform(0.05, 5.0), rng.uniform(0.05, 6.0)
+            gh = gonchar_heights(q)
+            if min(abs(h - gh.h_plus), abs(h - gh.h_minus)) < 1e-3:
+                continue
+            draws += 1
+            sol = solve_support_pointcharge(q, h)
+            full = h >= gh.h_plus or h <= gh.h_minus
+            assert (sol.method is SupportMethod.FULL_SPHERE) == full, (q, h)
+            assert (sol.alpha0 == 0.0) == full, (q, h)
+
+    def test_quadratics_agree_with_golden_section(self):
+        rng = random.Random(14002)
+        for _ in range(200):
+            a = rng.uniform(0.05, 3.0)
+            b = a * rng.uniform(2.01, 4.0)
+            c = b * b / (4.0 * a) + rng.uniform(0.0, 3.0)
+            by_root = solve_support_quadratic(a, b, c)
+            by_min = minimize_ffunctional(QuadraticField(a, b, c))
+            full = by_root.method is SupportMethod.FULL_SPHERE
+            assert (by_min.method is SupportMethod.FULL_SPHERE) == full, (a, b, c)
+            assert by_root.alpha0 == pytest.approx(by_min.alpha0, rel=0, abs=1e-6), (a, b, c)
+
+    def test_residual_keeping_its_sign_raises(self):
+        with pytest.raises(NonconvergenceError, match="keeps its sign"):
+            _rim_root(lambda a: -1.0 - a, lambda a: 1.0, 1e-7, PI - 1e-6)
+
+
+PC_TABLE = _table(PointChargeField(1.0, 2.0), 201)
+
+# one field of every kind that solve_support and ffunctional tell apart,
+# with the specific solver and F-functional each must reduce to
+DISPATCH = [
+    (PointChargeField(1.0, 2.0), lambda: solve_support_pointcharge(1.0, 2.0),
+     lambda a: (ffunctional_pointcharge(1.0, 2.0, a), "ClosedForm")),
+    (PointChargeField(0.5, 2.2), lambda: solve_support_pointcharge(0.5, 2.2),
+     lambda a: (ffunctional_pointcharge(0.5, 2.2, a), "ClosedForm")),
+    (PointChargeField(1.5, 1.0), lambda: solve_support_northpole(1.5),
+     lambda a: (ffunctional_pointcharge(1.5, 1.0, a), "ClosedForm")),
+    (QuadraticField(1.0, 2.5, 2.0), lambda: solve_support_quadratic(1.0, 2.5, 2.0),
+     lambda a: (ffunctional_quadratic(1.0, 2.5, 2.0, a), "ClosedForm")),
+    (PC_TABLE, lambda: solve_support_tabulated(PC_TABLE),
+     lambda a: (ffunctional_numeric(PC_TABLE, a), "Numeric")),
+    (ZeroField(), lambda: minimize_ffunctional(ZeroField()),
+     lambda a: (1.0 / capacity_south_cap(a), "ClosedForm")),
+]
+DISPATCH_IDS = ["pc", "pc-full", "north-pole", "quad", "table", "zero"]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("field,solver,_", DISPATCH, ids=DISPATCH_IDS)
+    def test_solve_support_is_the_specific_solver(self, field, solver, _):
+        assert solve_support(field) == solver()
+
+    @pytest.mark.parametrize("field,_,form", DISPATCH, ids=DISPATCH_IDS)
+    def test_ffunctional_is_the_specific_form(self, field, _, form):
+        for alpha in (0.0, 1.0):
+            assert ffunctional(field, alpha) == form(alpha)
+
+    def test_zero_field_support_is_the_whole_sphere(self):
+        sol = solve_support(ZeroField())
+        assert sol.method is SupportMethod.FULL_SPHERE
+        assert sol.robin_constant == 1.0
