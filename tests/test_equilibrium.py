@@ -55,7 +55,8 @@ FQ_QUAD = 2.375621847562275707877242
 
 
 class CountingField(ExternalField):
-    """Delegates to a base field and counts the points it evaluates."""
+    """Delegates to a base field and counts the points it evaluates,
+    values and slopes alike."""
 
     def __init__(self, base: ExternalField) -> None:
         self.base = base
@@ -65,12 +66,19 @@ class CountingField(ExternalField):
         self.points += np.size(x3)
         return self.base.value_at_x3(x3)
 
+    def slope_at_x3(self, x3):
+        self.points += np.size(x3)
+        return self.base.slope_at_x3(x3)
+
 
 class KinkField(ExternalField):
     """Q = 5*max(0, x3 - 0.2): nondecreasing and convex, with a kink."""
 
     def value_at_x3(self, x3):
         return 5.0 * np.maximum(0.0, np.asarray(x3, dtype=float) - 0.2)
+
+    def slope_at_x3(self, x3):
+        return np.where(np.asarray(x3, dtype=float) > 0.2, 5.0, 0.0)
 
 
 def _northpole_case(q: float):

@@ -196,6 +196,46 @@ class TestTabulatedField:
         assert np.max(np.abs(diff)) < 1e-15
 
 
+SLOPE_FIELDS = {
+    "zero": lambda: ZeroField(),
+    "point-charge-outside": lambda: PointChargeField(q=1.3, h=2.0),
+    "point-charge-inside": lambda: PointChargeField(q=0.7, h=0.5),
+    "point-charge-near-sphere": lambda: PointChargeField(q=1.0, h=1.2),
+    "quadratic": lambda: QuadraticField(1.0, 2.5, 2.0),
+    "table": lambda: TabulatedField(np.linspace(-1.0, 1.0, 9),
+                                    1.0 / np.sqrt(5.0 - 4.0 * np.linspace(-1.0, 1.0, 9))),
+    "shifted": lambda: ShiftedField(PointChargeField(q=1.0, h=2.0), 0.75),
+}
+
+
+class TestSlopes:
+    @pytest.mark.parametrize("make", SLOPE_FIELDS.values(), ids=SLOPE_FIELDS.keys())
+    def test_slope_matches_central_difference(self, make):
+        # off the table's knots, one Richardson step on central differences
+        f = make()
+        probe = np.array([-0.97, -0.6, -0.1, 0.3, 0.66, 0.9])
+
+        def central(eps):
+            return (f.value_at_x3(probe + eps) - f.value_at_x3(probe - eps)) / (2.0 * eps)
+
+        extrapolated = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+        slope = f.slope_at_x3(probe)
+        assert slope.shape == probe.shape
+        assert np.allclose(slope, extrapolated, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("make", SLOPE_FIELDS.values(), ids=SLOPE_FIELDS.keys())
+    def test_scalar_slope_matches_array(self, make):
+        f = make()
+        assert f.slope_at_x3(0.25) == pytest.approx(float(f.slope_at_x3(np.array([0.25]))[0]))
+
+    def test_point_charge_slope_closed_form(self):
+        # q*h / d^3 with d^2 = 1 + h^2 - 2*h*x3; unbounded at the north
+        # pole for a charge on the sphere
+        assert PointChargeField(q=1.0, h=2.0).slope_at_x3(-1.0) == pytest.approx(
+            2.0 / 27.0, rel=1e-15)
+        assert PointChargeField(q=1.0, h=1.0).slope_at_x3(1.0) == math.inf
+
+
 class TestShiftedField:
     def test_shift_is_exact_everywhere(self):
         base = PointChargeField(q=1.0, h=2.0)

@@ -16,10 +16,12 @@ from capfield.fields import (
     ExternalField,
     PointChargeField,
     QuadraticField,
+    TabulatedField,
     ZeroField,
 )
 from capfield.geometry import south_cap
 from capfield._numerics import _TABLE_START_DEGREE, _TABLE_TAIL_TOL, NonconvergenceError
+from capfield import singular_quadrature
 from capfield.singular_quadrature import (
     FirstStageTable,
     _first_stage_integral,
@@ -85,21 +87,27 @@ class OscillatingField(ExternalField):
     def value_at_x3(self, x3):
         return np.sin(1e4 * np.asarray(x3, dtype=float))
 
+    def slope_at_x3(self, x3):
+        return 1e4 * np.cos(1e4 * np.asarray(x3, dtype=float))
+
 
 class TestIntegrateSqrtSingular:
-    # H(c) and G(m) are the two stages' inverse-square-root half-integrals
-    # with the singular endpoint removed by substitution
+    # p(c) and G(m) are the two stages' inverse-square-root integrals with
+    # the singular endpoint removed by substitution
 
     def test_sine_over_lower_singularity(self):
         # integral of Qhat(cos(x)) sin(x) / sqrt(cos(t) - cos(x)) over
-        # [t, pi] is 2*sqrt(1+c)*H(c) with c = cos(t); for
+        # [t, pi] is 2*sqrt(1+c)*H(c) with c = cos(t), and p is
+        # sqrt(1+c) times its derivative in c, p = H + 2*(1+c)*H'; for
         # Qhat = a*x^2 + b*x + k, w = c - cos(x) gives
         # H(c) = Qhat(c) - (2ac + b)*L/3 + a*L^2/5 with L = 1 + c
         a, b, k = 1.0, 2.5, 2.0
         field = QuadraticField(a, b, k)
         c = np.cos(np.array([0.3, PI / 2, 2.8]))
         span = 1.0 + c
-        expected = field.value_at_x3(c) - (2.0 * a * c + b) * span / 3.0 + a * span**2 / 5.0
+        h = field.value_at_x3(c) - (2.0 * a * c + b) * span / 3.0 + a * span**2 / 5.0
+        dh = (2.0 * a * c + b) - (2.0 * a * span + 2.0 * a * c + b) / 3.0 + 2.0 * a * span / 5.0
+        expected = h + 2.0 * span * dh
         assert np.allclose(_first_stage_integral(field, c), expected, rtol=0.0, atol=1e-13)
 
     def test_sine_over_upper_singularity(self):
@@ -116,21 +124,22 @@ class TestIntegrateSqrtSingular:
     def test_edge_density_mass_factor(self):
         # integral of sqrt(1-cos(a)) * sin(x) / sqrt(cos(a)-cos(x)) over
         # [a, pi]: the closed form 2*sqrt(1-cos(a))*sqrt(1+cos(a)) collapses
-        # to 2*sin(a)
+        # to 2*sin(a); for a constant field the half-integral is
+        # 2*sqrt(1+c) times p, which is the constant itself
         a = PI / 3
         k = math.sqrt(1.0 - math.cos(a))
-        h = _first_stage_integral(ShiftedField(ZeroField(), k), np.array([math.cos(a)]))
-        assert 2.0 * math.sqrt(1.0 + math.cos(a)) * h[0] == pytest.approx(
+        p = _first_stage_integral(ShiftedField(ZeroField(), k), np.array([math.cos(a)]))
+        assert 2.0 * math.sqrt(1.0 + math.cos(a)) * p[0] == pytest.approx(
             2.0 * math.sin(a), abs=1e-10
         )
 
     def test_desingularized_is_bounded_at_zero(self):
-        # where the interval shrinks to its singular endpoint the
-        # auxiliary integrals tend to the integrand's value there
+        # where the interval shrinks to its singular endpoint p tends to
+        # the field's value there
         field = PointChargeField(q=1.0, h=2.0)
-        h = _first_stage_integral(field, np.array([-1.0, -1.0 + 1e-12]))
-        assert np.all(np.isfinite(h))
-        assert h == pytest.approx(field.value_at_x3(-1.0), rel=1e-11)
+        p = _first_stage_integral(field, np.array([-1.0, -1.0 + 1e-12]))
+        assert np.all(np.isfinite(p))
+        assert p == pytest.approx(field.value_at_x3(-1.0), rel=1e-11)
         # the second stage's range in tau shrinks to tau_max, with
         # tan(tau_max) = sqrt(m / (1 - cos(alpha)))
         m = np.array([0.0, 1e-12])
@@ -149,6 +158,72 @@ class TestIntegrateSqrtSingular:
             first_stage_table(ZeroField(), -0.5)
         with pytest.raises(ValueError):
             first_stage_table(ZeroField(), 4.0)
+
+
+class TestFirstStageIntegral:
+    # p(c) = Q(-1) + 2*sqrt(1+c) * (integral over s in [0, sqrt(1+c)] of
+    # Q'(c - s^2)), from the field's slope
+
+    @pytest.mark.parametrize("h", [0.3, 0.9, 0.99, 1.01, 2.0, 5.0])
+    def test_point_charge_closed_form(self, h):
+        # the point charge q/sqrt(1 + h^2 - 2*h*x3) has p = q*(h+1)/(1 + h^2 - 2*h*c)
+        c = np.array([-1.0, -0.999, -0.5, 0.0, 0.5, 0.9, 0.99])
+        got = _first_stage_integral(PointChargeField(0.7, h), c)
+        expected = 0.7 * (h + 1.0) / (1.0 + h * h - 2.0 * h * c)
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_quadratic_closed_form(self):
+        # Q' = 2*a*x3 + b integrates to 2*a*c + b - 2*a*(1+c)/3 in v = s/sqrt(1+c)
+        a, b, k = 0.9, 2.3, 1.7
+        c = np.linspace(-1.0, 1.0, 9)
+        expected = (a - b + k) + 2.0 * (1.0 + c) * (2.0 * a * c + b - 2.0 * a * (1.0 + c) / 3.0)
+        got = _first_stage_integral(QuadraticField(a, b, k), c)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("samples", [3, 21, 401])
+    def test_table_pieces_match_quad(self, samples):
+        # the per-piece sums against adaptive quad with the knots, mapped
+        # to s = sqrt(c - x_k), as break points
+        x = np.linspace(-1.0, 1.0, samples)
+        table = TabulatedField(x, 1.0 / np.sqrt(5.0 - 4.0 * x))
+        c = np.array([-0.999, -0.3, 0.0, 0.1234, 0.7, 0.95, 1.0])
+        got = _first_stage_integral(table, c)
+        for ci, pi_ in zip(c, got):
+            top = math.sqrt(1.0 + ci)
+            edges = [0.0, *sorted(math.sqrt(ci - xk) for xk in x if -1.0 < xk < ci), top]
+            integral = sum(
+                quad(lambda s: table.slope_at_x3(ci - s * s), lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                for lo, hi in zip(edges[:-1], edges[1:])
+            )
+            expected = table.value_at_x3(-1.0) + 2.0 * top * integral
+            assert pi_ == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_fine_table_is_near_its_field(self):
+        # the PCHIP's pieces are not the sampled quadratic itself, but on
+        # 1601 samples its p agrees with the field's to 4.4e-9
+        x = np.linspace(-1.0, 1.0, 1601)
+        table = TabulatedField(x, x * x + 2.5 * x + 2.0)
+        c = np.linspace(-1.0, 0.9, 7)
+        exact = _first_stage_integral(QuadraticField(1.0, 2.5, 2.0), c)
+        assert np.allclose(_first_stage_integral(table, c), exact, rtol=1e-8, atol=0.0)
+
+    def test_table_range_is_checked(self):
+        table = TabulatedField(np.array([-1.0, 0.0, 0.5]), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(ValueError, match="outside tabulated range"):
+            _first_stage_integral(table, np.array([0.0, 0.6]))
+
+    def test_table_samples_each_point_once(self, monkeypatch):
+        # the table's samples are the only points the first stage takes
+        sizes = []
+        integral = singular_quadrature._first_stage_integral
+
+        def counting(field, c):
+            sizes.append(np.size(c))
+            return integral(field, c)
+
+        monkeypatch.setattr(singular_quadrature, "_first_stage_integral", counting)
+        table = first_stage_table(PointChargeField(q=1.0, h=2.0), 0.7)
+        assert sum(sizes) == table.coeffs.size
 
 
 class TestAbelStageG:

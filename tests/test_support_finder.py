@@ -7,6 +7,7 @@ tests/oracles/compute_reference_values.py.
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from capfield._numerics import NonconvergenceError
 from capfield.geometry import capacity_south_cap
 from capfield.support_finder import (
     SupportMethod,
+    SupportSolution,
     _rim_root,
     _rim_terms,
     ffunctional,
@@ -22,13 +24,13 @@ from capfield.support_finder import (
     ffunctional_pointcharge,
     ffunctional_quadratic,
     gonchar_heights,
-    minimize_ffunctional,
     solve_support,
     solve_support_northpole,
+    solve_support_numeric,
     solve_support_pointcharge,
     solve_support_quadratic,
-    solve_support_tabulated,
 )
+from conftest import ShiftedField, golden_section_support
 
 PI = math.pi
 
@@ -191,15 +193,15 @@ class TestSolveSupportTabulated:
     @pytest.mark.parametrize("field,alpha0,fq", FINE_TABLES, ids=FINE_TABLE_IDS)
     def test_fine_table_rim(self, field, alpha0, fq):
         table = _table(field, 1601)
-        sol = solve_support_tabulated(table)
+        sol = solve_support_numeric(table)
         assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
         assert sol.alpha0 == pytest.approx(alpha0, rel=0, abs=1e-8)
         assert sol.robin_constant == pytest.approx(fq, rel=1e-9)
         assert abs(sol.residual) < 1e-12
         assert 0 < sol.iterations <= 20
         # golden section over the same rule agrees
-        by_min = minimize_ffunctional(table)
-        assert by_min.method is SupportMethod.FFUNCTIONAL_MIN
+        by_min = golden_section_support(table)
+        assert not by_min.full_sphere
         assert by_min.alpha0 == pytest.approx(sol.alpha0, rel=0, abs=1e-6)
 
     @pytest.mark.parametrize("field", [f for f, _, _ in FINE_TABLES], ids=FINE_TABLE_IDS)
@@ -219,7 +221,7 @@ class TestSolveSupportTabulated:
     def test_linear_table_full_sphere(self):
         # the functional is flat at 0 and golden section once stalled on it
         table = TabulatedField(np.array([-1.0, 0.0, 1.0]), np.array([0.2, 0.3, 0.4]))
-        sol = solve_support_tabulated(table)
+        sol = solve_support_numeric(table)
         assert sol.method is SupportMethod.FULL_SPHERE
         assert sol.alpha0 == 0.0
         assert sol.iterations == 0
@@ -232,7 +234,32 @@ class TestSolveSupportTabulated:
             "capfield.support_finder._rim_terms", lambda field, alpha: (1.0, -1.0)
         )
         with pytest.raises(NonconvergenceError, match="rim equation"):
-            solve_support_tabulated(table)
+            solve_support_numeric(table)
+
+
+class TestSolveSupportNumeric:
+    @pytest.mark.parametrize(
+        "base,alpha0",
+        [
+            (PointChargeField(1.0, 2.0), ALPHA0_PC_12),
+            (PointChargeField(1.0, 0.5), ALPHA0_PC_1HALF),
+            (QuadraticField(1.0, 2.5, 2.0), ALPHA0_QUAD),
+        ],
+        ids=["pc-1-2", "pc-1-0.5", "quad"],
+    )
+    def test_shifted_field_keeps_its_rim(self, base, alpha0):
+        # a constant added to the field moves F_Q and p alike, so a field
+        # with no closed form of its own solves the same rim equation
+        sol = solve_support_numeric(ShiftedField(base, 0.75))
+        assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
+        assert sol.alpha0 == pytest.approx(alpha0, rel=0, abs=1e-12)
+        assert abs(sol.residual) < 1e-12
+
+    def test_shifted_weak_charge_full_sphere(self):
+        sol = solve_support_numeric(ShiftedField(PointChargeField(0.5, 2.2), 0.3))
+        assert sol.method is SupportMethod.FULL_SPHERE
+        assert sol.alpha0 == 0.0
+        assert sol.robin_constant == pytest.approx(1.0 + 0.3 + 0.5 / 2.2, rel=1e-12)
 
 
 class TestSolveSupportPointCharge:
@@ -328,8 +355,42 @@ class TestSolveSupportQuadratic:
         with pytest.raises(ValueError):
             solve_support_quadratic(1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [
+            (0.08730614006443245, 0.23640129254397999, 0.6969844506423071),
+            (0.0759, 0.2519, 0.5686),
+        ],
+        ids=["rim-0.021", "rim-0.13"],
+    )
+    def test_small_rim_to_rounding(self, a, b, c):
+        # the rim equation F_Q(alpha) = p(cos(alpha)) has no spurious root
+        # at alpha = 0, so a small rim keeps its digits; the reference
+        # takes p from its defining integral at 40 digits
+        sol = solve_support_quadratic(a, b, c)
+        with mpmath.workdps(40):
+            qa, qb, qc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+
+            def residual(al):
+                x = mpmath.cos(al)
+                bracket = (
+                    mpmath.tan(al / 2)
+                    * (32 * qa * x**3 + 4 * (2 * qa + 9 * qb) * x**2
+                       + 4 * (9 * qc - 5 * qa) * x + 4 * qa - 36 * qb + 36 * qc)
+                    + 12 * (qa + 3 * qc) * (mpmath.pi - al)
+                    + 36 * mpmath.pi
+                )
+                fq = bracket / (36 * (mpmath.pi - al + mpmath.sin(al)))
+                top = mpmath.sqrt(1 + x)
+                slope = mpmath.quad(lambda s: 2 * qa * (x - s * s) + qb, [0, top])
+                return fq - (qa - qb + qc + 2 * top * slope)
+
+            root = mpmath.findroot(residual, mpmath.mpf(sol.alpha0))
+            assert abs(sol.alpha0 - float(root)) < 1e-13
+
 
 class TestMinimizeFFunctional:
+    # golden section over the F-functional, the tests' reference route
     @pytest.mark.parametrize(
         "q,h,alpha_ref",
         [
@@ -338,22 +399,22 @@ class TestMinimizeFFunctional:
         ],
     )
     def test_agrees_with_root_solver(self, q, h, alpha_ref):
-        sol = minimize_ffunctional(PointChargeField(q, h))
-        assert sol.method is SupportMethod.FFUNCTIONAL_MIN
+        sol = golden_section_support(PointChargeField(q, h))
+        assert not sol.full_sphere
         assert sol.alpha0 == pytest.approx(alpha_ref, abs=1e-6)
         assert sol.iterations > 0
 
     def test_full_sphere_case(self):
-        sol = minimize_ffunctional(PointChargeField(0.5, 2.2))
-        assert sol.method is SupportMethod.FULL_SPHERE
+        sol = golden_section_support(PointChargeField(0.5, 2.2))
+        assert sol.full_sphere
         assert sol.alpha0 == 0.0
 
     def test_quadratic_agrees_with_root_solver(self):
-        sol = minimize_ffunctional(QuadraticField(1.0, 2.5, 2.0))
+        sol = golden_section_support(QuadraticField(1.0, 2.5, 2.0))
         assert sol.alpha0 == pytest.approx(ALPHA0_QUAD, abs=1e-6)
 
     def test_minimum_value_is_robin_constant(self):
-        sol = minimize_ffunctional(PointChargeField(1.0, 2.0))
+        sol = golden_section_support(PointChargeField(1.0, 2.0))
         assert sol.robin_constant == pytest.approx(FQ_PC_12, rel=1e-9)
 
 
@@ -382,9 +443,9 @@ class TestRimRoot:
             b = a * rng.uniform(2.01, 4.0)
             c = b * b / (4.0 * a) + rng.uniform(0.0, 3.0)
             by_root = solve_support_quadratic(a, b, c)
-            by_min = minimize_ffunctional(QuadraticField(a, b, c))
+            by_min = golden_section_support(QuadraticField(a, b, c))
             full = by_root.method is SupportMethod.FULL_SPHERE
-            assert (by_min.method is SupportMethod.FULL_SPHERE) == full, (a, b, c)
+            assert by_min.full_sphere == full, (a, b, c)
             assert by_root.alpha0 == pytest.approx(by_min.alpha0, rel=0, abs=1e-6), (a, b, c)
 
     def test_residual_keeping_its_sign_raises(self):
@@ -393,6 +454,7 @@ class TestRimRoot:
 
 
 PC_TABLE = _table(PointChargeField(1.0, 2.0), 201)
+SHIFTED = ShiftedField(PointChargeField(1.0, 2.0), 0.5)
 
 # one field of every kind that solve_support and ffunctional tell apart,
 # with the specific solver and F-functional each must reduce to
@@ -405,12 +467,14 @@ DISPATCH = [
      lambda a: (ffunctional_pointcharge(1.5, 1.0, a), "ClosedForm")),
     (QuadraticField(1.0, 2.5, 2.0), lambda: solve_support_quadratic(1.0, 2.5, 2.0),
      lambda a: (ffunctional_quadratic(1.0, 2.5, 2.0, a), "ClosedForm")),
-    (PC_TABLE, lambda: solve_support_tabulated(PC_TABLE),
+    (PC_TABLE, lambda: solve_support_numeric(PC_TABLE),
      lambda a: (ffunctional_numeric(PC_TABLE, a), "Numeric")),
-    (ZeroField(), lambda: minimize_ffunctional(ZeroField()),
+    (SHIFTED, lambda: solve_support_numeric(SHIFTED),
+     lambda a: (ffunctional_numeric(SHIFTED, a), "Numeric")),
+    (ZeroField(), lambda: SupportSolution(0.0, 1.0, SupportMethod.FULL_SPHERE, 1.0, 0),
      lambda a: (1.0 / capacity_south_cap(a), "ClosedForm")),
 ]
-DISPATCH_IDS = ["pc", "pc-full", "north-pole", "quad", "table", "zero"]
+DISPATCH_IDS = ["pc", "pc-full", "north-pole", "quad", "table", "shifted", "zero"]
 
 
 class TestDispatch:
