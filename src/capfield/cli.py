@@ -328,6 +328,15 @@ def _failing_operation(err: BaseException) -> str:
     return where
 
 
+def _non_finite_keys(summary: dict, trail: str = ""):
+    """Dotted keys of the summary's non-finite numbers, in key order."""
+    for key, value in sorted(summary.items()):
+        if isinstance(value, dict):
+            yield from _non_finite_keys(value, f"{trail}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            yield trail + key
+
+
 def run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
@@ -340,6 +349,12 @@ def run(args: argparse.Namespace) -> int:
         return 2
     except NonconvergenceError as err:
         print(f"nonconvergence in {_failing_operation(err)}: {err}", file=sys.stderr)
+        return 3
+    # an overflow on admissible input leaves inf or nan in the summary,
+    # which is a numerical failure: nothing is pinned, printed or written
+    bad = next(_non_finite_keys(summary), None)
+    if bad is not None:
+        print(f"nonconvergence in {args.command}: non-finite {bad}", file=sys.stderr)
         return 3
 
     summary["timings"] = (

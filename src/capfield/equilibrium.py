@@ -27,7 +27,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator, PPoly
 
 from ._numerics import chebyshev_table
 from .fields import ExternalField, QuadraticField
-from .geometry import PhiGrid, SphericalCap, _validated_angle
+from .geometry import PhiGrid, SphericalCap, _validated_angle, _validated_angles
 from .singular_quadrature import (
     _depth,
     _second_stage_integral,
@@ -55,9 +55,7 @@ def edge_factor(alpha, phi):
     the square root of the rim distance.  Vectorized over phi.
     """
     a = _validated_angle(alpha, name="rim angle")
-    p = np.asarray(phi, dtype=float)
-    if np.any(p < 0.0) or np.any(p > PI):
-        raise ValueError("polar angle must lie in [0, pi]")
+    p = _validated_angles(phi, "polar angle")
     r1 = 2.0 * math.sin(0.5 * a) ** 2
     depth = _depth(p, a)
     if np.any(depth < 0.0):
@@ -84,12 +82,13 @@ def nofield_density(alpha: float, phi):
     return e / (4.0 * (PI - a + math.sin(a)))
 
 
-def _validated_support_angles(alpha0: float, phi) -> np.ndarray:
+def _validated_support_angles(alpha0: float, phi) -> tuple[float, np.ndarray]:
+    """Support rim and polar angles, refused unless each angle lies inside the support."""
     a0 = _validated_angle(alpha0, name="support rim angle")
-    p = np.asarray(phi, dtype=float)
-    if np.any(p <= a0) or np.any(p > PI):
+    p = _validated_angles(phi, "polar angle")
+    if np.any(p <= a0):
         raise ValueError("density is defined for angles strictly inside the support")
-    return p
+    return a0, p
 
 
 def pointcharge_density(q: float, h: float, alpha0: float, phi):
@@ -103,8 +102,7 @@ def pointcharge_density(q: float, h: float, alpha0: float, phi):
         raise ValueError("need q > 0 and h > 0")
     if h == 1.0:
         raise ValueError("charge sits on the sphere; use northpole_density")
-    a0 = _validated_angle(alpha0, name="support rim angle")
-    p = _validated_support_angles(a0, phi)
+    a0, p = _validated_support_angles(alpha0, phi)
 
     fq = ffunctional_pointcharge(q, h, a0)
     e = edge_factor(a0, p)
@@ -134,10 +132,9 @@ def northpole_density(q: float, alpha0: float, phi):
     """
     if not (q > 0.0 and math.isfinite(q)):
         raise ValueError(f"charge must be positive, got q={q!r}")
-    a0 = _validated_angle(alpha0, name="support rim angle")
+    a0, p = _validated_support_angles(alpha0, phi)
     if a0 == 0.0:
         raise ValueError("on-sphere charge support excludes the pole; need alpha0 > 0")
-    p = _validated_support_angles(a0, phi)
 
     fq = (PI + q * (PI - a0)) / (math.sin(a0) + PI - a0)
     e = edge_factor(a0, p)
@@ -154,8 +151,7 @@ def northpole_density(q: float, alpha0: float, phi):
 def quadratic_density(a: float, b: float, c: float, alpha0: float, phi):
     """Density and Robin constant for the quadratic field on a given support."""
     QuadraticField(a, b, c)  # admissibility
-    a0 = _validated_angle(alpha0, name="support rim angle")
-    p = _validated_support_angles(a0, phi)
+    a0, p = _validated_support_angles(alpha0, phi)
 
     fq = ffunctional_quadratic(a, b, c, a0)
     e = edge_factor(a0, p)

@@ -93,6 +93,8 @@ class QuadraticField(ExternalField):
 
     def __post_init__(self) -> None:
         a, b, c = self.a, self.b, self.c
+        if not all(math.isfinite(v) for v in (a, b, c)):
+            raise ValueError(f"coefficients must be finite, got a={a!r}, b={b!r}, c={c!r}")
         if not (a > 0.0 and b > 0.0):
             raise ValueError(f"need a > 0 and b > 0, got a={a!r}, b={b!r}")
         if not 4.0 * a * a < b * b:

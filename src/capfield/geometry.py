@@ -23,6 +23,14 @@ def _validated_angle(value: float, *, name: str = "polar angle") -> float:
     return v
 
 
+def _validated_angles(value, name: str) -> np.ndarray:
+    """value as a float array of polar angles, refused unless all lie in [0, pi]."""
+    angles = np.asarray(value, dtype=float)
+    if np.any(~np.isfinite(angles)) or np.any(angles < 0.0) or np.any(angles > PI):
+        raise ValueError(f"{name} must lie in [0, pi]")
+    return angles
+
+
 @dataclass(frozen=True)
 class SphericalCap:
     """South cap with rim at polar angle alpha.
@@ -60,13 +68,9 @@ class PhiGrid:
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.nodes, dtype=float)
+        arr = _validated_angles(self.nodes, "grid nodes")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("grid nodes must form a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("grid nodes must be finite")
-        if np.any(arr < 0.0) or np.any(arr > PI):
-            raise ValueError("grid nodes must lie in [0, pi]")
         if np.any(np.diff(arr) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         arr.flags.writeable = False

@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from ._numerics import NonconvergenceError
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
 from .fields import ExternalField
-from .geometry import SphericalCap, boundary_clustered_grid
+from .geometry import SphericalCap, _validated_angles, boundary_clustered_grid
 from .potential import _ROW_BLOCK, _panels, kernel_rule, ring_kernel
 
 PI = math.pi
@@ -62,9 +62,7 @@ class DiscreteMeasure:
         angles, weights, halfwidths = self.ring_angles, self.weights, self.ring_halfwidths
         if not (len(angles) == len(weights) == len(halfwidths)) or not angles:
             raise ValueError("ring_angles, weights, ring_halfwidths must share a nonzero length")
-        for a in angles:
-            if not (0.0 <= a <= PI) or not math.isfinite(a):
-                raise ValueError(f"ring angle {a!r} outside [0, pi]")
+        _validated_angles(angles, "ring angles")
         for h in halfwidths:
             if not (h > 0.0) or not math.isfinite(h):
                 raise ValueError("ring half-widths must be positive")

@@ -24,6 +24,7 @@ from scipy.special import ellipkm1
 from ._numerics import NonconvergenceError, gauss_legendre
 from .equilibrium import DensityProfile, _edge_coordinate_maps
 from .fields import ExternalField
+from .geometry import _validated_angles
 from .singular_quadrature import _depth
 
 PI = math.pi
@@ -84,13 +85,6 @@ def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, absdiff):
     """
     mx2 = np.maximum(one_m_cphi * one_p_cxi, one_m_cxi * one_p_cphi)
     return 4.0 * ellipkm1(np.minimum(2.0 * absdiff / mx2, 1.0)) / np.sqrt(mx2)
-
-
-def _validated_angles(value, name: str) -> np.ndarray:
-    angles = np.asarray(value, dtype=float)
-    if np.any(~np.isfinite(angles)) or np.any(angles < 0.0) or np.any(angles > PI):
-        raise ValueError(f"{name} must lie in [0, pi]")
-    return angles
 
 
 def ring_kernel(phi, xi):

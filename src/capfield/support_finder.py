@@ -7,15 +7,16 @@ factor p of the first Abel stage at the rim, where the density's edge
 coefficient vanishes.  When the rim equation has no root in (0, pi) the
 support is the whole sphere.
 
-`solve_support(field)` and `ffunctional(field, alpha)` pick the method
-from the field's type.  The point charge and the quadratic field have F_Q
-and p in closed form, and the zero field's support is the whole sphere.
+Every field has one rim equation, and `_rim_equation` gives its two sides
+from the field's type.  The zero field, the point charge (at any height,
+h = 1 included) and the quadratic field have F_Q and p in closed form.
 For any other field F_Q is one sum over a fixed Gauss rule in the rim
 variable s = sqrt(cos(alpha) - x3), whose panels break at the knots of a
 tabulated field, so the table's cubic pieces are integrated exactly, and p
-comes from `singular_quadrature._first_stage_integral`
-(`solve_support_numeric`).  Every rim equation is solved by one bracketed
-Brent root (`_rim_root`).
+comes from `singular_quadrature._first_stage_integral`.
+`ffunctional(field, alpha)` returns the F_Q side, and `solve_support(field)`
+finds the root by one bracketed Brent root on [1e-12, pi - 1e-6]
+(`_rim_root`).
 """
 
 from __future__ import annotations
@@ -190,14 +191,6 @@ def _rim_rule(field: ExternalField, alpha: float) -> tuple[np.ndarray, np.ndarra
     return np.clip(ca - s * s, -1.0, 1.0), weights, kappa
 
 
-def _ffunctional_on_rule(alpha: float, weights: np.ndarray, kappa: np.ndarray,
-                         q: np.ndarray) -> float:
-    # the field mass and the two edge-weighted field integrals of the
-    # F-functional, in one sum over the rule.  A plain sum, not a BLAS dot:
-    # on a multi-threaded BLAS a dot of this length can cost milliseconds
-    return 0.5 * _surface_factor(alpha) * (2.0 + float(np.sum(weights * kappa * q)))
-
-
 def ffunctional_numeric(field: ExternalField, alpha: float) -> float:
     """F-functional of the south cap with rim alpha by a fixed Gauss rule.
 
@@ -209,157 +202,91 @@ def ffunctional_numeric(field: ExternalField, alpha: float) -> float:
     a = _rim_angle(alpha)
     x3, weights, kappa = _rim_rule(field, a)
     q = np.asarray(field.value_at_x3(x3), dtype=float)
-    return _ffunctional_on_rule(a, weights, kappa, q)
+    # a plain sum, not a BLAS dot: on a multi-threaded BLAS a dot of this
+    # length can cost milliseconds
+    return 0.5 * _surface_factor(a) * (2.0 + float(np.sum(weights * kappa * q)))
+
+
+def _rim_equation(field: ExternalField):
+    """(F_Q(alpha), p(cos(alpha)), method): the two sides of the field's rim equation.
+
+    The zero field, the point charge and the quadratic field have both
+    sides in closed form.  The point charge's p = q*(h+1)/|x - h*e3|^2 at
+    the rim is written with the distance (h-1)^2 + 4h*sin^2(alpha/2),
+    exact at h = 1 and free of cancellation at small rims.  Any other
+    field takes F_Q from the Gauss rule of `ffunctional_numeric` and p
+    from `_first_stage_integral`, imported here so that the closed-form
+    supports start without the Abel stages.
+    """
+    if isinstance(field, ZeroField):
+        return (lambda a: 1.0 / capacity_south_cap(a)), (lambda a: 0.0), "ClosedForm"
+    if isinstance(field, PointChargeField):
+        q, h = field.q, field.h
+
+        def rim_field(a: float) -> float:
+            return q * (h + 1.0) / ((h - 1.0) ** 2 + 4.0 * h * math.sin(0.5 * a) ** 2)
+
+        return (lambda a: ffunctional_pointcharge(q, h, a)), rim_field, "ClosedForm"
+    if isinstance(field, QuadraticField):
+        qa, qb, qc = field.a, field.b, field.c
+
+        def smooth_factor(a: float) -> float:
+            x = math.cos(a)
+            slope = 2.0 * qa * x + qb - 2.0 * qa * (1.0 + x) / 3.0
+            return (qa - qb + qc) + 2.0 * (1.0 + x) * slope
+
+        return (lambda a: ffunctional_quadratic(qa, qb, qc, a)), smooth_factor, "ClosedForm"
+    from .singular_quadrature import _first_stage_integral
+
+    def first_stage(a: float) -> float:
+        return float(_first_stage_integral(field, np.array([math.cos(a)]))[0])
+
+    return (lambda a: ffunctional_numeric(field, a)), first_stage, "Numeric"
 
 
 def ffunctional(field: ExternalField, alpha: float) -> tuple[float, str]:
-    """F-functional of the south cap with rim alpha, and how it was taken.
+    """F-functional of the south cap with rim alpha, and "ClosedForm" or "Numeric"."""
+    fq, _, method = _rim_equation(field)
+    return fq(alpha), method
 
-    Returns (value, "ClosedForm") for the zero field (1/capacity), the
-    point charge and the quadratic field, and (value, "Numeric") from the
-    Gauss rule of `ffunctional_numeric` for any other field.
+
+def _rim_root(terms, lo: float, hi: float) -> SupportSolution:
+    """Root of the rim equation on [lo, hi], or a full-sphere verdict.
+
+    terms(alpha) is (F_Q(alpha), F_Q(alpha) - p(cos(alpha))): the Robin
+    constant of the cap with rim alpha and the residual.  The residual is
+    negative at 0+ exactly when a proper cap exists and grows toward pi,
+    so the two ends of the bracket decide: a residual >= 0 at lo means the
+    whole sphere, one that is not > 0 at hi raises NonconvergenceError,
+    and otherwise Brent's method runs on [lo, hi].
     """
-    if isinstance(field, ZeroField):
-        return 1.0 / capacity_south_cap(alpha), "ClosedForm"
-    if isinstance(field, PointChargeField):
-        return ffunctional_pointcharge(field.q, field.h, alpha), "ClosedForm"
-    if isinstance(field, QuadraticField):
-        return ffunctional_quadratic(field.a, field.b, field.c, alpha), "ClosedForm"
-    return ffunctional_numeric(field, alpha), "Numeric"
-
-
-def _rim_root(residual, robin_at, lo: float, hi: float) -> SupportSolution:
-    """Root of a support equation on [lo, hi], or a full-sphere verdict.
-
-    Every support equation here is negative at 0+ exactly when a proper
-    cap exists and grows toward pi, so the two ends of the bracket decide:
-    a residual >= 0 at lo means the whole sphere, one that is not > 0 at
-    hi raises NonconvergenceError, and otherwise Brent's method runs on
-    [lo, hi].  robin_at(alpha) is the Robin constant of the cap with rim
-    alpha.
-    """
-    at_lo = float(residual(lo))
+    at_lo = float(terms(lo)[1])
     if at_lo >= 0.0:
-        return SupportSolution(
-            alpha0=0.0,
-            robin_constant=robin_at(0.0),
-            method=SupportMethod.FULL_SPHERE,
-            residual=at_lo,
-            iterations=0,
-        )
-    at_hi = float(residual(hi))
+        return SupportSolution(alpha0=0.0, robin_constant=terms(0.0)[0],
+                               method=SupportMethod.FULL_SPHERE, residual=at_lo, iterations=0)
+    at_hi = float(terms(hi)[1])
     if not at_hi > 0.0:
         raise NonconvergenceError(
             f"rim equation keeps its sign on [{lo!r}, {hi!r}]", at_hi, hi - lo
         )
-    root, iterations = brent_root(residual, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return SupportSolution(
-        alpha0=root,
-        robin_constant=robin_at(root),
-        method=SupportMethod.TRANSCENDENTAL_ROOT,
-        residual=float(residual(root)),
-        iterations=iterations,
-    )
+    root, iterations = brent_root(lambda a: terms(a)[1], lo, hi, xtol=1e-14, rtol=8.9e-16)
+    robin, residual = terms(root)
+    return SupportSolution(alpha0=root, robin_constant=robin, residual=float(residual),
+                           method=SupportMethod.TRANSCENDENTAL_ROOT, iterations=iterations)
 
 
 def solve_support(field: ExternalField) -> SupportSolution:
-    """Support rim angle of the field, by the method its type allows.
+    """Support rim angle of the field: the root of F_Q(alpha) = p(cos(alpha)).
 
-    The point charge (the on-sphere equation at h = 1) and the quadratic
-    field solve their closed-form rim equations, the zero field's support
-    is the whole sphere with Robin constant 1, and any other field solves
-    the rim equation numerically.
+    One bracket [1e-12, pi - 1e-6] serves every field (`_rim_root`).  F_Q
+    and p are taken together once per alpha, so the root finder, the
+    residual at the root and the Robin constant share each evaluation.
     """
-    if isinstance(field, PointChargeField):
-        return solve_support_pointcharge(field.q, field.h)
-    if isinstance(field, QuadraticField):
-        return solve_support_quadratic(field.a, field.b, field.c)
-    if isinstance(field, ZeroField):
-        # F_Q(0) - p(1) = 1/capacity(0) - 0
-        return SupportSolution(
-            alpha0=0.0, robin_constant=1.0, method=SupportMethod.FULL_SPHERE,
-            residual=1.0, iterations=0,
-        )
-    return solve_support_numeric(field)
+    fq, p, _ = _rim_equation(field)
 
+    @functools.cache
+    def terms(alpha: float) -> tuple[float, float]:
+        value = fq(alpha)
+        return value, value - p(alpha)
 
-def solve_support_pointcharge(q: float, h: float) -> SupportSolution:
-    """Support rim angle for a point charge q at height h on the axis.
-
-    Solves the rim equation with the closed-form
-    p(x) = q*(h+1)/(1 + h^2 - 2*h*x).  h = 1 is delegated to the on-sphere solver, whose equation
-    is the two-sided limit of this one.
-    """
-    if not (q > 0.0 and h > 0.0):
-        raise ValueError("need q > 0 and h > 0")
-    if h == 1.0:
-        return solve_support_northpole(q)
-
-    def residual(a: float) -> float:
-        rim_field = q * (h + 1.0) / (h * h + 1.0 - 2.0 * h * math.cos(a))
-        return ffunctional_pointcharge(q, h, a) - rim_field
-
-    return _rim_root(residual, lambda a: ffunctional_pointcharge(q, h, a), 1e-7, PI - 1e-6)
-
-
-def _robin_northpole(q: float, a: float) -> float:
-    return (PI + q * (PI - a)) / (math.sin(a) + PI - a)
-
-
-def solve_support_northpole(q: float) -> SupportSolution:
-    """Support rim angle for a charge q sitting at the north pole.
-
-    The rim condition, multiplied through by cos(alpha), is
-    pi*(1 - cos a) - q*(pi - a)*cos a - q*sin a = 0, which is negative at 0
-    and positive at pi for every q > 0, so a root always exists: the
-    support is never the whole sphere.
-    """
-    if not (q > 0.0 and math.isfinite(q)):
-        raise ValueError(f"charge must be positive, got q={q!r}")
-
-    def residual(a: float) -> float:
-        return PI * (1.0 - math.cos(a)) - q * (PI - a) * math.cos(a) - q * math.sin(a)
-
-    return _rim_root(residual, lambda a: _robin_northpole(q, a), 1e-12, PI)
-
-
-def solve_support_quadratic(a: float, b: float, c: float) -> SupportSolution:
-    """Support rim angle for the quadratic field a*x3^2 + b*x3 + c.
-
-    The rim equation F_Q(alpha) = p(cos(alpha)) with the closed-form
-    p(x) = Q(-1) + 2*(1+x)*(2*a*x + b - 2*a*(1+x)/3).
-    """
-    QuadraticField(a, b, c)
-
-    def residual(al: float) -> float:
-        x = math.cos(al)
-        p = (a - b + c) + 2.0 * (1.0 + x) * (2.0 * a * x + b - 2.0 * a * (1.0 + x) / 3.0)
-        return ffunctional_quadratic(a, b, c, al) - p
-
-    return _rim_root(residual, lambda al: ffunctional_quadratic(a, b, c, al), 1e-7, PI - 1e-6)
-
-
-def _rim_terms(field: ExternalField, alpha: float) -> tuple[float, float]:
-    """F_Q(alpha) on `_rim_rule`, and the rim residual F_Q(alpha) - p(cos(alpha)).
-
-    p is the smooth factor of the first Abel stage, from
-    `_first_stage_integral`, imported here so that the closed-form
-    supports start without the Abel stages.
-    """
-    from .singular_quadrature import _first_stage_integral
-
-    x3, weights, kappa = _rim_rule(field, alpha)
-    fq = _ffunctional_on_rule(alpha, weights, kappa, field.value_at_x3(x3))
-    p = float(_first_stage_integral(field, np.array([math.cos(alpha)]))[0])
-    return fq, fq - p
-
-
-def solve_support_numeric(field: ExternalField) -> SupportSolution:
-    """Support rim angle for any field, from the rim equation.
-
-    The residual F_Q - p of `_rim_terms` is negative at 0+ exactly when a
-    proper cap exists and grows without bound toward pi, so one bracket
-    holds the root (`_rim_root`).
-    """
-    terms = functools.cache(lambda alpha: _rim_terms(field, alpha))
-    return _rim_root(lambda a: terms(a)[1], lambda a: terms(a)[0], 1e-7, PI - 1e-6)
+    return _rim_root(terms, 1e-12, PI - 1e-6)

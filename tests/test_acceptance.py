@@ -22,11 +22,7 @@ from capfield.fields import PointChargeField, QuadraticField, ZeroField
 from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
 from capfield.oracle import discrete_energy_minimize, nystrom_solve
 from capfield.potential import verify_equilibrium
-from capfield.support_finder import (
-    gonchar_heights,
-    solve_support_northpole,
-    solve_support_pointcharge,
-)
+from capfield.support_finder import gonchar_heights, solve_support
 from conftest import golden_section_support
 
 PI = math.pi
@@ -83,7 +79,7 @@ def test_criterion_03_root_vs_minimization():
     t0 = time.perf_counter()
     worst = 0.0
     for q, h in ((1.0, 2.0), (1.0, 0.5), (2.0, 1.5), (0.5, 2.2)):
-        by_root = solve_support_pointcharge(q, h).alpha0
+        by_root = solve_support(PointChargeField(q, h)).alpha0
         by_min = golden_section_support(PointChargeField(q, h)).alpha0
         worst = max(worst, abs(by_root - by_min))
     elapsed = time.perf_counter() - t0
@@ -95,9 +91,9 @@ def test_criterion_04_on_sphere_limit():
     t0 = time.perf_counter()
     worst = 0.0
     for q in (0.5, 1.0, 2.0):
-        exact = solve_support_northpole(q).alpha0
+        exact = solve_support(PointChargeField(q, 1.0)).alpha0
         for h in (1.0 - 1e-9, 1.0 + 1e-9):
-            worst = max(worst, abs(solve_support_pointcharge(q, h).alpha0 - exact))
+            worst = max(worst, abs(solve_support(PointChargeField(q, h)).alpha0 - exact))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-6
     _report(4, "on-sphere charge limit", f"worst gap {worst:.1e}", elapsed, 1.0)

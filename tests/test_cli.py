@@ -504,6 +504,31 @@ class TestDeterminism:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["support", "--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "1e308"],
+             "FQ"),
+            (["ffunctional", "--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "1e308",
+              "--alpha", "1"], "ffunctional"),
+            (["ffunctional", "--field", "point-charge", "--q", "1e308", "--h", "1.0000001",
+              "--alpha", "1"], "ffunctional"),
+        ],
+        ids=["support-quadratic", "ffunctional-quadratic", "ffunctional-point-charge"],
+    )
+    def test_overflow_exits_3(self, tmp_path, capsys, argv, key):
+        # admissible, finite input whose summary overflows is a numerical
+        # failure: nothing is pinned, printed or written
+        pin = tmp_path / "golden.json"
+        code, summary = run_cli([*argv, "--pin", str(pin)], tmp_path)
+        assert code == 3
+        assert summary is None
+        assert not pin.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"nonconvergence in {argv[0]}: non-finite {key}" in err
+        assert "Traceback" not in err
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

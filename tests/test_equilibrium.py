@@ -35,11 +35,7 @@ from capfield.fields import (
 from capfield import singular_quadrature
 from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
 from capfield._numerics import NonconvergenceError
-from capfield.support_finder import (
-    gonchar_heights,
-    solve_support_northpole,
-    solve_support_pointcharge,
-)
+from capfield.support_finder import gonchar_heights, solve_support
 from conftest import ShiftedField, uniform_grid
 
 PI = math.pi
@@ -82,7 +78,7 @@ class KinkField(ExternalField):
 
 
 def _northpole_case(q: float):
-    sol = solve_support_northpole(q)
+    sol = solve_support(PointChargeField(q, 1.0))
     return (
         PointChargeField(q, 1.0),
         sol.alpha0,
@@ -183,6 +179,25 @@ class TestEdgeFactor:
     def test_domain_error_outside(self):
         with pytest.raises(ValueError):
             edge_factor(1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "at",
+        [
+            lambda phi: edge_factor(1.0, phi),
+            lambda phi: nofield_density(1.0, phi),
+            lambda phi: pointcharge_density(1.0, 2.0, ALPHA0_PC_12, phi),
+            lambda phi: northpole_density(1.0, 1.1, phi),
+            lambda phi: quadratic_density(1.0, 2.5, 2.0, 1.9, phi),
+        ],
+        ids=["edge-factor", "no-field", "point-charge", "north-pole", "quadratic"],
+    )
+    def test_nan_angle_refused(self, at):
+        # a NaN angle passes every range comparison, so the validator
+        # asks for finite angles first
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            at(math.nan)
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            at(np.array([2.5, math.nan]))
 
 
 class TestNofieldDensity:
@@ -400,7 +415,7 @@ class TestFirstStageTableInPipeline:
     @settings(max_examples=40, deadline=None)
     def test_point_charges_match_closed_form(self, charge):
         q, h = charge
-        alpha0 = solve_support_pointcharge(q, h).alpha0
+        alpha0 = solve_support(PointChargeField(q, h)).alpha0
         cap = south_cap(alpha0)
         grid = boundary_clustered_grid(cap, 16)
         prof = density_general(PointChargeField(q, h), cap, grid)

@@ -91,6 +91,14 @@ class TestQuadraticField:
         with pytest.raises(ValueError):
             QuadraticField(a=a, b=b, c=c)
 
+    @pytest.mark.parametrize(
+        "a,b,c", [(1.0, math.inf, math.inf), (1.0, 2.5, math.inf), (math.nan, 2.5, 2.0)]
+    )
+    def test_rejects_non_finite_coefficients(self, a, b, c):
+        # 4a^2 < b^2 <= 4ac holds for b = c = inf; finiteness is its own check
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticField(a=a, b=b, c=c)
+
     def test_boundary_of_admissible_region_allowed(self):
         # b^2 == 4ac is allowed; the field then vanishes at x3 = -b/2a
         QuadraticField(a=1.0, b=2.5, c=2.5**2 / 4.0)

@@ -10,13 +10,14 @@ from scipy.optimize import brentq
 
 from capfield import support_finder
 from capfield._numerics import NonconvergenceError, brent_root, chebyshev_table
+from capfield.fields import PointChargeField, QuadraticField
 
 
 def _support_brackets(monkeypatch, count: int = 64):
-    """(f, a, b, xtol, rtol) of every root solve made by the support solvers.
+    """(f, a, b, xtol, rtol) of every root solve made by the support finder.
 
-    The residuals are the solvers' own: the point-charge rim equation on
-    both sides of the sphere, the on-sphere one, the quadratic one and the
+    The residuals are its own: the rim equation of a point charge inside,
+    outside and on the sphere and of a quadratic field, and the
     critical-height cubic, for parameters drawn from a fixed seed.
     """
     calls = []
@@ -29,12 +30,13 @@ def _support_brackets(monkeypatch, count: int = 64):
     rng = random.Random(20260)
     for _ in range(count):
         q = rng.uniform(0.3, 3.0)
-        support_finder.solve_support_pointcharge(q, rng.uniform(0.05, 0.99))
-        support_finder.solve_support_pointcharge(q, rng.uniform(1.01, 2.0))
-        support_finder.solve_support_northpole(q)
+        support_finder.solve_support(PointChargeField(q, rng.uniform(0.05, 0.99)))
+        support_finder.solve_support(PointChargeField(q, rng.uniform(1.01, 2.0)))
+        support_finder.solve_support(PointChargeField(q, 1.0))
         a = rng.uniform(0.5, 2.0)
         b = a * rng.uniform(2.05, 3.0)
-        support_finder.solve_support_quadratic(a, b, b * b / (4.0 * a) + rng.uniform(0.0, 1.0))
+        support_finder.solve_support(
+            QuadraticField(a, b, b * b / (4.0 * a) + rng.uniform(0.0, 1.0)))
         support_finder.gonchar_heights(q)
     return calls
 

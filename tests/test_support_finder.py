@@ -16,19 +16,14 @@ from capfield._numerics import NonconvergenceError
 from capfield.geometry import capacity_south_cap
 from capfield.support_finder import (
     SupportMethod,
-    SupportSolution,
+    _rim_equation,
     _rim_root,
-    _rim_terms,
     ffunctional,
     ffunctional_numeric,
     ffunctional_pointcharge,
     ffunctional_quadratic,
     gonchar_heights,
     solve_support,
-    solve_support_northpole,
-    solve_support_numeric,
-    solve_support_pointcharge,
-    solve_support_quadratic,
 )
 from conftest import ShiftedField, golden_section_support
 
@@ -174,6 +169,11 @@ class TestFFunctionalNumeric:
         assert got == pytest.approx(FF_QUAD_AT_1, rel=0, abs=1e-10)
 
 
+def _rim_residual(field, alpha):
+    fq, p, _ = _rim_equation(field)
+    return fq(alpha) - p(alpha)
+
+
 def _table(field, samples):
     x = np.linspace(-1.0, 1.0, samples)
     return TabulatedField(x, field.value_at_x3(x))
@@ -193,7 +193,7 @@ class TestSolveSupportTabulated:
     @pytest.mark.parametrize("field,alpha0,fq", FINE_TABLES, ids=FINE_TABLE_IDS)
     def test_fine_table_rim(self, field, alpha0, fq):
         table = _table(field, 1601)
-        sol = solve_support_numeric(table)
+        sol = solve_support(table)
         assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
         assert sol.alpha0 == pytest.approx(alpha0, rel=0, abs=1e-8)
         assert sol.robin_constant == pytest.approx(fq, rel=1e-9)
@@ -209,19 +209,20 @@ class TestSolveSupportTabulated:
         # the two-end bracket relies on a single sign change, from
         # negative at 0+ to positive toward pi
         table = _table(field, 1601)
-        scan = np.array([_rim_terms(table, a)[1] for a in np.linspace(1e-7, PI - 1e-6, 64)])
+        scan = np.array([_rim_residual(table, a) for a in np.linspace(1e-12, PI - 1e-6, 64)])
         assert scan[0] < 0.0 < scan[-1]
         assert np.count_nonzero(np.diff(np.sign(scan))) == 1
 
     def test_residual_vanishes_at_closed_form_rim(self):
-        fq, residual = _rim_terms(_table(PointChargeField(1.0, 2.0), 1601), ALPHA0_PC_12)
+        table = _table(PointChargeField(1.0, 2.0), 1601)
+        fq, _ = ffunctional(table, ALPHA0_PC_12)
         assert fq == pytest.approx(FQ_PC_12, rel=1e-9)
-        assert abs(residual) < 1e-8
+        assert abs(_rim_residual(table, ALPHA0_PC_12)) < 1e-8
 
     def test_linear_table_full_sphere(self):
         # the functional is flat at 0 and golden section once stalled on it
         table = TabulatedField(np.array([-1.0, 0.0, 1.0]), np.array([0.2, 0.3, 0.4]))
-        sol = solve_support_numeric(table)
+        sol = solve_support(table)
         assert sol.method is SupportMethod.FULL_SPHERE
         assert sol.alpha0 == 0.0
         assert sol.iterations == 0
@@ -231,10 +232,11 @@ class TestSolveSupportTabulated:
     def test_no_sign_change_raises(self, monkeypatch):
         table = _table(PointChargeField(1.0, 2.0), 201)
         monkeypatch.setattr(
-            "capfield.support_finder._rim_terms", lambda field, alpha: (1.0, -1.0)
+            "capfield.support_finder._rim_equation",
+            lambda field: (lambda a: 1.0, lambda a: 2.0, "Numeric"),
         )
         with pytest.raises(NonconvergenceError, match="rim equation"):
-            solve_support_numeric(table)
+            solve_support(table)
 
 
 class TestSolveSupportNumeric:
@@ -250,13 +252,13 @@ class TestSolveSupportNumeric:
     def test_shifted_field_keeps_its_rim(self, base, alpha0):
         # a constant added to the field moves F_Q and p alike, so a field
         # with no closed form of its own solves the same rim equation
-        sol = solve_support_numeric(ShiftedField(base, 0.75))
+        sol = solve_support(ShiftedField(base, 0.75))
         assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
         assert sol.alpha0 == pytest.approx(alpha0, rel=0, abs=1e-12)
         assert abs(sol.residual) < 1e-12
 
     def test_shifted_weak_charge_full_sphere(self):
-        sol = solve_support_numeric(ShiftedField(PointChargeField(0.5, 2.2), 0.3))
+        sol = solve_support(ShiftedField(PointChargeField(0.5, 2.2), 0.3))
         assert sol.method is SupportMethod.FULL_SPHERE
         assert sol.alpha0 == 0.0
         assert sol.robin_constant == pytest.approx(1.0 + 0.3 + 0.5 / 2.2, rel=1e-12)
@@ -264,7 +266,7 @@ class TestSolveSupportNumeric:
 
 class TestSolveSupportPointCharge:
     def test_frozen_outside_charge(self):
-        sol = solve_support_pointcharge(1.0, 2.0)
+        sol = solve_support(PointChargeField(1.0, 2.0))
         assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
         assert sol.alpha0 == pytest.approx(ALPHA0_PC_12, abs=1e-12)
         assert sol.robin_constant == pytest.approx(FQ_PC_12, rel=1e-12)
@@ -272,56 +274,72 @@ class TestSolveSupportPointCharge:
         assert sol.iterations > 0
 
     def test_frozen_inside_charge(self):
-        sol = solve_support_pointcharge(1.0, 0.5)
+        sol = solve_support(PointChargeField(1.0, 0.5))
         assert sol.alpha0 == pytest.approx(ALPHA0_PC_1HALF, abs=1e-12)
         assert sol.robin_constant == pytest.approx(FQ_PC_1HALF, rel=1e-12)
 
     def test_frozen_strong_charge(self):
-        sol = solve_support_pointcharge(2.0, 1.5)
+        sol = solve_support(PointChargeField(2.0, 1.5))
         assert sol.alpha0 == pytest.approx(ALPHA0_PC_2_15, abs=1e-12)
         assert sol.robin_constant == pytest.approx(FQ_PC_2_15, rel=1e-12)
 
     def test_weak_far_charge_full_sphere(self):
-        sol = solve_support_pointcharge(0.5, 2.2)
+        sol = solve_support(PointChargeField(0.5, 2.2))
         assert sol.method is SupportMethod.FULL_SPHERE
         assert sol.alpha0 == 0.0
 
     def test_critical_height_transition(self):
         gh = gonchar_heights(1.0)
-        just_below = solve_support_pointcharge(1.0, gh.h_plus - 1e-3)
-        just_above = solve_support_pointcharge(1.0, gh.h_plus + 1e-3)
+        just_below = solve_support(PointChargeField(1.0, gh.h_plus - 1e-3))
+        just_above = solve_support(PointChargeField(1.0, gh.h_plus + 1e-3))
         assert just_below.method is SupportMethod.TRANSCENDENTAL_ROOT
         assert just_below.alpha0 > 0.0
         assert just_above.method is SupportMethod.FULL_SPHERE
         # inside the sphere the inequality flips
-        below = solve_support_pointcharge(1.0, gh.h_minus - 1e-3)
-        above = solve_support_pointcharge(1.0, gh.h_minus + 1e-3)
+        below = solve_support(PointChargeField(1.0, gh.h_minus - 1e-3))
+        above = solve_support(PointChargeField(1.0, gh.h_minus + 1e-3))
         assert below.method is SupportMethod.FULL_SPHERE
         assert above.method is SupportMethod.TRANSCENDENTAL_ROOT
 
     def test_on_sphere_height_delegates(self):
-        sol = solve_support_pointcharge(1.0, 1.0)
+        sol = solve_support(PointChargeField(1.0, 1.0))
         assert sol.alpha0 == pytest.approx(ALPHA0_NP[1.0], abs=1e-12)
 
 
 class TestSolveSupportNorthpole:
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
     def test_frozen_values(self, q):
-        sol = solve_support_northpole(q)
+        sol = solve_support(PointChargeField(q, 1.0))
         assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
         assert sol.alpha0 == pytest.approx(ALPHA0_NP[q], abs=1e-12)
         assert abs(sol.residual) < 1e-12
 
     def test_never_full_sphere(self):
         for q in (1e-4, 0.1, 10.0, 1e4):
-            sol = solve_support_northpole(q)
+            sol = solve_support(PointChargeField(q, 1.0))
             assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
             assert 0.0 < sol.alpha0 < PI
 
+    @pytest.mark.parametrize("q", [1e-20, 1e-16, 1e-10, 1e-4, 0.5, 2.0, 1e4])
+    def test_rim_to_rounding(self, q):
+        # the rim of a weak charge is about sqrt(2q), so 1 - cos(alpha) is
+        # far below one ulp of 1; the reference solves
+        # pi*(1 - cos a) - q*(pi - a)*cos a - q*sin a = 0 at 40 digits
+        sol = solve_support(PointChargeField(q, 1.0))
+        with mpmath.workdps(40):
+            qq = mpmath.mpf(q)
+
+            def residual(a):
+                return (2 * mpmath.pi * mpmath.sin(a / 2) ** 2
+                        - qq * (mpmath.pi - a) * mpmath.cos(a) - qq * mpmath.sin(a))
+
+            root = mpmath.findroot(residual, mpmath.mpf(sol.alpha0))
+            assert abs(sol.alpha0 - float(root)) < 5e-14
+
     def test_matches_near_unit_heights(self):
-        sol = solve_support_northpole(1.0)
+        sol = solve_support(PointChargeField(1.0, 1.0))
         for h in (1.0 + 1e-9, 1.0 - 1e-9):
-            near = solve_support_pointcharge(1.0, h)
+            near = solve_support(PointChargeField(1.0, h))
             assert near.alpha0 == pytest.approx(sol.alpha0, abs=1e-6)
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -329,9 +347,9 @@ class TestSolveSupportNorthpole:
     def test_point_charge_rim_tends_to_it_linearly(self, q, side):
         # the rim is continuous through h = 1 from either side: each tenfold
         # step of h toward 1 shrinks the gap to the on-sphere rim tenfold
-        on_sphere = solve_support_northpole(q).alpha0
+        on_sphere = solve_support(PointChargeField(q, 1.0)).alpha0
         steps = [10.0**-k for k in (2, 3, 4)]
-        gaps = [abs(solve_support_pointcharge(q, 1.0 + side * e).alpha0 - on_sphere)
+        gaps = [abs(solve_support(PointChargeField(q, 1.0 + side * e)).alpha0 - on_sphere)
                 for e in steps]
         assert all(0.0 < g < e for g, e in zip(gaps, steps))
         for k in range(len(steps) - 1):
@@ -340,20 +358,20 @@ class TestSolveSupportNorthpole:
 
 class TestSolveSupportQuadratic:
     def test_frozen_value(self):
-        sol = solve_support_quadratic(1.0, 2.5, 2.0)
+        sol = solve_support(QuadraticField(1.0, 2.5, 2.0))
         assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
         assert sol.alpha0 == pytest.approx(ALPHA0_QUAD, abs=1e-12)
         assert sol.robin_constant == pytest.approx(FQ_QUAD, rel=1e-12)
 
     def test_near_constant_field_full_sphere(self):
         # a tiny admissible quadratic perturbation keeps the support whole
-        sol = solve_support_quadratic(1e-4, 1e-3, 0.1)
+        sol = solve_support(QuadraticField(1e-4, 1e-3, 0.1))
         assert sol.method is SupportMethod.FULL_SPHERE
         assert sol.alpha0 == 0.0
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
-            solve_support_quadratic(1.0, 1.0, 2.0)
+            solve_support(QuadraticField(1.0, 1.0, 2.0))
 
     @pytest.mark.parametrize(
         "a,b,c",
@@ -367,7 +385,7 @@ class TestSolveSupportQuadratic:
         # the rim equation F_Q(alpha) = p(cos(alpha)) has no spurious root
         # at alpha = 0, so a small rim keeps its digits; the reference
         # takes p from its defining integral at 40 digits
-        sol = solve_support_quadratic(a, b, c)
+        sol = solve_support(QuadraticField(a, b, c))
         with mpmath.workdps(40):
             qa, qb, qc = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
 
@@ -431,7 +449,7 @@ class TestRimRoot:
             if min(abs(h - gh.h_plus), abs(h - gh.h_minus)) < 1e-3:
                 continue
             draws += 1
-            sol = solve_support_pointcharge(q, h)
+            sol = solve_support(PointChargeField(q, h))
             full = h >= gh.h_plus or h <= gh.h_minus
             assert (sol.method is SupportMethod.FULL_SPHERE) == full, (q, h)
             assert (sol.alpha0 == 0.0) == full, (q, h)
@@ -442,7 +460,7 @@ class TestRimRoot:
             a = rng.uniform(0.05, 3.0)
             b = a * rng.uniform(2.01, 4.0)
             c = b * b / (4.0 * a) + rng.uniform(0.0, 3.0)
-            by_root = solve_support_quadratic(a, b, c)
+            by_root = solve_support(QuadraticField(a, b, c))
             by_min = golden_section_support(QuadraticField(a, b, c))
             full = by_root.method is SupportMethod.FULL_SPHERE
             assert by_min.full_sphere == full, (a, b, c)
@@ -450,37 +468,48 @@ class TestRimRoot:
 
     def test_residual_keeping_its_sign_raises(self):
         with pytest.raises(NonconvergenceError, match="keeps its sign"):
-            _rim_root(lambda a: -1.0 - a, lambda a: 1.0, 1e-7, PI - 1e-6)
+            _rim_root(lambda a: (1.0, -1.0 - a), 1e-7, PI - 1e-6)
 
 
 PC_TABLE = _table(PointChargeField(1.0, 2.0), 201)
 SHIFTED = ShiftedField(PointChargeField(1.0, 2.0), 0.5)
 
+ROOT = SupportMethod.TRANSCENDENTAL_ROOT
+FULL = SupportMethod.FULL_SPHERE
+
 # one field of every kind that solve_support and ffunctional tell apart,
-# with the specific solver and F-functional each must reduce to
+# with its support (method, rim and the rim's tolerance) and the
+# F-functional form it must reduce to
 DISPATCH = [
-    (PointChargeField(1.0, 2.0), lambda: solve_support_pointcharge(1.0, 2.0),
+    (PointChargeField(1.0, 2.0), (ROOT, ALPHA0_PC_12, 1e-12),
      lambda a: (ffunctional_pointcharge(1.0, 2.0, a), "ClosedForm")),
-    (PointChargeField(0.5, 2.2), lambda: solve_support_pointcharge(0.5, 2.2),
+    (PointChargeField(0.5, 2.2), (FULL, 0.0, 0.0),
      lambda a: (ffunctional_pointcharge(0.5, 2.2, a), "ClosedForm")),
-    (PointChargeField(1.5, 1.0), lambda: solve_support_northpole(1.5),
-     lambda a: (ffunctional_pointcharge(1.5, 1.0, a), "ClosedForm")),
-    (QuadraticField(1.0, 2.5, 2.0), lambda: solve_support_quadratic(1.0, 2.5, 2.0),
+    (PointChargeField(2.0, 1.0), (ROOT, ALPHA0_NP[2.0], 1e-12),
+     lambda a: (ffunctional_pointcharge(2.0, 1.0, a), "ClosedForm")),
+    (QuadraticField(1.0, 2.5, 2.0), (ROOT, ALPHA0_QUAD, 1e-12),
      lambda a: (ffunctional_quadratic(1.0, 2.5, 2.0, a), "ClosedForm")),
-    (PC_TABLE, lambda: solve_support_numeric(PC_TABLE),
+    (PC_TABLE, (ROOT, ALPHA0_PC_12, 1e-6),
      lambda a: (ffunctional_numeric(PC_TABLE, a), "Numeric")),
-    (SHIFTED, lambda: solve_support_numeric(SHIFTED),
+    (SHIFTED, (ROOT, ALPHA0_PC_12, 1e-12),
      lambda a: (ffunctional_numeric(SHIFTED, a), "Numeric")),
-    (ZeroField(), lambda: SupportSolution(0.0, 1.0, SupportMethod.FULL_SPHERE, 1.0, 0),
+    (ZeroField(), (FULL, 0.0, 0.0),
      lambda a: (1.0 / capacity_south_cap(a), "ClosedForm")),
 ]
 DISPATCH_IDS = ["pc", "pc-full", "north-pole", "quad", "table", "shifted", "zero"]
 
 
 class TestDispatch:
-    @pytest.mark.parametrize("field,solver,_", DISPATCH, ids=DISPATCH_IDS)
-    def test_solve_support_is_the_specific_solver(self, field, solver, _):
-        assert solve_support(field) == solver()
+    @pytest.mark.parametrize("field,expected,form", DISPATCH, ids=DISPATCH_IDS)
+    def test_solve_support_is_the_specific_solver(self, field, expected, form):
+        # the rim of the field's own equation, whose Robin constant is the
+        # field's F-functional form at that rim
+        method, alpha0, tol = expected
+        sol = solve_support(field)
+        assert sol.method is method
+        assert sol.alpha0 == pytest.approx(alpha0, rel=0, abs=tol)
+        assert sol.robin_constant == form(sol.alpha0)[0]
+        assert (sol.iterations == 0) == (method is FULL)
 
     @pytest.mark.parametrize("field,_,form", DISPATCH, ids=DISPATCH_IDS)
     def test_ffunctional_is_the_specific_form(self, field, _, form):
