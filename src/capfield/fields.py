@@ -247,6 +247,11 @@ def validate_south_cap_hypotheses(field: ExternalField, n: int = 200) -> Hypothe
     finite = q[np.isfinite(q)]
     scale = float(np.max(np.abs(finite))) if finite.size else 1.0
     slack = 1e-12 * max(scale, 1.0)
+    # monotonicity and convexity do not depend on scale: the differences
+    # are taken of the samples over the power of two just above their
+    # largest magnitude, which is exact and cannot overflow
+    _, exponent = math.frexp(max(scale, 1.0))
+    unit, unit_slack = np.ldexp(q, -exponent), math.ldexp(slack, -exponent)
 
     nonnegative_ok = bool(np.min(q) >= -slack)
     if not nonnegative_ok:
@@ -260,8 +265,8 @@ def validate_south_cap_hypotheses(field: ExternalField, n: int = 200) -> Hypothe
     convex_ok = True
     first_violation: Optional[tuple[str, tuple, tuple]] = None
 
-    diffs = np.diff(q)
-    bad = np.flatnonzero(diffs < -slack)
+    diffs = np.diff(unit)
+    bad = np.flatnonzero(diffs < -unit_slack)
     if bad.size:
         monotone_ok = False
         i = int(bad[0])
@@ -273,8 +278,8 @@ def validate_south_cap_hypotheses(field: ExternalField, n: int = 200) -> Hypothe
 
     # equally spaced samples, so midpoint convexity is a second difference test
     with np.errstate(invalid="ignore"):
-        second = q[:-2] + q[2:] - 2.0 * q[1:-1]
-    bad2 = np.flatnonzero(second < -slack)
+        second = unit[:-2] + unit[2:] - 2.0 * unit[1:-1]
+    bad2 = np.flatnonzero(second < -unit_slack)
     if bad2.size:
         convex_ok = False
         if first_violation is None:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve as dense_solve
+from scipy.linalg import solve_banded
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri
 
@@ -28,7 +28,7 @@ from ._numerics import NonconvergenceError
 from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
 from .fields import ExternalField
 from .geometry import SphericalCap, _validated_angles, boundary_clustered_grid
-from .potential import _ROW_BLOCK, _panels, kernel_rule, ring_kernel
+from .potential import _ROW_BLOCK, _SIDE_U, kernel_layout, kernel_rule, ring_kernel
 
 PI = math.pi
 
@@ -119,6 +119,63 @@ def ring_energy_system(n: int) -> RingSystem:
     return RingSystem(phi, halfwidth, area, interaction)
 
 
+def _not_a_knot_rows(knots: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Rows sum_{k,j} moments[:, k, j] c[k, j] as maps of the node values y.
+
+    c is the pp-form of the not-a-knot cubic spline through (knots, y):
+    c[k, j] multiplies (s - knots[j])^(3-k) on interval j.  With h the
+    knot spacings, D the divided differences of y and t the spline's
+    slopes at the knots, c[3, j] = y_j, c[2, j] = t_j, c[1, j] =
+    (3 D_j - 2 t_j - t_(j+1)) / h_j and c[0, j] = (t_j + t_(j+1) - 2 D_j)
+    / h_j^2 (de Boor, A Practical Guide to Splines, ch. IV).  So the rows
+    are L y + G t + E D, with L from moments[:, 3] and G and E from the
+    other three.  The slopes solve the tridiagonal system A t = B D,
+    whose first and last rows carry the not-a-knot conditions, so G t =
+    (A^-T G^T)^T B D: one banded solve with A^T for all rows at once,
+    then B and D as bidiagonal updates.
+    That is O(n^2) for n knots, where building the pp-form of the n x n
+    identity and multiplying by it costs O(n^3).
+    """
+    n, count = knots.size, len(moments)
+    h = np.diff(knots)
+    d_start, d_end = knots[2] - knots[0], knots[-1] - knots[-3]
+    # G (on_slopes) and E (on_diffs) from a = m1 / h and b = m0 / h^2:
+    # t_j takes m2 - 2a + b, t_(j+1) takes b - a and D_j takes
+    # 3a - 2b = a - 2(b - a)
+    a = moments[:, 1] / h
+    b_minus_a = moments[:, 0] / (h * h)
+    b_minus_a -= a
+    on_slopes = np.empty((count, n))
+    np.subtract(moments[:, 2], a, out=on_slopes[:, :-1])
+    on_slopes[:, :-1] += b_minus_a
+    on_slopes[:, -1] = 0.0
+    on_slopes[:, 1:] += b_minus_a
+    on_diffs = b_minus_a
+    on_diffs *= -2.0
+    on_diffs += a
+    # A in banded form, transposed: row 0 holds A[i + 1, i], row 2 A[i, i + 1]
+    a_t = np.zeros((3, n))
+    a_t[0, 1:-1] = h[1:]
+    a_t[0, -1] = d_end
+    a_t[1, 0], a_t[1, -1] = h[1], h[-2]
+    a_t[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
+    a_t[2, 0] = d_start
+    a_t[2, 1:-1] = h[:-1]
+    z = solve_banded((1, 1), a_t, on_slopes.T, overwrite_b=True, check_finite=False).T
+    # z B: the interior rows of B D are 3 h_i D_(i-1) + 3 h_(i-1) D_i
+    inner, scratch = z[:, 1:-1], a[:, :-1]
+    on_diffs[:, :-1] += np.multiply(inner, 3.0 * h[1:], out=scratch)
+    on_diffs[:, 1:] += np.multiply(inner, 3.0 * h[:-1], out=scratch)
+    on_diffs[:, :2] += z[:, :1] * [(h[0] + 2.0 * d_start) * h[1] / d_start, h[0] ** 2 / d_start]
+    on_diffs[:, -2:] += z[:, -1:] * [h[-1] ** 2 / d_end, (2.0 * d_end + h[-1]) * h[-2] / d_end]
+    on_diffs /= h
+    rows = np.empty((count, n))
+    np.subtract(moments[:, 3], on_diffs, out=rows[:, :-1])
+    rows[:, -1] = 0.0
+    rows[:, 1:] += on_diffs
+    return rows
+
+
 def nystrom_solve(
     field: ExternalField, cap: SphericalCap, n: int
 ) -> Tuple[DensityProfile, float]:
@@ -126,24 +183,29 @@ def nystrom_solve(
 
     The density is sought as smooth-times-edge-factor: in the rim
     coordinate s = sqrt(cos(alpha) - cos(phi)) the unknown s*f(phi(s))
-    is represented by a cubic spline through its values at the n
-    boundary-clustered nodes, which builds the inverse-square-root rim
+    is represented by a not-a-knot cubic spline through its values at the
+    n boundary-clustered nodes, which builds the inverse-square-root rim
     behaviour into the ansatz.  The collocation rows apply
     `potential.kernel_rule` at the nodes, a block of rows at a time, with
-    the knots as panel ends, so the rows use the same quadrature as the
-    potential.  The basis is never evaluated: the rule's weights are
-    binned by knot interval j into the product-integration moments
-    sum w*(s - s_j)^(3-k) (Atkinson, The Numerical Solution of Integral
-    Equations of the Second Kind, 1997, sec. 4.2), and one product with
-    the spline's pp-form coefficients (de Boor, A Practical Guide to
-    Splines) maps them to the rows.  The rule's GL-8 panels are shared by
-    all rows, so their powers are one precomputed tensor and their
-    moments one product per panel; a node's diagonal is its own knot, so
-    each of its two graded sides lies in one knot interval.  Points
-    outside the knots fall to the end intervals, as the spline
-    extrapolates.  Appending the unit-mass row yields an (n+1) x (n+1)
-    dense system for the node values and the potential level, returned as
-    a profile plus that level.
+    one `KernelLayout` built per solve, whose panel ends are the knots,
+    so the rows use the same quadrature as the potential.  The basis is
+    never evaluated: the rule's weights are binned by knot interval j into
+    the product-integration moments sum w*(s - s_j)^(3-k) (Atkinson, The
+    Numerical Solution of Integral Equations of the Second Kind, 1997,
+    sec. 4.2), and `_not_a_knot_rows` maps them to the rows in O(n^2).
+    The shared GL-8 panels have one precomputed power tensor and their
+    moments one product per panel.  A node's diagonal is its own knot, so
+    its graded sides span the intervals below and above it with offsets
+    W(1 - u) and W u from their left knots, W the interval's width: their
+    moments are one product with a fixed table of (1 - u)^(3-k) or
+    u^(3-k), scaled by W^(3-k).  Only the first node's side below and the
+    last node's side above fall outside the knots, to the end intervals,
+    as the spline extrapolates; those two take the offsets from the
+    points themselves.  The unit-mass row is one more moment row, the
+    integral of (s - s_j)^(3-k) over each interval's span, with [0, s_0]
+    and [s_(n-1), smax] in the end intervals.  The (n+1) x (n+1) dense
+    system gives the node values and the potential level, returned as a
+    profile plus that level.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
@@ -156,24 +218,26 @@ def nystrom_solve(
     nodes = np.asarray(grid.nodes)
     s_of_phi, _, smax = _edge_coordinate_maps(cap)
     knots = np.asarray(s_of_phi(nodes))
-    basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
-    # basis.c[k, j] multiplies (s - knots[j])^(3-k); as a view it is row
-    # k*(n-1) + j of coeffs, so moment column k*(n-1) + j pairs with it
-    coeffs = basis.c.reshape(4 * (n - 1), n)
+    layout = kernel_layout(alpha, smax, knots)
+    widths = np.diff(knots)
+    powers = np.arange(3, -1, -1)
 
-    # the rule's panels: one per interval of 0, the knots and smax, the
+    # the layout's panels: one per interval of 0, the knots and smax, the
     # first and last falling to the spline's end intervals
-    panel_s, _ = _panels(np.concatenate(([0.0], knots, [smax])))
+    panel_s = layout.shared_s.reshape(n + 1, 8)
     panel_j = np.clip(np.arange(n + 1) - 1, 0, n - 2)
-    panel_powers = (panel_s - knots[panel_j][:, None])[:, :, None] ** np.arange(3, -1, -1)
+    panel_powers = (panel_s - knots[panel_j][:, None])[:, :, None] ** powers
     shared = panel_s.size
     # row i's graded sides, below then above, span spline intervals i - 1
-    # and i
+    # and i, at offsets W(1 - u) and W u: (side, point, k) and (row, side, k)
+    side_table = np.stack(((1.0 - _SIDE_U)[:, None] ** powers, _SIDE_U[:, None] ** powers))
     side_j = np.clip(np.arange(n)[:, None] + np.array([-1, 0]), 0, n - 2)
-    moments = np.zeros((n, 4, n - 1))
+    side_scale = widths[side_j][:, :, None] ** powers
+    # row n is the unit-mass row
+    moments = np.zeros((n + 1, 4, n - 1))
     for start in range(0, n, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        points, weights = kernel_rule(nodes[rows], alpha, smax, knots)
+        rows = slice(start, min(start + _ROW_BLOCK, n))
+        points, weights = kernel_rule(layout, nodes[rows])
         m = len(points)
         block = moments[rows]
         # (panel, row, k): one 8 x 4 product per panel
@@ -182,23 +246,35 @@ def nystrom_solve(
         block += per_panel[1:n].transpose(1, 2, 0)
         block[:, :, 0] += per_panel[0]
         block[:, :, -1] += per_panel[n]
-        # (row, side, point, k): w (s - s_j)^(3-k) by repeated products,
-        # several times faster than a power with an array of exponents
+        # (row, side, k): one 196 x 4 product per side
+        side_w = weights[:, shared:].reshape(m, 2, -1)
+        per_side = np.matmul(side_w.transpose(1, 0, 2), side_table).transpose(1, 0, 2)
+        per_side *= side_scale[rows]
         j = side_j[rows]
-        offset = points[:, shared:].reshape(m, 2, -1) - knots[j][:, :, None]
-        terms = np.empty(offset.shape + (4,))
-        terms[..., 3] = weights[:, shared:].reshape(offset.shape)
-        for k in (2, 1, 0):
-            np.multiply(terms[..., k + 1], offset, out=terms[..., k])
-        per_side = terms.sum(axis=2)
+        # the first node's side below and the last node's side above lie
+        # outside the knots: their offsets come from the points
+        side_s = points[:, shared:].reshape(m, 2, -1)
+        for r, side in ((-start, 0), (n - 1 - start, 1)):
+            if 0 <= r < m:
+                offset = side_s[r, side] - knots[j[r, side]]
+                per_side[r, side] = (side_w[r, side, :, None] * offset[:, None] ** powers).sum(0)
         r = np.arange(m)
         block[r, :, j[:, 0]] += per_side[:, 0]
         block[r, :, j[:, 1]] += per_side[:, 1]
+    # the mass: int (s - s_j)^(3-k) ds over interval j, from 0 on the
+    # first and to smax on the last
+    lo = np.zeros(n - 1)
+    lo[0] = -knots[0]
+    hi = widths.copy()
+    hi[-1] = smax - knots[-2]
+    exponents = (powers + 1)[:, None]
+    moments[n] = (hi**exponents - lo**exponents) / exponents
 
-    system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = moments.reshape(n, 4 * (n - 1)) @ coeffs
+    system = np.empty((n + 1, n + 1))
+    system[:, :n] = _not_a_knot_rows(knots, moments)
+    system[n, :n] *= 4.0 * PI
     system[:n, n] = -1.0
-    system[n, :n] = 4.0 * PI * basis.integrate(0.0, smax)
+    system[n, n] = 0.0
 
     rhs = np.zeros(n + 1)
     rhs[:n] = -field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0))

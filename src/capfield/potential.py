@@ -6,10 +6,11 @@ then one-dimensional integrals over the south cap, singular on the
 diagonal.  Everything here integrates in the rim variable s =
 sqrt(cos(alpha) - cos(phi)), where the density is smooth and the kernel's
 diagonal is a plain logarithm.  `kernel_rule` is the one quadrature of
-that kernel, batched over the observation angles: the potential applies
-it to a profile's sigma, and the Nystrom oracle bins its weights into
-moments against the pieces of its spline, both a block of angles at a
-time.
+that kernel, batched over the observation angles; its row-independent
+part, the `KernelLayout` of panels and distance factors, is built once
+per potential or Nystrom solve and passed to every block of angles.  The
+potential applies the rule to a profile's sigma, and the Nystrom oracle
+bins its weights into moments against the pieces of its spline.
 """
 
 from __future__ import annotations
@@ -34,8 +35,13 @@ _LEVELS = 12
 _N_OFF_SUPPORT = 64
 # angles per application of the kernel rule, which holds (angles, points)
 # arrays: about 300 kB a block for Nystrom rows at n = 256, and no more
-# for many angles.  Blocks of 32 rows raised the peak memory of a process
-# running Nystrom solves by 2 MB; blocks of 8 ran slower
+# for many angles.  With one layout per solve, blocks of 8, 16 and 32 rows
+# differ by less than the run-to-run spread in time (point charge (1, 2),
+# one BLAS thread: 11.0 / 9.8 / 10.1 ms at n = 128 and 35.3 / 30.4 / 28.8
+# ms at n = 256 in one run of 40 alternating solves, 32.4 ms for both 16
+# and 32 in another), while blocks of 32 raised the benchmark's peak
+# memory on the pipeline and tabulated workloads by 0.4-0.5 MB (seeds
+# 1701 and 1702) and blocks of 16 matched the parent
 _ROW_BLOCK = 16
 
 
@@ -73,18 +79,26 @@ def _graded_side() -> Tuple[np.ndarray, np.ndarray]:
 _SIDE_U, _SIDE_W = _graded_side()
 
 
-def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, absdiff):
-    """Ring average of 1/distance from precomputed half-angle products.
+def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap, out=None):
+    """K / max(a, b) of the ring average 4 K / max(a, b) of 1/distance.
 
-    Callers supply 1 -+ cos of both angles and |cos(xi) - cos(phi)| in
-    cancellation-free form; a^2 - b^2 = 2(cos(xi) - cos(phi)).  The
-    average is 4 K / max(a, b), K the complete elliptic integral whose
-    complementary parameter 2 |cos(xi) - cos(phi)| / max(a^2, b^2) goes
-    to `ellipkm1` as is, so K keeps its relative accuracy down the
-    logarithmic diagonal.
+    Callers supply 1 -+ cos of both angles and the gap |a^2 - b^2| =
+    2 |cos(xi) - cos(phi)| in cancellation-free form, and fold the
+    factor 4 into their weights.  K is the complete elliptic integral
+    whose complementary parameter |a^2 - b^2| / max(a^2, b^2) goes to
+    `ellipkm1` as is, so K keeps its relative accuracy down the
+    logarithmic diagonal.  Evaluated in place: into out (a new array of
+    the broadcast shape by default) and one scratch array of that shape.
     """
-    mx2 = np.maximum(one_m_cphi * one_p_cxi, one_m_cxi * one_p_cphi)
-    return 4.0 * ellipkm1(np.minimum(2.0 * absdiff / mx2, 1.0)) / np.sqrt(mx2)
+    if out is None:
+        shapes = map(np.shape, (one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap))
+        out = np.empty(np.broadcast_shapes(*shapes))
+    mx2 = np.multiply(one_m_cphi, one_p_cxi, out=np.empty_like(out))
+    np.maximum(mx2, np.multiply(one_m_cxi, one_p_cphi, out=out), out=mx2)
+    np.divide(gap, mx2, out=out)
+    np.minimum(out, 1.0, out=out)
+    ellipkm1(out, out=out)
+    return np.divide(out, np.sqrt(mx2, out=mx2), out=out)
 
 
 def ring_kernel(phi, xi):
@@ -98,51 +112,85 @@ def ring_kernel(phi, xi):
     arr = _validated_angles(xi, "xi")
     if np.any(arr == p):
         raise ValueError("ring kernel is singular on the diagonal phi == xi")
-    absdiff = np.abs(2.0 * np.sin(0.5 * (p + arr)) * np.sin(0.5 * (p - arr)))
-    out = _kernel_parts(
+    gap = np.abs(4.0 * np.sin(0.5 * (p + arr)) * np.sin(0.5 * (p - arr)))
+    out = 4.0 * _kernel_parts(
         2.0 * np.sin(0.5 * p) ** 2,
         2.0 * np.cos(0.5 * p) ** 2,
         2.0 * np.sin(0.5 * arr) ** 2,
         2.0 * np.cos(0.5 * arr) ** 2,
-        absdiff,
+        gap,
     )
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _panels(bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """GL-8 points and weights of every interval between sorted bounds.
+@dataclass(frozen=True, eq=False)
+class KernelLayout:
+    """The row-independent part of `kernel_rule` for one cap and knot set.
 
-    Both of shape (intervals, 8).
+    bounds are 0, the knots and smax.  The shared columns are one GL-8
+    panel on every interval between consecutive bounds: their points s,
+    2 s^2, eight times their weights (the rule's 2 sigma(s) ds times the
+    kernel's 4), and 1 -+ cos(xi) from s itself, 1 - cos(xi) = r1 + s^2
+    and 1 + cos(xi) = (smax - s)(smax + s), which stay accurate at the
+    poles, where the plain cosine rounds to +-1.
     """
+
+    alpha: float
+    smax: float
+    r1: float
+    bounds: np.ndarray
+    shared_s: np.ndarray
+    shared_twice_sq: np.ndarray
+    shared_w: np.ndarray
+    shared_one_m: np.ndarray
+    shared_one_p: np.ndarray
+
+
+def kernel_layout(alpha: float, smax: float, knots=()) -> KernelLayout:
+    """The `KernelLayout` of the cap of rim alpha, smax its largest s,
+    with panel ends at the knots; one serves every block of rows."""
+    bounds = np.concatenate(([0.0], np.asarray(knots, dtype=float), [smax]))
     span = np.diff(bounds)[:, None]
-    return bounds[:-1, None] + span * _X8, span * _W8
+    shared_s = (bounds[:-1, None] + span * _X8).ravel()
+    shared_sq = shared_s * shared_s
+    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
+    return KernelLayout(
+        alpha=alpha,
+        smax=smax,
+        r1=r1,
+        bounds=bounds,
+        shared_s=shared_s,
+        shared_twice_sq=2.0 * shared_sq,
+        shared_w=(8.0 * (span * _W8)).ravel(),
+        shared_one_m=r1 + shared_sq,
+        shared_one_p=np.maximum(smax - shared_s, 0.0) * (smax + shared_s),
+    )
 
 
-def kernel_rule(phi, alpha: float, smax: float, knots=()) -> Tuple[np.ndarray, np.ndarray]:
+def kernel_rule(layout: KernelLayout, phi) -> Tuple[np.ndarray, np.ndarray]:
     """Quadrature for the potential at m angles phi of a south-cap density.
 
     Returns (m, P) points in the rim variable s on [0, smax] and
     kernel-carrying weights, so that U(phi[i]) = weights[i] @
-    sigma(points[i]) for the cap of rim alpha.  The layout is the same
-    for every row.  The first 8 * (intervals) columns are one GL-8 panel
-    on every interval between consecutive knots (with 0 and smax added),
-    shared by all rows; the one or two intervals meeting a row's kernel
-    diagonal s0 = sqrt(cos(alpha) - cos(phi)) carry weight 0 there.  The
-    last columns are the graded side rule on each side of s0, below then
-    above; a side of zero width (s0 on 0 or smax: off the support, at the
-    rim, at phi = pi) has weight 0.  Off the support s0 = 0, where the
-    kernel peaks but stays bounded.
+    sigma(points[i]) for the cap and knots of the layout.  The layout of
+    columns is the same for every row.  The first 8 * (intervals) columns
+    are the layout's shared GL-8 panels; the one or two intervals meeting
+    a row's kernel diagonal s0 = sqrt(cos(alpha) - cos(phi)) carry weight
+    0 there.  The last 2 * 196 columns are the graded side rule on each
+    side of s0, below then above; a side of zero width (s0 on 0 or smax:
+    off the support, at the rim, at phi = pi) has weight 0.  Off the
+    support s0 = 0, where the kernel peaks but stays bounded.
     """
     phi = np.asarray(phi, dtype=float).reshape(-1, 1)
+    m = len(phi)
+    bounds, smax = layout.bounds, layout.smax
     one_m_cphi = 2.0 * np.sin(0.5 * phi) ** 2
     one_p_cphi = 2.0 * np.cos(0.5 * phi) ** 2
-    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
-    depth = _depth(phi, alpha)  # cos(alpha) - cos(phi)
+    depth = _depth(phi, layout.alpha)  # cos(alpha) - cos(phi)
     # near phi = pi, depth can round past smax^2 for a rim close to pi
     s0 = np.minimum(np.sqrt(np.maximum(depth, 0.0)), smax)
-    bounds = np.concatenate(([0.0], np.asarray(knots, dtype=float), [smax]))
     last = len(bounds) - 1  # number of intervals
     # a diagonal within rounding of a panel end must sit exactly on it:
     # otherwise a stray ulp poisons the end panel's distance factors
@@ -154,48 +202,54 @@ def kernel_rule(phi, alpha: float, smax: float, knots=()) -> Tuple[np.ndarray, n
     below = np.searchsorted(bounds, s0, side="left") - 1
     above = np.searchsorted(bounds, s0, side="right")
 
-    # shared panels, with 1 -+ cos(xi) from s itself: the same for every
-    # row.  1 - cos(xi) = r1 + s^2 and 1 + cos(xi) = (smax - s)(smax + s)
-    # stay accurate at the poles, where the plain cosine rounds to +-1
-    panel_s, panel_w = _panels(bounds)
-    shared_s = panel_s.ravel()
-    absdiff = np.abs(depth - shared_s * shared_s)
+    shared = layout.shared_s.size
+    points = np.empty((m, shared + 2 * _SIDE_U.size))
+    weights = np.empty_like(points)
+    points[:, :shared] = layout.shared_s
+    shared_w = weights[:, :shared]
     # the one or two panels that meet a row's diagonal get weight 0; their
     # points may sit on the diagonal itself, so they see a stand-in
     # distance, add exactly 0 and raise nothing
-    rows = np.arange(len(phi))[:, None]
+    gap = np.subtract(2.0 * depth, layout.shared_twice_sq)
+    np.abs(gap, out=gap)
+    rows = np.arange(m)[:, None]
     hit = np.clip(np.concatenate((below, above - 1), axis=1), 0, last - 1)
-    hit = (8 * hit[:, :, None] + np.arange(8)).reshape(len(phi), 16)
-    absdiff[rows, hit] = 1.0
-    shared_w = (2.0 * panel_w.ravel()) * _kernel_parts(
-        one_m_cphi,
-        one_p_cphi,
-        r1 + shared_s * shared_s,
-        np.maximum(smax - shared_s, 0.0) * (smax + shared_s),
-        absdiff,
+    hit = (8 * hit[:, :, None] + np.arange(8)).reshape(m, 16)
+    gap[rows, hit] = 2.0
+    _kernel_parts(
+        one_m_cphi, one_p_cphi, layout.shared_one_m, layout.shared_one_p, gap, out=shared_w
     )
+    shared_w *= layout.shared_w
     shared_w[rows, hit] = 0.0
 
-    # graded sides, below then above, in the exact offset u from the
-    # diagonal: s0 +- u can round to s0 itself at the deepest nodes
-    width_below = np.where(below >= 0, s0 - bounds[np.maximum(below, 0)], 0.0)
-    width_above = np.where(above <= last, bounds[np.minimum(above, last)] - s0, 0.0)
-    u = np.concatenate((width_below * _SIDE_U, width_above * _SIDE_U), axis=1)
-    side_w = np.concatenate((width_below * _SIDE_W, width_above * _SIDE_W), axis=1)
-    sign = np.repeat([-1.0, 1.0], _SIDE_U.size)
-    side_s = s0 + sign * u
+    # graded sides, (row, side, point), below then above, in the exact
+    # offset u from the diagonal: s0 +- u can round to s0 itself at the
+    # deepest nodes
+    width = np.empty((m, 2, 1))
+    width[:, 0] = np.where(below >= 0, s0 - bounds[np.maximum(below, 0)], 0.0)
+    width[:, 1] = np.where(above <= last, bounds[np.minimum(above, last)] - s0, 0.0)
+    signed_u = width * _SIDE_U
+    signed_u[:, 0] *= -1.0
+    s0 = s0[:, :, None]
+    side_s = points[:, shared:].reshape(m, 2, -1)
+    np.add(s0, signed_u, out=side_s)
+    side_w = weights[:, shared:].reshape(m, 2, -1)
     # a side of zero width has its points on the diagonal, for phi = pi
     # on the pole itself, where both 1 + cos vanish: stand-ins there too
-    dead = side_w == 0.0
-    side_w *= 2.0 * _kernel_parts(
-        one_m_cphi,
-        one_p_cphi,
-        np.where(dead, 1.0, r1 + side_s * side_s),
-        np.where(dead, 1.0, np.maximum(smax - s0 - sign * u, 0.0) * (smax + side_s)),
-        np.where(dead, 1.0, np.abs(res - sign * u * (2.0 * s0 + sign * u))),
+    dead = (width * _SIDE_W) == 0.0
+    one_m_cxi = layout.r1 + side_s * side_s
+    one_p_cxi = np.maximum((smax - s0) - signed_u, 0.0)
+    one_p_cxi *= smax + side_s
+    gap = signed_u * (4.0 * s0 + 2.0 * signed_u)
+    np.subtract(2.0 * res[:, :, None], gap, out=gap)
+    np.abs(gap, out=gap)
+    for part, stand_in in ((one_m_cxi, 1.0), (one_p_cxi, 1.0), (gap, 2.0)):
+        part[dead] = stand_in
+    _kernel_parts(
+        one_m_cphi[:, :, None], one_p_cphi[:, :, None], one_m_cxi, one_p_cxi, gap, out=side_w
     )
-    points = np.concatenate((np.broadcast_to(shared_s, absdiff.shape), side_s), axis=1)
-    return points, np.concatenate((shared_w, side_w), axis=1)
+    side_w *= 8.0 * width * _SIDE_W
+    return points, weights
 
 
 def potential_on_sphere(profile: DensityProfile, phi):
@@ -203,16 +257,18 @@ def potential_on_sphere(profile: DensityProfile, phi):
 
     Integrates 2 sigma(s) M(phi, xi(s)) ds with `kernel_rule`, so both
     the rim behavior of the density and the logarithmic diagonal are
-    resolved by smooth-panel quadrature.  Vectorized over phi; a scalar
-    phi gives a float.
+    resolved by smooth-panel quadrature.  The cap's `KernelLayout` is
+    built once per call.  Vectorized over phi; a scalar phi gives a
+    float.
     """
     p = _validated_angles(phi, "phi")
     _, _, smax = _edge_coordinate_maps(profile.cap)
+    layout = kernel_layout(profile.cap.alpha, smax)
     flat = p.ravel()
     total = np.empty(flat.size)
     for start in range(0, flat.size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        points, weights = kernel_rule(flat[rows], profile.cap.alpha, smax)
+        points, weights = kernel_rule(layout, flat[rows])
         total[rows] = np.einsum("ij,ij->i", weights, profile.sigma(points))
     total = total.reshape(p.shape)
     if not np.all(np.isfinite(total)):

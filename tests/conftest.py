@@ -4,7 +4,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
+import capfield.potential
 from capfield.fields import ExternalField
 from capfield.geometry import PhiGrid, _validated_angle
 from capfield.support_finder import ffunctional
@@ -87,3 +89,23 @@ def golden_section_support(field: ExternalField, lo: float = 0.0,
     if alpha0 <= 1e-6 or (lo == 0.0 and f_edge <= f_star + 1e-12 * max(1.0, abs(f_edge))):
         return GoldenSection(0.0, f_edge, True, b - a, iterations)
     return GoldenSection(alpha0, f_star, False, b - a, iterations)
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """Counts of the ring-kernel points evaluated and the `KernelLayout`s
+    built, from wrappers around `ellipkm1` and the layout class."""
+    counts = {"points": 0, "layouts": 0}
+    ellipkm1, layout = capfield.potential.ellipkm1, capfield.potential.KernelLayout
+
+    def counted_ellipkm1(x, out=None):
+        counts["points"] += np.size(x)
+        return ellipkm1(x, out=out)
+
+    def counted_layout(*args, **kwargs):
+        counts["layouts"] += 1
+        return layout(*args, **kwargs)
+
+    monkeypatch.setattr(capfield.potential, "ellipkm1", counted_ellipkm1)
+    monkeypatch.setattr(capfield.potential, "KernelLayout", counted_layout)
+    return counts

@@ -529,6 +529,20 @@ class TestArgumentHandling:
         assert f"nonconvergence in {argv[0]}: non-finite {key}" in err
         assert "Traceback" not in err
 
+    def test_overflowing_field_warns_nothing(self, tmp_path):
+        # the hypothesis scan differences scaled samples, so a field near
+        # the largest float leaves only the documented exit-3 message
+        argv = ["support", "--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "1e308"]
+        env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys, capfield.cli; sys.exit(capfield.cli.main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.strip() == "nonconvergence in support: non-finite FQ"
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

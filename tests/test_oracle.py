@@ -26,7 +26,7 @@ from capfield.equilibrium import (
 )
 from capfield.fields import PointChargeField, QuadraticField, ZeroField
 from capfield.geometry import boundary_clustered_grid, south_cap
-from capfield.potential import kernel_rule, ring_kernel
+from capfield.potential import kernel_layout, kernel_rule, ring_kernel
 from capfield.oracle import (
     DiscreteMeasure,
     _drop_ring,
@@ -185,18 +185,20 @@ class TestNystromSolve:
 def _reference_nystrom(field, cap, n):
     """The collocation solve with each row built as weights @ basis(points).
 
-    This evaluates every basis spline at every quadrature point of every
-    row; the oracle gets the same rows from product-integration moments.
-    Returns the node values, F_Q and the mass.
+    This evaluates every basis spline, scipy's not-a-knot `CubicSpline`
+    of the identity, at every quadrature point of every row; the oracle
+    gets the same rows from product-integration moments and its own
+    banded not-a-knot map.  Returns the node values, F_Q and the mass.
     """
     grid = boundary_clustered_grid(cap, n)
     nodes = np.asarray(grid.nodes)
     s_of_phi, _, smax = _edge_coordinate_maps(cap)
     knots = np.asarray(s_of_phi(nodes))
     basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
+    layout = kernel_layout(cap.alpha, smax, knots)
     system = np.zeros((n + 1, n + 1))
     for i in range(n):
-        points, weights = kernel_rule(nodes[i : i + 1], cap.alpha, smax, knots)
+        points, weights = kernel_rule(layout, nodes[i : i + 1])
         system[i, :n] = weights[0] @ basis(points[0])
     system[:n, n] = -1.0
     antiderivative = basis.antiderivative()
@@ -209,23 +211,39 @@ def _reference_nystrom(field, cap, n):
 
 class TestNystromProductIntegration:
     def test_no_basis_evaluation_per_row(self, monkeypatch):
-        # the rows come from moments times pp-form coefficients; only the
-        # unit-mass row evaluates a spline (its antiderivative, twice)
-        calls = []
-        evaluate = PPoly.__call__
+        # the rows and the unit-mass row come from moments through the
+        # banded not-a-knot map: no spline is built or evaluated for them
+        built, calls = [], []
+        build, evaluate = CubicSpline.__init__, PPoly.__call__
+
+        def counted_build(self, *args, **kwargs):
+            built.append(1)
+            return build(self, *args, **kwargs)
 
         def counted(self, *args, **kwargs):
             calls.append(type(self).__name__)
             return evaluate(self, *args, **kwargs)
 
+        monkeypatch.setattr(CubicSpline, "__init__", counted_build)
         monkeypatch.setattr(PPoly, "__call__", counted)
         counts = {}
         for n in (16, 64):
             calls.clear()
             nystrom_solve(PointChargeField(1.0, 2.0), south_cap(ALPHA0_PC_12), n)
             counts[n] = len(calls)
+        assert built == []
         assert counts[64] == counts[16]
         assert counts[64] <= 4
+
+    @pytest.mark.parametrize("n", [16, 37, 64])
+    def test_kernel_work_per_solve(self, kernel_work, monkeypatch, n):
+        # each row evaluates the kernel at the 8 (n + 1) shared GL-8 points
+        # and 2 x 196 graded-side points, and one layout serves every block
+        for block in (5, capfield.potential._ROW_BLOCK):
+            monkeypatch.setattr(capfield.oracle, "_ROW_BLOCK", block)
+            kernel_work.update(points=0, layouts=0)
+            nystrom_solve(PointChargeField(1.0, 2.0), south_cap(ALPHA0_PC_12), n)
+            assert kernel_work == {"points": n * (8 * (n + 1) + 2 * 196), "layouts": 1}
 
     @given(
         kind=st.sampled_from(["zero", "point-charge", "quadratic"]),
@@ -257,16 +275,17 @@ class TestNystromProductIntegration:
         [(PointChargeField(1.0, 2.0), ALPHA0_PC_12), (ZeroField(), 0.0), (ZeroField(), 2.5)],
     )
     def test_row_blocks_match_basis_reference(self, field, alpha):
-        # n is no multiple of the row block, so the last block is short
-        n = 2 * capfield.potential._ROW_BLOCK + 5
+        # the first n is no multiple of the row block, so the last block is
+        # short; 256 is the largest solve the benchmark runs
         cap = south_cap(alpha)
-        with np.errstate(all="raise"):
-            profile, fq = nystrom_solve(field, cap, n)
-            values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
-        assert abs(fq - fq_ref) <= 1e-12
-        assert abs(profile.mass - mass_ref) <= 1e-12
-        scale = np.max(np.abs(values))
-        assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
+        for n in (2 * capfield.potential._ROW_BLOCK + 5, 256):
+            with np.errstate(all="raise"):
+                profile, fq = nystrom_solve(field, cap, n)
+                values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
+            assert abs(fq - fq_ref) <= 1e-12
+            assert abs(profile.mass - mass_ref) <= 1e-12
+            scale = np.max(np.abs(values))
+            assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
 
 
 class TestDiscreteEnergyMinimize:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk as scipy_ellipk
 
+import capfield.potential
 from capfield.equilibrium import (
     _edge_coordinate_maps,
     nofield_density,
@@ -18,6 +19,7 @@ from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south
 from capfield.potential import (
     EquilibriumReport,
     _kernel_parts,
+    kernel_layout,
     kernel_rule,
     potential_on_sphere,
     ring_kernel,
@@ -67,7 +69,7 @@ def elliptic_k(k):
     # factor the ring kernel takes it from: with max(a^2, b^2) = 1 the
     # kernel is 4 K(k) at complementary parameter 2 |cos(xi) - cos(phi)|
     kp2 = (1.0 - k) * (1.0 + k)
-    return _kernel_parts(1.0, 1.0, 1.0, 1.0, 0.5 * kp2) / 4.0
+    return _kernel_parts(1.0, 1.0, 1.0, 1.0, kp2)
 
 
 def mp_ring_kernel(phi, xi):
@@ -106,7 +108,7 @@ class TestEllipticK:
     def test_matches_mpmath_down_the_log_diagonal(self, kp):
         # the factor, with the complementary modulus k' given directly;
         # k' -> 0 is the kernel's logarithmic diagonal
-        factor = _kernel_parts(1.0, 1.0, 1.0, 1.0, 0.5 * kp * kp) / 4.0
+        factor = _kernel_parts(1.0, 1.0, 1.0, 1.0, kp * kp)
         with mp.workdps(30 + 30):
             ref = mp.ellipk(1 - mp.mpf(kp) ** 2)
         assert factor == pytest.approx(float(ref), rel=1e-14)
@@ -243,6 +245,17 @@ class TestPotentialOnSphere:
         w = 1.0 / capacity_south_cap(alpha)
         assert potential_on_sphere(prof, phi) == pytest.approx(w, rel=1e-6)
 
+    def test_one_layout_and_fixed_points_per_angle(self, kernel_work, monkeypatch):
+        # without knots every angle sees one GL-8 panel and 2 x 196
+        # graded-side points; one layout serves every block of angles
+        prof = nofield_profile(PI / 3)
+        angles = np.linspace(0.0, PI, 101)
+        for block in (7, capfield.potential._ROW_BLOCK):
+            monkeypatch.setattr(capfield.potential, "_ROW_BLOCK", block)
+            kernel_work.update(points=0, layouts=0)
+            potential_on_sphere(prof, angles)
+            assert kernel_work == {"points": angles.size * (8 + 2 * 196), "layouts": 1}
+
     def test_vectorized_angles(self):
         # more angles than one application of the rule takes
         prof = nofield_profile(PI / 3)
@@ -270,7 +283,7 @@ class TestKernelRule:
         i = int(np.flatnonzero(knots == s0)[0])
 
         def potential(k):
-            points, weights = kernel_rule([phi], alpha, smax, k)
+            points, weights = kernel_rule(kernel_layout(alpha, smax, k), [phi])
             return float(weights[0] @ smooth_sigma(points[0]))
 
         exact = potential(knots)
@@ -298,13 +311,14 @@ class TestKernelRule:
             np.nextafter(PI, 0.0),
             PI,
         ]
+        layout = kernel_layout(alpha, smax, knots)
         with np.errstate(all="raise"):
-            points, weights = kernel_rule(angles, alpha, smax, knots)
+            points, weights = kernel_rule(layout, angles)
             assert points.shape == weights.shape
             assert points.shape[0] == len(angles)
             batched = np.sum(weights * smooth_sigma(points), axis=1)
             for phi, value in zip(angles, batched):
-                p1, w1 = kernel_rule([phi], alpha, smax, knots)
+                p1, w1 = kernel_rule(layout, [phi])
                 assert p1.shape == (1, points.shape[1])
                 single = float(w1[0] @ smooth_sigma(p1[0]))
                 assert np.isfinite(single)
@@ -315,7 +329,7 @@ class TestKernelRule:
         cap = south_cap(alpha)
         s_of_phi, _, smax = _edge_coordinate_maps(cap)
         knots = s_of_phi(boundary_clustered_grid(cap, 12).nodes)
-        points, weights = kernel_rule([0.0, 1.3, 2.0, PI], alpha, smax, knots)
+        points, weights = kernel_rule(kernel_layout(alpha, smax, knots), [0.0, 1.3, 2.0, PI])
         shared = 8 * (len(knots) + 1)
         assert np.all(points[:, :shared] == points[0, :shared])
         # each row leaves out the one or two panels that meet its diagonal
@@ -328,7 +342,7 @@ class TestKernelRule:
         alpha = 0.9
         smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
         with np.errstate(all="raise"):
-            points, weights = kernel_rule([0.3, PI], alpha, smax)
+            points, weights = kernel_rule(kernel_layout(alpha, smax), [0.3, PI])
         assert np.all(np.isfinite(weights))
         sides = weights[:, 8:].reshape(2, 2, -1)
         assert np.all(sides[0, 0] == 0.0)  # below s0 = 0

@@ -131,3 +131,13 @@ def test_every_public_name_is_used():
             if not any(name == definition.name and id(node) not in inside for name, node in reads):
                 unused.append(f"{path.stem}.{qualified}")
     assert sorted(set(unused) - CLOSED_FORM_DENSITIES) == []
+
+
+def test_oracle_imports_no_interpolation():
+    # the Nystrom map from moments to rows is the oracle's own banded
+    # not-a-knot solve; tests keep scipy's CubicSpline as its referee
+    tree = ast.parse((Path(capfield.__file__).parent / "oracle.py").read_text())
+    modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert [m for m in modules if m.startswith("scipy.interpolate") or m == "scipy"] == []
