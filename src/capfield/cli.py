@@ -119,7 +119,7 @@ def _require_alpha(args: argparse.Namespace) -> float:
 
 
 def _cmd_capacity(args: argparse.Namespace):
-    alpha = _require_alpha(args)
+    alpha = args.alpha
     value = capacity_south_cap(alpha)
     summary = {
         "alpha0": alpha,
@@ -173,7 +173,7 @@ def _cmd_density(args: argparse.Namespace):
 
 def _cmd_ffunctional(args: argparse.Namespace):
     field = build_field(args)
-    alpha = _require_alpha(args)
+    alpha = args.alpha
     value, method = ffunctional(field, alpha)
     summary = {
         "alpha0": alpha,
@@ -191,7 +191,7 @@ def _cmd_verify(args: argparse.Namespace):
     from .potential import verify_equilibrium
 
     field = _admissible_field(args)
-    alpha = _require_alpha(args)
+    alpha = args.alpha
     cap = south_cap(alpha)
     profile = density_general(field, cap, boundary_clustered_grid(cap, args.n))
     report = verify_equilibrium(field, profile, tol=args.tol)

@@ -3,16 +3,17 @@
 Densities are radial profiles f(phi) of the rotation-invariant equilibrium
 measure d(mass) = f * dS restricted to a south cap (alpha, pi]; every
 profile carries the inverse-square-root edge factor near the rim.  Closed
-forms cover the no-field, point-charge, on-sphere-charge, and quadratic
-cases; the general pipeline handles any admissible field through the two
-Abel stages.
+forms cover the no-field, point-charge (the on-sphere charge h = 1
+included), and quadratic cases; the general pipeline handles any
+admissible field through the two Abel stages.
 
-All integrations near the rim use the variable s = sqrt(cos(alpha) -
-cos(phi)), in which f*ds-densities are smooth and bounded.  A profile
-backed by a density callable holds sigma(s) = s*f(phi(s)) as an adaptive
-Chebyshev table in a variable graded toward the rim, read out as a cubic
-Hermite spline (`sigma_interpolant`); its integral is the mass, and the
-potentials integrate it against the ring kernel.
+All integrations near the rim use the cap's rim variable s =
+sqrt(cos(alpha) - cos(phi)) (`geometry.SphericalCap`), in which
+f*ds-densities are smooth and bounded.  A profile backed by a density
+callable holds sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a
+variable graded toward the rim, read out as a cubic Hermite spline
+(`sigma_interpolant`); its integral is the mass, and the potentials
+integrate it against the ring kernel.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator, PPoly
 
 from ._numerics import chebyshev_table
 from .fields import ExternalField, QuadraticField
-from .geometry import PhiGrid, SphericalCap, _validated_angle, _validated_angles
-from .singular_quadrature import (
-    _depth,
-    _second_stage_integral,
-    _stage_F_south_vec,
-    first_stage_table,
-)
+from .geometry import PhiGrid, SphericalCap, _validated_angles
+from .singular_quadrature import _second_stage_integral, _stage_F_south_vec, first_stage_table
 from .support_finder import ffunctional_pointcharge, ffunctional_quadratic
 
 PI = math.pi
@@ -54,10 +50,10 @@ def edge_factor(alpha, phi):
     the cap; the factor tends to 1 deep inside and diverges like one over
     the square root of the rim distance.  Vectorized over phi.
     """
-    a = _validated_angle(alpha, name="rim angle")
+    cap = SphericalCap(alpha)
     p = _validated_angles(phi, "polar angle")
-    r1 = 2.0 * math.sin(0.5 * a) ** 2
-    depth = _depth(p, a)
+    r1 = cap.r1
+    depth = cap.depth(p)
     if np.any(depth < 0.0):
         raise ValueError("angle lies outside the south cap")
     if r1 == 0.0:
@@ -77,38 +73,39 @@ def nofield_density(alpha: float, phi):
     Normalized to unit total mass; reduces to the uniform density 1/(4*pi)
     at alpha = 0.  Finite for phi > alpha, infinite at the rim itself.
     """
-    a = _validated_angle(alpha, name="rim angle")
-    e = edge_factor(a, phi)
-    return e / (4.0 * (PI - a + math.sin(a)))
+    cap = SphericalCap(alpha)
+    return edge_factor(cap.alpha, phi) / (4.0 * cap.normalizer)
 
 
-def _validated_support_angles(alpha0: float, phi) -> tuple[float, np.ndarray]:
-    """Support rim and polar angles, refused unless each angle lies inside the support."""
-    a0 = _validated_angle(alpha0, name="support rim angle")
+def _validated_support_angles(alpha0: float, phi) -> tuple[SphericalCap, np.ndarray]:
+    """Support cap and polar angles, refused unless each angle lies inside the support."""
+    cap = SphericalCap(alpha0)
     p = _validated_angles(phi, "polar angle")
-    if np.any(p <= a0):
+    if np.any(p <= cap.alpha):
         raise ValueError("density is defined for angles strictly inside the support")
-    return a0, p
+    return cap, p
 
 
 def pointcharge_density(q: float, h: float, alpha0: float, phi):
-    """Density and Robin constant for a point charge q at axis height h != 1.
+    """Density and Robin constant for a point charge q at axis height h.
 
     The support rim alpha0 is taken as given (see the support finder); the
     density is evaluated at phi in (alpha0, pi].  Returns (f, F_Q) with f
-    matching the shape of phi.
+    matching the shape of phi.  A charge on the sphere (h = 1) sits at the
+    north pole and excavates a neighborhood of it for every q > 0, so
+    there alpha0 must be positive.
     """
     if not (q > 0.0 and h > 0.0):
         raise ValueError("need q > 0 and h > 0")
-    if h == 1.0:
-        raise ValueError("charge sits on the sphere; use northpole_density")
-    a0, p = _validated_support_angles(alpha0, phi)
+    cap, p = _validated_support_angles(alpha0, phi)
+    if h == 1.0 and cap.is_full_sphere:
+        raise ValueError("on-sphere charge support excludes the pole; need alpha0 > 0")
 
-    fq = ffunctional_pointcharge(q, h, a0)
-    e = edge_factor(a0, p)
+    fq = ffunctional_pointcharge(q, h, cap.alpha)
+    e = edge_factor(cap.alpha, p)
 
-    r1 = 2.0 * math.sin(0.5 * a0) ** 2
-    depth = _depth(p, a0)
+    r1 = cap.r1
+    depth = cap.depth(p)
     cp = np.cos(p)
     d2 = 1.0 + h * h - 2.0 * h * cp
     with np.errstate(divide="ignore"):
@@ -124,43 +121,19 @@ def pointcharge_density(q: float, h: float, alpha0: float, phi):
     return f, float(fq)
 
 
-def northpole_density(q: float, alpha0: float, phi):
-    """Density for a charge q sitting at the north pole itself.
-
-    The support rim alpha0 is always positive here; the charge excavates a
-    neighborhood of the pole for every q > 0.
-    """
-    if not (q > 0.0 and math.isfinite(q)):
-        raise ValueError(f"charge must be positive, got q={q!r}")
-    a0, p = _validated_support_angles(alpha0, phi)
-    if a0 == 0.0:
-        raise ValueError("on-sphere charge support excludes the pole; need alpha0 > 0")
-
-    fq = (PI + q * (PI - a0)) / (math.sin(a0) + PI - a0)
-    e = edge_factor(a0, p)
-    r1 = 2.0 * math.sin(0.5 * a0) ** 2
-    depth = _depth(p, a0)
-    f = fq / (4.0 * PI) * e - q / (2.0 * PI * PI) * np.sqrt(r1 / depth) / (
-        1.0 - np.cos(p)
-    )
-    if np.asarray(phi).ndim == 0:
-        return float(f)
-    return f
-
-
 def quadratic_density(a: float, b: float, c: float, alpha0: float, phi):
     """Density and Robin constant for the quadratic field on a given support."""
     QuadraticField(a, b, c)  # admissibility
-    a0, p = _validated_support_angles(alpha0, phi)
+    cap, p = _validated_support_angles(alpha0, phi)
 
-    fq = ffunctional_quadratic(a, b, c, a0)
-    e = edge_factor(a0, p)
+    fq = ffunctional_quadratic(a, b, c, cap.alpha)
+    e = edge_factor(cap.alpha, p)
 
-    ca = math.cos(a0)
-    r1 = 1.0 - ca
-    depth = _depth(p, a0)
+    ca = math.cos(cap.alpha)
+    r1 = cap.r1
+    depth = cap.depth(p)
     cp = np.cos(p)
-    t1 = math.sqrt(r1) * np.sqrt(depth) * (
+    t1 = cap.sqrt_r1 * np.sqrt(depth) * (
         20.0 * a * ca + 60.0 * a * cp + 10.0 * a + 27.0 * b
     )
     t2 = np.sqrt(r1 / depth) * (
@@ -215,25 +188,10 @@ class DensityProfile:
         object.__setattr__(self, "values", arr)
         if self.robin_constant is not None:
             object.__setattr__(self, "robin_constant", float(self.robin_constant))
-        _, _, smax = _edge_coordinate_maps(self.cap)
-        object.__setattr__(self, "mass", float(4.0 * PI * self.sigma.integrate(0.0, smax)))
+        mass = 4.0 * PI * self.sigma.integrate(0.0, self.cap.smax)
+        object.__setattr__(self, "mass", float(mass))
         negative = tuple(int(i) for i in np.flatnonzero(arr < 0.0))
         object.__setattr__(self, "negative_nodes", negative)
-
-
-def _edge_coordinate_maps(cap: SphericalCap):
-    """(s_of_phi, phi_of_s, smax) for the cap's rim variable."""
-    alpha = cap.alpha
-    smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
-
-    def s_of_phi(p):
-        return np.sqrt(np.maximum(_depth(np.asarray(p, float), alpha), 0.0))
-
-    def phi_of_s(s):
-        u = math.cos(alpha) - np.square(np.asarray(s, float))
-        return np.arccos(np.clip(u, -1.0, 1.0))
-
-    return s_of_phi, phi_of_s, smax
 
 
 def sigma_interpolant(
@@ -248,7 +206,7 @@ def sigma_interpolant(
     It is tabulated from the density callable as a Chebyshev series of
     adaptive degree (see `chebyshev_table`) in the variable u of [0, 1]
     with s = s_lo + d*sinh(A*u), graded toward the rim on the scale
-    d = max(sqrt(1 - cos(alpha)), s_lo) on which the edge part turns over,
+    d = max(sqrt(r1), s_lo) on which the edge part turns over,
     however small the rim; a full sphere has no edge part, and d = smax.
     The samples start at s_lo, clear of the rim guard band, where phi(s)
     still lies strictly inside the cap.  The result is the cubic Hermite
@@ -258,16 +216,15 @@ def sigma_interpolant(
     tail, degree) of the series the callable reads, if any: the table stops
     once it is as fine as that.
     """
-    s_of_phi, phi_of_s, smax = _edge_coordinate_maps(cap)
-    alpha = cap.alpha
-    s_lo = float(s_of_phi(min(alpha + 2.0 * RIM_GUARD_BAND, 0.5 * (alpha + PI))))
-    scale = max(math.sqrt(2.0) * math.sin(0.5 * alpha), s_lo) if alpha > 0.0 else smax
+    alpha, smax = cap.alpha, cap.smax
+    s_lo = float(cap.s_of_phi(min(alpha + 2.0 * RIM_GUARD_BAND, 0.5 * (alpha + PI))))
+    scale = max(cap.sqrt_r1, s_lo) if alpha > 0.0 else smax
     stretch = math.asinh((smax - s_lo) / scale)
 
     def sample(x: np.ndarray) -> np.ndarray:
         # sigma at the points x = 2*u - 1 of [-1, 1]
         s = s_lo + scale * np.sinh(0.5 * stretch * (x + 1.0))
-        return s * np.asarray(density_fn(phi_of_s(s)), dtype=float)
+        return s * np.asarray(density_fn(cap.phi_of_s(s)), dtype=float)
 
     coeffs, _ = chebyshev_table(sample, "sigma table", noise)
     graded = s_lo + scale * np.sinh(stretch * np.linspace(0.0, 1.0, _SIGMA_KNOTS)[:-1])
@@ -310,8 +267,7 @@ def profile_from_values(
     values = np.asarray(values, dtype=float)
     if values.shape != (len(grid),):
         raise ValueError("values must match the grid node count")
-    s_of_phi, _, _ = _edge_coordinate_maps(cap)
-    s = np.asarray(s_of_phi(grid.nodes))
+    s = np.asarray(cap.s_of_phi(grid.nodes))
     order = np.argsort(s)
     sigma = PchipInterpolator(s[order], (values * s)[order], extrapolate=True)
     return DensityProfile(cap, grid, values, robin_constant, sigma)
@@ -338,17 +294,15 @@ def density_general(
     is not the true support.
     """
     _check_grid_inside(cap, grid)
-    alpha = cap.alpha
-    p = first_stage_table(field, alpha)
-    m_max = 2.0 * math.cos(0.5 * alpha) ** 2
-    # 8*sqrt(m_max)*G(m_max), four times the second-stage half-integral
-    # at the pole, is -(2/pi) times this integral
-    pole = _second_stage_integral(lambda c: (1.0 - c) * p(c), np.array([m_max]), alpha)
-    fq = PI / (math.sin(alpha) + PI - alpha) * (1.0 + 2.0 / PI * float(pole[0]))
+    p = first_stage_table(field, cap.alpha)
+    # 8*sqrt(m)*G(m) at the pole depth m, four times the second-stage
+    # half-integral at the pole, is -(2/pi) times this integral
+    pole = _second_stage_integral(lambda c: (1.0 - c) * p(c), np.array([cap.pole_depth]), cap)
+    fq = PI / cap.normalizer * (1.0 + 2.0 / PI * float(pole[0]))
 
     def density_fn(phi):
         phi = np.asarray(phi, dtype=float)
-        return fq / (4.0 * PI) * edge_factor(alpha, phi) + _stage_F_south_vec(p, phi, alpha)
+        return fq / (4.0 * PI) * edge_factor(cap.alpha, phi) + _stage_F_south_vec(p, phi, cap)
 
     # sigma reads the second-stage integrand series: on a field that the
     # first stage resolves only to its plateau, a sigma table finer than

@@ -3,7 +3,10 @@
 Polar angles are measured from the north pole, in radians, in [0, pi].
 A spherical cap is the south-centered cap of points with polar angle in
 (alpha, pi], alpha its rim angle: the fields of the paper increase toward
-the north pole, so their extremal supports are south caps.
+the north pole, so their extremal supports are south caps.  The cap owns
+its rim variable s = sqrt(cos(alpha) - cos(phi)) and the quantities of
+alpha that the densities, stages and potentials share, each in the
+half-angle form that keeps its relative accuracy at both poles.
 """
 
 from __future__ import annotations
@@ -50,6 +53,46 @@ class SphericalCap:
     def is_full_sphere(self) -> bool:
         return self.alpha == 0.0
 
+    @property
+    def r1(self) -> float:
+        """1 - cos(alpha) = 2 sin^2(alpha/2): the rim's distance in cos
+        from the north pole."""
+        return 2.0 * math.sin(0.5 * self.alpha) ** 2
+
+    @property
+    def sqrt_r1(self) -> float:
+        """sqrt(1 - cos(alpha)) = sqrt(2) sin(alpha/2): the rim variable's
+        scale, on which the edge factor turns over."""
+        return math.sqrt(2.0) * math.sin(0.5 * self.alpha)
+
+    @property
+    def pole_depth(self) -> float:
+        """1 + cos(alpha) = 2 cos^2(alpha/2): the depth of the south pole."""
+        return 2.0 * math.cos(0.5 * self.alpha) ** 2
+
+    @property
+    def smax(self) -> float:
+        """sqrt(1 + cos(alpha)): the rim variable at the south pole."""
+        return math.sqrt(2.0) * math.cos(0.5 * self.alpha)
+
+    @property
+    def normalizer(self) -> float:
+        """pi - alpha + sin(alpha), pi times the cap's capacity."""
+        return PI - self.alpha + math.sin(self.alpha)
+
+    def depth(self, phi) -> np.ndarray:
+        """cos(alpha) - cos(phi), accurate near the rim."""
+        return 2.0 * np.sin(0.5 * (phi + self.alpha)) * np.sin(0.5 * (phi - self.alpha))
+
+    def s_of_phi(self, phi) -> np.ndarray:
+        """The rim variable s = sqrt(cos(alpha) - cos(phi)), 0 off the cap."""
+        return np.sqrt(np.maximum(self.depth(np.asarray(phi, float)), 0.0))
+
+    def phi_of_s(self, s) -> np.ndarray:
+        """The polar angle arccos(cos(alpha) - s^2) of rim variable s."""
+        u = math.cos(self.alpha) - np.square(np.asarray(s, float))
+        return np.arccos(np.clip(u, -1.0, 1.0))
+
 
 def south_cap(alpha: float) -> SphericalCap:
     return SphericalCap(float(alpha))
@@ -57,8 +100,7 @@ def south_cap(alpha: float) -> SphericalCap:
 
 def capacity_south_cap(alpha: float) -> float:
     """Newtonian capacity of the south cap with rim angle alpha."""
-    a = _validated_angle(alpha, name="rim angle")
-    return (PI - a + math.sin(a)) / PI
+    return SphericalCap(alpha).normalizer / PI
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from ._numerics import NonconvergenceError
-from .equilibrium import DensityProfile, _edge_coordinate_maps, profile_from_values
+from .equilibrium import DensityProfile, profile_from_values
 from .fields import ExternalField
 from .geometry import SphericalCap, _validated_angles, boundary_clustered_grid
 from .potential import _ROW_BLOCK, _SIDE_U, kernel_layout, kernel_rule, ring_kernel
@@ -210,15 +210,13 @@ def nystrom_solve(
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
     n = int(n)
-    alpha = cap.alpha
-    if PI - alpha <= _DEGENERATE_GAP:
+    if PI - cap.alpha <= _DEGENERATE_GAP:
         raise ValueError("cap is degenerate: rim angle within 1e-6 of pi")
 
     grid = boundary_clustered_grid(cap, n)
     nodes = np.asarray(grid.nodes)
-    s_of_phi, _, smax = _edge_coordinate_maps(cap)
-    knots = np.asarray(s_of_phi(nodes))
-    layout = kernel_layout(alpha, smax, knots)
+    knots = np.asarray(cap.s_of_phi(nodes))
+    layout = kernel_layout(cap, knots)
     widths = np.diff(knots)
     powers = np.arange(3, -1, -1)
 
@@ -266,7 +264,7 @@ def nystrom_solve(
     lo = np.zeros(n - 1)
     lo[0] = -knots[0]
     hi = widths.copy()
-    hi[-1] = smax - knots[-2]
+    hi[-1] = cap.smax - knots[-2]
     exponents = (powers + 1)[:, None]
     moments[n] = (hi**exponents - lo**exponents) / exponents
 

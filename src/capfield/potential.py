@@ -23,10 +23,9 @@ import numpy as np
 from scipy.special import ellipkm1
 
 from ._numerics import NonconvergenceError, gauss_legendre
-from .equilibrium import DensityProfile, _edge_coordinate_maps
+from .equilibrium import DensityProfile
 from .fields import ExternalField
-from .geometry import _validated_angles
-from .singular_quadrature import _depth
+from .geometry import SphericalCap, _validated_angles
 
 PI = math.pi
 
@@ -129,17 +128,16 @@ def ring_kernel(phi, xi):
 class KernelLayout:
     """The row-independent part of `kernel_rule` for one cap and knot set.
 
-    bounds are 0, the knots and smax.  The shared columns are one GL-8
-    panel on every interval between consecutive bounds: their points s,
-    2 s^2, eight times their weights (the rule's 2 sigma(s) ds times the
-    kernel's 4), and 1 -+ cos(xi) from s itself, 1 - cos(xi) = r1 + s^2
-    and 1 + cos(xi) = (smax - s)(smax + s), which stay accurate at the
-    poles, where the plain cosine rounds to +-1.
+    bounds are 0, the knots and the cap's smax.  The shared columns are
+    one GL-8 panel on every interval between consecutive bounds: their
+    points s, 2 s^2, eight times their weights (the rule's 2 sigma(s) ds
+    times the kernel's 4), and 1 -+ cos(xi) from s itself, 1 - cos(xi) =
+    r1 + s^2 and 1 + cos(xi) = (smax - s)(smax + s) with the cap's r1
+    and smax, which stay accurate at the poles, where the plain cosine
+    rounds to +-1.
     """
 
-    alpha: float
-    smax: float
-    r1: float
+    cap: SphericalCap
     bounds: np.ndarray
     shared_s: np.ndarray
     shared_twice_sq: np.ndarray
@@ -148,23 +146,21 @@ class KernelLayout:
     shared_one_p: np.ndarray
 
 
-def kernel_layout(alpha: float, smax: float, knots=()) -> KernelLayout:
-    """The `KernelLayout` of the cap of rim alpha, smax its largest s,
-    with panel ends at the knots; one serves every block of rows."""
+def kernel_layout(cap: SphericalCap, knots=()) -> KernelLayout:
+    """The `KernelLayout` of the cap with panel ends at the knots; one
+    serves every block of rows."""
+    smax = cap.smax
     bounds = np.concatenate(([0.0], np.asarray(knots, dtype=float), [smax]))
     span = np.diff(bounds)[:, None]
     shared_s = (bounds[:-1, None] + span * _X8).ravel()
     shared_sq = shared_s * shared_s
-    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
     return KernelLayout(
-        alpha=alpha,
-        smax=smax,
-        r1=r1,
+        cap=cap,
         bounds=bounds,
         shared_s=shared_s,
         shared_twice_sq=2.0 * shared_sq,
         shared_w=(8.0 * (span * _W8)).ravel(),
-        shared_one_m=r1 + shared_sq,
+        shared_one_m=cap.r1 + shared_sq,
         shared_one_p=np.maximum(smax - shared_s, 0.0) * (smax + shared_s),
     )
 
@@ -185,10 +181,11 @@ def kernel_rule(layout: KernelLayout, phi) -> Tuple[np.ndarray, np.ndarray]:
     """
     phi = np.asarray(phi, dtype=float).reshape(-1, 1)
     m = len(phi)
-    bounds, smax = layout.bounds, layout.smax
+    cap, bounds = layout.cap, layout.bounds
+    smax = cap.smax
     one_m_cphi = 2.0 * np.sin(0.5 * phi) ** 2
     one_p_cphi = 2.0 * np.cos(0.5 * phi) ** 2
-    depth = _depth(phi, layout.alpha)  # cos(alpha) - cos(phi)
+    depth = cap.depth(phi)  # cos(alpha) - cos(phi)
     # near phi = pi, depth can round past smax^2 for a rim close to pi
     s0 = np.minimum(np.sqrt(np.maximum(depth, 0.0)), smax)
     last = len(bounds) - 1  # number of intervals
@@ -237,7 +234,7 @@ def kernel_rule(layout: KernelLayout, phi) -> Tuple[np.ndarray, np.ndarray]:
     # a side of zero width has its points on the diagonal, for phi = pi
     # on the pole itself, where both 1 + cos vanish: stand-ins there too
     dead = (width * _SIDE_W) == 0.0
-    one_m_cxi = layout.r1 + side_s * side_s
+    one_m_cxi = cap.r1 + side_s * side_s
     one_p_cxi = np.maximum((smax - s0) - signed_u, 0.0)
     one_p_cxi *= smax + side_s
     gap = signed_u * (4.0 * s0 + 2.0 * signed_u)
@@ -262,8 +259,7 @@ def potential_on_sphere(profile: DensityProfile, phi):
     float.
     """
     p = _validated_angles(phi, "phi")
-    _, _, smax = _edge_coordinate_maps(profile.cap)
-    layout = kernel_layout(profile.cap.alpha, smax)
+    layout = kernel_layout(profile.cap)
     flat = p.ravel()
     total = np.empty(flat.size)
     for start in range(0, flat.size, _ROW_BLOCK):

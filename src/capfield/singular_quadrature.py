@@ -33,7 +33,7 @@ from numpy.polynomial.chebyshev import chebder, chebmulx, chebval
 
 from ._numerics import _tail, chebyshev_table, gauss_legendre
 from .fields import ExternalField, TabulatedField
-from .geometry import _validated_angle
+from .geometry import SphericalCap, _validated_angle
 
 PI = math.pi
 
@@ -179,26 +179,27 @@ def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:
 
 
 def _second_stage_integral(
-    fn: Callable[[np.ndarray], np.ndarray], m: np.ndarray, alpha: float
+    fn: Callable[[np.ndarray], np.ndarray], m: np.ndarray, cap: SphericalCap
 ) -> np.ndarray:
     """Integral over tau in [0, tau_max] of fn(1 - (r1 + m) * cos(tau)^2).
 
     m = cos(alpha) - cos(phi) is the depth into the cap, r1 = 1 - cos(alpha)
-    and tan(tau_max) = sqrt(m / r1), so c = 1 - (r1 + m) * cos(tau)^2 runs
-    from cos(phi) up to cos(alpha).  In the second stage's variable y, with
-    c = cos(alpha) - m*(1-y^2), this is y = sqrt((r1 + m) / m) * sin(tau)
-    and sqrt(m) * dy = sqrt(1-c) * dtau.  So the half-integral of g over
-    [0, m] against 1/sqrt(m - u), 2*sqrt(m) times the y-integral of g, is
-    this integral of -(1-c) * p(c) / (2*pi): the sqrt(1-c) of g, which
-    turns over on the scale r1 of a small rim, leaves the integrand.
+    the cap's `r1`, and tan(tau_max) = sqrt(m / r1), so c = 1 - (r1 + m) *
+    cos(tau)^2 runs from cos(phi) up to cos(alpha).  In the second stage's
+    variable y, with c = cos(alpha) - m*(1-y^2), this is y = sqrt((r1 + m)
+    / m) * sin(tau) and sqrt(m) * dy = sqrt(1-c) * dtau.  So the
+    half-integral of g over [0, m] against 1/sqrt(m - u), 2*sqrt(m) times
+    the y-integral of g, is this integral of -(1-c) * p(c) / (2*pi): the
+    sqrt(1-c) of g, which turns over on the scale r1 of a small rim, leaves
+    the integrand.
     """
     m = np.asarray(m, dtype=float)
     x, w = gauss_legendre(_N_SECOND_STAGE)
-    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
+    r1 = cap.r1
     out = np.empty(m.shape, dtype=float)
     for start in range(0, m.size, _CHUNK):
         block = m[start : start + _CHUNK]
-        tau_max = np.arctan2(np.sqrt(block), math.sqrt(r1))
+        tau_max = np.arctan2(np.sqrt(block), cap.sqrt_r1)
         tau = 0.5 * tau_max[:, None] * (x[None, :] + 1.0)
         c = 1.0 - (r1 + block)[:, None] * np.cos(tau) ** 2
         values = np.asarray(fn(c.ravel()), dtype=float).reshape(c.shape)
@@ -206,12 +207,7 @@ def _second_stage_integral(
     return out
 
 
-def _depth(phi: np.ndarray, alpha: float) -> np.ndarray:
-    """cos(alpha) - cos(phi), accurate near the rim."""
-    return 2.0 * np.sin(0.5 * (phi + alpha)) * np.sin(0.5 * (phi - alpha))
-
-
-def _stage_F_south_vec(p: FirstStageTable, phi: np.ndarray, alpha: float) -> np.ndarray:
+def _stage_F_south_vec(p: FirstStageTable, phi: np.ndarray, cap: SphericalCap) -> np.ndarray:
     """Second Abel stage on a south cap, vectorized over phi in (alpha, pi].
 
     (2/pi) * d/dm of the half-integral 2*sqrt(m)*G(m), differentiated under
@@ -224,10 +220,8 @@ def _stage_F_south_vec(p: FirstStageTable, phi: np.ndarray, alpha: float) -> np.
     reaches 1, and smooth on the scale 1 - cos(alpha) of a small rim.
     """
     phi = np.asarray(phi, dtype=float)
-    m_max = 2.0 * math.cos(0.5 * alpha) ** 2
     # rounding in phi can push the pole depth an ulp past its true maximum
-    m = np.minimum(_depth(phi, alpha), m_max)
-    r1 = 2.0 * math.sin(0.5 * alpha) ** 2
-    rim = math.sqrt(r1) * float(p(math.cos(alpha)))
-    inner = _second_stage_integral(p._integrand, m, alpha)
+    m = np.minimum(cap.depth(phi), cap.pole_depth)
+    rim = cap.sqrt_r1 * float(p(math.cos(cap.alpha)))
+    inner = _second_stage_integral(p._integrand, m, cap)
     return -(rim / np.sqrt(m) + inner) / (2.0 * PI * PI)

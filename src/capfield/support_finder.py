@@ -36,7 +36,7 @@ from .fields import (
     TabulatedField,
     ZeroField,
 )
-from .geometry import _validated_angle, capacity_south_cap
+from .geometry import SphericalCap, capacity_south_cap
 
 PI = math.pi
 
@@ -98,18 +98,6 @@ def gonchar_heights(q: float) -> GoncharHeights:
     return GoncharHeights(q=q, h_plus=h_plus, h_minus=float(h_minus))
 
 
-def _rim_angle(alpha: float) -> float:
-    a = _validated_angle(alpha, name="rim angle")
-    if a >= PI:
-        raise ValueError("rim angle must be below pi")
-    return a
-
-
-def _surface_factor(alpha: float) -> float:
-    # pi over the cap capacity normalizer
-    return PI / (PI - alpha + math.sin(alpha))
-
-
 def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
     """F-functional of the south cap with rim alpha under a point charge.
 
@@ -118,7 +106,8 @@ def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
     """
     if not (q > 0.0 and h > 0.0):
         raise ValueError("need q > 0 and h > 0")
-    a = _rim_angle(alpha)
+    cap = SphericalCap(alpha)
+    a = cap.alpha
     if a == 0.0:
         if h > 1.0:
             return 1.0 + q / h
@@ -129,13 +118,14 @@ def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:
         + q * (h + 1.0) / (2.0 * h) * (1.0 - a / PI)
         - q * (h - 1.0) / (PI * h) * t
     )
-    return _surface_factor(a) * inner
+    return PI / cap.normalizer * inner
 
 
 def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
     """F-functional of the south cap with rim alpha under the quadratic field."""
     QuadraticField(a, b, c)  # coefficient admissibility
-    al = _rim_angle(alpha)
+    cap = SphericalCap(alpha)
+    al = cap.alpha
     ca = math.cos(al)
     bracket = (
         math.tan(0.5 * al)
@@ -150,7 +140,7 @@ def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
         + 12.0 * (a + 3.0 * c) * (PI - al)
         + 36.0 * PI
     )
-    return bracket / (36.0 * (PI - al + math.sin(al)))
+    return bracket / (36.0 * cap.normalizer)
 
 
 # the Gauss rule in the rim variable s = sqrt(cos(alpha) - x3): uniform
@@ -161,19 +151,21 @@ _RULE_PANELS = 16
 _RULE_POINTS = 8
 
 
-def _rim_rule(field: ExternalField, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rim_rule(
+    field: ExternalField, cap: SphericalCap
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Abscissae x3 = cos(alpha) - s^2, weights and edge weights of the rule.
 
     Between two neighbouring knots a tabulated field is one cubic in x3,
     so a polynomial of degree 6 in s, and each panel's Gauss-Legendre
     nodes integrate it, and its quadratic slope, exactly.  The edge weight
-    is kappa(s) = 2s + (4/pi)(sqrt(r1) - s*atan(sqrt(r1)/s)), r1 =
-    1 - cos(alpha): the plain measure dx3 = 2s ds plus the edge factor of
+    is kappa(s) = 2s + (4/pi)(sqrt(r1) - s*atan(sqrt(r1)/s)), r1 the
+    cap's `r1`: the plain measure dx3 = 2s ds plus the edge factor of
     the cap's equilibrium density.
     """
-    ca = math.cos(alpha)
-    smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
-    sq_r1 = math.sqrt(2.0) * math.sin(0.5 * alpha)
+    ca = math.cos(cap.alpha)
+    smax = cap.smax
+    sq_r1 = cap.sqrt_r1
     width = smax / _RULE_PANELS
     edges = [np.linspace(0.0, smax, _RULE_PANELS + 1)]
     if 0.0 < sq_r1 < width:
@@ -199,12 +191,12 @@ def ffunctional_numeric(field: ExternalField, alpha: float) -> float:
     which absorbs the rim singularity of the weight, on the panels of
     `_rim_rule`: one vectorized field evaluation per call.
     """
-    a = _rim_angle(alpha)
-    x3, weights, kappa = _rim_rule(field, a)
+    cap = SphericalCap(alpha)
+    x3, weights, kappa = _rim_rule(field, cap)
     q = np.asarray(field.value_at_x3(x3), dtype=float)
     # a plain sum, not a BLAS dot: on a multi-threaded BLAS a dot of this
     # length can cost milliseconds
-    return 0.5 * _surface_factor(a) * (2.0 + float(np.sum(weights * kappa * q)))
+    return 0.5 * PI / cap.normalizer * (2.0 + float(np.sum(weights * kappa * q)))
 
 
 def _rim_equation(field: ExternalField):
@@ -212,11 +204,11 @@ def _rim_equation(field: ExternalField):
 
     The zero field, the point charge and the quadratic field have both
     sides in closed form.  The point charge's p = q*(h+1)/|x - h*e3|^2 at
-    the rim is written with the distance (h-1)^2 + 4h*sin^2(alpha/2),
-    exact at h = 1 and free of cancellation at small rims.  Any other
-    field takes F_Q from the Gauss rule of `ffunctional_numeric` and p
-    from `_first_stage_integral`, imported here so that the closed-form
-    supports start without the Abel stages.
+    the rim is written with the distance (h-1)^2 + 2h*r1, with the cap's
+    r1 = 2*sin^2(alpha/2), exact at h = 1 and free of cancellation at small
+    rims.  Any other field takes F_Q from the Gauss rule of
+    `ffunctional_numeric` and p from `_first_stage_integral`, imported
+    here so that the closed-form supports start without the Abel stages.
     """
     if isinstance(field, ZeroField):
         return (lambda a: 1.0 / capacity_south_cap(a)), (lambda a: 0.0), "ClosedForm"
@@ -224,7 +216,7 @@ def _rim_equation(field: ExternalField):
         q, h = field.q, field.h
 
         def rim_field(a: float) -> float:
-            return q * (h + 1.0) / ((h - 1.0) ** 2 + 4.0 * h * math.sin(0.5 * a) ** 2)
+            return q * (h + 1.0) / ((h - 1.0) ** 2 + 2.0 * h * SphericalCap(a).r1)
 
         return (lambda a: ffunctional_pointcharge(q, h, a)), rim_field, "ClosedForm"
     if isinstance(field, QuadraticField):

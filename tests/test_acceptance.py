@@ -13,7 +13,6 @@ import numpy as np
 from capfield.equilibrium import (
     density_general,
     nofield_density,
-    northpole_density,
     pointcharge_density,
     profile_from_callable,
     quadratic_density,
@@ -147,7 +146,7 @@ def test_criterion_06_unit_mass():
         (
             "on-sphere charge",
             _closed_form_profile(
-                ALPHA0_NP_1, lambda p: northpole_density(1.0, ALPHA0_NP_1, p), fq_np, 96
+                ALPHA0_NP_1, lambda p: pointcharge_density(1.0, 1.0, ALPHA0_NP_1, p)[0], fq_np, 96
             ),
         )
     )
@@ -187,7 +186,7 @@ def test_criterion_07_variational_inequalities():
             PointChargeField(1.0, 1.0),
             ALPHA0_NP_1,
             lambda a: (
-                lambda p: northpole_density(1.0, a, p),
+                lambda p: pointcharge_density(1.0, 1.0, a, p)[0],
                 (PI + (PI - a)) / (math.sin(a) + PI - a),
             ),
         ),

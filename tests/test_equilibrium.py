@@ -8,6 +8,7 @@ variable s = sqrt(cos(alpha) - cos(phi)).
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from capfield.equilibrium import (
     density_general,
     edge_factor,
     nofield_density,
-    northpole_density,
     pointcharge_density,
     profile_from_callable,
     profile_from_values,
@@ -82,7 +82,7 @@ def _northpole_case(q: float):
     return (
         PointChargeField(q, 1.0),
         sol.alpha0,
-        lambda p: (northpole_density(q, sol.alpha0, p), sol.robin_constant),
+        lambda p: (pointcharge_density(q, 1.0, sol.alpha0, p)[0], sol.robin_constant),
     )
 
 
@@ -106,6 +106,31 @@ CLOSED_FORM_CASES = {
         lambda p: quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, p),
     ),
 }
+
+
+def _quadratic_density_mp(a, b, c, alpha0, phi) -> float:
+    """`quadratic_density`'s closed form, F_Q included, at 40 digits."""
+    with mp.workdps(40):
+        a, b, c, al, p = (mp.mpf(v) for v in (a, b, c, alpha0, phi))
+        pi = mp.pi
+        ca, cp = mp.cos(al), mp.cos(p)
+        r1, depth = 1 - ca, ca - cp
+        fq = (
+            mp.tan(al / 2)
+            * (32 * a * ca**3 + 4 * (2 * a + 9 * b) * ca**2 + 4 * (9 * c - 5 * a) * ca
+               + 4 * a - 36 * b + 36 * c)
+            + 12 * (a + 3 * c) * (pi - al)
+            + 36 * pi
+        ) / (36 * (pi - al + mp.sin(al)))
+        root = mp.sqrt(r1 / depth)
+        edge = 1 + 2 / pi * (root - mp.atan(root))
+        t1 = mp.sqrt(r1) * mp.sqrt(depth) * (20 * a * ca + 60 * a * cp + 10 * a + 27 * b)
+        t2 = root * (
+            8 * a * ca**2 + 10 * a * ca * cp + (4 * a + 9 * b) * ca + (20 * a + 27 * b) * cp
+            + 15 * a * mp.cos(2 * p) + 9 * a + 18 * b + 18 * c
+        )
+        t3 = 6 * mp.atan(1 / root) * (15 * a * cp**2 + 9 * b * cp - 4 * a + 3 * c)
+        return float(fq / (4 * pi) * edge + (t1 - t2 - t3) / (36 * pi**2))
 
 
 @st.composite
@@ -186,7 +211,7 @@ class TestEdgeFactor:
             lambda phi: edge_factor(1.0, phi),
             lambda phi: nofield_density(1.0, phi),
             lambda phi: pointcharge_density(1.0, 2.0, ALPHA0_PC_12, phi),
-            lambda phi: northpole_density(1.0, 1.1, phi),
+            lambda phi: pointcharge_density(1.0, 1.0, 1.1, phi),
             lambda phi: quadratic_density(1.0, 2.5, 2.0, 1.9, phi),
         ],
         ids=["edge-factor", "no-field", "point-charge", "north-pole", "quadratic"],
@@ -262,23 +287,23 @@ class TestPointChargeDensity:
         with pytest.raises(ValueError):
             pointcharge_density(1.0, 2.0, ALPHA0_PC_12, 0.3)
         with pytest.raises(ValueError):
-            pointcharge_density(1.0, 1.0, 1.0, 2.0)  # charge on the sphere
+            pointcharge_density(1.0, 1.0, 0.0, 2.0)  # on-sphere charge, support at the pole
         with pytest.raises(ValueError):
             pointcharge_density(-1.0, 2.0, 1.0, 2.0)
 
 
 class TestNorthPoleDensity:
     def test_frozen_values(self):
-        assert northpole_density(1.0, ALPHA0_NP_1, 2.0) == pytest.approx(
+        assert pointcharge_density(1.0, 1.0, ALPHA0_NP_1, 2.0)[0] == pytest.approx(
             0.1232170264597183753232, rel=1e-12
         )
-        assert northpole_density(1.0, ALPHA0_NP_1, PI) == pytest.approx(
+        assert pointcharge_density(1.0, 1.0, ALPHA0_NP_1, PI)[0] == pytest.approx(
             0.1307413264392488944952, rel=1e-12
         )
 
     def test_unit_mass(self):
         m = mass_by_quadrature(
-            lambda p: northpole_density(1.0, ALPHA0_NP_1, p), ALPHA0_NP_1
+            lambda p: pointcharge_density(1.0, 1.0, ALPHA0_NP_1, p)[0], ALPHA0_NP_1
         )
         assert m == pytest.approx(1.0, abs=1e-8)
 
@@ -288,7 +313,7 @@ class TestNorthPoleDensity:
         for h in (1.0 + 1e-9, 1.0 - 1e-9):
             f, _ = pointcharge_density(1.0, h, ALPHA0_NP_1, 2.2)
             assert f == pytest.approx(
-                northpole_density(1.0, ALPHA0_NP_1, 2.2), rel=1e-6
+                pointcharge_density(1.0, 1.0, ALPHA0_NP_1, 2.2)[0], rel=1e-6
             )
 
 
@@ -309,6 +334,14 @@ class TestQuadraticDensity:
     def test_rejects_inadmissible_coefficients(self):
         with pytest.raises(ValueError):
             quadratic_density(1.0, 1.5, 2.0, 2.0, 2.5)
+
+    @pytest.mark.parametrize("alpha0", [1e-5, 1e-7])
+    def test_small_rims_match_the_closed_form_at_40_digits(self, alpha0):
+        # 1 - cos(alpha0) cancels at a small rim; the closed form must keep
+        # full relative accuracy next to the rim and deep inside the cap
+        for phi in (2.0 * alpha0, 10.0 * alpha0, 0.5, 2.0):
+            f, _ = quadratic_density(1.0, 2.5, 2.0, alpha0, phi)
+            assert f == pytest.approx(_quadratic_density_mp(1, 2.5, 2, alpha0, phi), rel=1e-13)
 
 
 class TestDensityGeneral:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -40,6 +41,25 @@ class TestSphericalCap:
     def test_south_cap_rejects_pi(self):
         with pytest.raises(ValueError):
             south_cap(PI)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1.0, PI - 1e-8])
+    def test_rim_quantities_keep_relative_accuracy_at_both_poles(self, alpha):
+        cap = south_cap(alpha)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            exact = {
+                "r1": 1 - mp.cos(a),
+                "sqrt_r1": mp.sqrt(1 - mp.cos(a)),
+                "pole_depth": 1 + mp.cos(a),
+                "smax": mp.sqrt(1 + mp.cos(a)),
+                "normalizer": mp.pi - a + mp.sin(a),
+            }
+            for name, value in exact.items():
+                assert getattr(cap, name) == pytest.approx(float(value), rel=4e-16), name
+            phi = [alpha + 1e-9, 0.5 * (alpha + PI), PI]
+            depth = [float(mp.cos(a) - mp.cos(mp.mpf(p))) for p in phi]
+        assert cap.depth(np.array(phi)) == pytest.approx(depth, rel=1e-15)
+        assert cap.s_of_phi(0.5 * alpha) == 0.0
 
 
 class TestPhiGrid:

@@ -18,7 +18,6 @@ import capfield.oracle
 import capfield.potential
 
 from capfield.equilibrium import (
-    _edge_coordinate_maps,
     nofield_density,
     pointcharge_density,
     profile_from_values,
@@ -192,17 +191,16 @@ def _reference_nystrom(field, cap, n):
     """
     grid = boundary_clustered_grid(cap, n)
     nodes = np.asarray(grid.nodes)
-    s_of_phi, _, smax = _edge_coordinate_maps(cap)
-    knots = np.asarray(s_of_phi(nodes))
+    knots = np.asarray(cap.s_of_phi(nodes))
     basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
-    layout = kernel_layout(cap.alpha, smax, knots)
+    layout = kernel_layout(cap, knots)
     system = np.zeros((n + 1, n + 1))
     for i in range(n):
         points, weights = kernel_rule(layout, nodes[i : i + 1])
         system[i, :n] = weights[0] @ basis(points[0])
     system[:n, n] = -1.0
     antiderivative = basis.antiderivative()
-    system[n, :n] = 4.0 * PI * (antiderivative(smax) - antiderivative(0.0))
+    system[n, :n] = 4.0 * PI * (antiderivative(cap.smax) - antiderivative(0.0))
     rhs = np.append(-field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0)), 1.0)
     solution = scipy.linalg.solve(system, rhs)
     values, fq = solution[:n] / knots, float(solution[n])

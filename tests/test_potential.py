@@ -9,7 +9,6 @@ from scipy.special import ellipk as scipy_ellipk
 
 import capfield.potential
 from capfield.equilibrium import (
-    _edge_coordinate_maps,
     nofield_density,
     pointcharge_density,
     profile_from_callable,
@@ -25,7 +24,6 @@ from capfield.potential import (
     ring_kernel,
     verify_equilibrium,
 )
-from capfield.singular_quadrature import _depth
 from conftest import uniform_grid
 
 PI = math.pi
@@ -275,15 +273,14 @@ class TestKernelRule:
         # the diagonal of node phi must land on its own knot even when the
         # knot was rounded differently; a GL-8 panel next to an unresolved
         # log singularity would otherwise cost many digits
-        alpha = 0.9
-        smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
+        cap = south_cap(0.9)
         phi = 1.7
-        s0 = math.sqrt(float(_depth(phi, alpha)))
-        knots = np.sort(np.append(np.linspace(0.05, 0.95, 7) * smax, s0))
+        s0 = float(cap.s_of_phi(phi))
+        knots = np.sort(np.append(np.linspace(0.05, 0.95, 7) * cap.smax, s0))
         i = int(np.flatnonzero(knots == s0)[0])
 
         def potential(k):
-            points, weights = kernel_rule(kernel_layout(alpha, smax, k), [phi])
+            points, weights = kernel_rule(kernel_layout(cap, k), [phi])
             return float(weights[0] @ smooth_sigma(points[0]))
 
         exact = potential(knots)
@@ -296,9 +293,8 @@ class TestKernelRule:
     @pytest.mark.parametrize("with_knots", [False, True])
     def test_batched_rows_match_one_angle_at_a_time(self, alpha, with_knots):
         cap = south_cap(alpha)
-        s_of_phi, _, smax = _edge_coordinate_maps(cap)
         nodes = boundary_clustered_grid(cap, 20).nodes
-        knots = s_of_phi(nodes) if with_knots else ()
+        knots = cap.s_of_phi(nodes) if with_knots else ()
         angles = [
             0.0,
             0.5 * alpha,  # off the support, or the north pole again
@@ -311,7 +307,7 @@ class TestKernelRule:
             np.nextafter(PI, 0.0),
             PI,
         ]
-        layout = kernel_layout(alpha, smax, knots)
+        layout = kernel_layout(cap, knots)
         with np.errstate(all="raise"):
             points, weights = kernel_rule(layout, angles)
             assert points.shape == weights.shape
@@ -325,11 +321,9 @@ class TestKernelRule:
                 assert value == pytest.approx(single, rel=1e-14)
 
     def test_shared_columns_are_the_same_for_every_row(self):
-        alpha = 0.9
-        cap = south_cap(alpha)
-        s_of_phi, _, smax = _edge_coordinate_maps(cap)
-        knots = s_of_phi(boundary_clustered_grid(cap, 12).nodes)
-        points, weights = kernel_rule(kernel_layout(alpha, smax, knots), [0.0, 1.3, 2.0, PI])
+        cap = south_cap(0.9)
+        knots = cap.s_of_phi(boundary_clustered_grid(cap, 12).nodes)
+        points, weights = kernel_rule(kernel_layout(cap, knots), [0.0, 1.3, 2.0, PI])
         shared = 8 * (len(knots) + 1)
         assert np.all(points[:, :shared] == points[0, :shared])
         # each row leaves out the one or two panels that meet its diagonal
@@ -339,10 +333,8 @@ class TestKernelRule:
 
     def test_zero_width_sides_add_nothing(self):
         # off the support and at phi = pi one graded side has zero width
-        alpha = 0.9
-        smax = math.sqrt(2.0) * math.cos(0.5 * alpha)
         with np.errstate(all="raise"):
-            points, weights = kernel_rule(kernel_layout(alpha, smax), [0.3, PI])
+            points, weights = kernel_rule(kernel_layout(south_cap(0.9)), [0.3, PI])
         assert np.all(np.isfinite(weights))
         sides = weights[:, 8:].reshape(2, 2, -1)
         assert np.all(sides[0, 0] == 0.0)  # below s0 = 0

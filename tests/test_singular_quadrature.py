@@ -66,7 +66,7 @@ UNIFORM = SmoothFactor(np.ones_like, np.zeros_like)  # the unit constant field
 
 def stage_F(p, phi: float, alpha: float) -> float:
     # second stage at one angle of the south cap with rim alpha
-    return float(_stage_F_south_vec(p, np.array([phi]), alpha)[0])
+    return float(_stage_F_south_vec(p, np.array([phi]), south_cap(alpha))[0])
 
 
 def stage_g(field, t: float, cap) -> float:
@@ -118,7 +118,8 @@ class TestIntegrateSqrtSingular:
         m = np.array([0.05, 0.8, 1.0 + math.cos(alpha)])
         expected = math.cos(alpha) - 2.0 * m / 3.0
         # the rule's variable tau has sqrt(m) * dy = sqrt(1-c) * dtau
-        got = _second_stage_integral(lambda c: c * np.sqrt(1.0 - c), m, alpha) / np.sqrt(m)
+        got = _second_stage_integral(lambda c: c * np.sqrt(1.0 - c), m, south_cap(alpha))
+        got /= np.sqrt(m)
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
     def test_edge_density_mass_factor(self):
@@ -144,7 +145,7 @@ class TestIntegrateSqrtSingular:
         # tan(tau_max) = sqrt(m / (1 - cos(alpha)))
         m = np.array([0.0, 1e-12])
         tau_max = np.arctan(np.sqrt(m / (1.0 - math.cos(0.5))))
-        g = _second_stage_integral(lambda c: c, m, 0.5)
+        g = _second_stage_integral(lambda c: c, m, south_cap(0.5))
         assert np.all(np.isfinite(g))
         assert g == pytest.approx(tau_max * math.cos(0.5), rel=1e-11)
 

@@ -92,7 +92,6 @@ def test_benchmark_records_are_well_formed():
 CLOSED_FORM_DENSITIES = {
     "equilibrium.nofield_density",
     "equilibrium.pointcharge_density",
-    "equilibrium.northpole_density",
     "equilibrium.quadratic_density",
 }
 
@@ -131,6 +130,41 @@ def test_every_public_name_is_used():
             if not any(name == definition.name and id(node) not in inside for name, node in reads):
                 unused.append(f"{path.stem}.{qualified}")
     assert sorted(set(unused) - CLOSED_FORM_DENSITIES) == []
+
+
+def _half_angle_calls(tree: ast.Module) -> list[int]:
+    """Lines of math.sin(0.5 * ...) and math.cos(0.5 * ...) calls."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "math"
+            and node.func.attr in ("sin", "cos")
+            and node.args
+            and isinstance(node.args[0], ast.BinOp)
+            and isinstance(node.args[0].op, ast.Mult)
+            and isinstance(node.args[0].left, ast.Constant)
+            and node.args[0].left.value == 0.5
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_rim_quantities_live_in_geometry():
+    # r1, smax, the pole depth and the depth into the cap are half-angle
+    # forms of the rim angle that `geometry.SphericalCap` owns; a second
+    # copy elsewhere can round, or cancel, differently
+    geometry = Path(capfield.__file__).parent / "geometry.py"
+    assert _half_angle_calls(ast.parse(geometry.read_text()))
+    found = [
+        f"{path.stem}:{line}"
+        for path in SOURCES
+        if path.name != "geometry.py"
+        for line in _half_angle_calls(ast.parse(path.read_text()))
+    ]
+    assert found == []
 
 
 def test_oracle_imports_no_interpolation():
