@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
@@ -106,8 +106,8 @@ def pointcharge_density(q: float, h: float, alpha0: float, phi):
 
     r1 = cap.r1
     depth = cap.depth(p)
-    cp = np.cos(p)
-    d2 = 1.0 + h * h - 2.0 * h * cp
+    # 1 + h^2 - 2h cos(phi), without its cancellation for h near 1
+    d2 = (h - 1.0) ** 2 + 2.0 * h * (r1 + depth)
     with np.errstate(divide="ignore"):
         ratio = np.sqrt(r1 / depth)
         inv_ratio = np.sqrt(depth / r1) if r1 > 0.0 else np.full_like(depth, np.inf)
@@ -174,7 +174,7 @@ class DensityProfile:
     cap: SphericalCap
     grid: PhiGrid
     values: np.ndarray
-    robin_constant: Optional[float]
+    robin_constant: float
     sigma: PPoly = dataclass_field(repr=False)
     mass: float = dataclass_field(init=False)
     negative_nodes: tuple[int, ...] = dataclass_field(init=False)
@@ -186,8 +186,7 @@ class DensityProfile:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if self.robin_constant is not None:
-            object.__setattr__(self, "robin_constant", float(self.robin_constant))
+        object.__setattr__(self, "robin_constant", float(self.robin_constant))
         mass = 4.0 * PI * self.sigma.integrate(0.0, self.cap.smax)
         object.__setattr__(self, "mass", float(mass))
         negative = tuple(int(i) for i in np.flatnonzero(arr < 0.0))
@@ -240,7 +239,7 @@ def profile_from_callable(
     cap: SphericalCap,
     grid: PhiGrid,
     fn: Callable[[np.ndarray], np.ndarray],
-    robin_constant: Optional[float],
+    robin_constant: float,
     noise: tuple[float, int] = (0.0, 0),
 ) -> DensityProfile:
     """Profile backed by a vectorized density callable.
@@ -257,7 +256,7 @@ def profile_from_values(
     cap: SphericalCap,
     grid: PhiGrid,
     values: np.ndarray,
-    robin_constant: Optional[float],
+    robin_constant: float,
 ) -> DensityProfile:
     """Profile backed by node samples only.
 

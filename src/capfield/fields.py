@@ -3,8 +3,10 @@
 A field is a map Q(phi) = Qhat(x3) with x3 = cos(phi), evaluated through
 `value_at_x3` and its derivative dQhat/dx3 through `slope_at_x3` (both
 vectorized over x3).
-Fields suitable for a south-cap support are nondecreasing and convex in x3;
-`validate_south_cap_hypotheses` checks those properties on a sample grid.
+Fields suitable for a south-cap support are nondecreasing and convex in x3.
+The closed-form fields are so by construction, since their constructors
+refuse every other parameter; a table is checked exactly on the pieces of
+its interpolant (`TabulatedField.require_south_cap`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -188,6 +189,34 @@ class TabulatedField(ExternalField):
         coeffs.flags.writeable = False
         return coeffs
 
+    def require_south_cap(self) -> None:
+        """Refuse the table unless its interpolant is nondecreasing and convex.
+
+        The PCHIP is nondecreasing exactly when its samples are (Fritsch &
+        Carlson 1980), and its second derivative is linear on each piece,
+        so the samples and both ends of every piece decide the south-cap
+        hypotheses exactly, up to a rounding slack relative to the largest
+        sample.  A NaN curvature counts as a violation.
+        """
+        x, y = self._x, self._y
+        scale = max(float(np.max(np.abs(y))), 1.0)
+        bad = np.flatnonzero(np.diff(y) < -1e-12 * scale)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"tabulated field is not monotone in x3: Q = {float(y[i])}, "
+                f"{float(y[i + 1])} at x3 = {float(x[i])}, {float(x[i + 1])}"
+            )
+        u2, u1, _ = self.slope_coefficients
+        curvature = np.minimum(u1, u1 + 2.0 * u2 * np.diff(x))
+        bad = np.flatnonzero(~(curvature >= -1e-8 * scale))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"tabulated field is not convex in x3: Q'' = {float(curvature[k])} "
+                f"on the piece [{float(x[k])}, {float(x[k + 1])}]"
+            )
+
     def _evaluate(self, pieces, x3):
         x = np.asarray(x3, dtype=float)
         if np.any(x < self._x[0]) or np.any(x > self._x[-1]):
@@ -205,95 +234,3 @@ class TabulatedField(ExternalField):
     def slope_at_x3(self, x3):
         """dQhat/dx3, the exact piecewise-quadratic derivative of the interpolant."""
         return self._evaluate(self._slope, x3)
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the south-cap suitability scan.
-
-    `passed` requires the sampled field to be nondecreasing and
-    midpoint-convex in x3.  Nonnegativity is tracked separately: a negative
-    sample only warns.  `first_violation` holds (kind, x3-tuple, Q-tuple)
-    for the first failing comparison, scanning monotonicity first.
-    """
-
-    n: int
-    monotone_ok: bool
-    convex_ok: bool
-    nonnegative_ok: bool
-    first_violation: Optional[tuple[str, tuple, tuple]]
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone_ok and self.convex_ok
-
-
-def validate_south_cap_hypotheses(field: ExternalField, n: int = 200) -> HypothesisReport:
-    """Scan Qhat on an n-point uniform x3 grid for the south-cap hypotheses.
-
-    Checks that samples are nondecreasing and midpoint-convex, with a small
-    relative slack so that rounding noise in flat regions does not trip the
-    scan.  Unbounded sample values (a charge sitting on the sphere) are
-    tolerated: comparisons against +inf are well defined.
-    """
-    if n < 3:
-        raise ValueError("need at least three samples")
-    x = np.linspace(-1.0, 1.0, n)
-    if isinstance(field, TabulatedField):
-        x = np.linspace(field.knots[0], field.knots[-1], n)
-    with np.errstate(divide="ignore"):
-        q = np.asarray(field.value_at_x3(x), dtype=float)
-
-    finite = q[np.isfinite(q)]
-    scale = float(np.max(np.abs(finite))) if finite.size else 1.0
-    slack = 1e-12 * max(scale, 1.0)
-    # monotonicity and convexity do not depend on scale: the differences
-    # are taken of the samples over the power of two just above their
-    # largest magnitude, which is exact and cannot overflow
-    _, exponent = math.frexp(max(scale, 1.0))
-    unit, unit_slack = np.ldexp(q, -exponent), math.ldexp(slack, -exponent)
-
-    nonnegative_ok = bool(np.min(q) >= -slack)
-    if not nonnegative_ok:
-        warnings.warn(
-            "field takes negative values on the validation grid",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    monotone_ok = True
-    convex_ok = True
-    first_violation: Optional[tuple[str, tuple, tuple]] = None
-
-    diffs = np.diff(unit)
-    bad = np.flatnonzero(diffs < -unit_slack)
-    if bad.size:
-        monotone_ok = False
-        i = int(bad[0])
-        first_violation = (
-            "monotone",
-            (float(x[i]), float(x[i + 1])),
-            (float(q[i]), float(q[i + 1])),
-        )
-
-    # equally spaced samples, so midpoint convexity is a second difference test
-    with np.errstate(invalid="ignore"):
-        second = unit[:-2] + unit[2:] - 2.0 * unit[1:-1]
-    bad2 = np.flatnonzero(second < -unit_slack)
-    if bad2.size:
-        convex_ok = False
-        if first_violation is None:
-            i = int(bad2[0])
-            first_violation = (
-                "convex",
-                (float(x[i]), float(x[i + 1]), float(x[i + 2])),
-                (float(q[i]), float(q[i + 1]), float(q[i + 2])),
-            )
-
-    return HypothesisReport(
-        n=n,
-        monotone_ok=monotone_ok,
-        convex_ok=convex_ok,
-        nonnegative_ok=nonnegative_ok,
-        first_violation=first_violation,
-    )

@@ -323,8 +323,6 @@ def verify_equilibrium(
     on, off = weighted[: nodes.size], weighted[nodes.size :]
 
     fq = profile.robin_constant
-    if fq is None:
-        fq = float(np.median(on))
     sup_dev = float(np.max(np.abs(on - fq)))
     slack = None if profile.cap.is_full_sphere else float(np.min(off - fq))
 

@@ -41,8 +41,9 @@ PI = math.pi
 _N_FIRST_STAGE = 96
 _N_SECOND_STAGE = 96
 
-# row block size for the Gauss-Legendre integrals, and elements per block
-# of the per-piece sums of a table; bound peak memory at a few MB
+# row block size for the second-stage integral, whose point count follows
+# the grid, and elements per block of the per-piece sums of a table; bound
+# peak memory at a few MB
 _CHUNK = 8192
 _PIECE_BLOCK = 1 << 16
 
@@ -63,16 +64,10 @@ def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
         return q_south + 2.0 * np.sqrt(1.0 + c) * _table_slope_integral(field, c)
     v, w = gauss_legendre(_N_FIRST_STAGE)
     vv = 0.5 * (v + 1.0)
-    ww = 0.5 * w
-    one_minus_v2 = 1.0 - vv * vv
-    out = np.empty(c.shape, dtype=float)
-    for start in range(0, c.size, _CHUNK):
-        block = c[start : start + _CHUNK]
-        args = block[:, None] * one_minus_v2[None, :] - (vv * vv)[None, :]
-        np.clip(args, -1.0, 1.0, out=args)
-        slope = np.asarray(field.slope_at_x3(args.ravel()), dtype=float).reshape(args.shape)
-        out[start : start + _CHUNK] = (1.0 + block) * (slope @ ww)
-    return q_south + 2.0 * out
+    args = c[:, None] * (1.0 - vv * vv)[None, :] - (vv * vv)[None, :]
+    np.clip(args, -1.0, 1.0, out=args)
+    slope = np.asarray(field.slope_at_x3(args.ravel()), dtype=float).reshape(args.shape)
+    return q_south + 2.0 * ((1.0 + c) * (slope @ (0.5 * w)))
 
 
 def _table_slope_integral(field: TabulatedField, c: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from capfield import support_finder
 from capfield._numerics import brent_root
 from capfield.cli import build_parser, emit_density_table, main
 from capfield.equilibrium import density_general, nofield_density, profile_from_callable
-from capfield.fields import ZeroField
+from capfield.fields import PointChargeField, ZeroField
 from capfield.geometry import boundary_clustered_grid, south_cap
 
 PI = math.pi
@@ -231,7 +231,7 @@ class TestDensityTable:
         cap = south_cap(PI / 3)
         grid = boundary_clustered_grid(cap, 8)
         profile = profile_from_callable(
-            cap, grid, lambda p: nofield_density(PI / 3, p), None
+            cap, grid, lambda p: nofield_density(PI / 3, p), PI / cap.normalizer
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_density_table(profile, ZeroField(), p1)
@@ -241,7 +241,9 @@ class TestDensityTable:
     def test_unwritable_path_names_file(self, tmp_path):
         cap = south_cap(PI / 3)
         grid = boundary_clustered_grid(cap, 8)
-        profile = profile_from_callable(cap, grid, lambda p: nofield_density(PI / 3, p), None)
+        profile = profile_from_callable(
+            cap, grid, lambda p: nofield_density(PI / 3, p), PI / cap.normalizer
+        )
         bad = tmp_path / "missing-dir" / "t.csv"
         with pytest.raises(OSError, match="t.csv"):
             emit_density_table(profile, ZeroField(), bad)
@@ -302,6 +304,23 @@ class TestDensityCommand:
         assert code == 2
         assert summary is None
         assert "not monotone" in capsys.readouterr().err
+
+    def test_coarse_table_of_a_peaked_charge_refused(self, tmp_path, capsys):
+        # the 201 samples of a convex field, but their PCHIP bends the other
+        # way on [0.98, 0.99], between two knots
+        x = np.linspace(-1.0, 1.0, 201)
+        q = PointChargeField(4.733335691893191, 1.052476780733111).value_at_x3(x)
+        table = tmp_path / "field.csv"
+        rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, q))
+        table.write_text("x3,Q\n" + rows)
+        code, summary = run_cli(
+            ["density", "--field", "tabulated", "--table", str(table), "--n", "32"], tmp_path
+        )
+        assert code == 2
+        assert summary is None
+        err = capsys.readouterr().err
+        assert "validation error in fields.require_south_cap" in err
+        assert "not convex" in err
 
     def test_linear_table_without_rim(self, tmp_path):
         # the support is the whole sphere, so the density has unit mass there

@@ -133,6 +133,23 @@ def _quadratic_density_mp(a, b, c, alpha0, phi) -> float:
         return float(fq / (4 * pi) * edge + (t1 - t2 - t3) / (36 * pi**2))
 
 
+def _pointcharge_density_mp(q, h, alpha0, phi) -> float:
+    """`pointcharge_density`'s closed form, F_Q included, at 40 digits."""
+    with mp.workdps(40):
+        q, h, al, p = (mp.mpf(v) for v in (q, h, alpha0, phi))
+        pi = mp.pi
+        t = mp.atan(mp.cot(al / 2) * (h - 1) / (h + 1))
+        fq = pi / (pi - al + mp.sin(al)) * (
+            1 + q * (h + 1) / (2 * h) * (1 - al / pi) - q * (h - 1) / (pi * h) * t
+        )
+        root = mp.sqrt((1 - mp.cos(al)) / (mp.cos(al) - mp.cos(p)))
+        edge = 1 + 2 / pi * (root - mp.atan(root))
+        d2 = 1 + h**2 - 2 * h * mp.cos(p)
+        term1 = root / d2
+        term2 = (h - 1) / d2**1.5 * mp.atan((h - 1) / mp.sqrt(d2) / root)
+        return float(fq / (4 * pi) * edge - q * (h + 1) / (2 * pi**2) * (term1 + term2))
+
+
 @st.composite
 def point_charges(draw):
     """(q, h) over both proper-cap height ranges, the critical heights
@@ -293,6 +310,18 @@ class TestPointChargeDensity:
 
 
 class TestNorthPoleDensity:
+    @pytest.mark.parametrize("q", [1e-8, 1e-6, 1e-4])
+    def test_small_rims_match_the_closed_form_at_40_digits(self, q):
+        # a small charge on the sphere excavates a small rim, where
+        # 1 + h^2 - 2h cos(phi) cancels; the squared distance must keep full
+        # relative accuracy next to the rim and deep inside the cap
+        alpha0 = solve_support(PointChargeField(q, 1.0)).alpha0
+        phis = [alpha0 * k for k in (1.001, 1.01, 1.1, 2.0, 5.0, 10.0)]
+        for phi in phis + [0.5 * (alpha0 + PI), PI]:
+            f, _ = pointcharge_density(q, 1.0, alpha0, phi)
+            exact = _pointcharge_density_mp(q, 1.0, alpha0, phi)
+            assert f == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_frozen_values(self):
         assert pointcharge_density(1.0, 1.0, ALPHA0_NP_1, 2.0)[0] == pytest.approx(
             0.1232170264597183753232, rel=1e-12
@@ -556,7 +585,7 @@ class TestSigmaTable:
             cap,
             boundary_clustered_grid(cap, 64),
             lambda p: pointcharge_density(0.5, 2.2, alpha, p)[0],
-            None,
+            pointcharge_density(0.5, 2.2, alpha, PI)[1],
         )
         assert abs(prof.mass - 1.0) <= 1e-12
 
@@ -576,7 +605,8 @@ class TestSigmaTable:
         alpha = 0.05
         cap = south_cap(alpha)
         prof = profile_from_callable(
-            cap, boundary_clustered_grid(cap, 16), lambda p: nofield_density(alpha, p), None
+            cap, boundary_clustered_grid(cap, 16), lambda p: nofield_density(alpha, p),
+            PI / cap.normalizer,
         )
         # s from phi by the product form of cos(alpha) - cos(phi), which
         # keeps its relative accuracy at the rim
@@ -589,5 +619,5 @@ class TestSigmaTable:
         cap = south_cap(0.5)
         with pytest.raises(NonconvergenceError, match="sigma table unresolved"):
             profile_from_callable(
-                cap, boundary_clustered_grid(cap, 8), lambda p: np.sin(1e4 * p), None
+                cap, boundary_clustered_grid(cap, 8), lambda p: np.sin(1e4 * p), 1.0
             )

@@ -1,11 +1,11 @@
-"""External field construction, evaluation, and hypothesis validation."""
+"""External field construction, evaluation, and south-cap admissibility."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capfield.fields import (
@@ -13,7 +13,6 @@ from capfield.fields import (
     QuadraticField,
     TabulatedField,
     ZeroField,
-    validate_south_cap_hypotheses,
 )
 from conftest import ShiftedField
 
@@ -252,49 +251,85 @@ class TestShiftedField:
             assert f.value_at_x3(math.cos(phi)) == base.value_at_x3(math.cos(phi)) + 0.75
 
 
-class TestValidateSouthCapHypotheses:
-    def test_point_charge_passes(self):
-        report = validate_south_cap_hypotheses(PointChargeField(q=1.0, h=2.0), n=400)
-        assert report.passed
-        assert report.monotone_ok and report.convex_ok and report.nonnegative_ok
-        assert report.first_violation is None
+def _sampled_table(field, samples):
+    x = np.linspace(-1.0, 1.0, samples)
+    return TabulatedField(x, field.value_at_x3(x))
 
-    def test_quadratic_passes_at_several_resolutions(self):
-        f = QuadraticField(a=1.0, b=2.5, c=2.0)
-        for n in (50, 200, 1000):
-            assert validate_south_cap_hypotheses(f, n=n).passed
 
-    def test_zero_field_passes(self):
-        assert validate_south_cap_hypotheses(ZeroField(), n=100).passed
-
-    def test_decreasing_tabulated_field_fails_with_witness(self):
+class TestRequireSouthCap:
+    def test_decreasing_table_refused_with_witness(self):
         # x3^2 - 2.5 x3 + 2 is decreasing on [-1, 1]: b < 0 breaks monotonicity
         x = np.linspace(-1.0, 1.0, 41)
         f = TabulatedField(x, x**2 - 2.5 * x + 2.0)
-        report = validate_south_cap_hypotheses(f, n=200)
-        assert not report.passed
-        assert not report.monotone_ok
-        kind, xs, qs = report.first_violation
-        assert kind == "monotone"
-        assert len(xs) == 2 and qs[1] < qs[0]
+        with pytest.raises(ValueError, match="not monotone") as err:
+            f.require_south_cap()
+        # the first pair of samples, named as plain floats
+        assert "Q = 5.5, 5.2775 at x3 = -1.0, -0.95" in str(err.value)
 
-    def test_concave_field_fails_convexity(self):
+    def test_concave_table_refused(self):
         x = np.linspace(-1.0, 1.0, 81)
-        f = TabulatedField(x, 2.0 - x**2 + x)
-        report = validate_south_cap_hypotheses(f, n=200)
-        assert not report.convex_ok
-        assert report.first_violation[0] in ("monotone", "convex")
+        with pytest.raises(ValueError, match="not (monotone|convex)"):
+            TabulatedField(x, 2.0 - x**2 + x).require_south_cap()
+        # increasing on [-1, 1], so only convexity fails
+        with pytest.raises(ValueError, match="not convex") as err:
+            TabulatedField(x, 4.0 - (x - 1.0) ** 2).require_south_cap()
+        assert "np.float64" not in str(err.value)
 
-    def test_negative_field_flags_nonnegativity(self):
+    def test_negative_table_warns_once_in_the_constructor(self):
         x = np.array([-1.0, 0.0, 1.0])
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             f = TabulatedField(x, np.array([-0.5, 0.25, 1.0]))
+        assert len(record) == 1
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = validate_south_cap_hypotheses(f, n=50)
-        assert not report.nonnegative_ok
+            warnings.simplefilter("error")
+            f.require_south_cap()  # linear, so admissible
 
-    def test_charge_on_sphere_handles_infinity(self):
-        # h = 1 makes Q blow up at x3 = 1; the scan must not crash
-        report = validate_south_cap_hypotheses(PointChargeField(q=1.0, h=1.0), n=301)
-        assert report.monotone_ok
+    @pytest.mark.parametrize("samples", [3, 201, 1601])
+    def test_sampled_closed_forms_pass(self, samples):
+        for field in (PointChargeField(1.0, 2.0), PointChargeField(0.5, 0.5),
+                      QuadraticField(1.0, 2.5, 2.0), ZeroField()):
+            _sampled_table(field, samples).require_south_cap()
+
+    def test_coarse_table_of_a_peaked_charge_is_not_convex(self):
+        # the samples of a convex field, but between the last knots the
+        # PCHIP bends the other way, which the interpolant's own second
+        # derivative confirms
+        f = _sampled_table(PointChargeField(4.733335691893191, 1.052476780733111), 201)
+        with pytest.raises(ValueError, match=r"not convex .* on the piece \[0\.98, 0\.99\]"):
+            f.require_south_cap()
+        curvature = f._interp.derivative(2)(np.array([0.98, 0.99]))
+        assert np.min(curvature) < -1e3
+
+
+@st.composite
+def closed_form_fields(draw):
+    """Any field the closed-form constructors accept: charges over
+    q in [1e-12, 1e12] and h in [1e-4, 1e4], on the sphere and within
+    1e-12 to 1e-1 of it, and quadratics over 1e-150 to 1e150."""
+    kind = draw(st.sampled_from(["charge", "near-sphere", "quadratic", "zero"]))
+    if kind == "zero":
+        return ZeroField()
+    if kind == "quadratic":
+        a = 10.0 ** draw(st.floats(-150.0, 150.0))
+        b = 2.0 * a * (1.0 + 10.0 ** draw(st.floats(-12.0, 1.0)))
+        c = b * b / (4.0 * a) * (1.0 + draw(st.floats(0.0, 10.0)))
+        try:
+            return QuadraticField(a, b, c)
+        except ValueError:
+            assume(False)
+    q = 10.0 ** draw(st.floats(-12.0, 12.0))
+    if kind == "charge":
+        return PointChargeField(q, 10.0 ** draw(st.floats(-4.0, 4.0)))
+    offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(-12.0, -1.0))
+    return PointChargeField(q, 1.0 + offset)
+
+
+class TestClosedFormsAdmissible:
+    @given(field=closed_form_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_slope_nonnegative_and_nondecreasing(self, field):
+        # the constructors admit only nondecreasing convex fields, so the
+        # CLI checks none of them
+        slope = field.slope_at_x3(np.linspace(-1.0, 1.0, 201, endpoint=False))
+        assert np.all(slope >= 0.0)
+        assert np.all(np.diff(slope) >= 0.0)

@@ -394,7 +394,7 @@ class TestVerifyEquilibrium:
             cap,
             grid,
             lambda p: pointcharge_density(1.0, 2.0, wrong, p)[0],
-            None,
+            pointcharge_density(1.0, 2.0, wrong, PI)[1],
         )
         report = verify_equilibrium(PointChargeField(1.0, 2.0), prof, tol=1e-4)
         assert not report.verdict
@@ -409,7 +409,7 @@ class TestVerifyEquilibrium:
             cap,
             grid,
             lambda p: pointcharge_density(1.0, 2.0, wrong, p)[0],
-            None,
+            pointcharge_density(1.0, 2.0, wrong, PI)[1],
         )
         report = verify_equilibrium(PointChargeField(1.0, 2.0), prof, tol=1e-4)
         assert not report.verdict
