@@ -324,6 +324,42 @@ def closed_form_fields(draw):
     return PointChargeField(q, 1.0 + offset)
 
 
+def _assert_south_cap(field, n):
+    """Q >= 0 with a nonnegative, nondecreasing slope at n points of
+    [-1, 1], poles included; a field that stays finite there also gives
+    a table that require_south_cap accepts."""
+    x = np.linspace(-1.0, 1.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = field.value_at_x3(x)
+        slope = field.slope_at_x3(x)
+    assert not np.any(np.isnan(q)) and not np.any(np.isnan(slope))
+    assert np.all(q >= 0.0)
+    assert np.all(slope >= 0.0)
+    assert np.all(slope[1:] >= slope[:-1])
+    if np.all(np.isfinite(q)):
+        TabulatedField(x, q).require_south_cap()
+
+
+class TestValidateSouthCapHypotheses:
+    def test_point_charge_passes(self):
+        _assert_south_cap(PointChargeField(q=1.0, h=2.0), n=400)
+
+    def test_quadratic_passes_at_several_resolutions(self):
+        f = QuadraticField(a=1.0, b=2.5, c=2.0)
+        for n in (50, 200, 1000):
+            _assert_south_cap(f, n=n)
+
+    def test_zero_field_passes(self):
+        _assert_south_cap(ZeroField(), n=100)
+
+    def test_charge_on_sphere_handles_infinity(self):
+        # h = 1 makes Q blow up at x3 = 1: +inf there, never nan
+        f = PointChargeField(q=1.0, h=1.0)
+        _assert_south_cap(f, n=301)
+        assert f.value_at_x3(1.0) == math.inf and f.slope_at_x3(1.0) == math.inf
+
+
 class TestClosedFormsAdmissible:
     @given(field=closed_form_fields())
     @settings(max_examples=300, deadline=None)
