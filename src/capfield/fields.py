@@ -12,7 +12,6 @@ its interpolant (`TabulatedField.require_south_cap`).
 from __future__ import annotations
 
 import abc
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -122,6 +121,11 @@ class QuadraticField(ExternalField):
         return out
 
 
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """(rows, 2) floats from the first two comma-separated columns; empty lines are skipped."""
+    return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"')
+
+
 class TabulatedField(ExternalField):
     """Field given by samples (x3_i, Q_i), interpolated monotonicity-preserving.
 
@@ -140,8 +144,25 @@ class TabulatedField(ExternalField):
             raise ValueError("samples must be finite")
         if x[0] < -1.0 or x[-1] > 1.0:
             raise ValueError("abscissae must lie in [-1, 1]")
-        if np.any(np.diff(x) <= 0.0):
+        h = np.diff(x)
+        if np.any(h <= 0.0):
             raise ValueError("abscissae must be strictly increasing")
+        # on a piece of width h, the PCHIP's slopes stay within 3 |secant|,
+        # its coefficients and their curvature within 72 |secant| /
+        # min(h, 1)^2, and its interior slopes read 6 / |secant| at most
+        big = np.finfo(float).max
+        with np.errstate(over="ignore"):
+            secant = np.abs(np.diff(y) / h)
+        bad = np.flatnonzero(
+            ~(secant <= big / 72.0 * np.minimum(h, 1.0) ** 2)
+            | ((secant > 0.0) & (secant < 6.0 / big))
+        )
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"tabulated field's interpolant would overflow: Q = {float(y[i])}, "
+                f"{float(y[i + 1])} at x3 = {float(x[i])}, {float(x[i + 1])}"
+            )
         if np.min(y) < 0.0:
             warnings.warn(
                 "tabulated field takes negative values; equilibrium results "
@@ -159,22 +180,35 @@ class TabulatedField(ExternalField):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedField":
-        """Read two-column (x3, Q) CSV data; a non-numeric header row is skipped."""
-        xs: list[float] = []
-        ys: list[float] = []
+        """Read (x3, Q) from the first two columns of CSV data.
+
+        Blank lines are skipped, and so is a first line that does not
+        parse, as a header; any other line that does not parse is refused
+        by its row number.
+        """
         with open(path, newline="") as fh:
-            for i, row in enumerate(csv.reader(fh)):
-                if not row:
-                    continue
-                try:
-                    x, y = float(row[0]), float(row[1])
-                except (ValueError, IndexError):
-                    if i == 0:
-                        continue  # header line
-                    raise ValueError(f"malformed CSV row {i + 1}: {row!r}") from None
-                xs.append(x)
-                ys.append(y)
-        return cls(np.asarray(xs), np.asarray(ys))
+            lines = fh.read().splitlines()
+        start = 0
+        if lines and lines[0]:
+            try:
+                _parse_rows(lines[:1])
+            except ValueError:
+                start = 1  # header line
+        rows = lines[start:]
+        if not any(rows):
+            return cls(np.empty(0), np.empty(0))
+        try:
+            data = _parse_rows(rows)
+        except ValueError:
+            # name the first row that does not parse on its own
+            for number, line in enumerate(rows, start=start + 1):
+                if line:
+                    try:
+                        _parse_rows([line])
+                    except ValueError:
+                        raise ValueError(f"malformed CSV row {number}: {line!r}") from None
+            raise
+        return cls(data[:, 0], data[:, 1])
 
     @property
     def knots(self) -> np.ndarray:

@@ -154,6 +154,19 @@ NUMPY_ONLY_COMMANDS = [
 ]
 
 
+# the density pipeline, the potentials and the oracles read their splines
+# on numpy alone: scipy comes in for `special`, `linalg` and `fft` only
+SPLINE_COMMANDS = [
+    ["density", "--field", "point-charge", "--q", "1", "--h", "2", "--n", "32"],
+    ["verify", "--field", "point-charge", "--q", "1", "--h", "2",
+     "--alpha", repr(ALPHA0_PC_12), "--n", "16"],
+    ["oracle", "--mode", "nystrom", "--field", "point-charge", "--q", "1", "--h", "2",
+     "--alpha", repr(ALPHA0_PC_12), "--n", "32"],
+    ["oracle", "--mode", "energy", "--field", "point-charge", "--q", "1", "--h", "2",
+     "--rings", "32"],
+]
+
+
 def scipy_modules_after(argv, tmp_path):
     """Run a command in a fresh interpreter; return the scipy modules it loaded."""
     code = (
@@ -177,6 +190,12 @@ class TestStartUp:
     @pytest.mark.parametrize("argv", NUMPY_ONLY_COMMANDS, ids=" ".join)
     def test_closed_form_commands_import_no_scipy(self, tmp_path, argv):
         assert scipy_modules_after(argv, tmp_path) == []
+
+    @pytest.mark.parametrize("argv", SPLINE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+    def test_closed_form_splines_import_no_interpolate(self, tmp_path, argv):
+        modules = scipy_modules_after(argv, tmp_path)
+        assert modules
+        assert [m for m in modules if m.startswith("scipy.interpolate")] == []
 
     def test_tabulated_support_imports_no_integrate(self, tmp_path):
         # the table's support comes from a fixed Gauss rule, not from quad
@@ -561,6 +580,25 @@ class TestArgumentHandling:
         assert done.returncode == 3, done.stderr
         assert done.stdout == ""
         assert done.stderr.strip() == "nonconvergence in support: non-finite FQ"
+
+    def test_overflowing_table_refused_before_its_interpolant(self, tmp_path):
+        # a table whose PCHIP would overflow is refused in the table's own
+        # terms, before any interpolant arithmetic can warn
+        table = tmp_path / "steep.csv"
+        table.write_text("-1,0\n0,1e308\n1,1.7e308\n")
+        argv = ["support", "--field", "tabulated", "--table", str(table)]
+        env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys, capfield.cli; sys.exit(capfield.cli.main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.strip().endswith(
+            "tabulated field's interpolant would overflow: Q = 0.0, 1e+308 at x3 = -1.0, 0.0"
+        )
+        assert "Warning" not in done.stderr
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

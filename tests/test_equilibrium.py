@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from capfield.equilibrium import (
     DensityProfile,
+    PiecewiseCubic,
     density_general,
     edge_factor,
     nofield_density,
@@ -621,3 +623,76 @@ class TestSigmaTable:
             profile_from_callable(
                 cap, boundary_clustered_grid(cap, 8), lambda p: np.sin(1e4 * p), 1.0
             )
+
+
+def _graded_knots(s_lo, smax, n):
+    """Knots graded toward s_lo > 0, like the sigma table's."""
+    return s_lo + (smax - s_lo) * np.linspace(0.0, 1.0, n) ** 2
+
+
+PCHIP_DATA = {
+    "monotone": (np.array([0.1, 0.15, 0.3, 0.32, 0.6, 0.9, 1.4]),
+                 np.array([0.0, 0.2, 0.25, 0.9, 1.0, 3.0, 3.1])),
+    "flat": (np.array([0.1, 0.4, 0.5, 0.9, 1.2]), np.array([1.0, 1.0, 1.0, 2.0, 2.0])),
+    "sign-changing": (np.linspace(0.05, 1.3, 12), np.sin(7.0 * np.linspace(0.05, 1.3, 12))),
+    "two-sample": (np.array([0.2, 0.7]), np.array([1.5, -0.5])),
+    "three-sample": (np.array([0.2, 0.3, 0.7]), np.array([1.5, 1.0, 3.0])),
+    # the one-sided end slopes: clamped to three secants, and zeroed
+    "three-sample-peak": (np.array([0.2, 1.2, 1.3]), np.array([0.0, 1.0, 0.0])),
+    "three-sample-kink": (np.array([0.1, 1.0, 1.1]), np.array([0.0, 1.0, 11.0])),
+}
+
+
+class TestPiecewiseCubic:
+    """scipy's splines referee the numpy one that every profile holds."""
+
+    def test_hermite_matches_scipy(self):
+        # knots from s_lo > 0, as in the sigma table: the first piece also
+        # covers [0, s_lo], and the mass integrates from 0
+        s_lo, smax = 2e-3, 1.3
+        s = _graded_knots(s_lo, smax, 41)
+        values, slopes = np.cos(3.0 * s) * s, np.cos(3.0 * s) - 3.0 * s * np.sin(3.0 * s)
+        ours = PiecewiseCubic.hermite(s, values, slopes)
+        ref = CubicHermiteSpline(s, values, slopes)
+        probe = np.concatenate((np.linspace(0.0, s_lo, 7), np.linspace(0.0, smax + 0.1, 501), s))
+        tol = 8.0 * np.finfo(float).eps
+        np.testing.assert_allclose(ours(probe), ref(probe), rtol=0, atol=tol)
+        assert ours(probe.reshape(3, -1)).shape == (3, probe.size // 3)
+        for a, b in [(0.0, smax), (0.0, s_lo), (0.0, 0.5), (0.4, 0.41), (smax, smax + 0.1)]:
+            assert ours.integrate(a, b) == pytest.approx(float(ref.integrate(a, b)), rel=0, abs=tol)
+
+    @pytest.mark.parametrize("s, y", PCHIP_DATA.values(), ids=PCHIP_DATA.keys())
+    def test_pchip_matches_scipy(self, s, y):
+        ours = PiecewiseCubic.pchip(s, y)
+        ref = PchipInterpolator(s, y, extrapolate=True)
+        # rows (value, slope, t^2, t^3) per piece: the first two columns are
+        # the PCHIP's knot values and slopes
+        expected = ref.c[::-1].T
+        tol = 8.0 * np.finfo(float).eps * np.max(np.abs(expected), axis=0)
+        assert np.all(np.abs(ours._coefficients - expected) <= tol)
+        # values in every piece and extrapolated past both ends
+        probe = np.linspace(s[0] - 0.1, s[-1] + 0.1, 401)
+        np.testing.assert_allclose(ours(probe), ref(probe), rtol=0, atol=1e-14)
+        assert ours.integrate(0.0, s[-1] + 0.1) == pytest.approx(
+            float(ref.integrate(0.0, s[-1] + 0.1)), rel=0, abs=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "s, y", [([0.1, 0.1, 0.2], [0.0, 1.0, 2.0]), ([0.1], [0.0]), ([0.1, 0.2], [0.0])]
+    )
+    def test_bad_knots_refused(self, s, y):
+        with pytest.raises(ValueError):
+            PiecewiseCubic.pchip(s, y)
+
+    def test_profile_sigma_is_the_node_pchip(self):
+        cap = south_cap(1.0)
+        grid = boundary_clustered_grid(cap, 24)
+        values = nofield_density(1.0, grid.nodes)
+        prof = profile_from_values(cap, grid, values, PI / cap.normalizer)
+        s = np.asarray(cap.s_of_phi(grid.nodes))
+        order = np.argsort(s)
+        ref = PchipInterpolator(s[order], (values * s)[order])
+        probe = np.linspace(0.0, cap.smax, 301)
+        np.testing.assert_allclose(prof.sigma(probe), ref(probe), rtol=1e-14, atol=0)
+        assert prof.mass == pytest.approx(4.0 * PI * float(ref.integrate(0.0, cap.smax)),
+                                          rel=1e-14)

@@ -190,6 +190,41 @@ class TestTabulatedField:
         f = TabulatedField.from_csv(path)
         assert f.value_at_x3(0.0) == pytest.approx(2.0)
 
+    def test_csv_skips_blank_lines_and_extra_columns(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("x3,Q,note\n\n-1.0,3.0,a\n\n0.0,2.0,b\n1.0,3.5,c\n\n")
+        f = TabulatedField.from_csv(path)
+        assert f.knots.tolist() == [-1.0, 0.0, 1.0]
+        assert f.value_at_x3(1.0) == 3.5
+
+    @pytest.mark.parametrize("bad", ["0.5,abc", "0.5", "0.5,", "x3,Q", "   "])
+    def test_csv_malformed_row_named(self, tmp_path, bad):
+        # rows count every line, blank ones and the header included
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x3,Q\n-1.0,3.0\n\n0.0,2.0\n{bad}\n1.0,3.5\n")
+        with pytest.raises(ValueError, match=f"^malformed CSV row 5: {bad!r}$"):
+            TabulatedField.from_csv(path)
+
+    def test_csv_without_samples(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x3,Q\n\n")
+        with pytest.raises(ValueError, match="at least two samples"):
+            TabulatedField.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "values", [[0.0, 1e308, 1.7e308], [-1e308, 1e308, 1e308], [0.0, 1e-310, 1.0]],
+        ids=["steep", "difference-overflows", "reciprocal-overflows"],
+    )
+    def test_overflowing_interpolant_refused(self, values):
+        # refused before the PCHIP is built, so no arithmetic warning
+        with pytest.raises(ValueError, match="interpolant would overflow: Q = "):
+            TabulatedField(np.array([-1.0, 0.0, 1.0]), np.array(values))
+
+    def test_large_but_representable_table_accepted(self):
+        x = np.linspace(-1.0, 1.0, 1601)
+        f = TabulatedField(x, 1e290 * (x + 2.0))
+        assert f.value_at_x3(0.0) == pytest.approx(2e290)
+
     def test_constant_shift_commutes_with_interpolation(self):
         # sample values chosen exactly representable so the shifted table
         # has bit-identical divided differences; only the final addition

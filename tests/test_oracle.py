@@ -18,6 +18,7 @@ import capfield.oracle
 import capfield.potential
 
 from capfield.equilibrium import (
+    PiecewiseCubic,
     nofield_density,
     pointcharge_density,
     profile_from_values,
@@ -212,18 +213,21 @@ class TestNystromProductIntegration:
         # the rows and the unit-mass row come from moments through the
         # banded not-a-knot map: no spline is built or evaluated for them
         built, calls = [], []
-        build, evaluate = CubicSpline.__init__, PPoly.__call__
+        build = CubicSpline.__init__
 
         def counted_build(self, *args, **kwargs):
             built.append(1)
             return build(self, *args, **kwargs)
 
-        def counted(self, *args, **kwargs):
-            calls.append(type(self).__name__)
-            return evaluate(self, *args, **kwargs)
+        def counting(evaluate):
+            def counted(self, *args, **kwargs):
+                calls.append(type(self).__name__)
+                return evaluate(self, *args, **kwargs)
+            return counted
 
         monkeypatch.setattr(CubicSpline, "__init__", counted_build)
-        monkeypatch.setattr(PPoly, "__call__", counted)
+        for spline in (PPoly, PiecewiseCubic):
+            monkeypatch.setattr(spline, "__call__", counting(spline.__call__))
         counts = {}
         for n in (16, 64):
             calls.clear()

@@ -167,11 +167,26 @@ def test_rim_quantities_live_in_geometry():
     assert found == []
 
 
-def test_oracle_imports_no_interpolation():
-    # the Nystrom map from moments to rows is the oracle's own banded
-    # not-a-knot solve; tests keep scipy's CubicSpline as its referee
-    tree = ast.parse((Path(capfield.__file__).parent / "oracle.py").read_text())
-    modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    assert [m for m in modules if m.startswith("scipy.interpolate") or m == "scipy"] == []
+def _imported_modules(tree: ast.Module) -> list[str]:
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    return modules
+
+
+def test_only_fields_imports_interpolation():
+    # densities, potentials and the oracles read their splines from
+    # `equilibrium.PiecewiseCubic`, and the Nystrom map from moments to rows
+    # is the oracle's own banded not-a-knot solve; only a table's PCHIP
+    # stays on scipy, and tests keep scipy's splines as referees.  A bare
+    # `import scipy` would reach the subpackage lazily
+    found = {
+        path.name
+        for path in SOURCES
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module.startswith("scipy.interpolate") or module == "scipy"
+    }
+    assert found == {"fields.py"}
