@@ -1,8 +1,12 @@
 """Shared numerical helpers: the nonconvergence error, a bracketed root
-finder, Gauss-Legendre nodes and adaptive Chebyshev tables.
+finder, Gauss-Legendre nodes, adaptive Chebyshev tables and piecewise
+cubics.
 
-Only numpy is imported at module level, so that commands which need no
-quadrature start without scipy.
+`PiecewiseCubic` is the one spline of the package: the sigma tables of
+the density profiles and the monotone PCHIP (Fritsch & Carlson 1980) of a
+tabulated field.  The Chebyshev tables take their DCT-I from numpy's real
+FFT.  Only numpy is imported, and scipy only for Gauss-Legendre nodes, so
+that fields and the closed-form commands start without scipy.
 """
 
 from __future__ import annotations
@@ -136,11 +140,13 @@ _TABLE_PLATEAU_TOL = 1e-8
 
 
 def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
-    """Coefficients of the interpolant through values at cos(j*pi/n), j = 0..n."""
-    from scipy.fft import dct
+    """Coefficients of the interpolant through values at cos(j*pi/n), j = 0..n.
 
+    The DCT-I of the samples is the real FFT of their even extension
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 3).
+    """
     n = samples.size - 1
-    coeffs = dct(samples, type=1) / n
+    coeffs = np.fft.rfft(np.concatenate((samples, samples[-2:0:-1]))).real / n
     coeffs[0] *= 0.5
     coeffs[-1] *= 0.5
     return coeffs
@@ -187,3 +193,164 @@ def chebyshev_table(
         if tail <= _TABLE_PLATEAU_TOL and tail >= 0.5 * previous:
             break
     return coeffs, tail
+
+
+class PiecewiseCubic:
+    """Polynomial pieces c_0,k + c_1,k t + c_2,k t^2 + ... in t = s - s_k.
+
+    Piece k covers [s_k, s_k+1] of the strictly increasing breakpoints;
+    the first and last pieces extend to everything below and above.  The
+    coefficients are one row per power, one column per piece: cubic
+    pieces have four rows, their derivative three.  A piece is evaluated
+    in powers of t, in the order of scipy's `PPoly`, so either gives the
+    same bits.
+    """
+
+    def __init__(self, breakpoints: np.ndarray, coefficients: np.ndarray) -> None:
+        self._breakpoints = breakpoints
+        self._inner = breakpoints[1:-1]
+        self._left = breakpoints[:-1]
+        self._coefficients = coefficients
+
+    @classmethod
+    def hermite(cls, s, values, slopes) -> "PiecewiseCubic":
+        """The cubic Hermite spline through values with slopes at the knots s."""
+        s, y = _knots_and_values(s, values)
+        d = np.asarray(slopes, dtype=float)
+        if d.shape != s.shape:
+            raise ValueError("need one slope per knot")
+        h = np.diff(s)
+        secant = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * secant) / h
+        return cls(s, np.stack((y[:-1], d[:-1], (secant - d[:-1]) / h - t, t / h)))
+
+    @classmethod
+    def pchip(cls, s, values) -> "PiecewiseCubic":
+        """The monotone PCHIP through values at the knots s.
+
+        Interior slopes are the weighted harmonic mean of the neighbouring
+        secants, or 0 where they differ in sign or one vanishes; the end
+        slopes are the one-sided three-point estimate, kept within the
+        shape (Moler, Numerical Computing with MATLAB, 3.6).  Two samples
+        give the line through them.
+        """
+        s, y = _knots_and_values(s, values)
+        h = np.diff(s)
+        m = np.diff(y) / h
+        if m.size == 1:
+            return cls.hermite(s, y, np.full(2, m[0]))
+        d = np.empty_like(y)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        return cls.hermite(s, y, d)
+
+    def derivative(self) -> "PiecewiseCubic":
+        """The pieces' derivative, one degree lower on the same breakpoints."""
+        powers = np.arange(1.0, self._coefficients.shape[0])
+        return PiecewiseCubic(self._breakpoints, self._coefficients[1:] * powers[:, None])
+
+    def __call__(self, s) -> np.ndarray:
+        """Values at the points s, of any shape."""
+        s = np.asarray(s, dtype=float)
+        return self._at(s, _monotone_step(s))
+
+    def _at(self, s: np.ndarray, step: int) -> np.ndarray:
+        """Values at s, where step is `_monotone_step(s)`.
+
+        Points in general position find their pieces by binary search.
+        A monotone 1-d s is split into runs by binary search of the
+        breakpoints among the points instead, and each piece's
+        coefficients are repeated over its run; both give the same
+        pieces, right-continuous at the breakpoints.
+        """
+        if step:
+            # the points of each piece, in the order of s: the first and
+            # last pieces take everything below and above the knots
+            ends = np.searchsorted(s[::step], self._breakpoints)
+            ends[0], ends[-1] = 0, s.size
+            counts = (ends[1:] - ends[:-1])[::step]
+
+            def gather(row: np.ndarray) -> np.ndarray:
+                return np.repeat(row[::step], counts)
+        else:
+            pieces = np.searchsorted(self._inner, s, side="right")
+
+            def gather(row: np.ndarray) -> np.ndarray:
+                return row.take(pieces)
+
+        c = self._coefficients
+        t = s - gather(self._left)
+        out, power = gather(c[0]), t
+        for j, row in enumerate(c[1:]):
+            if j:
+                power = power * t
+            term = gather(row)
+            term *= power
+            out += term
+        return out
+
+    def integrate(self, a: float, b: float) -> float:
+        """Integral of cubic pieces over [a, b], a <= b, with the end pieces
+        extended past the knots."""
+        if not a <= b:
+            raise ValueError("need a <= b")
+        first, last = np.searchsorted(self._inner, [a, b], side="right")
+        # each piece's antiderivative from its left end: over the whole
+        # piece up to b's, then up to b, less the first one's up to a
+        c = self._coefficients
+        t = np.append(np.diff(self._breakpoints)[first:last], b - self._left[last])
+        parts = _antiderivative(c[:, first : last + 1], t)
+        parts[0] -= _antiderivative(c[:, first : first + 1], np.array([a - self._left[first]]))[0]
+        # summed left to right
+        return float(np.cumsum(parts)[-1])
+
+
+def _monotone_step(s: np.ndarray) -> int:
+    """1 for a nondecreasing and -1 for a nonincreasing 1-d s, else 0.
+
+    A NaN anywhere, or an empty s, gives 0.
+    """
+    if s.ndim != 1 or s.size == 0:
+        return 0
+    if s[0] <= s[-1]:
+        return 1 if np.all(s[:-1] <= s[1:]) else 0
+    return -1 if np.all(s[1:] <= s[:-1]) else 0
+
+
+def _knots_and_values(s, values) -> tuple[np.ndarray, np.ndarray]:
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if s.ndim != 1 or s.size < 2 or y.shape != s.shape:
+        raise ValueError("need matching 1-d knots and values, at least two")
+    if not np.all(np.diff(s) > 0.0):
+        raise ValueError("knots must be strictly increasing")
+    return s, y
+
+
+def _antiderivative(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Integral of each column's cubic from its piece's left end to t past it."""
+    t2 = t * t
+    out = c[0] * t
+    out += c[1] * t2 * 0.5
+    t2 *= t
+    out += c[2] * t2 * (1.0 / 3.0)
+    t2 *= t
+    out += c[3] * t2 * 0.25
+    return out
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end, 0 against the end secant's
+    sign and at most three times it where the secants change sign."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return float(d)

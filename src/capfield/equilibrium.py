@@ -15,8 +15,7 @@ variable graded toward the rim, read out as a cubic Hermite spline
 (`sigma_interpolant`); its integral is the mass, and the potentials
 integrate it against the ring kernel.  Profiles backed by node values only
 hold the monotone PCHIP (Fritsch & Carlson 1980) through the nodes.  Both
-splines are `PiecewiseCubic`, a pp-form cubic on numpy alone, so that
-densities, potentials and the oracles load no `scipy.interpolate`.
+splines are `_numerics.PiecewiseCubic`, a pp-form cubic on numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
-from ._numerics import chebyshev_table
+from ._numerics import PiecewiseCubic, chebyshev_table
 from .fields import ExternalField, QuadraticField
 from .geometry import PhiGrid, SphericalCap, _validated_angles
 from .singular_quadrature import _second_stage_integral, _stage_F_south_vec, first_stage_table
@@ -43,122 +42,6 @@ RIM_GUARD_BAND = 1e-6
 # knots of the sigma spline of callable-backed profiles, in each of its two
 # sets: graded toward the rim, and uniform in s
 _SIGMA_KNOTS = 512
-
-
-class PiecewiseCubic:
-    """Cubic pieces y_k + d_k t + c_k t^2 + e_k t^3 in t = s - s_k.
-
-    Piece k covers [s_k, s_k+1] of the strictly increasing breakpoints;
-    the first and last pieces extend to everything below and above.  The
-    coefficients are one row (y_k, d_k, c_k, e_k) per piece, so a point
-    gathers its piece in one take.  A piece is evaluated in powers of t,
-    in the order of scipy's `PPoly`, so either gives the same bits.
-    """
-
-    def __init__(self, breakpoints: np.ndarray, coefficients: np.ndarray) -> None:
-        self._breakpoints = breakpoints
-        self._inner = breakpoints[1:-1]
-        self._left = breakpoints[:-1]
-        self._coefficients = coefficients
-
-    @classmethod
-    def hermite(cls, s, values, slopes) -> "PiecewiseCubic":
-        """The cubic Hermite spline through values with slopes at the knots s."""
-        s, y = _knots_and_values(s, values)
-        d = np.asarray(slopes, dtype=float)
-        if d.shape != s.shape:
-            raise ValueError("need one slope per knot")
-        h = np.diff(s)
-        secant = np.diff(y) / h
-        t = (d[:-1] + d[1:] - 2.0 * secant) / h
-        coefficients = np.stack((y[:-1], d[:-1], (secant - d[:-1]) / h - t, t / h), axis=1)
-        return cls(s, coefficients)
-
-    @classmethod
-    def pchip(cls, s, values) -> "PiecewiseCubic":
-        """The monotone PCHIP through values at the knots s.
-
-        Interior slopes are the weighted harmonic mean of the neighbouring
-        secants, or 0 where they differ in sign or one vanishes; the end
-        slopes are the one-sided three-point estimate, kept within the
-        shape (Moler, Numerical Computing with MATLAB, 3.6).  Two samples
-        give the line through them.
-        """
-        s, y = _knots_and_values(s, values)
-        h = np.diff(s)
-        m = np.diff(y) / h
-        if m.size == 1:
-            return cls.hermite(s, y, np.full(2, m[0]))
-        d = np.empty_like(y)
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        return cls.hermite(s, y, d)
-
-    def __call__(self, s) -> np.ndarray:
-        """Values at the points s, of any shape."""
-        s = np.asarray(s, dtype=float)
-        k = np.searchsorted(self._inner, s, side="right")
-        t = s - self._left.take(k)
-        c = self._coefficients.take(k, axis=0)
-        t2 = t * t
-        out = c[..., 0] + c[..., 1] * t
-        out += c[..., 2] * t2
-        t2 *= t
-        out += c[..., 3] * t2
-        return out
-
-    def integrate(self, a: float, b: float) -> float:
-        """Integral over [a, b], a <= b, with the end pieces extended past the knots."""
-        if not a <= b:
-            raise ValueError("need a <= b")
-        first, last = np.searchsorted(self._inner, [a, b], side="right")
-        # each piece's antiderivative from its left end: over the whole
-        # piece up to b's, then up to b, less the first one's up to a
-        c = self._coefficients
-        t = np.append(np.diff(self._breakpoints)[first:last], b - self._left[last])
-        parts = _antiderivative(c[first : last + 1], t)
-        parts[0] -= _antiderivative(c[first : first + 1], np.array([a - self._left[first]]))[0]
-        # summed left to right
-        return float(np.cumsum(parts)[-1])
-
-
-def _knots_and_values(s, values) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if s.ndim != 1 or s.size < 2 or y.shape != s.shape:
-        raise ValueError("need matching 1-d knots and values, at least two")
-    if not np.all(np.diff(s) > 0.0):
-        raise ValueError("knots must be strictly increasing")
-    return s, y
-
-
-def _antiderivative(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Integral of each row's cubic from its piece's left end to t past it."""
-    t2 = t * t
-    out = c[:, 0] * t
-    out += c[:, 1] * t2 * 0.5
-    t2 *= t
-    out += c[:, 2] * t2 * (1.0 / 3.0)
-    t2 *= t
-    out += c[:, 3] * t2 * 0.25
-    return out
-
-
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point slope at an end, 0 against the end secant's
-    sign and at most three times it where the secants change sign."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return float(d)
 
 
 def edge_factor(alpha, phi):

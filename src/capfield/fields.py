@@ -7,6 +7,10 @@ Fields suitable for a south-cap support are nondecreasing and convex in x3.
 The closed-form fields are so by construction, since their constructors
 refuse every other parameter; a table is checked exactly on the pieces of
 its interpolant (`TabulatedField.require_south_cap`).
+
+A table's interpolant is the monotone PCHIP of `_numerics.PiecewiseCubic`.
+`_numerics` is the only capfield module imported here, so that a field
+loads neither scipy nor the Abel stages.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._numerics import PiecewiseCubic, _monotone_step
 
 
 class ExternalField(abc.ABC):
@@ -170,13 +176,11 @@ class TabulatedField(ExternalField):
                 UserWarning,
                 stacklevel=2,
             )
-        from scipy.interpolate import PchipInterpolator
-
         x.flags.writeable = False
         self._x = x
         self._y = y
-        self._interp = PchipInterpolator(x, y, extrapolate=False)
-        self._slope = self._interp.derivative()
+        self._values = PiecewiseCubic.pchip(x, y)
+        self._slopes = self._values.derivative()
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedField":
@@ -219,7 +223,7 @@ class TabulatedField(ExternalField):
     def slope_coefficients(self) -> np.ndarray:
         """(3, knots - 1) rows u2, u1, u0: on [x_k, x_k+1] the slope is
         u2*t^2 + u1*t + u0 with t = x3 - x_k, column k."""
-        coeffs = self._slope.c.view()
+        coeffs = self._slopes._coefficients[::-1]
         coeffs.flags.writeable = False
         return coeffs
 
@@ -251,20 +255,27 @@ class TabulatedField(ExternalField):
                 f"on the piece [{float(x[k])}, {float(x[k + 1])}]"
             )
 
-    def _evaluate(self, pieces, x3):
+    def _evaluate(self, pieces: PiecewiseCubic, x3):
         x = np.asarray(x3, dtype=float)
-        if np.any(x < self._x[0]) or np.any(x > self._x[-1]):
+        step = _monotone_step(x)
+        # a monotone input's range is its two ends; a NaN is not refused,
+        # and evaluates to NaN
+        if step:
+            low, high = (x[0], x[-1])[::step]
+        else:
+            low, high = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
+        if low < self._x[0] or high > self._x[-1]:
             raise ValueError(
-                f"x3 outside tabulated range [{self._x[0]!r}, {self._x[-1]!r}]"
+                f"x3 outside tabulated range [{float(self._x[0])}, {float(self._x[-1])}]"
             )
-        out = pieces(x)
+        out = pieces._at(x, step)
         if x.ndim == 0:
             return float(out)
         return out
 
     def value_at_x3(self, x3):
-        return self._evaluate(self._interp, x3)
+        return self._evaluate(self._values, x3)
 
     def slope_at_x3(self, x3):
         """dQhat/dx3, the exact piecewise-quadratic derivative of the interpolant."""
-        return self._evaluate(self._slope, x3)
+        return self._evaluate(self._slopes, x3)

@@ -42,10 +42,13 @@ _N_FIRST_STAGE = 96
 _N_SECOND_STAGE = 96
 
 # row block size for the second-stage integral, whose point count follows
-# the grid, and elements per block of the per-piece sums of a table; bound
-# peak memory at a few MB
+# the grid; bounds peak memory at a few MB
 _CHUNK = 8192
-_PIECE_BLOCK = 1 << 16
+# elements per block of the per-piece sums of a table: 64 KB temporaries
+# stay under the C allocator's default mmap threshold, so each block reuses
+# heap memory, where larger ones fault in fresh pages on every call.  A
+# block holds whole rows, so its size does not change the sums' bits
+_PIECE_BLOCK = 1 << 13
 
 
 def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
@@ -87,7 +90,9 @@ def _table_slope_integral(field: TabulatedField, c: np.ndarray) -> np.ndarray:
     coeffs = field.slope_coefficients
     top = float(np.max(c))
     if top > knots[-1]:
-        raise ValueError(f"x3 outside tabulated range [{knots[0]!r}, {knots[-1]!r}]")
+        raise ValueError(
+            f"x3 outside tabulated range [{float(knots[0])}, {float(knots[-1])}]"
+        )
     pieces = int(np.searchsorted(knots, top))
     x, width = knots[:pieces], np.diff(knots)[:pieces]
     u2, u1, u0 = coeffs[0, :pieces], coeffs[1, :pieces], coeffs[2, :pieces]

@@ -173,14 +173,27 @@ def _rim_rule(
     if isinstance(field, TabulatedField):
         knots = field.knots
         edges.append(np.sqrt(ca - knots[(knots > -1.0) & (knots < ca)]))
-    edges = np.unique(np.concatenate(edges))
+    # sorted without repeats, as np.unique gives them; the rule's
+    # point-sized temporaries are reused in place, which keeps every bit
+    edges = np.sort(np.concatenate(edges))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     x, w = gauss_legendre(_RULE_POINTS)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    s = (mid + half * x).ravel()
-    weights = (half * w).ravel()
-    kappa = 2.0 * s + (4.0 / PI) * (sq_r1 - s * np.arctan2(sq_r1, s))
-    return np.clip(ca - s * s, -1.0, 1.0), weights, kappa
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    s = np.multiply.outer(half, x)
+    s += mid[:, None]
+    s = s.ravel()
+    weights = np.multiply.outer(half, w).ravel()
+    kappa = np.arctan2(sq_r1, s)
+    kappa *= s
+    np.subtract(sq_r1, kappa, out=kappa)
+    kappa *= 4.0 / PI
+    kappa += 2.0 * s
+    # s <= smax = sqrt(1 + cos(alpha)), so only x3 >= -1 can bind
+    x3 = s * s
+    np.subtract(ca, x3, out=x3)
+    np.maximum(x3, -1.0, out=x3)
+    return x3, weights, kappa
 
 
 def ffunctional_numeric(field: ExternalField, alpha: float) -> float:

@@ -83,6 +83,26 @@ class TestSupportCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "lo, hi, argv, where",
+        [(-0.5, 1.0, ["support"], "fields._evaluate"),
+         (-1.0, 0.5, ["density", "--alpha", "0.5", "--n", "16"],
+          "singular_quadrature._table_slope_integral")],
+        ids=["south-pole-uncovered", "cap-uncovered"],
+    )
+    def test_table_short_of_the_range_names_it_in_plain_floats(
+        self, tmp_path, capsys, lo, hi, argv, where
+    ):
+        x = np.linspace(lo, hi, 31)
+        table = write_table(tmp_path / "short.csv", x, x * x + 2.5 * x + 2.0)
+        code, summary = run_cli([*argv, "--field", "tabulated", "--table", str(table)], tmp_path)
+        assert code == 2
+        assert summary is None
+        err = capsys.readouterr().err
+        assert err == (
+            f"validation error in {where}: x3 outside tabulated range [{lo!r}, {hi!r}]\n"
+        )
+
     def test_root_finder_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def one_pass(f, a, b, xtol, rtol):
             return brent_root(f, a, b, xtol, rtol, maxiter=1)
@@ -155,7 +175,7 @@ NUMPY_ONLY_COMMANDS = [
 
 
 # the density pipeline, the potentials and the oracles read their splines
-# on numpy alone: scipy comes in for `special`, `linalg` and `fft` only
+# on numpy alone: scipy comes in for `special` and `linalg` only
 SPLINE_COMMANDS = [
     ["density", "--field", "point-charge", "--q", "1", "--h", "2", "--n", "32"],
     ["verify", "--field", "point-charge", "--q", "1", "--h", "2",
@@ -198,15 +218,23 @@ class TestStartUp:
         assert [m for m in modules if m.startswith("scipy.interpolate")] == []
 
     def test_tabulated_support_imports_no_integrate(self, tmp_path):
-        # the table's support comes from a fixed Gauss rule, not from quad
+        # the table's support comes from a fixed Gauss rule, not from quad,
+        # and its PCHIP and Chebyshev tables from numpy
         x = np.linspace(-1.0, 1.0, 201)
         table = write_table(tmp_path / "field.csv", x, x * x + 2.5 * x + 2.0)
         modules = scipy_modules_after(
             ["support", "--field", "tabulated", "--table", str(table)], tmp_path
         )
-        assert "scipy.interpolate" in modules
-        assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
-                       for m in modules)
+        assert [m for m in modules if m.split(".")[1:2] in (["interpolate"], ["fft"],
+                                                             ["integrate"])] == []
+
+    def test_tabulated_density_imports_no_interpolate_or_fft(self, tmp_path):
+        x = np.linspace(-1.0, 1.0, 201)
+        table = write_table(tmp_path / "field.csv", x, x * x + 2.5 * x + 2.0)
+        modules = scipy_modules_after(
+            ["density", "--field", "tabulated", "--table", str(table), "--n", "16"], tmp_path
+        )
+        assert [m for m in modules if m.split(".")[1:2] in (["interpolate"], ["fft"])] == []
 
 
 class TestCapacityCommand:

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
+from capfield._numerics import PiecewiseCubic
 from capfield.equilibrium import (
     DensityProfile,
-    PiecewiseCubic,
     density_general,
     edge_factor,
     nofield_density,
@@ -665,10 +665,10 @@ class TestPiecewiseCubic:
     def test_pchip_matches_scipy(self, s, y):
         ours = PiecewiseCubic.pchip(s, y)
         ref = PchipInterpolator(s, y, extrapolate=True)
-        # rows (value, slope, t^2, t^3) per piece: the first two columns are
+        # rows of powers 1, t, t^2, t^3 over the pieces: the first two are
         # the PCHIP's knot values and slopes
-        expected = ref.c[::-1].T
-        tol = 8.0 * np.finfo(float).eps * np.max(np.abs(expected), axis=0)
+        expected = ref.c[::-1]
+        tol = 8.0 * np.finfo(float).eps * np.max(np.abs(expected), axis=1, keepdims=True)
         assert np.all(np.abs(ours._coefficients - expected) <= tol)
         # values in every piece and extrapolated past both ends
         probe = np.linspace(s[0] - 0.1, s[-1] + 0.1, 401)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
+from capfield._numerics import _monotone_step
 from capfield.fields import (
     PointChargeField,
     QuadraticField,
@@ -238,6 +240,70 @@ class TestTabulatedField:
         assert np.max(np.abs(diff)) < 1e-15
 
 
+# tables of 1601, 3 and 2 samples: the benchmark's size, the smallest with
+# an interior slope, and a line
+_X1601 = np.linspace(-1.0, 1.0, 1601)
+REFEREE_SAMPLES = {
+    "1601": (_X1601, PointChargeField(1.0, 2.0).value_at_x3(_X1601)),
+    "3": (np.array([-1.0, 0.1, 1.0]), np.array([0.5, 1.2, 3.0])),
+    "2": (np.array([-0.5, 0.75]), np.array([1.0, 2.5])),
+}
+
+
+def _probes(knots):
+    """Named inputs in the table's range: ascending, descending with ties,
+    unsorted, scalar and 2-d, the knots themselves included."""
+    rng = np.random.default_rng(1601)
+    inside = np.sort(np.concatenate((knots, rng.uniform(knots[0], knots[-1], 997))))
+    descending = np.repeat(inside[::-1], 2)
+    return {
+        "ascending": inside,
+        "descending": descending,
+        "unsorted": rng.permutation(inside),
+        "scalar": inside[inside.size // 3],
+        "2-d": rng.permutation(inside)[: 2 * (inside.size // 2)].reshape(2, -1),
+    }
+
+
+class TestTablePchipReferee:
+    """scipy's PchipInterpolator and its derivative referee the table,
+    bit for bit."""
+
+    @pytest.mark.parametrize("x3, q", REFEREE_SAMPLES.values(), ids=REFEREE_SAMPLES.keys())
+    def test_values_and_slopes_match_scipy_bitwise(self, x3, q):
+        f = TabulatedField(x3, q)
+        ref = PchipInterpolator(x3, q, extrapolate=False)
+        slope = ref.derivative()
+        assert np.array_equal(f.slope_coefficients, slope.c)
+        for name, x in _probes(f.knots).items():
+            value, rate = f.value_at_x3(x), f.slope_at_x3(x)
+            assert np.shape(value) == np.shape(x) == np.shape(rate), name
+            assert np.array_equal(value, ref(x)), name
+            assert np.array_equal(rate, slope(x)), name
+
+    @pytest.mark.parametrize("x3, q", REFEREE_SAMPLES.values(), ids=REFEREE_SAMPLES.keys())
+    def test_sorted_locate_matches_binary_search(self, x3, q):
+        f = TabulatedField(x3, q)
+        for name, x in _probes(f.knots).items():
+            step = _monotone_step(np.asarray(x))
+            assert step == {"ascending": 1, "descending": -1}.get(name, 0)
+            for pieces in (f._values, f._slopes):
+                assert np.array_equal(pieces._at(np.asarray(x), step),
+                                      pieces._at(np.asarray(x), 0)), name
+
+    def test_range_is_checked_on_every_path(self):
+        f = TabulatedField(np.array([-0.5, 0.0, 0.5]), np.array([1.0, 1.5, 2.5]))
+        message = r"^x3 outside tabulated range \[-0\.5, 0\.5\]$"
+        for x in (0.75, np.array([0.0, 0.6]), np.array([0.6, 0.0]),
+                  np.array([0.0, -0.6, 0.1]), np.array([[0.0], [0.51]])):
+            with pytest.raises(ValueError, match=message):
+                f.value_at_x3(x)
+            with pytest.raises(ValueError, match=message):
+                f.slope_at_x3(x)
+        assert f.value_at_x3(np.empty(0)).shape == (0,)
+        assert np.isnan(f.value_at_x3(np.array([0.0, np.nan, 0.1]))[1])
+
+
 SLOPE_FIELDS = {
     "zero": lambda: ZeroField(),
     "point-charge-outside": lambda: PointChargeField(q=1.3, h=2.0),
@@ -329,10 +395,13 @@ class TestRequireSouthCap:
         # the samples of a convex field, but between the last knots the
         # PCHIP bends the other way, which the interpolant's own second
         # derivative confirms
-        f = _sampled_table(PointChargeField(4.733335691893191, 1.052476780733111), 201)
+        charge = PointChargeField(4.733335691893191, 1.052476780733111)
+        f = _sampled_table(charge, 201)
         with pytest.raises(ValueError, match=r"not convex .* on the piece \[0\.98, 0\.99\]"):
             f.require_south_cap()
-        curvature = f._interp.derivative(2)(np.array([0.98, 0.99]))
+        x = np.linspace(-1.0, 1.0, 201)
+        referee = PchipInterpolator(x, charge.value_at_x3(x))
+        curvature = referee.derivative(2)(np.array([0.98, 0.99]))
         assert np.min(curvature) < -1e3
 
 

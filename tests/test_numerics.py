@@ -6,10 +6,16 @@ import random
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.optimize import brentq
 
 from capfield import support_finder
-from capfield._numerics import NonconvergenceError, brent_root, chebyshev_table
+from capfield._numerics import (
+    NonconvergenceError,
+    _chebyshev_coefficients,
+    brent_root,
+    chebyshev_table,
+)
 from capfield.fields import PointChargeField, QuadraticField
 
 
@@ -91,3 +97,23 @@ def test_table_stops_at_the_stated_noise():
     # the stated degree holds even where the tail is already below the noise
     coeffs, _ = chebyshev_table(np.abs, "kink", noise=(1e-2, 256))
     assert coeffs.size - 1 == 256
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+def test_chebyshev_coefficients_match_scipy_dct(n):
+    # every table size from the start degree to the cap; numpy 2 and scipy
+    # share one pocketfft, so the DCT-I of the even extension is bitwise
+    # scipy's; an older numpy's own pocketfft may differ in the last bits
+    rng = np.random.default_rng(n)
+    exact = int(np.__version__.split(".")[0]) >= 2
+    for _ in range(20):
+        samples = rng.standard_normal(n + 1)
+        expected = dct(samples, type=1) / n
+        expected[0] *= 0.5
+        expected[-1] *= 0.5
+        coeffs = _chebyshev_coefficients(samples)
+        if exact:
+            assert np.array_equal(coeffs, expected)
+        else:
+            ulp = np.spacing(np.max(np.abs(expected)))
+            assert np.max(np.abs(coeffs - expected)) <= 8.0 * ulp

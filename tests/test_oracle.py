@@ -17,8 +17,8 @@ from scipy.interpolate import CubicSpline, PPoly
 import capfield.oracle
 import capfield.potential
 
+from capfield._numerics import PiecewiseCubic
 from capfield.equilibrium import (
-    PiecewiseCubic,
     nofield_density,
     pointcharge_density,
     profile_from_values,

@@ -208,6 +208,17 @@ class TestFirstStageIntegral:
         exact = _first_stage_integral(QuadraticField(1.0, 2.5, 2.0), c)
         assert np.allclose(_first_stage_integral(table, c), exact, rtol=1e-8, atol=0.0)
 
+    @pytest.mark.parametrize("block", [1, 1601, 1 << 16])
+    def test_table_sums_do_not_depend_on_the_block(self, monkeypatch, block):
+        # a block holds whole rows of per-piece terms, so its size changes
+        # no bit of the sums
+        x = np.linspace(-1.0, 1.0, 1601)
+        table = TabulatedField(x, 1.0 / np.sqrt(5.0 - 4.0 * x))
+        c = np.cos(np.pi * np.arange(65) / 64) * 0.935 - 0.065
+        expected = _first_stage_integral(table, c)
+        monkeypatch.setattr(singular_quadrature, "_PIECE_BLOCK", block)
+        assert np.array_equal(_first_stage_integral(table, c), expected)
+
     def test_table_range_is_checked(self):
         table = TabulatedField(np.array([-1.0, 0.0, 0.5]), np.array([0.2, 0.3, 0.5]))
         with pytest.raises(ValueError, match="outside tabulated range"):

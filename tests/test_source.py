@@ -177,16 +177,31 @@ def _imported_modules(tree: ast.Module) -> list[str]:
     return modules
 
 
-def test_only_fields_imports_interpolation():
-    # densities, potentials and the oracles read their splines from
-    # `equilibrium.PiecewiseCubic`, and the Nystrom map from moments to rows
-    # is the oracle's own banded not-a-knot solve; only a table's PCHIP
-    # stays on scipy, and tests keep scipy's splines as referees.  A bare
-    # `import scipy` would reach the subpackage lazily
-    found = {
-        path.name
+def test_no_module_imports_interpolation_or_fft():
+    # densities, potentials, the oracles and tables read their splines
+    # from `_numerics.PiecewiseCubic`, and the Chebyshev tables take their
+    # DCT from numpy's FFT; scipy stays for `special` and `linalg`, and
+    # tests keep scipy's splines and DCT as referees.  A bare `import
+    # scipy` would reach the subpackages lazily
+    found = sorted(
+        f"{path.name}: {module}"
         for path in SOURCES
         for module in _imported_modules(ast.parse(path.read_text()))
-        if module.startswith("scipy.interpolate") or module == "scipy"
-    }
-    assert found == {"fields.py"}
+        if module == "scipy" or module.startswith(("scipy.interpolate", "scipy.fft"))
+    )
+    assert found == []
+
+
+def test_fields_import_only_numerics():
+    # a table must never pull in `equilibrium` or the Abel stages at
+    # import, and the closed-form `support` start-up reads `fields`
+    fields = Path(capfield.__file__).parent / "fields.py"
+    local = []
+    for node in ast.walk(ast.parse(fields.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            local.append(f"capfield.{node.module}")
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "capfield":
+            local.append(node.module)
+        elif isinstance(node, ast.Import):
+            local += [a.name for a in node.names if a.name.split(".")[0] == "capfield"]
+    assert local == ["capfield._numerics"]
