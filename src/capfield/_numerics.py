@@ -5,17 +5,45 @@ cubics.
 `PiecewiseCubic` is the one spline of the package: the sigma tables of
 the density profiles and the monotone PCHIP (Fritsch & Carlson 1980) of a
 tabulated field.  The Chebyshev tables take their DCT-I from numpy's real
-FFT.  Only numpy is imported, and scipy only for Gauss-Legendre nodes, so
-that fields and the closed-form commands start without scipy.
+FFT, and the Gauss-Legendre rules are polished from numpy's.  scipy is
+never imported here.
+
+`np` is the one numpy handle of the modules that a command imports at
+start-up (`cli`, `_numerics`, `fields`, `geometry`, `support_finder`):
+numpy is executed on the first use of one of its attributes, so that
+the closed-form commands, which compute with `math` alone, run on the
+standard library.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import numbers
+import sys
 from typing import Callable
 
-import numpy as np
+
+def _lazy_module(name: str):
+    """The module name, executed on first attribute access unless already imported.
+
+    The standard library's `importlib.util.LazyLoader` recipe: the module
+    is registered in sys.modules at once, and becomes a plain module the
+    first time one of its attributes is read.
+    """
+    try:
+        return sys.modules[name]
+    except KeyError:
+        pass
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")
 
 
 class NonconvergenceError(RuntimeError):
@@ -109,17 +137,37 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Cached Gauss-Legendre nodes and weights on [-1, 1].
+
+    numpy's `leggauss` nodes, good to a few ulps, take one Newton step
+    on the three-term recurrence in long double, and the weights are
+    2 / ((1 - x)(1 + x) P_n'(x)^2) there (Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013)); both are rounded to double at the end.  With an
+    80-bit long double they are correctly rounded or within an ulp of it;
+    where long double is double, within about 2e-13 relative.
+    """
     try:
         return _GL_CACHE[n]
     except KeyError:
-        from scipy.special import roots_legendre
+        pass
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    p, dp = _legendre_and_slope(n, x)
+    x -= p / dp
+    _, dp = _legendre_and_slope(n, x)
+    w = (2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)).astype(float)
+    x = x.astype(float)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    _GL_CACHE[n] = (x, w)
+    return x, w
 
-        x, w = roots_legendre(n)
-        x.flags.writeable = False
-        w.flags.writeable = False
-        _GL_CACHE[n] = (x, w)
-        return x, w
+
+def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, in the precision of x."""
+    previous, p = np.ones_like(x), x.copy()
+    for k in range(2, n + 1):
+        previous, p = p, ((2 * k - 1) * x * p - (k - 1) * previous) / k
+    return p, n * (x * p - previous) / ((x - 1.0) * (x + 1.0))
 
 
 # Adaptive Chebyshev tables.  The degree doubles from the start degree

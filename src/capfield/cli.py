@@ -20,9 +20,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._numerics import NonconvergenceError
+from ._numerics import NonconvergenceError, np
 from .fields import (
     ExternalField,
     PointChargeField,
@@ -33,9 +31,10 @@ from .fields import (
 from .geometry import boundary_clustered_grid, capacity_south_cap, south_cap
 from .support_finder import ffunctional, gonchar_heights, solve_support
 
-# the pipeline, the potentials and the oracles (and with them scipy) are
-# imported by the handlers that call them, so that the closed-form
-# commands start on numpy alone
+# the pipeline, the potentials and the oracles (and with the last two
+# scipy) are imported by the handlers that call them, and numpy executes
+# on its first use (`_numerics.np`), so that the closed-form commands,
+# which compute with `math` alone, run on the standard library
 if TYPE_CHECKING:
     from .equilibrium import DensityProfile
 

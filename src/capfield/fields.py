@@ -10,7 +10,9 @@ its interpolant (`TabulatedField.require_south_cap`).
 
 A table's interpolant is the monotone PCHIP of `_numerics.PiecewiseCubic`.
 `_numerics` is the only capfield module imported here, so that a field
-loads neither scipy nor the Abel stages.
+loads neither scipy nor the Abel stages, and numpy comes from its lazy
+handle: building a closed-form field executes no numpy, evaluating it
+does.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._numerics import PiecewiseCubic, _monotone_step
+from ._numerics import PiecewiseCubic, _monotone_step, np
 
 
 class ExternalField(abc.ABC):

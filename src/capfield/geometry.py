@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numerics import np
 
 PI = math.pi
 

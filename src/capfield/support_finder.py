@@ -26,9 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._numerics import NonconvergenceError, brent_root, gauss_legendre
+from ._numerics import NonconvergenceError, brent_root, gauss_legendre, np
 from .fields import (
     ExternalField,
     PointChargeField,
@@ -76,26 +74,35 @@ class GoncharHeights:
     h_minus: float
 
 
+# the largest charge whose heights are computed: both are normal floats
+# and no intermediate overflows up to here
+_MAX_GONCHAR_CHARGE = 1e300
+
+
 def gonchar_heights(q: float) -> GoncharHeights:
-    """Critical heights for the point charge of strength q."""
-    if not (q > 0.0 and math.isfinite(q)):
+    """Critical heights for the point charge of strength q, 0 < q <= 1e300."""
+    if not q > 0.0:
         raise ValueError(f"charge must be positive, got q={q!r}")
+    if not q <= _MAX_GONCHAR_CHARGE:
+        raise ValueError(f"charge must be at most {_MAX_GONCHAR_CHARGE:g}, got q={q!r}")
 
-    # outside: h_plus is the unique root in (1, inf) of
-    # h^3 - 2h^2 + (1 - 3q)h + q
-    def cubic(h: float) -> float:
-        return ((h - 2.0) * h + (1.0 - 3.0 * q)) * h + q
+    # outside: h_plus is the root in (1, inf) of h^3 - 2h^2 + (1 - 3q)h + q,
+    # which is u^2 (1 + u) - q (2 + 3u) in u = h - 1.  u^2 - q (2 + 3u)/(1 + u)
+    # is -2q at 0 and above q at 2 sqrt(q); the ratio is taken before the
+    # product, so that nothing overflows
+    def excess(u: float) -> float:
+        return u * u - q * ((2.0 + 3.0 * u) / (1.0 + u))
 
-    hi = 3.0 + 3.0 * q
-    while cubic(hi) <= 0.0:
-        hi *= 2.0
-    h_plus, _ = brent_root(cubic, 1.0, hi, xtol=1e-15, rtol=8.9e-16)
+    u, _ = brent_root(excess, 0.0, 2.0 * math.sqrt(q), xtol=1e-300, rtol=8.9e-16)
+    # one Newton step takes u from the root finder's tolerance to the
+    # rounding of excess; u > 0, where the slope is positive
+    u -= excess(u) / (2.0 * u - q / (1.0 + u) ** 2)
 
-    # inside: smaller root of (1+q)h^2 - (2+3q)h + 1, which lies in (0, 1)
-    disc = math.sqrt(q * (9.0 * q + 8.0))
-    h_minus = ((2.0 + 3.0 * q) - disc) / (2.0 * (1.0 + q))
+    # inside: smaller root of (1+q)h^2 - (2+3q)h + 1, which lies in (0, 1),
+    # as 2 over the sum of the larger root's terms, free of cancellation
+    h_minus = 2.0 / ((2.0 + 3.0 * q) + math.sqrt(q) * math.sqrt(9.0 * q + 8.0))
 
-    return GoncharHeights(q=q, h_plus=h_plus, h_minus=float(h_minus))
+    return GoncharHeights(q=q, h_plus=1.0 + u, h_minus=h_minus)
 
 
 def ffunctional_pointcharge(q: float, h: float, alpha: float) -> float:

@@ -205,3 +205,35 @@ def test_fields_import_only_numerics():
         elif isinstance(node, ast.Import):
             local += [a.name for a in node.names if a.name.split(".")[0] == "capfield"]
     assert local == ["capfield._numerics"]
+
+
+# the modules a closed-form command imports; they take numpy from the
+# lazy handle of `_numerics`, so that numpy executes only when used
+START_UP_MODULES = ("cli", "_numerics", "fields", "geometry", "support_finder")
+
+
+def test_start_up_modules_import_numpy_lazily():
+    package = Path(capfield.__file__).parent
+    found = []
+    for name in START_UP_MODULES:
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                found += [f"{name}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] == "numpy":
+                    found.append(f"{name}: from {node.module}")
+    assert found == []
+
+
+def test_no_module_imports_roots_legendre():
+    # the Gauss-Legendre rules are `_numerics.gauss_legendre`'s, more
+    # accurate than scipy's and without scipy
+    found = sorted(
+        f"{path.name}: {module}"
+        for path in SOURCES
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module.endswith(".roots_legendre")
+    )
+    assert found == []

@@ -92,6 +92,27 @@ class TestGoncharHeights:
             gonchar_heights(0.0)
         with pytest.raises(ValueError):
             gonchar_heights(-1.0)
+        for q in (1.01e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="charge must"):
+                gonchar_heights(q)
+
+    def test_across_the_charge_range(self):
+        # q = 10^k for k = -300 ... 300 against 80-digit roots.  h_minus is
+        # the smaller root of (1+q)h^2 - (2+3q)h + 1, rationalized; h_plus
+        # the root above 1 of h^3 - 2h^2 + (1-3q)h + q, which in
+        # h = 1 + sqrt(q)*v is v^2 = (2 + 3 sqrt(q) v)/(1 + sqrt(q) v), v in (0, 2)
+        with mpmath.workdps(80):
+            for k in range(-300, 301):
+                q = 10.0**k
+                exact_q = mpmath.mpf(q)
+                r = mpmath.sqrt(exact_q)
+                v = mpmath.findroot(lambda v: v * v - (2 + 3 * r * v) / (1 + r * v),
+                                    (mpmath.mpf(0), mpmath.mpf(2)), solver="anderson")
+                h_plus = 1 + r * v
+                h_minus = 2 / ((2 + 3 * exact_q) + mpmath.sqrt(exact_q * (9 * exact_q + 8)))
+                gh = gonchar_heights(q)
+                assert abs(gh.h_plus - h_plus) <= 2e-16 * h_plus, q
+                assert abs(gh.h_minus - h_minus) <= 2.5e-16 * h_minus, q
 
 
 class TestFFunctionalClosedForms:
