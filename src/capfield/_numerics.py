@@ -194,7 +194,10 @@ def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
     (Trefethen, Approximation Theory and Approximation Practice, ch. 3).
     """
     n = samples.size - 1
-    coeffs = np.fft.rfft(np.concatenate((samples, samples[-2:0:-1]))).real / n
+    # samples near the float range overflow inside the FFT; the caller
+    # refuses the non-finite tail that results
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.fft.rfft(np.concatenate((samples, samples[-2:0:-1]))).real / n
     coeffs[0] *= 0.5
     coeffs[-1] *= 0.5
     return coeffs

@@ -28,7 +28,7 @@ from .fields import (
     TabulatedField,
     ZeroField,
 )
-from .geometry import boundary_clustered_grid, capacity_south_cap, south_cap
+from .geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from .support_finder import ffunctional, gonchar_heights, solve_support
 
 # the pipeline, the potentials and the oracles (and with the last two
@@ -37,8 +37,6 @@ from .support_finder import ffunctional, gonchar_heights, solve_support
 # which compute with `math` alone, run on the standard library
 if TYPE_CHECKING:
     from .equilibrium import DensityProfile
-
-PI = math.pi
 
 # absolute tolerance applied to every numeric leaf when comparing a run
 # against its pinned golden summary
@@ -112,6 +110,24 @@ def emit_density_table(profile: DensityProfile, field: ExternalField, path) -> P
     return path
 
 
+def _summary(method, alpha0=None, fq=None, mass=None, residuals=None, **extra) -> dict:
+    """The fixed keys {alpha0, FQ, mass, residuals, method} and the extras."""
+    return {"alpha0": alpha0, "FQ": fq, "mass": mass, "residuals": residuals or {},
+            "method": method, **extra}
+
+
+def _profile_summary(args: argparse.Namespace, field: ExternalField, alpha: float,
+                     profile: DensityProfile, method: str, **extra) -> dict:
+    """The summary of a density profile on the cap with rim alpha, with its
+    CSV table written when --csv is given."""
+    summary = _summary(method, alpha, profile.robin_constant, profile.mass,
+                       {"mass_error": abs(profile.mass - 1.0)}, **extra)
+    if args.csv_path is not None:
+        emit_density_table(profile, field, args.csv_path)
+        summary["csv"] = str(args.csv_path)
+    return summary
+
+
 def _require_alpha(args: argparse.Namespace) -> float:
     if args.alpha is None:
         raise ValueError("this command needs --alpha (radians)")
@@ -121,28 +137,15 @@ def _require_alpha(args: argparse.Namespace) -> float:
 def _cmd_capacity(args: argparse.Namespace):
     alpha = args.alpha
     value = capacity_south_cap(alpha)
-    summary = {
-        "alpha0": alpha,
-        "FQ": None,
-        "mass": None,
-        "residuals": {},
-        "method": "ClosedForm",
-        "capacity": value,
-    }
-    return summary, _fmt(value)
+    return _summary("ClosedForm", alpha, capacity=value), _fmt(value)
 
 
 def _cmd_support(args: argparse.Namespace):
     field = _admissible_field(args)
     solution = solve_support(field)
-    summary = {
-        "alpha0": solution.alpha0,
-        "FQ": solution.robin_constant,
-        "mass": None,
-        "residuals": {"support_equation": abs(solution.residual)},
-        "method": solution.method.value,
-        "iterations": solution.iterations,
-    }
+    summary = _summary(solution.method.value, solution.alpha0, solution.robin_constant,
+                       residuals={"support_equation": abs(solution.residual)},
+                       iterations=solution.iterations)
     return summary, f"alpha0 = {_fmt(solution.alpha0)} ({solution.method.value})"
 
 
@@ -154,20 +157,10 @@ def _cmd_density(args: argparse.Namespace):
         alpha = args.alpha
     else:
         alpha = solve_support(field).alpha0
-    cap = south_cap(alpha)
-    grid = boundary_clustered_grid(cap, args.n)
-    profile = density_general(field, cap, grid)
-    summary = {
-        "alpha0": alpha,
-        "FQ": profile.robin_constant,
-        "mass": profile.mass,
-        "residuals": {"mass_error": abs(profile.mass - 1.0)},
-        "method": "TwoStageInversion",
-        "negative_nodes": len(profile.negative_nodes),
-    }
-    if args.csv_path is not None:
-        emit_density_table(profile, field, args.csv_path)
-        summary["csv"] = str(args.csv_path)
+    cap = SphericalCap(alpha)
+    profile = density_general(field, cap, boundary_clustered_grid(cap, args.n))
+    summary = _profile_summary(args, field, alpha, profile, "TwoStageInversion",
+                               negative_nodes=len(profile.negative_nodes))
     return summary, f"alpha0 = {_fmt(alpha)}  mass = {_fmt(profile.mass)}"
 
 
@@ -175,15 +168,7 @@ def _cmd_ffunctional(args: argparse.Namespace):
     field = build_field(args)
     alpha = args.alpha
     value, method = ffunctional(field, alpha)
-    summary = {
-        "alpha0": alpha,
-        "FQ": None,
-        "mass": None,
-        "residuals": {},
-        "method": method,
-        "ffunctional": value,
-    }
-    return summary, _fmt(value)
+    return _summary(method, alpha, ffunctional=value), _fmt(value)
 
 
 def _cmd_verify(args: argparse.Namespace):
@@ -192,22 +177,15 @@ def _cmd_verify(args: argparse.Namespace):
 
     field = _admissible_field(args)
     alpha = args.alpha
-    cap = south_cap(alpha)
+    cap = SphericalCap(alpha)
     profile = density_general(field, cap, boundary_clustered_grid(cap, args.n))
     report = verify_equilibrium(field, profile, tol=args.tol)
-    summary = {
-        "alpha0": alpha,
-        "FQ": report.robin_constant,
-        "mass": profile.mass,
-        "residuals": {
-            "sup_deviation": report.sup_deviation_on_support,
-            "mass_error": report.mass_error,
-        },
-        "method": "VariationalCheck",
-        "verdict": report.verdict,
-        "min_slack": report.min_slack_off_support,
-        "negative_nodes": report.negative_node_count,
-    }
+    residuals = {"sup_deviation": report.sup_deviation_on_support,
+                 "mass_error": report.mass_error}
+    summary = _summary("VariationalCheck", alpha, report.robin_constant, profile.mass,
+                       residuals, verdict=report.verdict,
+                       min_slack=report.min_slack_off_support,
+                       negative_nodes=report.negative_node_count)
     return summary, f"verdict = {'pass' if report.verdict else 'fail'}"
 
 
@@ -217,48 +195,24 @@ def _cmd_oracle(args: argparse.Namespace):
     if args.mode == "nystrom":
         field = _admissible_field(args)
         alpha = _require_alpha(args)
-        profile, fq = nystrom_solve(field, south_cap(alpha), args.n)
-        summary = {
-            "alpha0": alpha,
-            "FQ": fq,
-            "mass": profile.mass,
-            "residuals": {"mass_error": abs(profile.mass - 1.0)},
-            "method": "NystromCollocation",
-        }
-        if args.csv_path is not None:
-            emit_density_table(profile, field, args.csv_path)
-            summary["csv"] = str(args.csv_path)
-        return summary, f"FQ = {_fmt(fq)}"
+        profile = nystrom_solve(field, SphericalCap(alpha), args.n)
+        summary = _profile_summary(args, field, alpha, profile, "NystromCollocation")
+        return summary, f"FQ = {_fmt(profile.robin_constant)}"
 
     # the energy oracle assumes no support, so it takes any field
-    field = build_field(args)
-    measure, fq, spread, min_slack = discrete_energy_minimize(field, args.rings)
-    weights = np.asarray(measure.weights)
-    active = weights > 0.0
-    summary = {
-        "alpha0": None,
-        "FQ": fq,
-        "mass": float(weights.sum()),
-        "residuals": {"kkt_spread": spread},
-        "method": "ActiveSet",
-        "min_slack": min_slack,
-        "active_rings": int(np.count_nonzero(active)),
-        "first_active_angle": float(np.asarray(measure.ring_angles)[active][0]),
-    }
-    return summary, f"FQ = {_fmt(fq)}  active rings = {int(np.count_nonzero(active))}"
+    result = discrete_energy_minimize(build_field(args), args.rings)
+    fq, active = result.robin_constant, result.weights > 0.0
+    count = int(np.count_nonzero(active))
+    summary = _summary("ActiveSet", fq=fq, mass=float(result.weights.sum()),
+                       residuals={"kkt_spread": result.kkt_spread},
+                       min_slack=result.min_slack, active_rings=count,
+                       first_active_angle=float(result.angles[active][0]))
+    return summary, f"FQ = {_fmt(fq)}  active rings = {count}"
 
 
 def _cmd_gonchar(args: argparse.Namespace):
     heights = gonchar_heights(args.q)
-    summary = {
-        "alpha0": None,
-        "FQ": None,
-        "mass": None,
-        "residuals": {},
-        "method": "ClosedForm",
-        "h_minus": heights.h_minus,
-        "h_plus": heights.h_plus,
-    }
+    summary = _summary("ClosedForm", h_minus=heights.h_minus, h_plus=heights.h_plus)
     return summary, f"h_minus = {_fmt(heights.h_minus)}  h_plus = {_fmt(heights.h_plus)}"
 
 

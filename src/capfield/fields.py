@@ -39,10 +39,11 @@ class ExternalField(abc.ABC):
 
 class ZeroField(ExternalField):
     def value_at_x3(self, x3):
-        return np.zeros_like(np.asarray(x3, dtype=float))
+        x = np.asarray(x3, dtype=float)
+        return 0.0 if x.ndim == 0 else np.zeros_like(x)
 
     def slope_at_x3(self, x3):
-        return np.zeros_like(np.asarray(x3, dtype=float))
+        return self.value_at_x3(x3)
 
     def __repr__(self) -> str:
         return "ZeroField()"

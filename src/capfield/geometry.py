@@ -94,10 +94,6 @@ class SphericalCap:
         return np.arccos(np.clip(u, -1.0, 1.0))
 
 
-def south_cap(alpha: float) -> SphericalCap:
-    return SphericalCap(float(alpha))
-
-
 def capacity_south_cap(alpha: float) -> float:
     """Newtonian capacity of the south cap with rim angle alpha."""
     return SphericalCap(alpha).normalizer / PI

@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 from ._numerics import NonconvergenceError
 from .equilibrium import DensityProfile, profile_from_values
 from .fields import ExternalField
-from .geometry import SphericalCap, _validated_angles, boundary_clustered_grid
+from .geometry import SphericalCap, boundary_clustered_grid
 from .potential import _ROW_BLOCK, _SIDE_U, kernel_layout, kernel_rule, ring_kernel
 
 PI = math.pi
@@ -39,74 +39,50 @@ _MIN_RINGS = 32
 # active-set changes allowed per ring before the solve counts as stuck
 _STEPS_PER_RING = 2
 # a bound ring is freed only when its slack falls below
-# -_SLACK_RTOL * max(|F_Q|, 1); every nonnegative field has F_Q >= 1
+# -_SLACK_RTOL * max(|F_Q|, 1), with F_Q that of the shifted field, which
+# is nonnegative, so F_Q >= 1
 _SLACK_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Nonnegative ring weights summing to one.
-
-    Each entry places mass ``weights[i]`` on the latitude band of
-    angular half-width ``ring_halfwidths[i]`` centred at polar angle
-    ``ring_angles[i]``.
-    """
-
-    ring_angles: Tuple[float, ...]
-    weights: Tuple[float, ...]
-    ring_halfwidths: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("ring_angles", "weights", "ring_halfwidths"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        angles, weights, halfwidths = self.ring_angles, self.weights, self.ring_halfwidths
-        if not (len(angles) == len(weights) == len(halfwidths)) or not angles:
-            raise ValueError("ring_angles, weights, ring_halfwidths must share a nonzero length")
-        _validated_angles(angles, "ring angles")
-        for h in halfwidths:
-            if not (h > 0.0) or not math.isfinite(h):
-                raise ValueError("ring half-widths must be positive")
-        for w in weights:
-            if not (w >= 0.0) or not math.isfinite(w):
-                raise ValueError("weights must be nonnegative and finite")
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
-
-
 @dataclass(frozen=True, eq=False)
-class RingSystem:
-    """Ring layout and pairwise interaction energies behind the minimizer.
+class EnergyMinimum:
+    """The energy oracle's ring weights and their KKT certificate.
 
-    ``interaction[i, j]`` is the mutual energy of unit masses on rings i
-    and j; the diagonal carries the regularized self-energy.
+    Mass ``weights[i]`` sits on the latitude ring at polar angle
+    ``angles[i]``.  ``kkt_spread`` is the spread of the weighted potential
+    Kw + q over the rings that carry mass and ``min_slack`` its least
+    excess over F_Q off them, None when every ring carries mass.
     """
 
     angles: np.ndarray
-    halfwidth: float
-    area_weights: np.ndarray
-    interaction: np.ndarray
+    weights: np.ndarray
+    robin_constant: float
+    kkt_spread: float
+    min_slack: Optional[float]
 
     def __post_init__(self) -> None:
-        for name in ("angles", "area_weights", "interaction"):
-            getattr(self, name).flags.writeable = False
+        self.angles.flags.writeable = False
+        self.weights.flags.writeable = False
 
 
-def ring_energy_system(n: int) -> RingSystem:
-    """Interaction matrix for n equally spaced latitude rings.
+def ring_energy_system(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(angles, area_weights, interaction) for n equally spaced latitude rings.
 
-    Off-diagonal entries come from the azimuthally averaged kernel, in one
-    call over the pairs i < j, mirrored: the kernel is bitwise symmetric.
-    The diagonal is calibrated row by row so the known uniform measure on
-    the full sphere (weights proportional to ring areas) reproduces its
-    constant potential 1 at every ring; the total energy then equals the
-    sphere value 1 identically.  The interior effective widths implied by
-    this calibration settle near halfwidth/pi, the thin-ring value.
+    ``interaction[i, j]`` is the mutual energy of unit masses on rings i
+    and j.  Off-diagonal entries come from the azimuthally averaged kernel,
+    in one call over the pairs i < j, mirrored: the kernel is bitwise
+    symmetric.  The diagonal, the regularized self-energy, is calibrated
+    row by row so the known uniform measure on the full sphere (the area
+    weights, proportional to ring areas) reproduces its constant potential
+    1 at every ring; the total energy then equals the sphere value 1
+    identically.  The interior effective widths implied by this
+    calibration settle near halfwidth/pi, the thin-ring value, with
+    halfwidth = pi / (2n) the rings' angular half-width.
     """
     if not isinstance(n, (int, np.integer)) or n < 8:
         raise ValueError("need at least 8 rings")
     n = int(n)
     phi = (np.arange(n) + 0.5) * (PI / n)
-    halfwidth = 0.5 * PI / n
     sines = np.sin(phi)
     area = sines / sines.sum()
 
@@ -116,7 +92,7 @@ def ring_energy_system(n: int) -> RingSystem:
     interaction[cols, rows] = interaction[rows, cols]
     off = interaction @ area
     interaction[np.arange(n), np.arange(n)] = (1.0 - off) / area
-    return RingSystem(phi, halfwidth, area, interaction)
+    return phi, area, interaction
 
 
 def _not_a_knot_rows(knots: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -178,7 +154,7 @@ def _not_a_knot_rows(knots: np.ndarray, moments: np.ndarray) -> np.ndarray:
 
 def nystrom_solve(
     field: ExternalField, cap: SphericalCap, n: int
-) -> Tuple[DensityProfile, float]:
+) -> DensityProfile:
     """Solve the potential-balance equation on a prescribed south cap.
 
     The density is sought as smooth-times-edge-factor: in the rim
@@ -205,7 +181,7 @@ def nystrom_solve(
     integral of (s - s_j)^(3-k) over each interval's span, with [0, s_0]
     and [s_(n-1), smax] in the end intervals.  The (n+1) x (n+1) dense
     system gives the node values and the potential level, returned as a
-    profile plus that level.
+    profile whose Robin constant is that level.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
@@ -222,7 +198,7 @@ def nystrom_solve(
 
     # the layout's panels: one per interval of 0, the knots and smax, the
     # first and last falling to the spline's end intervals
-    panel_s = layout.shared_s.reshape(n + 1, 8)
+    panel_s = layout.shared_s.reshape(n + 1, -1)
     panel_j = np.clip(np.arange(n + 1) - 1, 0, n - 2)
     panel_powers = (panel_s - knots[panel_j][:, None])[:, :, None] ** powers
     shared = panel_s.size
@@ -238,8 +214,8 @@ def nystrom_solve(
         points, weights = kernel_rule(layout, nodes[rows])
         m = len(points)
         block = moments[rows]
-        # (panel, row, k): one 8 x 4 product per panel
-        panel_w = weights[:, :shared].reshape(m, n + 1, 8).transpose(1, 0, 2)
+        # (panel, row, k): one panel-size x 4 product per panel
+        panel_w = weights[:, :shared].reshape(m, n + 1, -1).transpose(1, 0, 2)
         per_panel = np.matmul(panel_w, panel_powers)
         block += per_panel[1:n].transpose(1, 2, 0)
         block[:, :, 0] += per_panel[0]
@@ -274,18 +250,23 @@ def nystrom_solve(
     system[:n, n] = -1.0
     system[n, n] = 0.0
 
+    # a constant in Q moves F_Q and nothing else, so the system sees Q less
+    # its least node value and keeps its rounding on the scale of Q's
+    # variation, however large the constant
+    q = field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0))
+    floor = float(q.min())
     rhs = np.zeros(n + 1)
-    rhs[:n] = -field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0))
+    rhs[:n] = floor - q
     rhs[n] = 1.0
 
     solution = dense_solve(system, rhs)
     values = solution[:n] / knots
-    fq = float(solution[n])
+    fq = float(solution[n]) + floor
     if not (np.all(np.isfinite(values)) and math.isfinite(fq)):
         raise NonconvergenceError(
             "collocation system produced non-finite values", math.nan, math.inf
         )
-    return profile_from_values(cap, grid, values, fq), fq
+    return profile_from_values(cap, grid, values, fq)
 
 
 def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -323,9 +304,7 @@ def _free_ring(inverse: np.ndarray, interaction: np.ndarray, j: int) -> None:
     inverse[j, j] = 1.0 / sigma
 
 
-def discrete_energy_minimize(
-    field: ExternalField, n: int
-) -> Tuple[DiscreteMeasure, float, float, Optional[float]]:
+def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:
     """Minimize the discretized weighted energy over ring weights, exactly.
 
     min w^T K w + 2 q^T w over the probability simplex is a strictly convex
@@ -340,22 +319,23 @@ def discrete_energy_minimize(
     its ring at 0.  Once every weight is nonnegative, one fresh bordered
     solve on S certifies them (a negative weight there is dropped the same
     way); then the bound ring with the most negative slack Kw + q - F_Q is
-    freed, until no slack lies below rounding.  Returns the measure and
-    F_Q of that fresh solve, the spread of Kw + q over S and the least
-    slack off S (None when S holds every ring).  Past the step cap the
-    error carries the last feasible iterate.
+    freed, until no slack lies below rounding.  Returns the weights and
+    F_Q of that fresh solve with the spread of Kw + q over S and the least
+    slack off S.  Weights that miss a unit sum by more than 1e-12, and a
+    solve past the step cap, raise with the last weights as the estimate.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_RINGS:
         raise ValueError(f"need at least {_MIN_RINGS} rings")
     n = int(n)
-    system = ring_energy_system(n)
-    interaction = system.interaction
-    q = field.value_at_x3(np.clip(np.cos(system.angles), -1.0, 1.0))
-    halfwidths = np.full(n, system.halfwidth)
+    angles, w, interaction = ring_energy_system(n)
+    # the solve sees Q less its least ring value, as in `nystrom_solve`,
+    # and adds that back to F_Q
+    q = field.value_at_x3(np.clip(np.cos(angles), -1.0, 1.0))
+    floor = float(q.min())
+    q = q - floor
 
     inverse = _spd_inverse(interaction)
     rhs = np.column_stack((q, np.ones(n)))
-    w = system.area_weights.copy()
     free = np.ones(n, dtype=bool)
     steps = int(_STEPS_PER_RING * n)
     for _ in range(steps):
@@ -374,9 +354,14 @@ def discrete_energy_minimize(
             slack = np.where(free, np.inf, station - fq)
             j = int(np.argmin(slack))
             if slack[j] >= -_SLACK_RTOL * max(abs(fq), 1.0):
+                total = math.fsum(w)
+                if not abs(total - 1.0) <= 1e-12:
+                    raise NonconvergenceError(
+                        f"ring weights sum to {total!r}, not 1 within 1e-12", w, abs(total - 1.0)
+                    )
                 spread = float(np.ptp(station[free]))
                 min_slack = None if free.all() else float(slack[j])
-                return DiscreteMeasure(system.angles, w, halfwidths), fq, spread, min_slack
+                return EnergyMinimum(angles, w, fq + floor, spread, min_slack)
             free[j] = True
             _free_ring(inverse, interaction, j)
         else:
@@ -393,6 +378,6 @@ def discrete_energy_minimize(
     residual = float(station[free].max() - station.min())
     raise NonconvergenceError(
         f"active-set solve did not settle in {steps} steps (KKT residual {residual:.3e})",
-        DiscreteMeasure(system.angles, w, halfwidths),
+        w,
         residual,
     )

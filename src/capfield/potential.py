@@ -49,8 +49,10 @@ def _unit_gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-# one GL-8 panel per smooth interval between knots
-_X8, _W8 = _unit_gl(8)
+# the shared panel rule, one panel per smooth interval between knots:
+# GL-8 nodes and weights on [0, 1].  Everything that splits the shared
+# columns into panels takes the panel size from this rule
+_PANEL = _unit_gl(8)
 
 
 def _graded_side() -> Tuple[np.ndarray, np.ndarray]:
@@ -152,14 +154,15 @@ def kernel_layout(cap: SphericalCap, knots=()) -> KernelLayout:
     smax = cap.smax
     bounds = np.concatenate(([0.0], np.asarray(knots, dtype=float), [smax]))
     span = np.diff(bounds)[:, None]
-    shared_s = (bounds[:-1, None] + span * _X8).ravel()
+    panel_x, panel_w = _PANEL
+    shared_s = (bounds[:-1, None] + span * panel_x).ravel()
     shared_sq = shared_s * shared_s
     return KernelLayout(
         cap=cap,
         bounds=bounds,
         shared_s=shared_s,
         shared_twice_sq=2.0 * shared_sq,
-        shared_w=(8.0 * (span * _W8)).ravel(),
+        shared_w=(8.0 * (span * panel_w)).ravel(),
         shared_one_m=cap.r1 + shared_sq,
         shared_one_p=np.maximum(smax - shared_s, 0.0) * (smax + shared_s),
     )
@@ -171,8 +174,8 @@ def kernel_rule(layout: KernelLayout, phi) -> Tuple[np.ndarray, np.ndarray]:
     Returns (m, P) points in the rim variable s on [0, smax] and
     kernel-carrying weights, so that U(phi[i]) = weights[i] @
     sigma(points[i]) for the cap and knots of the layout.  The layout of
-    columns is the same for every row.  The first 8 * (intervals) columns
-    are the layout's shared GL-8 panels; the one or two intervals meeting
+    columns is the same for every row.  The first (panel size) * (intervals)
+    columns are the layout's shared panels; the one or two intervals meeting
     a row's kernel diagonal s0 = sqrt(cos(alpha) - cos(phi)) carry weight
     0 there.  The last 2 * 196 columns are the graded side rule on each
     side of s0, below then above; a side of zero width (s0 on 0 or smax:
@@ -211,7 +214,8 @@ def kernel_rule(layout: KernelLayout, phi) -> Tuple[np.ndarray, np.ndarray]:
     np.abs(gap, out=gap)
     rows = np.arange(m)[:, None]
     hit = np.clip(np.concatenate((below, above - 1), axis=1), 0, last - 1)
-    hit = (8 * hit[:, :, None] + np.arange(8)).reshape(m, 16)
+    size = _PANEL[0].size
+    hit = (size * hit[:, :, None] + np.arange(size)).reshape(m, -1)
     gap[rows, hit] = 2.0
     _kernel_parts(
         one_m_cphi, one_p_cphi, layout.shared_one_m, layout.shared_one_p, gap, out=shared_w

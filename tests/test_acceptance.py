@@ -18,7 +18,7 @@ from capfield.equilibrium import (
     quadratic_density,
 )
 from capfield.fields import PointChargeField, QuadraticField, ZeroField
-from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
+from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from capfield.oracle import discrete_energy_minimize, nystrom_solve
 from capfield.potential import verify_equilibrium
 from capfield.support_finder import gonchar_heights, solve_support
@@ -48,7 +48,7 @@ def _best_of(fn, repeats=5):
 
 
 def _closed_form_profile(alpha, fn, robin, n=48):
-    cap = south_cap(alpha)
+    cap = SphericalCap(alpha)
     grid = boundary_clustered_grid(cap, n)
     return profile_from_callable(cap, grid, fn, robin)
 
@@ -100,14 +100,14 @@ def test_criterion_04_on_sphere_limit():
 
 def test_criterion_05_pipeline_vs_closed_form():
     t0 = time.perf_counter()
-    cap = south_cap(ALPHA0_PC_12)
+    cap = SphericalCap(ALPHA0_PC_12)
     grid = boundary_clustered_grid(cap, 64)
     assert len(grid.nodes) == 64
     computed = density_general(PointChargeField(1.0, 2.0), cap, grid)
     exact = pointcharge_density(1.0, 2.0, ALPHA0_PC_12, np.asarray(grid.nodes))[0]
     err_pc = float(np.max(np.abs(np.asarray(computed.values) - exact)))
 
-    cap = south_cap(ALPHA0_QUAD)
+    cap = SphericalCap(ALPHA0_QUAD)
     grid = boundary_clustered_grid(cap, 64)
     computed = density_general(QuadraticField(1.0, 2.5, 2.0), cap, grid)
     exact = quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, np.asarray(grid.nodes))[0]
@@ -218,10 +218,10 @@ def test_criterion_08_collocation_oracle():
     t0 = time.perf_counter()
     errs = {}
     for n in (64, 128):
-        profile, _ = nystrom_solve(ZeroField(), south_cap(PI / 3), n)
+        profile = nystrom_solve(ZeroField(), SphericalCap(PI / 3), n)
         exact = nofield_density(PI / 3, np.asarray(profile.grid.nodes))
         errs[n] = float(np.max(np.abs(np.asarray(profile.values) - exact) / exact))
-    profile, _ = nystrom_solve(PointChargeField(1.0, 2.0), south_cap(ALPHA0_PC_12), 96)
+    profile = nystrom_solve(PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), 96)
     exact = pointcharge_density(1.0, 2.0, ALPHA0_PC_12, np.asarray(profile.grid.nodes))[0]
     err_pc = float(np.max(np.abs(np.asarray(profile.values) - exact) / exact))
     elapsed = time.perf_counter() - t0
@@ -241,16 +241,14 @@ def test_criterion_08_collocation_oracle():
 def test_criterion_09_support_emergence():
     t0 = time.perf_counter()
     n = 64
-    measure, *_ = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
-    angles = np.asarray(measure.ring_angles)
-    weights = np.asarray(measure.weights)
+    result = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
+    angles, weights = result.angles, result.weights
     above = angles < ALPHA0_PC_12 - 2.0 * (PI / n)
     assert above.any()
     leak = float(weights[above].max())
     assert leak < 1e-6, f"weight {leak!r} survives above the support rim"
 
-    full, *_ = discrete_energy_minimize(PointChargeField(1.0, 3.0), n)
-    smallest = min(full.weights)
+    smallest = float(discrete_energy_minimize(PointChargeField(1.0, 3.0), n).weights.min())
     assert smallest > 0.0, "support collapsed for a charge beyond its critical height"
     elapsed = time.perf_counter() - t0
     _report(

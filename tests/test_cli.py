@@ -20,7 +20,7 @@ from capfield._numerics import brent_root
 from capfield.cli import build_parser, emit_density_table, main
 from capfield.equilibrium import density_general, nofield_density, profile_from_callable
 from capfield.fields import PointChargeField, ZeroField
-from capfield.geometry import boundary_clustered_grid, south_cap
+from capfield.geometry import SphericalCap, boundary_clustered_grid
 
 PI = math.pi
 
@@ -277,7 +277,7 @@ class TestGoncharCommand:
 
 class TestDensityTable:
     def test_zero_field_table_contract(self, tmp_path):
-        cap = south_cap(PI / 3)
+        cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 8)
         profile = profile_from_callable(
             cap, grid, lambda p: nofield_density(PI / 3, p), PI / (PI - PI / 3 + math.sin(PI / 3))
@@ -293,7 +293,7 @@ class TestDensityTable:
         assert max(weighted) - min(weighted) <= 1e-4
 
     def test_rerun_byte_identical(self, tmp_path):
-        cap = south_cap(PI / 3)
+        cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 8)
         profile = profile_from_callable(
             cap, grid, lambda p: nofield_density(PI / 3, p), PI / cap.normalizer
@@ -304,7 +304,7 @@ class TestDensityTable:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unwritable_path_names_file(self, tmp_path):
-        cap = south_cap(PI / 3)
+        cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 8)
         profile = profile_from_callable(
             cap, grid, lambda p: nofield_density(PI / 3, p), PI / cap.normalizer
@@ -524,8 +524,21 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert "oracle.discrete_energy_minimize" in err
         # the iterate stays on the exception; the message names its type
-        assert "estimate=DiscreteMeasure" in err
+        assert "estimate=ndarray" in err
         assert max(len(line) for line in err.splitlines()) < 300
+
+    @pytest.mark.parametrize("q", ["1e8", "1e9"])
+    def test_energy_mode_on_a_large_charge(self, tmp_path, q):
+        # the solve sees Q less its least ring value: all the mass settles
+        # on the ring nearest the south pole
+        code, summary = run_cli(
+            ["oracle", "--mode", "energy", "--field", "point-charge", "--q", q, "--h", "2"],
+            tmp_path,
+        )
+        assert code == 0
+        assert summary["active_rings"] == 1
+        assert summary["first_active_angle"] == (63 + 0.5) * (PI / 64)
+        assert abs(summary["mass"] - 1.0) <= 1e-12
 
     def test_energy_mode_takes_any_field(self, tmp_path):
         # no support is assumed, so a field outside the south-cap
@@ -612,6 +625,20 @@ class TestArgumentHandling:
         assert out == ""
         assert f"nonconvergence in {argv[0]}: non-finite {key}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["density", "verify"])
+    def test_pipeline_on_a_constant_near_the_float_range_exits_3(
+        self, tmp_path, capsys, command
+    ):
+        # the first-stage table overflows inside its FFT, quietly, and
+        # refuses the non-finite tail; pytest turns any warning into an error
+        argv = [command, "--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "1e308",
+                "--alpha", "1.9", "--n", "32"]
+        code, summary = run_cli(argv, tmp_path)
+        assert code == 3
+        assert summary is None
+        err = capsys.readouterr().err
+        assert "nonconvergence in singular_quadrature.first_stage_table" in err
 
     def test_overflowing_field_warns_nothing(self, tmp_path):
         # the hypothesis scan differences scaled samples, so a field near

@@ -35,7 +35,7 @@ from capfield.fields import (
     ZeroField,
 )
 from capfield import singular_quadrature
-from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
+from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from capfield._numerics import NonconvergenceError
 from capfield.support_finder import gonchar_heights, solve_support
 from conftest import ShiftedField, uniform_grid
@@ -378,7 +378,7 @@ class TestQuadraticDensity:
 class TestDensityGeneral:
     def test_zero_field_reduces_to_nofield(self):
         alpha = PI / 3
-        cap = south_cap(alpha)
+        cap = SphericalCap(alpha)
         grid = boundary_clustered_grid(cap, 24)
         prof = density_general(ZeroField(), cap, grid)
         expected = nofield_density(alpha, grid.nodes)
@@ -392,7 +392,7 @@ class TestDensityGeneral:
         # adding a constant to the field must leave the density unchanged
         # and shift the Robin constant by exactly that constant
         alpha = PI / 3
-        cap = south_cap(alpha)
+        cap = SphericalCap(alpha)
         grid = boundary_clustered_grid(cap, 16)
         prof = density_general(ShiftedField(ZeroField(), 1.0), cap, grid)
         expected = nofield_density(alpha, grid.nodes)
@@ -402,7 +402,7 @@ class TestDensityGeneral:
         )
 
     def test_point_charge_matches_closed_form(self):
-        cap = south_cap(ALPHA0_PC_12)
+        cap = SphericalCap(ALPHA0_PC_12)
         grid = boundary_clustered_grid(cap, 16)
         prof = density_general(PointChargeField(1.0, 2.0), cap, grid)
         expected, fq = pointcharge_density(1.0, 2.0, ALPHA0_PC_12, grid.nodes)
@@ -413,27 +413,27 @@ class TestDensityGeneral:
     def test_tabulated_point_charge_matches_closed_form(self):
         x = np.linspace(-1.0, 1.0, 801)
         field = TabulatedField(x, PointChargeField(1.0, 2.0).value_at_x3(x))
-        cap = south_cap(ALPHA0_PC_12)
+        cap = SphericalCap(ALPHA0_PC_12)
         grid = boundary_clustered_grid(cap, 12)
         prof = density_general(field, cap, grid)
         expected, _ = pointcharge_density(1.0, 2.0, ALPHA0_PC_12, grid.nodes)
         assert np.max(np.abs(prof.values - expected)) < 1e-4
 
     def test_full_sphere_zero_field(self):
-        cap = south_cap(0.0)
+        cap = SphericalCap(0.0)
         grid = uniform_grid(0.0, PI, 20)
         prof = density_general(ZeroField(), cap, grid)
         assert np.max(np.abs(prof.values - 1.0 / (4.0 * PI))) < 1e-10
         assert prof.robin_constant == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_grid_outside_cap(self):
-        cap = south_cap(1.0)
+        cap = SphericalCap(1.0)
         bad = uniform_grid(0.5, 2.0, 8)
         with pytest.raises(ValueError):
             density_general(ZeroField(), cap, bad)
 
     def test_rejects_grid_in_guard_band(self):
-        cap = south_cap(1.0)
+        cap = SphericalCap(1.0)
         nodes = np.array([1.0 + 1e-8, 2.0, 3.0])
         from capfield.geometry import PhiGrid
 
@@ -446,7 +446,7 @@ class TestFirstStageTableInPipeline:
     @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
     def test_matches_closed_form(self, case):
         field, alpha0, closed_form = CLOSED_FORM_CASES[case]()
-        cap = south_cap(alpha0)
+        cap = SphericalCap(alpha0)
         grid = boundary_clustered_grid(cap, 16)
         prof = density_general(field, cap, grid)
         expected, fq = closed_form(grid.nodes)
@@ -467,7 +467,7 @@ class TestFirstStageTableInPipeline:
     def test_small_and_empty_rims(self, q, h, alpha0, n):
         # the first stage's sqrt(1-c) turns over on the scale
         # 1 - cos(alpha0), which the second stage must resolve
-        cap = south_cap(alpha0)
+        cap = SphericalCap(alpha0)
         grid = boundary_clustered_grid(cap, n)
         prof = density_general(PointChargeField(q, h), cap, grid)
         expected, fq = pointcharge_density(q, h, alpha0, grid.nodes)
@@ -480,7 +480,7 @@ class TestFirstStageTableInPipeline:
     def test_point_charges_match_closed_form(self, charge):
         q, h = charge
         alpha0 = solve_support(PointChargeField(q, h)).alpha0
-        cap = south_cap(alpha0)
+        cap = SphericalCap(alpha0)
         grid = boundary_clustered_grid(cap, 16)
         prof = density_general(PointChargeField(q, h), cap, grid)
         expected, fq = pointcharge_density(q, h, alpha0, grid.nodes)
@@ -491,7 +491,7 @@ class TestFirstStageTableInPipeline:
     def test_first_stage_tabulated_once(self):
         # the per-node first stage made 1.45e8 field evaluations here
         field = CountingField(PointChargeField(1.0, 2.0))
-        cap = south_cap(ALPHA0_PC_12)
+        cap = SphericalCap(ALPHA0_PC_12)
         density_general(field, cap, boundary_clustered_grid(cap, 64))
         assert 0 < field.points < 1_000_000
 
@@ -508,13 +508,13 @@ class TestFirstStageTableInPipeline:
             return evaluate(x, c)
 
         monkeypatch.setattr(singular_quadrature, "chebval", counting)
-        cap = south_cap(ALPHA0_PC_12)
+        cap = SphericalCap(ALPHA0_PC_12)
         prof = density_general(PointChargeField(1.0, 2.0), cap, boundary_clustered_grid(cap, 64))
         assert sum(points) < 15_000
         assert prof.mass == pytest.approx(1.0, abs=1e-11)
 
     def test_kink_resolves_or_raises(self):
-        cap = south_cap(0.5)
+        cap = SphericalCap(0.5)
         grid = boundary_clustered_grid(cap, 16)
         try:
             prof = density_general(KinkField(), cap, grid)
@@ -527,7 +527,7 @@ class TestFirstStageTableInPipeline:
 
 class TestProfilesAndMass:
     def test_closed_form_profile_mass(self):
-        cap = south_cap(ALPHA0_PC_12)
+        cap = SphericalCap(ALPHA0_PC_12)
         grid = boundary_clustered_grid(cap, 48)
         prof = profile_from_callable(
             cap,
@@ -538,21 +538,21 @@ class TestProfilesAndMass:
         assert prof.mass == pytest.approx(1.0, abs=1e-8)
 
     def test_node_only_profile_mass(self):
-        cap = south_cap(PI / 3)
+        cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 64)
         values = nofield_density(PI / 3, grid.nodes)
         prof = profile_from_values(cap, grid, values, 1.0 / capacity_south_cap(PI / 3))
         assert prof.mass == pytest.approx(1.0, abs=1e-5)
 
     def test_scaling_scales_mass(self):
-        cap = south_cap(PI / 3)
+        cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 64)
         values = nofield_density(PI / 3, grid.nodes)
         prof = profile_from_values(cap, grid, 2.0 * values, 0.0)
         assert prof.mass == pytest.approx(2.0, abs=2e-5)
 
     def test_negative_values_flagged_not_clamped(self):
-        cap = south_cap(1.0)
+        cap = SphericalCap(1.0)
         grid = uniform_grid(1.1, 3.0, 5)
         values = np.array([0.1, 0.2, -0.05, 0.2, 0.1])
         prof = profile_from_values(cap, grid, values, 1.0)
@@ -560,13 +560,13 @@ class TestProfilesAndMass:
         assert prof.values[2] == -0.05
 
     def test_mismatched_lengths_rejected(self):
-        cap = south_cap(1.0)
+        cap = SphericalCap(1.0)
         grid = uniform_grid(1.1, 3.0, 5)
         with pytest.raises(ValueError):
             profile_from_values(cap, grid, np.ones(4), 1.0)
 
     def test_nofield_profile_mass(self):
-        cap = south_cap(PI / 3)
+        cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 48)
         prof = profile_from_callable(
             cap,
@@ -582,7 +582,7 @@ class TestSigmaTable:
     def test_small_rim_mass(self, alpha):
         # the edge part turns over on the scale sqrt(1 - cos(alpha)), which
         # the graded table resolves however small the rim
-        cap = south_cap(alpha)
+        cap = SphericalCap(alpha)
         prof = profile_from_callable(
             cap,
             boundary_clustered_grid(cap, 64),
@@ -594,7 +594,7 @@ class TestSigmaTable:
     @pytest.mark.parametrize("h", [3.0, (1.0 + math.sqrt(5.0)) / 2.0 + 1.0])
     def test_full_sphere_pipeline_mass(self, h):
         # beyond and at the critical height of a unit charge
-        cap = south_cap(0.0)
+        cap = SphericalCap(0.0)
         grid = boundary_clustered_grid(cap, 64)
         prof = density_general(PointChargeField(1.0, h), cap, grid)
         expected, _ = pointcharge_density(1.0, h, 0.0, grid.nodes)
@@ -605,7 +605,7 @@ class TestSigmaTable:
         # values and slopes of the Hermite spline come from the table, so it
         # reproduces sigma between its knots too
         alpha = 0.05
-        cap = south_cap(alpha)
+        cap = SphericalCap(alpha)
         prof = profile_from_callable(
             cap, boundary_clustered_grid(cap, 16), lambda p: nofield_density(alpha, p),
             PI / cap.normalizer,
@@ -618,7 +618,7 @@ class TestSigmaTable:
         assert np.max(np.abs(prof.sigma(s) - expected)) <= 1e-11 * np.max(expected)
 
     def test_unresolved_density_raises(self):
-        cap = south_cap(0.5)
+        cap = SphericalCap(0.5)
         with pytest.raises(NonconvergenceError, match="sigma table unresolved"):
             profile_from_callable(
                 cap, boundary_clustered_grid(cap, 8), lambda p: np.sin(1e4 * p), 1.0
@@ -685,7 +685,7 @@ class TestPiecewiseCubic:
             PiecewiseCubic.pchip(s, y)
 
     def test_profile_sigma_is_the_node_pchip(self):
-        cap = south_cap(1.0)
+        cap = SphericalCap(1.0)
         grid = boundary_clustered_grid(cap, 24)
         values = nofield_density(1.0, grid.nodes)
         prof = profile_from_values(cap, grid, values, PI / cap.normalizer)

@@ -316,6 +316,17 @@ SLOPE_FIELDS = {
 }
 
 
+@pytest.mark.parametrize("kind", ["zero", "point-charge-outside", "quadratic", "table"])
+def test_scalar_input_gives_a_float(kind):
+    # every leaf field returns a float for a scalar and an array for an array
+    f = SLOPE_FIELDS[kind]()
+    for evaluate in (f.value_at_x3, f.slope_at_x3):
+        for x in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(evaluate(x)) is float
+        out = evaluate(np.array([-0.5, 0.3]))
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+
 class TestSlopes:
     @pytest.mark.parametrize("make", SLOPE_FIELDS.values(), ids=SLOPE_FIELDS.keys())
     def test_slope_matches_central_difference(self, make):

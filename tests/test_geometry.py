@@ -11,7 +11,6 @@ from capfield.geometry import (
     SphericalCap,
     _validated_angle,
     boundary_clustered_grid,
-    south_cap,
 )
 from conftest import uniform_grid
 
@@ -26,7 +25,7 @@ class TestPolarAngle:
     @pytest.mark.parametrize("bad", [-1e-12, PI + 1e-12, 7.0, -3.0, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            south_cap(bad)
+            SphericalCap(bad)
 
     def test_float_coercion_round_trips(self):
         value = _validated_angle(np.float64(1.25))
@@ -35,16 +34,16 @@ class TestPolarAngle:
 
 class TestSphericalCap:
     def test_south_cap_allows_zero_means_full_sphere(self):
-        cap = south_cap(0.0)
+        cap = SphericalCap(0.0)
         assert cap.is_full_sphere
 
     def test_south_cap_rejects_pi(self):
         with pytest.raises(ValueError):
-            south_cap(PI)
+            SphericalCap(PI)
 
     @pytest.mark.parametrize("alpha", [1e-8, 1.0, PI - 1e-8])
     def test_rim_quantities_keep_relative_accuracy_at_both_poles(self, alpha):
-        cap = south_cap(alpha)
+        cap = SphericalCap(alpha)
         with mp.workdps(40):
             a = mp.mpf(alpha)
             exact = {
@@ -85,7 +84,7 @@ class TestPhiGrid:
         assert np.allclose(steps, steps[0], rtol=1e-13)
 
     def test_boundary_clustered_south_stays_inside(self):
-        cap = south_cap(PI / 3)
+        cap = SphericalCap(PI / 3)
         g = boundary_clustered_grid(cap, 64)
         assert len(g) == 64
         assert g.nodes[0] > PI / 3
@@ -94,10 +93,10 @@ class TestPhiGrid:
         assert g.nodes[0] - PI / 3 < 0.1 * (PI - PI / 3) / 64
 
     def test_boundary_clustered_respects_rim_guard(self):
-        cap = south_cap(1.0)
+        cap = SphericalCap(1.0)
         g = boundary_clustered_grid(cap, 256)
         assert g.nodes[0] - 1.0 > 1e-6
 
     def test_full_sphere_grid(self):
-        g = boundary_clustered_grid(south_cap(0.0), 16)
+        g = boundary_clustered_grid(SphericalCap(0.0), 16)
         assert np.all((g.nodes > 0.0) & (g.nodes < PI))

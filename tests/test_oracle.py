@@ -25,10 +25,9 @@ from capfield.equilibrium import (
     quadratic_density,
 )
 from capfield.fields import PointChargeField, QuadraticField, ZeroField
-from capfield.geometry import boundary_clustered_grid, south_cap
+from capfield.geometry import SphericalCap, boundary_clustered_grid
 from capfield.potential import kernel_layout, kernel_rule, ring_kernel
 from capfield.oracle import (
-    DiscreteMeasure,
     _drop_ring,
     _free_ring,
     _spd_inverse,
@@ -46,87 +45,57 @@ ALPHA0_QUAD = 1.905121063815038955604994
 FQ_QUAD = 2.375621847562275707877242
 
 
-class TestDiscreteMeasure:
-    def test_roundtrip(self):
-        m = DiscreteMeasure((0.5, 1.5, 2.5), (0.2, 0.3, 0.5), (0.1, 0.1, 0.1))
-        assert m.ring_angles == (0.5, 1.5, 2.5)
-        assert math.isclose(sum(m.weights), 1.0, abs_tol=1e-15)
-
-    def test_accepts_arrays(self):
-        m = DiscreteMeasure(np.array([0.1, 2.0]), np.array([0.5, 0.5]), np.array([0.05, 0.05]))
-        assert isinstance(m.weights, tuple)
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure((0.5, 1.5), (1.2, -0.2), (0.1, 0.1))
-
-    def test_rejects_bad_total(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure((0.5, 1.5), (0.5, 0.5 + 1e-9), (0.1, 0.1))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure((0.5, 1.5), (1.0,), (0.1, 0.1))
-
-    def test_rejects_angle_outside_range(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure((0.5, 3.5), (0.5, 0.5), (0.1, 0.1))
-
-
 class TestRingEnergySystem:
     def test_matrix_symmetric_positive_definite(self):
-        sys48 = ring_energy_system(48)
-        assert np.allclose(sys48.interaction, sys48.interaction.T, rtol=0, atol=1e-13)
-        assert np.linalg.eigvalsh(sys48.interaction).min() > 0.0
+        _, _, interaction = ring_energy_system(48)
+        assert np.allclose(interaction, interaction.T, rtol=0, atol=1e-13)
+        assert np.linalg.eigvalsh(interaction).min() > 0.0
 
     def test_uniform_weights_reproduce_sphere_energy(self):
         # calibration contract: area weights give potential 1 at every ring,
         # hence total energy exactly W(S^2) = 1
-        sys64 = ring_energy_system(64)
-        a = sys64.area_weights
-        np.testing.assert_allclose(sys64.interaction @ a, 1.0, rtol=0, atol=1e-12)
-        assert abs(a @ (sys64.interaction @ a) - 1.0) <= 1e-12
+        _, a, interaction = ring_energy_system(64)
+        np.testing.assert_allclose(interaction @ a, 1.0, rtol=0, atol=1e-12)
+        assert abs(a @ (interaction @ a) - 1.0) <= 1e-12
 
     def test_interior_effective_width_near_delta_over_pi(self):
         # the thin-ring self-energy log(8 sin(phi) / width) / (pi sin(phi))
         # solved for the width that the calibrated diagonal implies
-        sys64 = ring_energy_system(64)
-        sines = np.sin(sys64.angles)
-        widths = 8.0 * sines * np.exp(-PI * sines * np.diag(sys64.interaction))
-        mid = widths[20:-20] / sys64.halfwidth
+        angles, _, interaction = ring_energy_system(64)
+        sines = np.sin(angles)
+        widths = 8.0 * sines * np.exp(-PI * sines * np.diag(interaction))
+        mid = widths[20:-20] / (0.5 * PI / 64)
         np.testing.assert_allclose(mid, 1.0 / PI, rtol=2e-2)
 
     def test_area_weights_follow_sines(self):
-        sys32 = ring_energy_system(32)
-        s = np.sin(sys32.angles)
-        np.testing.assert_allclose(sys32.area_weights, s / s.sum(), rtol=0, atol=1e-15)
+        angles, area_weights, _ = ring_energy_system(32)
+        s = np.sin(angles)
+        np.testing.assert_allclose(area_weights, s / s.sum(), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [32, 64, 256])
     def test_mirrored_pairs_equal_the_all_pairs_build(self, n):
         # the kernel is bitwise symmetric, so evaluating i < j and mirroring
         # loses nothing against evaluating every ordered pair
-        system = ring_energy_system(n)
-        phi = system.angles
+        phi, area_weights, mirrored = ring_energy_system(n)
         rows, cols = np.nonzero(~np.eye(n, dtype=bool))
         interaction = np.zeros((n, n))
         interaction[rows, cols] = ring_kernel(phi[rows], phi[cols]) / (2.0 * PI)
-        off = interaction @ system.area_weights
-        interaction[np.arange(n), np.arange(n)] = (1.0 - off) / system.area_weights
-        assert np.array_equal(system.interaction, interaction)
+        off = interaction @ area_weights
+        interaction[np.arange(n), np.arange(n)] = (1.0 - off) / area_weights
+        assert np.array_equal(mirrored, interaction)
 
 
 class TestNystromSolve:
     def test_zero_field_matches_closed_form(self):
         alpha = PI / 3
-        profile, fq = nystrom_solve(ZeroField(), south_cap(alpha), 64)
-        assert abs(fq - PI / (PI - alpha + math.sin(alpha))) <= 1e-4
+        profile = nystrom_solve(ZeroField(), SphericalCap(alpha), 64)
+        assert abs(profile.robin_constant - PI / (PI - alpha + math.sin(alpha))) <= 1e-4
         nodes = np.asarray(profile.grid.nodes)
         exact = nofield_density(alpha, nodes)
         np.testing.assert_allclose(np.asarray(profile.values), exact, rtol=1e-2)
 
     def test_zero_field_profile_contract(self):
-        profile, fq = nystrom_solve(ZeroField(), south_cap(PI / 3), 32)
-        assert profile.robin_constant == fq
+        profile = nystrom_solve(ZeroField(), SphericalCap(PI / 3), 32)
         assert profile.negative_nodes == ()
         assert abs(profile.mass - 1.0) <= 1e-4
 
@@ -134,7 +103,7 @@ class TestNystromSolve:
         alpha = PI / 3
 
         def max_rel(n):
-            profile, _ = nystrom_solve(ZeroField(), south_cap(alpha), n)
+            profile = nystrom_solve(ZeroField(), SphericalCap(alpha), n)
             nodes = np.asarray(profile.grid.nodes)
             exact = nofield_density(alpha, nodes)
             return np.max(np.abs(np.asarray(profile.values) - exact) / exact)
@@ -142,26 +111,22 @@ class TestNystromSolve:
         assert max_rel(48) >= 2.0 * max_rel(96)
 
     def test_point_charge_matches_closed_form(self):
-        profile, fq = nystrom_solve(
-            PointChargeField(1.0, 2.0), south_cap(ALPHA0_PC_12), 96
-        )
-        assert abs(fq - FQ_PC_12) <= 1e-3
+        profile = nystrom_solve(PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), 96)
+        assert abs(profile.robin_constant - FQ_PC_12) <= 1e-3
         nodes = np.asarray(profile.grid.nodes)
         exact, _ = pointcharge_density(1.0, 2.0, ALPHA0_PC_12, nodes)
         np.testing.assert_allclose(np.asarray(profile.values), exact, rtol=1e-2)
 
     def test_quadratic_matches_closed_form(self):
-        profile, fq = nystrom_solve(
-            QuadraticField(1.0, 2.5, 2.0), south_cap(ALPHA0_QUAD), 64
-        )
-        assert abs(fq - FQ_QUAD) <= 1e-3
+        profile = nystrom_solve(QuadraticField(1.0, 2.5, 2.0), SphericalCap(ALPHA0_QUAD), 64)
+        assert abs(profile.robin_constant - FQ_QUAD) <= 1e-3
         nodes = np.asarray(profile.grid.nodes)
         exact, _ = quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, nodes)
         np.testing.assert_allclose(np.asarray(profile.values), exact, rtol=1e-2)
 
     def test_full_sphere_zero_field(self):
-        profile, fq = nystrom_solve(ZeroField(), south_cap(0.0), 48)
-        assert abs(fq - 1.0) <= 1e-6
+        profile = nystrom_solve(ZeroField(), SphericalCap(0.0), 48)
+        assert abs(profile.robin_constant - 1.0) <= 1e-6
         np.testing.assert_allclose(
             np.asarray(profile.values), 1.0 / (4.0 * PI), rtol=1e-4
         )
@@ -171,15 +136,15 @@ class TestNystromSolve:
             capfield.oracle, "dense_solve", lambda system, rhs: np.full(rhs.shape, np.inf)
         )
         with pytest.raises(NonconvergenceError):
-            nystrom_solve(ZeroField(), south_cap(1.0), 16)
+            nystrom_solve(ZeroField(), SphericalCap(1.0), 16)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            nystrom_solve(ZeroField(), south_cap(PI / 3), 15)
+            nystrom_solve(ZeroField(), SphericalCap(PI / 3), 15)
 
     def test_rejects_degenerate_caps(self):
         with pytest.raises(ValueError):
-            nystrom_solve(ZeroField(), south_cap(PI - 1e-9), 32)
+            nystrom_solve(ZeroField(), SphericalCap(PI - 1e-9), 32)
 
 
 def _reference_nystrom(field, cap, n):
@@ -231,7 +196,7 @@ class TestNystromProductIntegration:
         counts = {}
         for n in (16, 64):
             calls.clear()
-            nystrom_solve(PointChargeField(1.0, 2.0), south_cap(ALPHA0_PC_12), n)
+            nystrom_solve(PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), n)
             counts[n] = len(calls)
         assert built == []
         assert counts[64] == counts[16]
@@ -244,8 +209,21 @@ class TestNystromProductIntegration:
         for block in (5, capfield.potential._ROW_BLOCK):
             monkeypatch.setattr(capfield.oracle, "_ROW_BLOCK", block)
             kernel_work.update(points=0, layouts=0)
-            nystrom_solve(PointChargeField(1.0, 2.0), south_cap(ALPHA0_PC_12), n)
+            nystrom_solve(PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), n)
             assert kernel_work == {"points": n * (8 * (n + 1) + 2 * 196), "layouts": 1}
+
+    def test_panel_rule_swaps_in_one_place(self, monkeypatch):
+        # GL-16 shared panels in place of GL-8: the rule and the moment
+        # binning both follow, and the node values agree to the GL-8 floor
+        field, cap, n = PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), 64
+        gl8 = nystrom_solve(field, cap, n)
+        monkeypatch.setattr(capfield.potential, "_PANEL", capfield.potential._unit_gl(16))
+        points, _ = kernel_rule(kernel_layout(cap, np.linspace(0.1, 1.0, n)), [2.0])
+        assert points.shape == (1, 16 * (n + 1) + 2 * 196)
+        gl16 = nystrom_solve(field, cap, n)
+        rel = np.abs(gl16.values / gl8.values - 1.0).max()
+        assert 0.0 < rel <= 1e-6
+        assert abs(gl16.robin_constant / gl8.robin_constant - 1.0) <= 1e-6
 
     @given(
         kind=st.sampled_from(["zero", "point-charge", "quadratic"]),
@@ -263,10 +241,10 @@ class TestNystromProductIntegration:
         else:
             b = 2.0 * (1.01 + 2.0 * u)
             field = QuadraticField(1.0, b, b * b / 4.0 + v)
-        cap = south_cap(alpha)
-        profile, fq = nystrom_solve(field, cap, n)
+        cap = SphericalCap(alpha)
+        profile = nystrom_solve(field, cap, n)
         values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
-        assert abs(fq - fq_ref) <= 1e-12
+        assert abs(profile.robin_constant - fq_ref) <= 1e-12
         assert abs(profile.mass - mass_ref) <= 1e-12
         scale = np.max(np.abs(values))
         assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
@@ -279,12 +257,12 @@ class TestNystromProductIntegration:
     def test_row_blocks_match_basis_reference(self, field, alpha):
         # the first n is no multiple of the row block, so the last block is
         # short; 256 is the largest solve the benchmark runs
-        cap = south_cap(alpha)
+        cap = SphericalCap(alpha)
         for n in (2 * capfield.potential._ROW_BLOCK + 5, 256):
             with np.errstate(all="raise"):
-                profile, fq = nystrom_solve(field, cap, n)
+                profile = nystrom_solve(field, cap, n)
                 values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
-            assert abs(fq - fq_ref) <= 1e-12
+            assert abs(profile.robin_constant - fq_ref) <= 1e-12
             assert abs(profile.mass - mass_ref) <= 1e-12
             scale = np.max(np.abs(values))
             assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
@@ -292,41 +270,36 @@ class TestNystromProductIntegration:
 
 class TestDiscreteEnergyMinimize:
     def test_zero_field_weights_follow_ring_areas(self):
-        measure, fq, _, min_slack = discrete_energy_minimize(ZeroField(), 64)
-        w = np.asarray(measure.weights)
-        sys64 = ring_energy_system(64)
-        np.testing.assert_allclose(w, sys64.area_weights, rtol=2e-2)
-        assert fq == pytest.approx(1.0, rel=0, abs=1e-14)
-        assert min_slack is None
+        result = discrete_energy_minimize(ZeroField(), 64)
+        _, area_weights, _ = ring_energy_system(64)
+        np.testing.assert_allclose(result.weights, area_weights, rtol=2e-2)
+        assert result.robin_constant == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert result.min_slack is None
 
     def test_measure_layout(self):
-        measure, *_ = discrete_energy_minimize(ZeroField(), 32)
-        assert len(measure.ring_angles) == 32
-        assert measure.ring_angles[0] == pytest.approx(0.5 * PI / 32, rel=0, abs=1e-15)
-        assert all(h == pytest.approx(0.5 * PI / 32) for h in measure.ring_halfwidths)
+        result = discrete_energy_minimize(ZeroField(), 32)
+        assert result.angles.shape == result.weights.shape == (32,)
+        assert result.angles[0] == pytest.approx(0.5 * PI / 32, rel=0, abs=1e-15)
+        assert not (result.angles.flags.writeable or result.weights.flags.writeable)
 
     def test_point_charge_support_emerges(self):
         n = 64
-        measure, *_ = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
-        phi = np.asarray(measure.ring_angles)
-        w = np.asarray(measure.weights)
+        result = discrete_energy_minimize(PointChargeField(1.0, 2.0), n)
+        phi, w = result.angles, result.weights
         spacing = PI / n
         assert np.all(w[phi < ALPHA0_PC_12 - 2 * spacing] < 1e-6)
         assert np.all(w[phi > ALPHA0_PC_12 + 2 * spacing] > 1e-8)
 
     def test_far_charge_keeps_full_support(self):
         # h = 3 lies beyond the large Gonchar height for q = 1
-        measure, *_ = discrete_energy_minimize(PointChargeField(1.0, 3.0), 64)
-        assert min(measure.weights) > 0.0
+        assert discrete_energy_minimize(PointChargeField(1.0, 3.0), 64).weights.min() > 0.0
 
     def test_kkt_consistency_point_charge(self):
         n = 64
         field = PointChargeField(1.0, 2.0)
-        measure, *_ = discrete_energy_minimize(field, n)
-        sys_n = ring_energy_system(n)
-        w = np.asarray(measure.weights)
-        q = field.value_at_x3(np.cos(sys_n.angles))
-        station = sys_n.interaction @ w + q
+        w = discrete_energy_minimize(field, n).weights
+        angles, _, interaction = ring_energy_system(n)
+        station = interaction @ w + field.value_at_x3(np.cos(angles))
         active = w > 1e-6
         const = float(np.mean(station[active]))
         assert station[active].max() - station[active].min() <= 1e-2 * FQ_PC_12
@@ -336,30 +309,31 @@ class TestDiscreteEnergyMinimize:
     def test_mass_multiplier_matches_quadratic_robin(self):
         n = 64
         field = QuadraticField(1.0, 2.5, 2.0)
-        measure, *_ = discrete_energy_minimize(field, n)
-        sys_n = ring_energy_system(n)
-        w = np.asarray(measure.weights)
-        q = field.value_at_x3(np.cos(sys_n.angles))
-        station = sys_n.interaction @ w + q
+        w = discrete_energy_minimize(field, n).weights
+        angles, _, interaction = ring_energy_system(n)
+        station = interaction @ w + field.value_at_x3(np.cos(angles))
         active = w > 1e-6
         assert abs(float(np.mean(station[active])) - FQ_QUAD) <= 1e-2 * FQ_QUAD
 
     def test_deterministic(self):
         a = discrete_energy_minimize(PointChargeField(1.0, 2.0), 48)
         b = discrete_energy_minimize(PointChargeField(1.0, 2.0), 48)
-        assert a == b
+        assert np.array_equal(a.weights, b.weights)
+        assert (a.robin_constant, a.kkt_spread, a.min_slack) == (
+            b.robin_constant, b.kkt_spread, b.min_slack
+        )
 
     def test_kkt_spread_at_rounding_level(self):
         # the stationarity spread, recomputed from the weights, is at the
         # rounding level of F_Q
         n = 64
         field = PointChargeField(1.0, 2.0)
-        measure, fq, spread, _ = discrete_energy_minimize(field, n)
-        sys_n = ring_energy_system(n)
-        w = np.asarray(measure.weights)
-        station = sys_n.interaction @ w + field.value_at_x3(np.cos(sys_n.angles))
+        result = discrete_energy_minimize(field, n)
+        angles, _, interaction = ring_energy_system(n)
+        w = result.weights
+        station = interaction @ w + field.value_at_x3(np.cos(angles))
         assert np.ptp(station[w > 0.0]) <= 1e-13 * FQ_PC_12
-        assert spread <= 1e-13 * fq
+        assert result.kkt_spread <= 1e-13 * result.robin_constant
 
     @given(
         kind=st.sampled_from(["outside", "inside", "on", "quadratic"]),
@@ -384,12 +358,13 @@ class TestDiscreteEnergyMinimize:
             while not b * b <= 4.0 * strength * c:
                 c = np.nextafter(c, math.inf)
             field = QuadraticField(strength, b, c)
-        measure, fq, spread, min_slack = discrete_energy_minimize(field, n)
-        sys_n = ring_energy_system(n)
-        w = np.asarray(measure.weights)
+        result = discrete_energy_minimize(field, n)
+        fq, spread, min_slack = result.robin_constant, result.kkt_spread, result.min_slack
+        angles, _, interaction = ring_energy_system(n)
+        w = result.weights
         assert np.all(w >= 0.0)
         assert abs(math.fsum(w) - 1.0) <= 1e-14
-        station = sys_n.interaction @ w + field.value_at_x3(np.cos(sys_n.angles))
+        station = interaction @ w + field.value_at_x3(np.cos(angles))
         free = w > 0.0
         assert np.ptp(station[free]) <= 1e-12 * fq
         assert spread <= 1e-12 * fq
@@ -405,10 +380,28 @@ class TestDiscreteEnergyMinimize:
             discrete_energy_minimize(PointChargeField(1.0, 2.0), 64)
         err = info.value
         assert err.error_bound > 0.0
-        w = np.asarray(err.estimate.weights)
+        w = err.estimate
         assert w.shape == (64,)
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-9
+
+    def test_weights_off_a_unit_sum_raise(self, monkeypatch):
+        # every ring of the zero field stays free, so the certifying solve
+        # is the last step: weights scaled off a unit sum there must raise
+        real_solve = np.linalg.solve
+
+        def scaled_solve(a, b):
+            solution = real_solve(a, b)
+            solution[:-1] *= 1.0 + 1e-9
+            return solution
+
+        monkeypatch.setattr(capfield.oracle.np.linalg, "solve", scaled_solve)
+        with pytest.raises(NonconvergenceError) as info:
+            discrete_energy_minimize(ZeroField(), 32)
+        err = info.value
+        assert "not 1 within 1e-12" in str(err)
+        assert err.estimate.shape == (32,)
+        assert err.error_bound == pytest.approx(1e-9, rel=1e-3)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -429,11 +422,46 @@ class TestDiscreteEnergyMinimize:
 
         monkeypatch.setattr(capfield.oracle.np.linalg, "solve", counting_solve)
         monkeypatch.setattr(capfield.oracle, "dense_solve", counting_solve)
-        measure, fq, spread, min_slack = discrete_energy_minimize(field, 256)
+        result = discrete_energy_minimize(field, 256)
         assert len(calls) == 1
-        assert min(measure.weights) == 0.0
-        assert spread <= 1e-13 * fq
-        assert min_slack >= 0.0
+        assert result.weights.min() == 0.0
+        assert result.kkt_spread <= 1e-13 * result.robin_constant
+        assert result.min_slack >= 0.0
+
+
+class TestConstantInQ:
+    """A constant added to Q moves F_Q by that constant and nothing else:
+    both oracles solve with the least sampled Q taken out."""
+
+    def test_energy_keeps_its_active_set(self):
+        base = discrete_energy_minimize(QuadraticField(1.0, 2.5, 2.0), 64)
+        lifted = discrete_energy_minimize(QuadraticField(1.0, 2.5, 1e6), 64)
+        active = lifted.weights > 0.0
+        assert np.count_nonzero(active) == 25
+        assert np.array_equal(active, base.weights > 0.0)
+        assert lifted.angles[active][0] == base.angles[active][0]
+        assert lifted.robin_constant - base.robin_constant == pytest.approx(
+            1e6 - 2.0, rel=0, abs=1e-9
+        )
+        assert np.abs(lifted.weights - base.weights).max() <= 1e-9
+
+    def test_nystrom_moves_only_its_robin_constant(self):
+        cap = SphericalCap(ALPHA0_QUAD)
+        base = nystrom_solve(QuadraticField(1.0, 2.5, 2.0), cap, 64)
+        lifted = nystrom_solve(QuadraticField(1.0, 2.5, 1e6), cap, 64)
+        assert lifted.robin_constant - base.robin_constant == pytest.approx(
+            1e6 - 2.0, rel=0, abs=1e-9
+        )
+        assert abs(lifted.mass - base.mass) <= 1e-9
+
+    def test_nystrom_on_a_constant_near_the_float_range(self):
+        # Q rounds to 1e308 at every node, so the solve is the zero field's
+        cap = SphericalCap(ALPHA0_QUAD)
+        lifted = nystrom_solve(QuadraticField(1.0, 2.5, 1e308), cap, 64)
+        zero = nystrom_solve(ZeroField(), cap, 64)
+        assert np.array_equal(lifted.values, zero.values)
+        assert lifted.robin_constant == 1e308
+        assert abs(lifted.mass - 1.0) <= 1e-4
 
 
 def _padded_inverse(interaction, free):
@@ -446,7 +474,7 @@ def _padded_inverse(interaction, free):
 class TestInverseUpdates:
     @pytest.mark.parametrize("n", [64, 256])
     def test_drops_then_frees_match_a_fresh_inverse(self, n):
-        interaction = ring_energy_system(n).interaction
+        _, _, interaction = ring_energy_system(n)
         inverse = _spd_inverse(interaction)
         # the updates write in place, which needs Fortran order
         assert inverse.flags.f_contiguous

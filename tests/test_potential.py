@@ -14,7 +14,7 @@ from capfield.equilibrium import (
     profile_from_callable,
 )
 from capfield.fields import PointChargeField, ZeroField
-from capfield.geometry import boundary_clustered_grid, capacity_south_cap, south_cap
+from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from capfield.potential import (
     EquilibriumReport,
     _kernel_parts,
@@ -33,7 +33,7 @@ FQ_PC_12 = 1.491533425110004003327
 
 
 def uniform_profile(n=40):
-    cap = south_cap(0.0)
+    cap = SphericalCap(0.0)
     grid = uniform_grid(0.0, PI, n)
     return profile_from_callable(
         cap, grid, lambda p: np.full_like(np.asarray(p, float), 1.0 / (4.0 * PI)), 1.0
@@ -41,7 +41,7 @@ def uniform_profile(n=40):
 
 
 def nofield_profile(alpha, n=64):
-    cap = south_cap(alpha)
+    cap = SphericalCap(alpha)
     grid = boundary_clustered_grid(cap, n)
     return profile_from_callable(
         cap,
@@ -52,7 +52,7 @@ def nofield_profile(alpha, n=64):
 
 
 def pointcharge_profile(n=64):
-    cap = south_cap(ALPHA0_PC_12)
+    cap = SphericalCap(ALPHA0_PC_12)
     grid = boundary_clustered_grid(cap, n)
     return profile_from_callable(
         cap,
@@ -273,7 +273,7 @@ class TestKernelRule:
         # the diagonal of node phi must land on its own knot even when the
         # knot was rounded differently; a GL-8 panel next to an unresolved
         # log singularity would otherwise cost many digits
-        cap = south_cap(0.9)
+        cap = SphericalCap(0.9)
         phi = 1.7
         s0 = float(cap.s_of_phi(phi))
         knots = np.sort(np.append(np.linspace(0.05, 0.95, 7) * cap.smax, s0))
@@ -292,7 +292,7 @@ class TestKernelRule:
     @pytest.mark.parametrize("alpha", [0.0, 0.9, 2.4, 3.1])
     @pytest.mark.parametrize("with_knots", [False, True])
     def test_batched_rows_match_one_angle_at_a_time(self, alpha, with_knots):
-        cap = south_cap(alpha)
+        cap = SphericalCap(alpha)
         nodes = boundary_clustered_grid(cap, 20).nodes
         knots = cap.s_of_phi(nodes) if with_knots else ()
         angles = [
@@ -321,7 +321,7 @@ class TestKernelRule:
                 assert value == pytest.approx(single, rel=1e-14)
 
     def test_shared_columns_are_the_same_for_every_row(self):
-        cap = south_cap(0.9)
+        cap = SphericalCap(0.9)
         knots = cap.s_of_phi(boundary_clustered_grid(cap, 12).nodes)
         points, weights = kernel_rule(kernel_layout(cap, knots), [0.0, 1.3, 2.0, PI])
         shared = 8 * (len(knots) + 1)
@@ -334,7 +334,7 @@ class TestKernelRule:
     def test_zero_width_sides_add_nothing(self):
         # off the support and at phi = pi one graded side has zero width
         with np.errstate(all="raise"):
-            points, weights = kernel_rule(kernel_layout(south_cap(0.9)), [0.3, PI])
+            points, weights = kernel_rule(kernel_layout(SphericalCap(0.9)), [0.3, PI])
         assert np.all(np.isfinite(weights))
         sides = weights[:, 8:].reshape(2, 2, -1)
         assert np.all(sides[0, 0] == 0.0)  # below s0 = 0
@@ -368,7 +368,7 @@ class TestVerifyEquilibrium:
 
         alpha0 = 1.905121063815038955604994
         fq = 2.375621847562275707877242
-        cap = south_cap(alpha0)
+        cap = SphericalCap(alpha0)
         grid = boundary_clustered_grid(cap, 64)
         prof = profile_from_callable(
             cap,
@@ -388,7 +388,7 @@ class TestVerifyEquilibrium:
     def test_rejects_support_guessed_too_small(self):
         # rim pushed outward: the variational inequality fails off support
         wrong = ALPHA0_PC_12 + 0.2
-        cap = south_cap(wrong)
+        cap = SphericalCap(wrong)
         grid = boundary_clustered_grid(cap, 64)
         prof = profile_from_callable(
             cap,
@@ -403,7 +403,7 @@ class TestVerifyEquilibrium:
     def test_rejects_support_guessed_too_large(self):
         # rim pulled inward: the density develops a negative lobe
         wrong = ALPHA0_PC_12 - 0.2
-        cap = south_cap(wrong)
+        cap = SphericalCap(wrong)
         grid = boundary_clustered_grid(cap, 64)
         prof = profile_from_callable(
             cap,

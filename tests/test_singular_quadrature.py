@@ -19,7 +19,7 @@ from capfield.fields import (
     TabulatedField,
     ZeroField,
 )
-from capfield.geometry import south_cap
+from capfield.geometry import SphericalCap
 from capfield._numerics import _TABLE_START_DEGREE, _TABLE_TAIL_TOL, NonconvergenceError
 from capfield import singular_quadrature
 from capfield.singular_quadrature import (
@@ -66,7 +66,7 @@ UNIFORM = SmoothFactor(np.ones_like, np.zeros_like)  # the unit constant field
 
 def stage_F(p, phi: float, alpha: float) -> float:
     # second stage at one angle of the south cap with rim alpha
-    return float(_stage_F_south_vec(p, np.array([phi]), south_cap(alpha))[0])
+    return float(_stage_F_south_vec(p, np.array([phi]), SphericalCap(alpha))[0])
 
 
 def stage_g(field, t: float, cap) -> float:
@@ -118,7 +118,7 @@ class TestIntegrateSqrtSingular:
         m = np.array([0.05, 0.8, 1.0 + math.cos(alpha)])
         expected = math.cos(alpha) - 2.0 * m / 3.0
         # the rule's variable tau has sqrt(m) * dy = sqrt(1-c) * dtau
-        got = _second_stage_integral(lambda c: c * np.sqrt(1.0 - c), m, south_cap(alpha))
+        got = _second_stage_integral(lambda c: c * np.sqrt(1.0 - c), m, SphericalCap(alpha))
         got /= np.sqrt(m)
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
 
@@ -145,7 +145,7 @@ class TestIntegrateSqrtSingular:
         # tan(tau_max) = sqrt(m / (1 - cos(alpha)))
         m = np.array([0.0, 1e-12])
         tau_max = np.arctan(np.sqrt(m / (1.0 - math.cos(0.5))))
-        g = _second_stage_integral(lambda c: c, m, south_cap(0.5))
+        g = _second_stage_integral(lambda c: c, m, SphericalCap(0.5))
         assert np.all(np.isfinite(g))
         assert g == pytest.approx(tau_max * math.cos(0.5), rel=1e-11)
 
@@ -240,11 +240,11 @@ class TestFirstStageIntegral:
 
 class TestAbelStageG:
     def test_zero_field_gives_zero(self):
-        cap = south_cap(0.5)
+        cap = SphericalCap(0.5)
         assert stage_g(ZeroField(), 1.7, cap) == 0.0
 
     def test_uniform_field_south_closed_form(self):
-        cap = south_cap(0.2)
+        cap = SphericalCap(0.2)
         f = ShiftedField(ZeroField(), 1.0)
         for t in (0.5, PI / 2, 2.5):
             assert stage_g(f, t, cap) == pytest.approx(
@@ -252,12 +252,12 @@ class TestAbelStageG:
             )
 
     def test_point_charge_frozen_value(self):
-        cap = south_cap(0.7)
+        cap = SphericalCap(0.7)
         g = stage_g(PointChargeField(q=1.0, h=2.0), 2.0, cap)
         assert g == pytest.approx(G_POINTCHARGE_T2, abs=1e-8)
 
     def test_linear_in_the_field(self):
-        cap = south_cap(0.5)
+        cap = SphericalCap(0.5)
         f1 = PointChargeField(q=1.0, h=2.0)
         f2 = PointChargeField(q=2.0, h=2.0)
         t = 1.3
@@ -266,7 +266,7 @@ class TestAbelStageG:
         )
 
     def test_constant_shift_adds_uniform_profile(self):
-        cap = south_cap(0.5)
+        cap = SphericalCap(0.5)
         base = PointChargeField(q=1.0, h=2.0)
         shifted = ShiftedField(base, 3.0)
         t = 2.1

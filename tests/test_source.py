@@ -1,7 +1,10 @@
-"""Static checks on the package source and the committed benchmark records."""
+"""Checks on the package source, the committed benchmark records and the
+reference script behind the suite's frozen constants."""
 
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import capfield
@@ -237,3 +240,12 @@ def test_no_module_imports_roots_legendre():
         if module.endswith(".roots_legendre")
     )
     assert found == []
+
+
+def test_reference_script_reproduces_every_frozen_constant():
+    # the 60-digit script is the ground truth for the suite's constants
+    script = ROOT / "tests" / "oracles" / "compute_reference_values.py"
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
