@@ -38,6 +38,11 @@ from .support_finder import ffunctional, gonchar_heights, solve_support
 if TYPE_CHECKING:
     from .equilibrium import DensityProfile
 
+# the pipeline's density has unit mass by construction, so its computed
+# mass misses 1 by its own error; the acceptance gate holds every shipped
+# density to this bound
+_MASS_TOLERANCE = 1e-6
+
 # absolute tolerance applied to every numeric leaf when comparing a run
 # against its pinned golden summary
 _PIN_TOLERANCES = {
@@ -159,6 +164,11 @@ def _cmd_density(args: argparse.Namespace):
         alpha = solve_support(field).alpha0
     cap = SphericalCap(alpha)
     profile = density_general(field, cap, boundary_clustered_grid(cap, args.n))
+    mass_error = abs(profile.mass - 1.0)
+    if not mass_error <= _MASS_TOLERANCE:
+        raise NonconvergenceError(
+            f"density mass misses 1 by more than {_MASS_TOLERANCE:g}", profile.mass, mass_error
+        )
     summary = _profile_summary(args, field, alpha, profile, "TwoStageInversion",
                                negative_nodes=len(profile.negative_nodes))
     return summary, f"alpha0 = {_fmt(alpha)}  mass = {_fmt(profile.mass)}"
@@ -192,6 +202,8 @@ def _cmd_verify(args: argparse.Namespace):
 def _cmd_oracle(args: argparse.Namespace):
     from .oracle import discrete_energy_minimize, nystrom_solve
 
+    if args.mode == "energy" and args.csv_path is not None:
+        raise ValueError("--csv writes a density table, which only --mode nystrom computes")
     if args.mode == "nystrom":
         field = _admissible_field(args)
         alpha = _require_alpha(args)

@@ -13,9 +13,10 @@ f*ds-densities are smooth and bounded.  A profile backed by a density
 callable holds sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a
 variable graded toward the rim, read out as a cubic Hermite spline
 (`sigma_interpolant`); its integral is the mass, and the potentials
-integrate it against the ring kernel.  Profiles backed by node values only
-hold the monotone PCHIP (Fritsch & Carlson 1980) through the nodes.  Both
-splines are `_numerics.PiecewiseCubic`, a pp-form cubic on numpy alone.
+integrate it against the ring kernel.  The Nystrom oracle builds its
+node-only profiles itself, with the monotone PCHIP (Fritsch & Carlson
+1980) through the nodes.  Both splines are `_numerics.PiecewiseCubic`, a
+pp-form cubic on numpy alone.
 """
 
 from __future__ import annotations
@@ -250,26 +251,6 @@ def profile_from_callable(
     """
     values = np.asarray(fn(grid.nodes), dtype=float)
     sigma = sigma_interpolant(cap, fn, noise)
-    return DensityProfile(cap, grid, values, robin_constant, sigma)
-
-
-def profile_from_values(
-    cap: SphericalCap,
-    grid: PhiGrid,
-    values: np.ndarray,
-    robin_constant: float,
-) -> DensityProfile:
-    """Profile backed by node samples only.
-
-    sigma is the shape-preserving (PCHIP) interpolant of the node values
-    times s, extrapolated to the rim and to smax.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(grid),):
-        raise ValueError("values must match the grid node count")
-    s = np.asarray(cap.s_of_phi(grid.nodes))
-    order = np.argsort(s)
-    sigma = PiecewiseCubic.pchip(s[order], (values * s)[order])
     return DensityProfile(cap, grid, values, robin_constant, sigma)
 
 

@@ -49,13 +49,25 @@ class ZeroField(ExternalField):
         return "ZeroField()"
 
 
+# the squared distance d2 = 1 + h^2 - 2h x3 to the charge is at most
+# (1 + h)^2, and the slope divides by d2^(3/2) <= (1 + h)^3, which stays
+# finite for h up to 5.6e102
+_MAX_CHARGE_HEIGHT = 1e100
+# the slope's numerator is q*h, and F_Q's terms scale as q*h and q/h
+# (`support_finder.ffunctional_pointcharge`); the largest charge that
+# `support_finder.gonchar_heights` takes bounds both
+_MAX_CHARGE_SCALE = 1e300
+
+
 @dataclass(frozen=True)
 class PointChargeField(ExternalField):
     """Coulomb field of a positive charge q on the polar axis at height h.
 
     Q(x3) = q / sqrt(1 + h^2 - 2 h x3).  For h > 1 the charge sits above the
     sphere, for h < 1 inside it; h = 1 puts it on the sphere, where Q blows
-    up at the north pole.
+    up at the north pole.  h <= 1e100 and q * max(h, 1/h) <= 1e300 keep
+    q*h, q/h and (1 + h)^3, which the slope and the closed forms form,
+    finite; anything else is refused.
     """
 
     q: float
@@ -66,6 +78,11 @@ class PointChargeField(ExternalField):
             raise ValueError(f"charge must be positive, got q={self.q!r}")
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ValueError(f"charge height must be positive, got h={self.h!r}")
+        q, h = self.q, self.h
+        if not h <= _MAX_CHARGE_HEIGHT:
+            raise ValueError(f"charge height must be at most {_MAX_CHARGE_HEIGHT:g}, got h={h!r}")
+        if not q * max(h, 1.0 / h) <= _MAX_CHARGE_SCALE:
+            raise ValueError(f"need q * max(h, 1/h) <= {_MAX_CHARGE_SCALE:g}, got q={q!r}, h={h!r}")
 
     def value_at_x3(self, x3):
         x = np.asarray(x3, dtype=float)

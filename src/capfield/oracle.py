@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve as dense_solve
 from scipy.linalg import solve_banded
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from ._numerics import NonconvergenceError
-from .equilibrium import DensityProfile, profile_from_values
+from ._numerics import NonconvergenceError, PiecewiseCubic
+from .equilibrium import DensityProfile
 from .fields import ExternalField
 from .geometry import SphericalCap, boundary_clustered_grid
 from .potential import _ROW_BLOCK, _SIDE_U, kernel_layout, kernel_rule, ring_kernel
@@ -42,6 +41,10 @@ _STEPS_PER_RING = 2
 # -_SLACK_RTOL * max(|F_Q|, 1), with F_Q that of the shifted field, which
 # is nonnegative, so F_Q >= 1
 _SLACK_RTOL = 1e-13
+
+# the one dense solve of both oracles; a non-finite solution is refused
+# by the caller
+dense_solve = np.linalg.solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +66,18 @@ class EnergyMinimum:
     def __post_init__(self) -> None:
         self.angles.flags.writeable = False
         self.weights.flags.writeable = False
+
+
+def _shifted_field(field: ExternalField, angles: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Q at the polar angles less its least value there, and that value.
+
+    A constant in Q moves F_Q and nothing else, so each oracle solves with
+    Q shifted and adds the floor back to F_Q: its rounding stays on the
+    scale of Q's variation, however large the constant.
+    """
+    q = field.value_at_x3(np.clip(np.cos(angles), -1.0, 1.0))
+    floor = float(q.min())
+    return q - floor, floor
 
 
 def ring_energy_system(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,8 +195,10 @@ def nystrom_solve(
     points themselves.  The unit-mass row is one more moment row, the
     integral of (s - s_j)^(3-k) over each interval's span, with [0, s_0]
     and [s_(n-1), smax] in the end intervals.  The (n+1) x (n+1) dense
-    system gives the node values and the potential level, returned as a
-    profile whose Robin constant is that level.
+    system gives s*f at the nodes and the potential level, returned as a
+    node-only profile: its sigma is the monotone PCHIP through the solved
+    s*f at the knots, extrapolated to the rim and to smax, and its Robin
+    constant is the level.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
@@ -250,23 +267,17 @@ def nystrom_solve(
     system[:n, n] = -1.0
     system[n, n] = 0.0
 
-    # a constant in Q moves F_Q and nothing else, so the system sees Q less
-    # its least node value and keeps its rounding on the scale of Q's
-    # variation, however large the constant
-    q = field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0))
-    floor = float(q.min())
-    rhs = np.zeros(n + 1)
-    rhs[:n] = floor - q
-    rhs[n] = 1.0
+    q, floor = _shifted_field(field, nodes)
+    rhs = np.append(-q, 1.0)
 
     solution = dense_solve(system, rhs)
-    values = solution[:n] / knots
+    sigma = solution[:n]
     fq = float(solution[n]) + floor
-    if not (np.all(np.isfinite(values)) and math.isfinite(fq)):
+    if not (np.all(np.isfinite(sigma)) and math.isfinite(fq)):
         raise NonconvergenceError(
             "collocation system produced non-finite values", math.nan, math.inf
         )
-    return profile_from_values(cap, grid, values, fq)
+    return DensityProfile(cap, grid, sigma / knots, fq, PiecewiseCubic.pchip(knots, sigma))
 
 
 def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -328,11 +339,7 @@ def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:
         raise ValueError(f"need at least {_MIN_RINGS} rings")
     n = int(n)
     angles, w, interaction = ring_energy_system(n)
-    # the solve sees Q less its least ring value, as in `nystrom_solve`,
-    # and adds that back to F_Q
-    q = field.value_at_x3(np.clip(np.cos(angles), -1.0, 1.0))
-    floor = float(q.min())
-    q = q - floor
+    q, floor = _shifted_field(field, angles)
 
     inverse = _spd_inverse(interaction)
     rhs = np.column_stack((q, np.ones(n)))
@@ -346,7 +353,7 @@ def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:
         if np.all(v >= 0.0):
             bordered = np.pad(interaction[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
             bordered[-1, -1] = 0.0
-            solution = np.linalg.solve(bordered, np.append(-q[idx], 1.0))
+            solution = dense_solve(bordered, np.append(-q[idx], 1.0))
             v, fq = solution[:-1], -float(solution[-1])
         if np.all(v >= 0.0):
             w[idx] = v

@@ -236,7 +236,9 @@ def _rim_equation(field: ExternalField):
         q, h = field.q, field.h
 
         def rim_field(a: float) -> float:
-            return q * (h + 1.0) / ((h - 1.0) ** 2 + 2.0 * h * SphericalCap(a).r1)
+            distance = (h - 1.0) ** 2 + 2.0 * h * SphericalCap(a).r1
+            # zero only for a charge on the sphere, at the pole
+            return q * (h + 1.0) / distance if distance > 0.0 else math.inf
 
         return (lambda a: ffunctional_pointcharge(q, h, a)), rim_field, "ClosedForm"
     if isinstance(field, QuadraticField):
@@ -269,12 +271,17 @@ def _rim_root(terms, lo: float, hi: float) -> SupportSolution:
     constant of the cap with rim alpha and the residual.  The residual is
     negative at 0+ exactly when a proper cap exists and grows toward pi,
     so the two ends of the bracket decide: a residual >= 0 at lo means the
-    whole sphere, one that is not > 0 at hi raises NonconvergenceError,
-    and otherwise Brent's method runs on [lo, hi].
+    whole sphere, unless the residual at 0 is negative, which puts the rim
+    below the bracket and raises ValueError (a weak charge on the sphere,
+    whose p is infinite at the pole); one that is not > 0 at hi raises
+    NonconvergenceError, and otherwise Brent's method runs on [lo, hi].
     """
     at_lo = float(terms(lo)[1])
     if at_lo >= 0.0:
-        return SupportSolution(alpha0=0.0, robin_constant=terms(0.0)[0],
+        robin, at_zero = terms(0.0)
+        if at_zero < 0.0:
+            raise ValueError(f"the rim lies below the bracket [{lo!r}, {hi!r}]")
+        return SupportSolution(alpha0=0.0, robin_constant=robin,
                                method=SupportMethod.FULL_SPHERE, residual=at_lo, iterations=0)
     at_hi = float(terms(hi)[1])
     if not at_hi > 0.0:

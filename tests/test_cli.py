@@ -540,6 +540,15 @@ class TestOracleCommand:
         assert summary["first_active_angle"] == (63 + 0.5) * (PI / 64)
         assert abs(summary["mass"] - 1.0) <= 1e-12
 
+    def test_energy_mode_refuses_csv(self, tmp_path, capsys):
+        # the energy oracle computes ring weights, not a density table
+        table = tmp_path / "energy.csv"
+        code, summary = run_cli(["oracle", "--mode", "energy", "--csv", str(table)], tmp_path)
+        assert code == 2
+        assert summary is None
+        assert not table.exists()
+        assert "--csv" in capsys.readouterr().err
+
     def test_energy_mode_takes_any_field(self, tmp_path):
         # no support is assumed, so a field outside the south-cap
         # hypotheses still has a discrete energy minimizer
@@ -600,6 +609,28 @@ class TestDeterminism:
         assert summary["timings"] and all(v >= 0 for v in summary["timings"].values())
 
 
+# the commands of the extreme point-charge grid: q and h each range over
+# 1e-300, 1e-150, 1, 1e100, 1e150 and 1e300
+EXTREME_COMMANDS = (["support"], ["density", "--n", "16"], ["verify", "--alpha", "1", "--n", "16"],
+                    ["oracle", "--mode", "nystrom", "--alpha", "1", "--n", "16"],
+                    ["oracle", "--mode", "energy", "--rings", "32"], ["ffunctional", "--alpha", "1"])
+_SUPPORT, _DENSITY, _VERIFY = EXTREME_COMMANDS[:3]
+# (command, q, h) of the grid's cells that ended in a traceback (an
+# overflow in the rim equation at h = 1e300, a division by zero for a weak
+# charge on the sphere) or a numpy warning, and the charge that
+# overflowed F_Q
+EXTREME_CHARGES = (
+    [(c, q, "1e300") for c in (_SUPPORT, _DENSITY)
+     for q in ("1e-300", "1e-150", "1", "1e100", "1e150", "1e300")]
+    + [(c, q, "1") for c in (_SUPPORT, _DENSITY) for q in ("1e-300", "1e-150")]
+    + [(c, q, "1e150") for c in (_DENSITY, _VERIFY)
+       for q in ("1e-300", "1e-150", "1", "1e100", "1e150")]
+    + [(_VERIFY, q, h) for q, h in (("1e100", "1e300"), ("1e150", "1e300"), ("1e300", "1e300"),
+                                     ("1e300", "1e100"), ("1e300", "1e150"))]
+    + [(["ffunctional", "--alpha", "1"], "1e308", "1.0000001")]
+)
+
+
 class TestArgumentHandling:
     @pytest.mark.parametrize(
         "argv,key",
@@ -608,10 +639,8 @@ class TestArgumentHandling:
              "FQ"),
             (["ffunctional", "--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "1e308",
               "--alpha", "1"], "ffunctional"),
-            (["ffunctional", "--field", "point-charge", "--q", "1e308", "--h", "1.0000001",
-              "--alpha", "1"], "ffunctional"),
         ],
-        ids=["support-quadratic", "ffunctional-quadratic", "ffunctional-point-charge"],
+        ids=["support-quadratic", "ffunctional-quadratic"],
     )
     def test_overflow_exits_3(self, tmp_path, capsys, argv, key):
         # admissible, finite input whose summary overflows is a numerical
@@ -639,6 +668,42 @@ class TestArgumentHandling:
         assert summary is None
         err = capsys.readouterr().err
         assert "nonconvergence in singular_quadrature.first_stage_table" in err
+
+    @pytest.mark.parametrize(
+        "argv,q,h", EXTREME_CHARGES, ids=[f"{a[0]}-q{q}-h{h}" for a, q, h in EXTREME_CHARGES]
+    )
+    def test_extreme_point_charge_refused(self, tmp_path, capsys, argv, q, h):
+        # each of these ended in a traceback or a numpy warning before the
+        # charge's bounds; now it is refused with the bound it breaks
+        code, summary = run_cli([*argv, "--field", "point-charge", "--q", q, "--h", h], tmp_path)
+        assert code == 2
+        assert summary is None
+        err = capsys.readouterr().err
+        assert ("at most 1e+100" in err or "q * max(h, 1/h) <= 1e+300" in err
+                or "below the bracket [1e-12," in err), err
+
+    @pytest.mark.parametrize("q,h", [("1e200", "1e100"), ("1e-300", "1e100"), ("1", "1e-300"),
+                                     ("1e300", "1"), ("1e-24", "1"), ("1e150", "1e-150")])
+    def test_extreme_point_charge_in_range(self, tmp_path, q, h):
+        # inside the bounds every command finishes or reports its own
+        # nonconvergence; pytest turns any warning into an error
+        for argv in EXTREME_COMMANDS:
+            code, _ = run_cli([*argv, "--field", "point-charge", "--q", q, "--h", h], tmp_path)
+            assert code in (0, 3), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--field", "quadratic", "--a", "1", "--b", "2.5", "--c", "1e300", "--n", "32"],
+         ["--field", "point-charge", "--q", "1e12", "--h", "2", "--n", "16"]],
+        ids=["quadratic-constant-1e300", "point-charge-1e12"],
+    )
+    def test_density_mass_off_one_exits_3(self, tmp_path, capsys, argv):
+        # the pipeline's density has unit mass by construction, so a mass
+        # off 1 is its own error estimate
+        code, summary = run_cli(["density", *argv], tmp_path)
+        assert code == 3
+        assert summary is None
+        assert "density mass misses 1 by more than 1e-06" in capsys.readouterr().err
 
     def test_overflowing_field_warns_nothing(self, tmp_path):
         # the hypothesis scan differences scaled samples, so a field near

@@ -24,7 +24,6 @@ from capfield.equilibrium import (
     nofield_density,
     pointcharge_density,
     profile_from_callable,
-    profile_from_values,
     quadratic_density,
 )
 from capfield.fields import (
@@ -37,6 +36,7 @@ from capfield.fields import (
 from capfield import singular_quadrature
 from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from capfield._numerics import NonconvergenceError
+from capfield.oracle import nystrom_solve
 from capfield.support_finder import gonchar_heights, solve_support
 from conftest import ShiftedField, uniform_grid
 
@@ -525,6 +525,13 @@ class TestFirstStageTableInPipeline:
             assert prof.negative_nodes == ()
 
 
+def _node_profile(cap, grid, values, robin_constant):
+    """A profile backed by node values only, as the Nystrom oracle builds
+    it: sigma is the PCHIP of s*f through the nodes."""
+    s = np.asarray(cap.s_of_phi(grid.nodes))
+    return DensityProfile(cap, grid, values, robin_constant, PiecewiseCubic.pchip(s, values * s))
+
+
 class TestProfilesAndMass:
     def test_closed_form_profile_mass(self):
         cap = SphericalCap(ALPHA0_PC_12)
@@ -541,29 +548,30 @@ class TestProfilesAndMass:
         cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 64)
         values = nofield_density(PI / 3, grid.nodes)
-        prof = profile_from_values(cap, grid, values, 1.0 / capacity_south_cap(PI / 3))
+        prof = _node_profile(cap, grid, values, 1.0 / capacity_south_cap(PI / 3))
         assert prof.mass == pytest.approx(1.0, abs=1e-5)
 
     def test_scaling_scales_mass(self):
         cap = SphericalCap(PI / 3)
         grid = boundary_clustered_grid(cap, 64)
         values = nofield_density(PI / 3, grid.nodes)
-        prof = profile_from_values(cap, grid, 2.0 * values, 0.0)
+        prof = _node_profile(cap, grid, 2.0 * values, 0.0)
         assert prof.mass == pytest.approx(2.0, abs=2e-5)
 
     def test_negative_values_flagged_not_clamped(self):
         cap = SphericalCap(1.0)
         grid = uniform_grid(1.1, 3.0, 5)
         values = np.array([0.1, 0.2, -0.05, 0.2, 0.1])
-        prof = profile_from_values(cap, grid, values, 1.0)
+        prof = _node_profile(cap, grid, values, 1.0)
         assert prof.negative_nodes == (2,)
         assert prof.values[2] == -0.05
 
     def test_mismatched_lengths_rejected(self):
         cap = SphericalCap(1.0)
         grid = uniform_grid(1.1, 3.0, 5)
+        sigma = _node_profile(cap, grid, np.ones(5), 1.0).sigma
         with pytest.raises(ValueError):
-            profile_from_values(cap, grid, np.ones(4), 1.0)
+            DensityProfile(cap, grid, np.ones(4), 1.0, sigma)
 
     def test_nofield_profile_mass(self):
         cap = SphericalCap(PI / 3)
@@ -685,13 +693,12 @@ class TestPiecewiseCubic:
             PiecewiseCubic.pchip(s, y)
 
     def test_profile_sigma_is_the_node_pchip(self):
+        # the Nystrom oracle's profile: sigma is the PCHIP of s*f through
+        # its nodes, extrapolated to the rim and to smax
         cap = SphericalCap(1.0)
-        grid = boundary_clustered_grid(cap, 24)
-        values = nofield_density(1.0, grid.nodes)
-        prof = profile_from_values(cap, grid, values, PI / cap.normalizer)
-        s = np.asarray(cap.s_of_phi(grid.nodes))
-        order = np.argsort(s)
-        ref = PchipInterpolator(s[order], (values * s)[order])
+        prof = nystrom_solve(ZeroField(), cap, 24)
+        s = np.asarray(cap.s_of_phi(prof.grid.nodes))
+        ref = PchipInterpolator(s, prof.values * s)
         probe = np.linspace(0.0, cap.smax, 301)
         np.testing.assert_allclose(prof.sigma(probe), ref(probe), rtol=1e-14, atol=0)
         assert prof.mass == pytest.approx(4.0 * PI * float(ref.integrate(0.0, cap.smax)),

@@ -1,6 +1,7 @@
 """External field construction, evaluation, and south-cap admissibility."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,23 @@ class TestPointChargeField:
     def test_rejects_nonpositive_parameters(self, q, h):
         with pytest.raises(ValueError):
             PointChargeField(q=q, h=h)
+
+    @pytest.mark.parametrize(
+        "q,h,bound",
+        [(1.0, 1.0000001e100, "at most 1e+100"), (1e-300, 1e300, "at most 1e+100"),
+         (1e308, 1.0000001, "q * max(h, 1/h) <= 1e+300"),
+         (1e201, 1e100, "q * max(h, 1/h) <= 1e+300"),
+         (1.0, 1e-301, "q * max(h, 1/h) <= 1e+300"),
+         (1.0, 5e-324, "q * max(h, 1/h) <= 1e+300")],
+    )
+    def test_refuses_parameters_that_overflow(self, q, h, bound):
+        with pytest.raises(ValueError, match=re.escape(bound)):
+            PointChargeField(q=q, h=h)
+
+    @pytest.mark.parametrize("q,h", [(1e300, 1.0), (1e200, 1e100), (1.0, 1e-300),
+                                     (5e-324, 1e100)])
+    def test_keeps_parameters_on_the_bounds(self, q, h):
+        assert PointChargeField(q=q, h=h).q == q
 
     def test_charge_on_sphere_is_singular_at_north_pole(self):
         f = PointChargeField(q=1.0, h=1.0)

@@ -210,6 +210,36 @@ def test_fields_import_only_numerics():
     assert local == ["capfield._numerics"]
 
 
+# the closed-form density code the oracles referee, and the names of it
+# that they may use: the profile record alone
+CLOSED_FORM_MODULES = {"equilibrium", "singular_quadrature", "support_finder"}
+ORACLE_MAY_USE = {"equilibrium": {"DensityProfile"}}
+
+
+def test_oracles_import_nothing_from_the_closed_forms():
+    # the oracles and the potentials they share cross-check the closed
+    # forms and the Abel pipeline, so they must not be built from either;
+    # imports inside functions count too
+    package = Path(capfield.__file__).parent
+    found = []
+    for name in ("oracle", "potential"):
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").split(".")[-1]
+                if node.level == 0 and not (node.module or "").startswith("capfield"):
+                    continue
+                for alias in node.names:
+                    if module in CLOSED_FORM_MODULES:
+                        if alias.name not in ORACLE_MAY_USE.get(module, set()):
+                            found.append(f"{name}: {module}.{alias.name}")
+                    elif alias.name in CLOSED_FORM_MODULES:
+                        found.append(f"{name}: {alias.name}")
+            elif isinstance(node, ast.Import):
+                found += [f"{name}: {a.name}" for a in node.names
+                          if a.name.split(".")[-1] in CLOSED_FORM_MODULES]
+    assert found == []
+
+
 # the modules a closed-form command imports; they take numpy from the
 # lazy handle of `_numerics`, so that numpy executes only when used
 START_UP_MODULES = ("cli", "_numerics", "fields", "geometry", "support_finder")

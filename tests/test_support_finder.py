@@ -341,10 +341,11 @@ class TestSolveSupportNorthpole:
             assert sol.method is SupportMethod.TRANSCENDENTAL_ROOT
             assert 0.0 < sol.alpha0 < PI
 
-    @pytest.mark.parametrize("q", [1e-20, 1e-16, 1e-10, 1e-4, 0.5, 2.0, 1e4])
+    @pytest.mark.parametrize("q", [1e-24, 1e-20, 1e-16, 1e-10, 1e-4, 0.5, 2.0, 1e4])
     def test_rim_to_rounding(self, q):
         # the rim of a weak charge is about sqrt(2q), so 1 - cos(alpha) is
-        # far below one ulp of 1; the reference solves
+        # far below one ulp of 1 (at q = 1e-24 the rim, 1.4e-12, is just
+        # above the bracket's left end); the reference solves
         # pi*(1 - cos a) - q*(pi - a)*cos a - q*sin a = 0 at 40 digits
         sol = solve_support(PointChargeField(q, 1.0))
         with mpmath.workdps(40):
