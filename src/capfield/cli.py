@@ -31,10 +31,11 @@ from .fields import (
 from .geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from .support_finder import ffunctional, gonchar_heights, solve_support
 
-# the pipeline, the potentials and the oracles (and with the last two
-# scipy) are imported by the handlers that call them, and numpy executes
-# on its first use (`_numerics.np`), so that the closed-form commands,
-# which compute with `math` alone, run on the standard library
+# the pipeline, the potentials and the oracles are imported by the
+# handlers that call them, and numpy executes on its first use
+# (`_numerics.np`), so that the closed-form commands, which compute with
+# `math` alone, run on the standard library; scipy comes in with the
+# energy oracle's solve alone
 if TYPE_CHECKING:
     from .equilibrium import DensityProfile
 
@@ -281,15 +282,20 @@ def _apply_pin(args: argparse.Namespace, summary: dict) -> int:
 def _failing_operation(err: BaseException) -> str:
     """module.function of the innermost package frame that raised err.
 
-    The shared helpers of `_numerics` are skipped: a root finder or a
-    derivative that fails names the computation that called it.
+    Frames are matched by their code's file in the package directory, not
+    by module name, which reads `__main__` for this module under `python
+    -m capfield.cli`.  The shared helpers of `_numerics` are skipped: a
+    root finder or a derivative that fails names the computation that
+    called it.
     """
+    package = Path(__file__).resolve().parent
     where = "cli.run"
     tb = err.__traceback__
     while tb is not None:
-        module = tb.tb_frame.f_globals.get("__name__", "")
-        if module.startswith(__package__ + ".") and module != f"{__package__}._numerics":
-            where = f"{module[len(__package__) + 1:]}.{tb.tb_frame.f_code.co_name}"
+        code = tb.tb_frame.f_code
+        path = Path(code.co_filename).resolve()
+        if path.parent == package and path.stem != "_numerics":
+            where = f"{path.stem}.{code.co_name}"
         tb = tb.tb_next
     return where
 

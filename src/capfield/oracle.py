@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dpotrf, dpotri
 
 from ._numerics import NonconvergenceError, PiecewiseCubic
 from .equilibrium import DensityProfile
@@ -110,6 +107,32 @@ def ring_energy_system(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phi, area, interaction
 
 
+def _solve_tridiagonal(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with M X = rhs, for M tridiagonal in the (1, 1) banded form of
+    `scipy.linalg.solve_banded`: row 0 holds M[i - 1, i], row 1 the
+    diagonal and row 2 M[i + 1, i].
+
+    Gaussian elimination without pivoting, then back substitution, each a
+    loop over the rows of a C-ordered copy of rhs, so that every step is
+    one vector operation across all right-hand sides.  Without pivoting
+    this is stable when every pivot stays well away from 0; for the
+    not-a-knot slopes, see `_not_a_knot_rows`.
+    """
+    above, diagonal, below = (band.tolist() for band in banded)
+    solution = np.array(rhs, dtype=float, order="C")
+    rows = list(solution)
+    pivots = [diagonal[0]]
+    for i in range(1, len(rows)):
+        factor = below[i - 1] / pivots[-1]
+        pivots.append(diagonal[i] - factor * above[i])
+        rows[i] -= factor * rows[i - 1]
+    rows[-1] /= pivots[-1]
+    for i in range(len(rows) - 2, -1, -1):
+        rows[i] -= above[i + 1] * rows[i + 1]
+        rows[i] /= pivots[i]
+    return solution
+
+
 def _not_a_knot_rows(knots: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """Rows sum_{k,j} moments[:, k, j] c[k, j] as maps of the node values y.
 
@@ -122,10 +145,18 @@ def _not_a_knot_rows(knots: np.ndarray, moments: np.ndarray) -> np.ndarray:
     are L y + G t + E D, with L from moments[:, 3] and G and E from the
     other three.  The slopes solve the tridiagonal system A t = B D,
     whose first and last rows carry the not-a-knot conditions, so G t =
-    (A^-T G^T)^T B D: one banded solve with A^T for all rows at once,
+    (A^-T G^T)^T B D: one tridiagonal solve with A^T for all rows at once,
     then B and D as bidiagonal updates.
     That is O(n^2) for n knots, where building the pp-form of the n x n
     identity and multiplying by it costs O(n^3).
+
+    A^T is solved without pivoting, which is stable here although its
+    end columns, the not-a-knot rows of A, are not diagonally dominant.
+    Its interior columns are A's dominant rows and stay dominant through
+    the elimination.  The first pivot is h_1 with multiplier 1 + h_0 / h_1,
+    and the second is then h_0 + h_1 exactly.  The last pivot is at least
+    h_(n-3) / (2 + h_(n-2) / h_(n-3)).  On boundary-clustered knots both
+    factors stay below 2.3 (rims 0 to pi - 1e-5, n = 16 to 512).
     """
     n, count = knots.size, len(moments)
     h = np.diff(knots)
@@ -152,7 +183,7 @@ def _not_a_knot_rows(knots: np.ndarray, moments: np.ndarray) -> np.ndarray:
     a_t[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
     a_t[2, 0] = d_start
     a_t[2, 1:-1] = h[:-1]
-    z = solve_banded((1, 1), a_t, on_slopes.T, overwrite_b=True, check_finite=False).T
+    z = _solve_tridiagonal(a_t, on_slopes.T).T
     # z B: the interior rows of B D are 3 h_i D_(i-1) + 3 h_(i-1) D_i
     inner, scratch = z[:, 1:-1], a[:, :-1]
     on_diffs[:, :-1] += np.multiply(inner, 3.0 * h[1:], out=scratch)
@@ -284,6 +315,8 @@ def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, formed in one
     Fortran-ordered copy: Cholesky factor, its inverse, then the upper
     triangle mirrored column by column."""
+    from scipy.linalg.lapack import dpotrf, dpotri
+
     inverse, info = dpotrf(np.array(matrix, order="F"), overwrite_a=1)
     if info == 0:
         inverse, info = dpotri(inverse, overwrite_c=1)
@@ -297,6 +330,8 @@ def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
 def _drop_ring(inverse: np.ndarray, r: int) -> None:
     """Bind ring r in place: the inverse on S minus r is G - g g^T / g_r
     on the rest, where g is column r of the inverse G on S."""
+    from scipy.linalg.blas import dger
+
     column = inverse[:, r].copy()
     dger(-1.0 / column[r], column, column, a=inverse, overwrite_a=1)
     inverse[r, :] = 0.0
@@ -306,6 +341,8 @@ def _drop_ring(inverse: np.ndarray, r: int) -> None:
 def _free_ring(inverse: np.ndarray, interaction: np.ndarray, j: int) -> None:
     """Free bound ring j in place, by the Schur complement
     sigma = K_jj - K_Sj^T G K_Sj of the bordered inverse."""
+    from scipy.linalg.blas import dger
+
     coupling = interaction[j]
     u = inverse @ coupling
     sigma = interaction[j, j] - coupling @ u

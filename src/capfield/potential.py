@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ellipkm1
 
 from ._numerics import NonconvergenceError, gauss_legendre
 from .equilibrium import DensityProfile
@@ -80,6 +79,58 @@ def _graded_side() -> Tuple[np.ndarray, np.ndarray]:
 _SIDE_U, _SIDE_W = _graded_side()
 
 
+# K(1 - p) takes the arithmetic-geometric mean down to this p and the
+# two-term logarithmic asymptote below it, which is within 1.3e-17 of K
+# there
+_K_LOG_BELOW = 1e-8
+# full AGM steps from (1, sqrt(p)) by the least p of an array: with one
+# more mean, 3 steps leave it within 1e-18 of its limit down to p = 0.33,
+# 4 down to 1e-2, 5 down to 6.3e-6 and 6 down to 2.5e-12.  The shared
+# panels of a block of rows mostly keep p above 1e-2 (above 0.5 for
+# `verify`), while its graded sides reach the asymptote
+_AGM_STEPS = ((0.35, 3), (1e-2, 4), (1e-5, 5))
+_LN4 = math.log(4.0)
+
+
+def _ellipkm1(p: np.ndarray) -> np.ndarray:
+    """K(1 - p), the complete elliptic integral of the first kind at
+    parameter m = 1 - p, for p in (0, 1], in place of p.
+
+    K = pi / (2 AGM(1, sqrt(p))) (DLMF 19.8.5; Abramowitz & Stegun 17.6):
+    three to six steps a <- (a + b) / 2, b <- sqrt(a b), as the least p
+    needs, and one more mean, in place on two scratch arrays made once per
+    call.  For p < 1e-8, K = L + (p / 4)(L - 1) with L = ln 4 - ln(p) / 2,
+    the first two terms of DLMF 19.12.1.  Within 3 ulps of an 80-digit
+    AGM for p down to the least subnormal.
+    """
+    least = np.min(p, initial=1.0)
+    steps = next((count for bound, count in _AGM_STEPS if least >= bound), 6)
+    small = p < _K_LOG_BELOW
+    near = p[small]
+    b = np.sqrt(p, out=p)
+    a = np.add(b, 1.0)
+    a *= 0.5
+    np.sqrt(b, out=b)
+    t = np.empty_like(a)
+    for _ in range(steps - 1):
+        np.multiply(a, b, out=t)
+        a += b
+        a *= 0.5
+        np.sqrt(t, out=b)
+    # pi / (2 a) with a the last mean (a + b) / 2
+    a += b
+    np.divide(PI, a, out=p)
+    if near.size:
+        log_term = np.log(near)
+        log_term *= -0.5
+        log_term += _LN4
+        near *= 0.25
+        near *= log_term - 1.0
+        near += log_term
+        p[small] = near
+    return p
+
+
 def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap, out=None):
     """K / max(a, b) of the ring average 4 K / max(a, b) of 1/distance.
 
@@ -87,19 +138,21 @@ def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap, out=None):
     2 |cos(xi) - cos(phi)| in cancellation-free form, and fold the
     factor 4 into their weights.  K is the complete elliptic integral
     whose complementary parameter |a^2 - b^2| / max(a^2, b^2) goes to
-    `ellipkm1` as is, so K keeps its relative accuracy down the
-    logarithmic diagonal.  Evaluated in place: into out (a new array of
-    the broadcast shape by default) and one scratch array of that shape.
+    `_ellipkm1` as is, so K keeps its relative accuracy down the
+    logarithmic diagonal.  Evaluated on two contiguous scratch arrays of
+    the broadcast shape, and the two of `_ellipkm1`, then written once
+    into out (a new array by default): the callers' out is a block of
+    columns of a wider array, on which each pass would cost more.
     """
-    if out is None:
-        shapes = map(np.shape, (one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap))
-        out = np.empty(np.broadcast_shapes(*shapes))
-    mx2 = np.multiply(one_m_cphi, one_p_cxi, out=np.empty_like(out))
-    np.maximum(mx2, np.multiply(one_m_cxi, one_p_cphi, out=out), out=mx2)
-    np.divide(gap, mx2, out=out)
-    np.minimum(out, 1.0, out=out)
-    ellipkm1(out, out=out)
-    return np.divide(out, np.sqrt(mx2, out=mx2), out=out)
+    shapes = map(np.shape, (one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap))
+    shape = np.broadcast_shapes(*shapes)
+    mx2 = np.multiply(one_m_cphi, one_p_cxi, out=np.empty(shape))
+    k = np.multiply(one_m_cxi, one_p_cphi, out=np.empty(shape))
+    np.maximum(mx2, k, out=mx2)
+    np.divide(gap, mx2, out=k)
+    np.minimum(k, 1.0, out=k)
+    _ellipkm1(k)
+    return np.divide(k, np.sqrt(mx2, out=mx2), out=out)
 
 
 def ring_kernel(phi, xi):

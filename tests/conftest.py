@@ -94,18 +94,18 @@ def golden_section_support(field: ExternalField, lo: float = 0.0,
 @pytest.fixture
 def kernel_work(monkeypatch):
     """Counts of the ring-kernel points evaluated and the `KernelLayout`s
-    built, from wrappers around `ellipkm1` and the layout class."""
+    built, from wrappers around the kernel's K and the layout class."""
     counts = {"points": 0, "layouts": 0}
-    ellipkm1, layout = capfield.potential.ellipkm1, capfield.potential.KernelLayout
+    ellipkm1, layout = capfield.potential._ellipkm1, capfield.potential.KernelLayout
 
-    def counted_ellipkm1(x, out=None):
-        counts["points"] += np.size(x)
-        return ellipkm1(x, out=out)
+    def counted_ellipkm1(p):
+        counts["points"] += np.size(p)
+        return ellipkm1(p)
 
     def counted_layout(*args, **kwargs):
         counts["layouts"] += 1
         return layout(*args, **kwargs)
 
-    monkeypatch.setattr(capfield.potential, "ellipkm1", counted_ellipkm1)
+    monkeypatch.setattr(capfield.potential, "_ellipkm1", counted_ellipkm1)
     monkeypatch.setattr(capfield.potential, "KernelLayout", counted_layout)
     return counts

@@ -77,6 +77,17 @@ class TestSupportCommand:
         assert summary["alpha0"] == 0.0
         assert summary["method"] == "FullSphere"
 
+    def test_charge_at_its_critical_height_full_sphere(self, tmp_path):
+        # h is gonchar_heights(1.875).h_minus to the last bit: the rim
+        # residual at alpha = 0 is zero, and reads -8.9e-16 in rounding
+        code, summary = run_cli(
+            ["support", "--field", "point-charge", "--q", "1.875",
+             "--h", "0.1383662278567187"], tmp_path
+        )
+        assert code == 0
+        assert summary["method"] == "FullSphere"
+        assert summary["FQ"] == 2.875
+
     def test_rejects_bad_charge(self, tmp_path):
         code, _ = run_cli(
             ["support", "--field", "point-charge", "--q", "-1", "--h", "2"], tmp_path
@@ -175,9 +186,9 @@ STDLIB_COMMANDS = [
 ]
 
 
-# the density pipeline, the potentials and the oracles read their splines
-# and Gauss-Legendre rules from numpy: scipy comes in for the potentials'
-# `special` and the oracles' `linalg` only
+# the density pipeline, the potentials and the oracles read their splines,
+# Gauss-Legendre rules, ring-kernel K and spline slopes from numpy: scipy
+# comes in for the energy oracle's `linalg` only
 SPLINE_COMMANDS = [
     ["density", "--field", "point-charge", "--q", "1", "--h", "2", "--n", "32"],
     ["verify", "--field", "point-charge", "--q", "1", "--h", "2",
@@ -219,14 +230,12 @@ class TestStartUp:
     def test_closed_form_splines_import_no_interpolate(self, tmp_path, argv):
         modules = scipy_modules_after(argv, tmp_path)
         scipy_modules = [m for m in modules if m.startswith("scipy")]
-        assert [m for m in scipy_modules if m.startswith("scipy.interpolate")] == []
-        if argv[0] == "density":
-            assert scipy_modules == []
-        elif argv[0] == "verify":
-            assert "scipy.special" in scipy_modules
-            assert [m for m in scipy_modules if m.startswith("scipy.linalg")] == []
+        if argv[:3] == ["oracle", "--mode", "energy"]:
+            assert "scipy.linalg" in scipy_modules
+            assert [m for m in scipy_modules
+                    if m.startswith(("scipy.special", "scipy.interpolate"))] == []
         else:
-            assert {"scipy.linalg", "scipy.special"} <= set(scipy_modules)
+            assert scipy_modules == []
 
     def test_tabulated_support_imports_no_integrate(self, tmp_path):
         # the table's support comes from a fixed Gauss rule, not from quad,
@@ -422,19 +431,29 @@ class TestDensityCommand:
 
     def test_failure_names_the_failing_operation(self, tmp_path, capsys):
         # the support is found, and the first Abel stage then fails on the
-        # knots inside the cap before any density is formed
+        # knots inside the cap before any density is formed; the second
+        # density's mass misses 1 in the command itself, whose module is
+        # `__main__` under python -m.  Both entry points name the same
+        # operation
         x = np.linspace(-1.0, 1.0, 401)
         table = write_table(tmp_path / "field.csv", x, x * x + 2.5 * x + 2.0)
-        code, summary = run_cli(
-            ["density", "--field", "tabulated", "--table", str(table), "--n", "32"],
-            tmp_path,
-        )
-        assert code == 3
-        assert summary is None
-        err = capsys.readouterr().err
-        assert "nonconvergence in singular_quadrature.first_stage_table" in err
-        assert "first-stage table unresolved" in err
-        assert "equilibrium.density_general" not in err
+        cases = [
+            (["density", "--field", "tabulated", "--table", str(table), "--n", "32"],
+             "nonconvergence in singular_quadrature.first_stage_table: "
+             "first-stage table unresolved"),
+            (["density", "--field", "point-charge", "--q", "1e12", "--h", "2", "--n", "16"],
+             "nonconvergence in cli._cmd_density: density mass misses 1"),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
+        for argv, message in cases:
+            code, summary = run_cli(argv, tmp_path)
+            err = capsys.readouterr().err
+            assert (code, summary) == (3, None)
+            assert err.startswith(message), err
+            done = subprocess.run([sys.executable, "-m", "capfield.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 3
+            assert done.stderr == err
 
 
 class TestFFunctionalCommand:

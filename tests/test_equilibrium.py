@@ -11,7 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
@@ -476,6 +476,7 @@ class TestFirstStageTableInPipeline:
         assert prof.mass == pytest.approx(1.0, abs=1e-8)
 
     @given(charge=point_charges())
+    @example(charge=(1.875, 0.1383662278567187))  # at h_minus(1.875), a full sphere
     @settings(max_examples=40, deadline=None)
     def test_point_charges_match_closed_form(self, charge):
         q, h = charge

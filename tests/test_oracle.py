@@ -25,6 +25,7 @@ from capfield.potential import kernel_layout, kernel_rule, ring_kernel
 from capfield.oracle import (
     _drop_ring,
     _free_ring,
+    _solve_tridiagonal,
     _spd_inverse,
     discrete_energy_minimize,
     nystrom_solve,
@@ -263,6 +264,55 @@ class TestNystromProductIntegration:
             assert abs(profile.mass - mass_ref) <= 1e-12
             scale = np.max(np.abs(values))
             assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
+
+
+def _not_a_knot_transposed(knots):
+    """A^T of the not-a-knot slope system, in solve_banded's (1, 1) form,
+    and as a dense matrix."""
+    n, h = knots.size, np.diff(knots)
+    banded = np.zeros((3, n))
+    banded[0, 1:-1], banded[0, -1] = h[1:], knots[-1] - knots[-3]
+    banded[1, 0], banded[1, 1:-1], banded[1, -1] = h[1], 2.0 * (h[:-1] + h[1:]), h[-2]
+    banded[2, 0], banded[2, 1:-1] = knots[2] - knots[0], h[:-1]
+    dense = np.diag(banded[1]) + np.diag(banded[0, 1:], 1) + np.diag(banded[2, :-1], -1)
+    return banded, dense
+
+
+def _random_knots(n):
+    return np.sort(np.random.default_rng(n).uniform(0.0, 1.0, n))
+
+
+def _clustered_knots(n, alpha=ALPHA0_PC_12):
+    cap = SphericalCap(alpha)
+    return np.asarray(cap.s_of_phi(np.asarray(boundary_clustered_grid(cap, n).nodes)))
+
+
+class TestTridiagonalSolve:
+    """The numpy elimination of the not-a-knot slopes against LAPACK's
+    banded solve with partial pivoting.  A^T's end columns are not
+    diagonally dominant, and LAPACK swaps rows at the first, so the
+    elimination must match it in backward error as well as in value."""
+
+    @pytest.mark.parametrize("n", [16, 37, 64, 128, 256])
+    @pytest.mark.parametrize(
+        "knots",
+        [_clustered_knots, lambda n: _clustered_knots(n, 0.0),
+         lambda n: _clustered_knots(n, 3.0), _random_knots],
+        ids=["clustered", "clustered-full-sphere", "clustered-rim-3", "random"],
+    )
+    def test_matches_solve_banded(self, knots, n):
+        banded, dense = _not_a_knot_transposed(knots(n))
+        rhs = np.random.default_rng(n + 1).standard_normal((n + 1, n)).T
+        ref = scipy.linalg.solve_banded((1, 1), banded, rhs)
+        got = _solve_tridiagonal(banded, rhs)
+        eps = np.finfo(float).eps
+        size = np.max(np.abs(got), axis=0)
+        backward = np.max(np.abs(dense @ got - rhs), axis=0) / (
+            np.linalg.norm(dense, np.inf) * size
+        )
+        assert backward.max() <= 4.0 * eps
+        forward = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert forward.max() <= 8.0 * eps * np.linalg.cond(dense, np.inf)
 
 
 class TestDiscreteEnergyMinimize:

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ellipk as scipy_ellipk
+from scipy.special import ellipk as scipy_ellipk, ellipkm1
 
 import capfield.potential
 from capfield.equilibrium import (
@@ -110,6 +110,32 @@ class TestEllipticK:
         with mp.workdps(30 + 30):
             ref = mp.ellipk(1 - mp.mpf(kp) ** 2)
         assert factor == pytest.approx(float(ref), rel=1e-14)
+
+    @pytest.mark.parametrize("least", [0.35, 1e-2, 1e-5, 1e-300])
+    def test_agm_within_4_ulps_of_mpmath(self, least):
+        # K(1 - p) = pi / (2 AGM(1, sqrt(p))) at 80 digits, on log-uniform
+        # p in [least, 1]: the least p of the array sets the AGM's steps.
+        # The widest range also takes both sides of the switch to the
+        # logarithmic asymptote and the least subnormal
+        p = np.geomspace(least, 1.0, 301)
+        if least < capfield.potential._K_LOG_BELOW:
+            switch = capfield.potential._K_LOG_BELOW
+            p = np.concatenate((
+                p, switch * np.array([1e-4, 0.5, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 2.0, 1e4]),
+                [np.nextafter(1.0, 0.0), 5e-324],
+            ))
+        got = capfield.potential._ellipkm1(p.copy())
+        with mp.workdps(80):
+            ref = [float(mp.pi / (2 * mp.agm(1, mp.sqrt(mp.mpf(float(x)))))) for x in p]
+        ulps = np.abs(got - ref) / np.spacing(np.array(ref))
+        assert ulps.max() <= 4.0
+
+    def test_agm_within_4_ulps_of_cephes(self):
+        # scipy's ellipkm1, which the kernel took K from before
+        p = 10.0 ** np.random.default_rng(7).uniform(-300.0, 0.0, 100_000)
+        ref = ellipkm1(p)
+        got = capfield.potential._ellipkm1(p.copy())
+        assert np.max(np.abs(got - ref) / np.spacing(ref)) <= 4.0
 
     @pytest.mark.parametrize(
         "phi,xi",

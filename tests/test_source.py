@@ -183,9 +183,8 @@ def _imported_modules(tree: ast.Module) -> list[str]:
 def test_no_module_imports_interpolation_or_fft():
     # densities, potentials, the oracles and tables read their splines
     # from `_numerics.PiecewiseCubic`, and the Chebyshev tables take their
-    # DCT from numpy's FFT; scipy stays for `special` and `linalg`, and
-    # tests keep scipy's splines and DCT as referees.  A bare `import
-    # scipy` would reach the subpackages lazily
+    # DCT from numpy's FFT; tests keep scipy's splines and DCT as
+    # referees.  A bare `import scipy` would reach the subpackages lazily
     found = sorted(
         f"{path.name}: {module}"
         for path in SOURCES
@@ -193,6 +192,44 @@ def test_no_module_imports_interpolation_or_fft():
         if module == "scipy" or module.startswith(("scipy.interpolate", "scipy.fft"))
     )
     assert found == []
+
+
+def _scipy_names(tree: ast.Module, path: Path) -> list[str]:
+    """file:function: name of every scipy import and of every other
+    mention of `scipy` in code, with the function it sits in."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "scipy":
+            found.extend(f"{path.name}:{where}: {node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend(f"{path.name}:{where}: {a.name}" for a in node.names
+                         if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.Name) and node.id == "scipy":
+            found.append(f"{path.name}:{where}: scipy")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_energy_oracle_names_scipy():
+    # the ring kernel's K is an AGM and the Nystrom's spline slopes a
+    # numpy elimination, so `verify` and `oracle --mode nystrom` load no
+    # scipy; the energy oracle's BLAS and LAPACK calls are imported in the
+    # functions that make them, which only its solve reaches
+    found = sorted(
+        name for path in SOURCES for name in _scipy_names(ast.parse(path.read_text()), path)
+    )
+    assert found == [
+        "oracle.py:_drop_ring: scipy.linalg.blas.dger",
+        "oracle.py:_free_ring: scipy.linalg.blas.dger",
+        "oracle.py:_spd_inverse: scipy.linalg.lapack.dpotrf",
+        "oracle.py:_spd_inverse: scipy.linalg.lapack.dpotri",
+    ]
 
 
 def test_fields_import_only_numerics():
