@@ -34,8 +34,7 @@ from .support_finder import ffunctional, gonchar_heights, solve_support
 # the pipeline, the potentials and the oracles are imported by the
 # handlers that call them, and numpy executes on its first use
 # (`_numerics.np`), so that the closed-form commands, which compute with
-# `math` alone, run on the standard library; scipy comes in with the
-# energy oracle's solve alone
+# `math` alone, run on the standard library; no command loads scipy
 if TYPE_CHECKING:
     from .equilibrium import DensityProfile
 

@@ -94,10 +94,22 @@ class PointChargeField(ExternalField):
         return out
 
     def slope_at_x3(self, x3):
+        """q*h/d^3, d the distance to the charge; raises ValueError where
+        that overflows off the charge, as it can at a small rim near a
+        strong charge (q = 1e300, h = 1 at x3 = cos(0.001))."""
         x = np.asarray(x3, dtype=float)
         d2 = 1.0 + self.h * self.h - 2.0 * self.h * x
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = self.q * self.h / (d2 * np.sqrt(d2))
+        # one reduction on the common path; inf at d2 = 0 is the pole of an
+        # on-sphere charge
+        if np.max(out) == math.inf:
+            overflow = np.isinf(out) & (d2 > 0.0)
+            if overflow.any():
+                raise ValueError(
+                    f"slope q*h/d^3 exceeds the float range at x3 = {float(np.max(x[overflow]))!r}"
+                    f" (q={self.q!r}, h={self.h!r}, d the distance to the charge)"
+                )
         if x.ndim == 0:
             return float(out)
         return out

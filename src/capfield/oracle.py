@@ -7,9 +7,10 @@ solves for the density together with the potential level in one dense
 system.  ``discrete_energy_minimize`` drops any support assumption: it
 minimizes the discretized weighted energy over probability weights on
 latitude rings covering the whole sphere by an exact active-set solve,
-and the support emerges as the set of rings left free.  Its steps update
-one inverse of the ring interaction matrix on the free set by rank-one
-changes; a single fresh bordered solve certifies the result.
+and the support emerges as the set of rings left free.  Each of its
+steps is one bordered dense solve on the free rings, and it starts from
+the support that the same solve finds on half as many rings, so only the
+rings beside the coarse rim still move.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ def ring_energy_system(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``interaction[i, j]`` is the mutual energy of unit masses on rings i
     and j.  Off-diagonal entries come from the azimuthally averaged kernel,
-    in one call over the pairs i < j, mirrored: the kernel is bitwise
-    symmetric.  The diagonal, the regularized self-energy, is calibrated
-    row by row so the known uniform measure on the full sphere (the area
-    weights, proportional to ring areas) reproduces its constant potential
-    1 at every ring; the total energy then equals the sphere value 1
-    identically.  The interior effective widths implied by this
-    calibration settle near halfwidth/pi, the thin-ring value, with
-    halfwidth = pi / (2n) the rings' angular half-width.
+    in one call over the pairs i < j, which takes 1 -+ cos(phi) once per
+    ring, mirrored: the kernel is bitwise symmetric.  The diagonal, the
+    regularized self-energy, is calibrated row by row so the known uniform
+    measure on the full sphere (the area weights, proportional to ring
+    areas) reproduces its constant potential 1 at every ring; the total
+    energy then equals the sphere value 1 identically.  The interior
+    effective widths implied by this calibration settle near halfwidth/pi,
+    the thin-ring value, with halfwidth = pi / (2n) the rings' angular
+    half-width.
     """
     if not isinstance(n, (int, np.integer)) or n < 8:
         raise ValueError("need at least 8 rings")
@@ -98,10 +100,10 @@ def ring_energy_system(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     sines = np.sin(phi)
     area = sines / sines.sum()
 
-    rows, cols = np.triu_indices(n, 1)
+    pairs = np.triu_indices(n, 1)
     interaction = np.zeros((n, n))
-    interaction[rows, cols] = ring_kernel(phi[rows], phi[cols]) / (2.0 * PI)
-    interaction[cols, rows] = interaction[rows, cols]
+    interaction[pairs] = ring_kernel(phi, phi, pairs) / (2.0 * PI)
+    interaction += interaction.T
     off = interaction @ area
     interaction[np.arange(n), np.arange(n)] = (1.0 - off) / area
     return phi, area, interaction
@@ -311,88 +313,59 @@ def nystrom_solve(
     return DensityProfile(cap, grid, sigma / knots, fq, PiecewiseCubic.pchip(knots, sigma))
 
 
-def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, formed in one
-    Fortran-ordered copy: Cholesky factor, its inverse, then the upper
-    triangle mirrored column by column."""
-    from scipy.linalg.lapack import dpotrf, dpotri
-
-    inverse, info = dpotrf(np.array(matrix, order="F"), overwrite_a=1)
-    if info == 0:
-        inverse, info = dpotri(inverse, overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"ring interaction matrix not positive definite (info {info})")
-    for i in range(inverse.shape[0] - 1):
-        inverse[i + 1 :, i] = inverse[i, i + 1 :]
-    return inverse
-
-
-def _drop_ring(inverse: np.ndarray, r: int) -> None:
-    """Bind ring r in place: the inverse on S minus r is G - g g^T / g_r
-    on the rest, where g is column r of the inverse G on S."""
-    from scipy.linalg.blas import dger
-
-    column = inverse[:, r].copy()
-    dger(-1.0 / column[r], column, column, a=inverse, overwrite_a=1)
-    inverse[r, :] = 0.0
-    inverse[:, r] = 0.0
-
-
-def _free_ring(inverse: np.ndarray, interaction: np.ndarray, j: int) -> None:
-    """Free bound ring j in place, by the Schur complement
-    sigma = K_jj - K_Sj^T G K_Sj of the bordered inverse."""
-    from scipy.linalg.blas import dger
-
-    coupling = interaction[j]
-    u = inverse @ coupling
-    sigma = interaction[j, j] - coupling @ u
-    dger(1.0 / sigma, u, u, a=inverse, overwrite_a=1)
-    inverse[:, j] = -u / sigma
-    inverse[j, :] = inverse[:, j]
-    inverse[j, j] = 1.0 / sigma
-
-
 def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:
     """Minimize the discretized weighted energy over ring weights, exactly.
 
     min w^T K w + 2 q^T w over the probability simplex is a strictly convex
     QP, solved by a primal active-set method (Nocedal & Wright, Numerical
-    Optimization, 2nd ed., sec. 16.5).  Starting from the area weights with
-    every ring free, each step solves [K_S 1; 1^T 0] on the free set S for
-    the weights and F_Q through the kept inverse G of K_S (zero on bound
-    rings): with x = G q and y = G 1, F_Q = (1 + sum x) / sum y and the
-    weights are F_Q y - x.  G starts as K^-1 from one Cholesky factor and
-    changes by a rank-one update whenever S gains or loses a ring.  A
+    Optimization, 2nd ed., sec. 16.5).  Each step solves the bordered
+    system [K_S 1; 1^T 0] on the free set S for the weights and F_Q.  A
     weight that would go negative stops the step at the boundary and fixes
-    its ring at 0.  Once every weight is nonnegative, one fresh bordered
-    solve on S certifies them (a negative weight there is dropped the same
-    way); then the bound ring with the most negative slack Kw + q - F_Q is
-    freed, until no slack lies below rounding.  Returns the weights and
-    F_Q of that fresh solve with the spread of Kw + q over S and the least
-    slack off S.  Weights that miss a unit sum by more than 1e-12, and a
-    solve past the step cap, raise with the last weights as the estimate.
+    its ring at 0; once every weight is nonnegative, the bound ring with
+    the most negative slack Kw + q - F_Q is freed, until no slack lies
+    below rounding.  Returns the weights and F_Q of the last solve, on the
+    final free set, with the spread of Kw + q over S and the least slack
+    off S.
+
+    The steps start from the solve on n // 2 rings: every ring within one
+    coarse spacing of a coarse ring that carries mass is free, with its
+    area weight, renormalized to a unit sum.  So each level above the
+    coarsest moves only the few rings beside the coarse rim.  Below
+    2 * _MIN_RINGS rings, or when the coarse solve fails, every ring
+    starts free.  The final free set is the support of the QP's unique
+    minimizer, whatever the start.  Weights that miss a unit sum by more
+    than 1e-12, and a solve past the step cap, raise with the last weights
+    on n rings as the estimate.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_RINGS:
         raise ValueError(f"need at least {_MIN_RINGS} rings")
     n = int(n)
+    coarse = None
+    if n >= 2 * _MIN_RINGS:
+        try:
+            coarse = discrete_energy_minimize(field, n // 2)
+        except NonconvergenceError:
+            pass
     angles, w, interaction = ring_energy_system(n)
     q, floor = _shifted_field(field, angles)
 
-    inverse = _spd_inverse(interaction)
-    rhs = np.column_stack((q, np.ones(n)))
-    free = np.ones(n, dtype=bool)
+    if coarse is None:
+        free = np.ones(n, dtype=bool)
+    else:
+        carried = coarse.angles[coarse.weights > 0.0]
+        free = np.abs(angles[:, None] - carried).min(axis=1) <= PI / coarse.angles.size
+        w[~free] = 0.0
+        w /= w.sum()
     steps = int(_STEPS_PER_RING * n)
     for _ in range(steps):
         idx = np.flatnonzero(free)
-        x, y = (inverse @ rhs).T
-        fq = (1.0 + x.sum()) / y.sum()
-        v = fq * y[idx] - x[idx]
-        if np.all(v >= 0.0):
-            bordered = np.pad(interaction[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
-            bordered[-1, -1] = 0.0
-            solution = dense_solve(bordered, np.append(-q[idx], 1.0))
-            v, fq = solution[:-1], -float(solution[-1])
-        if np.all(v >= 0.0):
+        m = idx.size
+        bordered = np.ones((m + 1, m + 1))
+        bordered[:m, :m] = interaction[idx[:, None], idx]
+        bordered[m, m] = 0.0
+        solution = dense_solve(bordered, np.append(-q[idx], 1.0))
+        v, fq = solution[:m], -float(solution[m])
+        if v.min() >= 0.0:
             w[idx] = v
             station = interaction @ w + q
             slack = np.where(free, np.inf, station - fq)
@@ -407,7 +380,6 @@ def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:
                 min_slack = None if free.all() else float(slack[j])
                 return EnergyMinimum(angles, w, fq + floor, spread, min_slack)
             free[j] = True
-            _free_ring(inverse, interaction, j)
         else:
             step = v - w[idx]
             blocking = np.flatnonzero(step < 0.0)
@@ -417,7 +389,6 @@ def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:
             w[idx] = np.maximum(w[idx] + ratios[k] * step, 0.0)
             w[r] = 0.0
             free[r] = False
-            _drop_ring(inverse, r)
     station = interaction @ w + q
     residual = float(station[free].max() - station.min())
     raise NonconvergenceError(

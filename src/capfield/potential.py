@@ -155,25 +155,27 @@ def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap, out=None):
     return np.divide(k, np.sqrt(mx2, out=mx2), out=out)
 
 
-def ring_kernel(phi, xi):
+def ring_kernel(phi, xi, pairs=None):
     """Azimuthal integral of the inverse chordal distance between rings.
 
     Log-divergent on the diagonal, which is rejected.  Vectorized: phi
-    and xi broadcast against each other.  Bitwise symmetric in its two
-    arguments.
+    and xi broadcast against each other, or with pairs = (rows, cols) the
+    kernel is taken between the rings phi[rows] and xi[cols], and the
+    terms 1 -+ cos of each ring are computed once and gathered.  Bitwise
+    symmetric in its two arguments, and the same bits either way.
     """
     p = _validated_angles(phi, "phi")
     arr = _validated_angles(xi, "xi")
+    terms = (2.0 * np.sin(0.5 * p) ** 2, 2.0 * np.cos(0.5 * p) ** 2,
+             2.0 * np.sin(0.5 * arr) ** 2, 2.0 * np.cos(0.5 * arr) ** 2)
+    if pairs is not None:
+        rows, cols = pairs
+        p, arr = p[rows], arr[cols]
+        terms = (terms[0][rows], terms[1][rows], terms[2][cols], terms[3][cols])
     if np.any(arr == p):
         raise ValueError("ring kernel is singular on the diagonal phi == xi")
     gap = np.abs(4.0 * np.sin(0.5 * (p + arr)) * np.sin(0.5 * (p - arr)))
-    out = 4.0 * _kernel_parts(
-        2.0 * np.sin(0.5 * p) ** 2,
-        2.0 * np.cos(0.5 * p) ** 2,
-        2.0 * np.sin(0.5 * arr) ** 2,
-        2.0 * np.cos(0.5 * arr) ** 2,
-        gap,
-    )
+    out = 4.0 * _kernel_parts(*terms, gap)
     if out.ndim == 0:
         return float(out)
     return out

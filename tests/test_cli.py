@@ -187,8 +187,8 @@ STDLIB_COMMANDS = [
 
 
 # the density pipeline, the potentials and the oracles read their splines,
-# Gauss-Legendre rules, ring-kernel K and spline slopes from numpy: scipy
-# comes in for the energy oracle's `linalg` only
+# Gauss-Legendre rules, ring-kernel K, spline slopes and dense solves from
+# numpy, so none of them loads scipy
 SPLINE_COMMANDS = [
     ["density", "--field", "point-charge", "--q", "1", "--h", "2", "--n", "32"],
     ["verify", "--field", "point-charge", "--q", "1", "--h", "2",
@@ -229,13 +229,7 @@ class TestStartUp:
     @pytest.mark.parametrize("argv", SPLINE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
     def test_closed_form_splines_import_no_interpolate(self, tmp_path, argv):
         modules = scipy_modules_after(argv, tmp_path)
-        scipy_modules = [m for m in modules if m.startswith("scipy")]
-        if argv[:3] == ["oracle", "--mode", "energy"]:
-            assert "scipy.linalg" in scipy_modules
-            assert [m for m in scipy_modules
-                    if m.startswith(("scipy.special", "scipy.interpolate"))] == []
-        else:
-            assert scipy_modules == []
+        assert [m for m in modules if m.startswith("scipy")] == []
 
     def test_tabulated_support_imports_no_integrate(self, tmp_path):
         # the table's support comes from a fixed Gauss rule, not from quad,
@@ -709,6 +703,34 @@ class TestArgumentHandling:
         for argv in EXTREME_COMMANDS:
             code, _ = run_cli([*argv, "--field", "point-charge", "--q", q, "--h", h], tmp_path)
             assert code in (0, 3), argv
+
+    @pytest.mark.parametrize("command", ["density", "verify"])
+    def test_slope_overflow_at_a_small_rim_refused(self, tmp_path, capsys, command):
+        # q*h/d^3 is about q/alpha^3 = 1e309 beside a rim at 0.001 under an
+        # on-sphere charge: refused with the bound, where it once warned
+        # and exited 3 with estimate nan
+        argv = [command, "--alpha", "0.001", "--n", "16", "--field", "point-charge",
+                "--q", "1e300", "--h", "1"]
+        code, summary = run_cli(argv, tmp_path)
+        assert code == 2
+        assert summary is None
+        err = capsys.readouterr().err
+        assert ("validation error in fields.slope_at_x3: slope q*h/d^3 exceeds the float range"
+                in err)
+
+    @pytest.mark.parametrize("command", ["density", "verify"])
+    def test_slope_inside_the_float_range_exits_3(self, tmp_path, capsys, command):
+        # 1e290 at the same rim stays finite: the first-stage table then
+        # reports its own nonconvergence with a finite estimate
+        argv = [command, "--alpha", "0.001", "--n", "16", "--field", "point-charge",
+                "--q", "1e290", "--h", "1"]
+        code, summary = run_cli(argv, tmp_path)
+        assert code == 3
+        assert summary is None
+        err = capsys.readouterr().err
+        assert "nonconvergence in singular_quadrature.first_stage_table" in err
+        estimate = float(err.split("estimate=")[1].split(",")[0])
+        assert math.isfinite(estimate)
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,14 +19,11 @@ import capfield.potential
 
 from capfield._numerics import PiecewiseCubic
 from capfield.equilibrium import nofield_density, pointcharge_density, quadratic_density
-from capfield.fields import PointChargeField, QuadraticField, ZeroField
+from capfield.fields import ExternalField, PointChargeField, QuadraticField, ZeroField
 from capfield.geometry import SphericalCap, boundary_clustered_grid
 from capfield.potential import kernel_layout, kernel_rule, ring_kernel
 from capfield.oracle import (
-    _drop_ring,
-    _free_ring,
     _solve_tridiagonal,
-    _spd_inverse,
     discrete_energy_minimize,
     nystrom_solve,
     ring_energy_system,
@@ -457,22 +454,156 @@ class TestDiscreteEnergyMinimize:
     @pytest.mark.parametrize(
         "field", [QuadraticField(1.0, 2.5, 2.0), PointChargeField(1.0, 2.0)], ids=["quad", "pc"]
     )
-    def test_one_dense_solve_at_256_rings(self, field, monkeypatch):
-        # every active-set step goes through the kept inverse; the only
-        # dense solve is the one that certifies the final free set
-        calls = []
+    def test_few_dense_solves_per_level_at_256_rings(self, field, monkeypatch):
+        # 256 rings start from the support on 128, which starts from 64,
+        # and that from a cold solve on 32: each level above the coarsest
+        # only moves the rings beside the coarse rim
+        events = []
         real_solve = capfield.oracle.dense_solve
+        real_system = capfield.oracle.ring_energy_system
 
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return real_solve(*args, **kwargs)
+        def counting_solve(a, b):
+            events[-1][1].append(a.shape[0])
+            return real_solve(a, b)
+
+        def marking_system(n):
+            events.append((n, []))
+            return real_system(n)
 
         monkeypatch.setattr(capfield.oracle, "dense_solve", counting_solve)
+        monkeypatch.setattr(capfield.oracle, "ring_energy_system", marking_system)
         result = discrete_energy_minimize(field, 256)
-        assert len(calls) == 1
+        assert [n for n, _ in events] == [32, 64, 128, 256]
+        assert max(events[0][1]) <= 33
+        assert max(len(sizes) for _, sizes in events[1:]) <= 4, events
         assert result.weights.min() == 0.0
         assert result.kkt_spread <= 1e-13 * result.robin_constant
         assert result.min_slack >= 0.0
+
+
+class _EquatorRidge(ExternalField):
+    """Q = c (1 - x3^2), strongest on the equator: its support is two
+    polar caps, not one."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value_at_x3(self, x3):
+        return self.c * (1.0 - np.asarray(x3) ** 2)
+
+    def slope_at_x3(self, x3):
+        return -2.0 * self.c * np.asarray(x3)
+
+
+def _cold_start_minimum(field, n):
+    """The plain active set from every ring free, on fresh bordered solves:
+    (weights, F_Q, kkt_spread, min_slack), with each figure computed as
+    the oracle computes it."""
+    angles, w, interaction = ring_energy_system(n)
+    q = field.value_at_x3(np.clip(np.cos(angles), -1.0, 1.0))
+    floor = float(q.min())
+    q = q - floor
+    free = np.ones(n, dtype=bool)
+    while True:
+        idx = np.flatnonzero(free)
+        bordered = np.ones((idx.size + 1, idx.size + 1))
+        bordered[:-1, :-1] = interaction[np.ix_(idx, idx)]
+        bordered[-1, -1] = 0.0
+        solution = np.linalg.solve(bordered, np.append(-q[idx], 1.0))
+        v, fq = solution[:-1], -float(solution[-1])
+        if np.all(v >= 0.0):
+            w[idx] = v
+            station = interaction @ w + q
+            slack = np.where(free, np.inf, station - fq)
+            j = int(np.argmin(slack))
+            if slack[j] >= -capfield.oracle._SLACK_RTOL * max(abs(fq), 1.0):
+                min_slack = None if free.all() else float(slack[j])
+                return w, fq + floor, float(np.ptp(station[free])), min_slack
+            free[j] = True
+        else:
+            step = v - w[idx]
+            blocking = np.flatnonzero(step < 0.0)
+            ratios = w[idx[blocking]] / -step[blocking]
+            k = int(np.argmin(ratios))
+            w[idx] = np.maximum(w[idx] + ratios[k] * step, 0.0)
+            w[idx[blocking[k]]] = 0.0
+            free[idx[blocking[k]]] = False
+
+
+class TestCoarseToFine:
+    """The warm start from half as many rings changes the path, not the
+    result: the final free set is the support of the QP's unique
+    minimizer, and every output comes from the solve on it."""
+
+    @pytest.mark.parametrize("n", [33, 63, 65, 128, 255])
+    @pytest.mark.parametrize(
+        "field",
+        [PointChargeField(1.0, 2.0), PointChargeField(0.5, 0.8), PointChargeField(2.0, 1.0),
+         QuadraticField(1.0, 2.5, 2.0), QuadraticField(2.0, 5.0, 4.0), _EquatorRidge(3.0)],
+        ids=["pc-1-2", "pc-0.5-0.8", "north-pole-2", "quad", "quad-2-5-4", "ridge"],
+    )
+    def test_matches_the_cold_start_bitwise(self, field, n):
+        result = discrete_energy_minimize(field, n)
+        weights, fq, spread, min_slack = _cold_start_minimum(field, n)
+        assert np.array_equal(result.weights, weights)
+        assert (result.robin_constant, result.kkt_spread, result.min_slack) == (
+            fq, spread, min_slack
+        )
+
+    def test_ridge_support_is_two_caps(self):
+        # the case the warm start must not merge: mass at both poles and a
+        # bound band around the equator
+        carried = discrete_energy_minimize(_EquatorRidge(3.0), 128).weights > 0.0
+        assert carried[0] and carried[-1] and not carried[64]
+        assert np.count_nonzero(np.diff(carried.astype(int))) == 2
+
+    def test_failed_coarse_solve_starts_cold(self, monkeypatch):
+        # a coarse solve that raises leaves the fine level to start with
+        # every ring free, which gives the same result
+        real_minimize, real_solve = discrete_energy_minimize, capfield.oracle.dense_solve
+        field = QuadraticField(1.0, 2.5, 2.0)
+        sizes = []
+
+        def failing_below_128(f, n):
+            if n < 128:
+                raise NonconvergenceError("coarse solve failed", None, math.inf)
+            return real_minimize(f, n)
+
+        def recording_solve(a, b):
+            sizes.append(a.shape[0])
+            return real_solve(a, b)
+
+        monkeypatch.setattr(capfield.oracle, "discrete_energy_minimize", failing_below_128)
+        monkeypatch.setattr(capfield.oracle, "dense_solve", recording_solve)
+        result = failing_below_128(field, 128)
+        assert sizes[0] == 129
+        assert np.array_equal(result.weights, _cold_start_minimum(field, 128)[0])
+
+    def test_coarse_support_sets_the_start(self, monkeypatch):
+        # the first solve on 128 rings frees the support found on 64 and
+        # the rings within one coarse spacing of it, not every ring
+        first_sizes = {}
+        real_solve = capfield.oracle.dense_solve
+        real_system = capfield.oracle.ring_energy_system
+        level = []
+
+        def recording_solve(a, b):
+            first_sizes.setdefault(level[-1], a.shape[0])
+            return real_solve(a, b)
+
+        def marking_system(n):
+            level.append(n)
+            return real_system(n)
+
+        field = PointChargeField(1.0, 2.0)
+        coarse = discrete_energy_minimize(field, 64)
+        monkeypatch.setattr(capfield.oracle, "dense_solve", recording_solve)
+        monkeypatch.setattr(capfield.oracle, "ring_energy_system", marking_system)
+        result = discrete_energy_minimize(field, 128)
+        carried = coarse.angles[coarse.weights > 0.0]
+        started = np.abs(result.angles[:, None] - carried).min(axis=1) <= PI / 64
+        assert first_sizes[128] == np.count_nonzero(started) + 1 < 128
+        assert np.count_nonzero(started) >= np.count_nonzero(result.weights > 0.0)
 
 
 class TestConstantInQ:
@@ -508,38 +639,6 @@ class TestConstantInQ:
         assert np.array_equal(lifted.values, zero.values)
         assert lifted.robin_constant == 1e308
         assert abs(lifted.mass - 1.0) <= 1e-4
-
-
-def _padded_inverse(interaction, free):
-    expected = np.zeros_like(interaction)
-    idx = np.flatnonzero(free)
-    expected[np.ix_(idx, idx)] = np.linalg.inv(interaction[np.ix_(idx, idx)])
-    return expected
-
-
-class TestInverseUpdates:
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_drops_then_frees_match_a_fresh_inverse(self, n):
-        _, _, interaction = ring_energy_system(n)
-        inverse = _spd_inverse(interaction)
-        # the updates write in place, which needs Fortran order
-        assert inverse.flags.f_contiguous
-        free = np.ones(n, dtype=bool)
-        expected = _padded_inverse(interaction, free)
-        assert np.abs(inverse - expected).max() <= 1e-12 * np.abs(expected).max()
-        rng = np.random.default_rng(n)
-        dropped = rng.permutation(n)[: n // 2]
-        for r in dropped:
-            _drop_ring(inverse, int(r))
-            free[r] = False
-        expected = _padded_inverse(interaction, free)
-        assert np.abs(inverse - expected).max() <= 1e-12 * np.abs(expected).max()
-        for j in dropped[::2]:
-            _free_ring(inverse, interaction, int(j))
-            free[j] = True
-        expected = _padded_inverse(interaction, free)
-        assert np.abs(inverse - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert np.all(inverse[~free] == 0.0) and np.all(inverse[:, ~free] == 0.0)
 
 
 def _closed_form_density_code(name: str) -> bool:

@@ -200,6 +200,16 @@ class TestRingKernel:
         for v, x in zip(vals, xi):
             assert v == pytest.approx(ring_kernel(1.0, float(x)), rel=1e-14)
 
+    def test_index_pairs_match_gathered_angles_bitwise(self):
+        # with pairs, 1 -+ cos of each ring is taken once and gathered
+        phi = np.array([0.0, 0.3, 1.2, 2.0, PI])
+        xi = np.array([0.1, 1.0, 2.9])
+        rows, cols = np.array([0, 1, 4, 2, 3, 0]), np.array([1, 2, 0, 0, 2, 2])
+        assert np.array_equal(ring_kernel(phi, xi, (rows, cols)),
+                              ring_kernel(phi[rows], xi[cols]))
+        with pytest.raises(ValueError, match="singular on the diagonal"):
+            ring_kernel(phi, phi, (rows, rows))
+
 
 class TestPotentialOnSphere:
     def test_uniform_measure_unit_potential(self):

@@ -216,20 +216,14 @@ def _scipy_names(tree: ast.Module, path: Path) -> list[str]:
     return found
 
 
-def test_only_the_energy_oracle_names_scipy():
-    # the ring kernel's K is an AGM and the Nystrom's spline slopes a
-    # numpy elimination, so `verify` and `oracle --mode nystrom` load no
-    # scipy; the energy oracle's BLAS and LAPACK calls are imported in the
-    # functions that make them, which only its solve reaches
+def test_no_module_names_scipy():
+    # the ring kernel's K is an AGM, the Nystrom's spline slopes a numpy
+    # elimination and the energy oracle's steps numpy's dense solve, so
+    # no command loads scipy; the tests keep it as a referee
     found = sorted(
         name for path in SOURCES for name in _scipy_names(ast.parse(path.read_text()), path)
     )
-    assert found == [
-        "oracle.py:_drop_ring: scipy.linalg.blas.dger",
-        "oracle.py:_free_ring: scipy.linalg.blas.dger",
-        "oracle.py:_spd_inverse: scipy.linalg.lapack.dpotrf",
-        "oracle.py:_spd_inverse: scipy.linalg.lapack.dpotri",
-    ]
+    assert found == []
 
 
 def test_fields_import_only_numerics():
