@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[output, fieldp], help="independent solvers")
     p.add_argument("--mode", choices=["nystrom", "energy"], default="nystrom")
     p.add_argument("--alpha", type=float, help="cap rim angle (nystrom mode)")
-    p.add_argument("--n", type=int, default=64, help="collocation nodes (nystrom mode)")
+    p.add_argument("--n", type=int, default=64,
+                   help="profile nodes (nystrom mode; it collocates at max(16, n // 4))")
     p.add_argument("--rings", type=int, default=64, help="latitude rings (energy mode)")
     p.add_argument("--csv", dest="csv_path", metavar="PATH", help="density table sink")
 

@@ -14,9 +14,9 @@ callable holds sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a
 variable graded toward the rim, read out as a cubic Hermite spline
 (`sigma_interpolant`); its integral is the mass, and the potentials
 integrate it against the ring kernel.  The Nystrom oracle builds its
-node-only profiles itself, with the monotone PCHIP (Fritsch & Carlson
-1980) through the nodes.  Both splines are `_numerics.PiecewiseCubic`, a
-pp-form cubic on numpy alone.
+profiles itself, as the same kind of Hermite spline through its own
+Chebyshev series.  Both are `_numerics.PiecewiseCubic`, a pp-form cubic
+on numpy alone.
 """
 
 from __future__ import annotations

@@ -89,9 +89,22 @@ class SphericalCap:
         return np.sqrt(np.maximum(self.depth(np.asarray(phi, float)), 0.0))
 
     def phi_of_s(self, s) -> np.ndarray:
-        """The polar angle arccos(cos(alpha) - s^2) of rim variable s."""
-        u = math.cos(self.alpha) - np.square(np.asarray(s, float))
-        return np.arccos(np.clip(u, -1.0, 1.0))
+        """The polar angle of rim variable s, where cos(phi) = cos(alpha) - s^2.
+
+        By half angles, as 2 arcsin(sqrt((1 - cos(phi)) / 2)) with 1 - cos(phi)
+        = r1 + s^2 on the northern half and as pi - 2 arcsin(sqrt((1 +
+        cos(phi)) / 2)) with 1 + cos(phi) = (smax - s)(smax + s) on the
+        southern, so phi keeps its accuracy near either pole, where the
+        cosine rounds to +-1.
+        """
+        s = np.asarray(s, float)
+        north = self.r1 + s * s
+        south = np.maximum(self.smax - s, 0.0) * (self.smax + s)
+        return np.where(
+            north <= 1.0,
+            2.0 * np.arcsin(np.sqrt(0.5 * np.minimum(north, 1.0))),
+            PI - 2.0 * np.arcsin(np.sqrt(0.5 * np.minimum(south, 1.0))),
+        )
 
 
 def capacity_south_cap(alpha: float) -> float:

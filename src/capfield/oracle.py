@@ -2,9 +2,10 @@
 
 Two routes that never touch the closed-form densities, so either can
 referee them.  ``nystrom_solve`` discretizes the potential-balance
-equation on a prescribed cap by product-integration collocation and
-solves for the density together with the potential level in one dense
-system.  ``discrete_energy_minimize`` drops any support assumption: it
+equation on a prescribed cap by collocation of a Chebyshev series of the
+rim-variable density, integrated against the kernel by the potentials'
+own rule, and solves for the series together with the potential level in
+one dense system.  ``discrete_energy_minimize`` drops any support assumption: it
 minimizes the discretized weighted energy over probability weights on
 latitude rings covering the whole sphere by an exact active-set solve,
 and the support emerges as the set of rings left free.  Each of its
@@ -20,16 +21,19 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from ._numerics import NonconvergenceError, PiecewiseCubic
 from .equilibrium import DensityProfile
 from .fields import ExternalField
 from .geometry import SphericalCap, boundary_clustered_grid
-from .potential import _ROW_BLOCK, _SIDE_U, kernel_layout, kernel_rule, ring_kernel
+from .potential import _ROW_BLOCK, kernel_layout, kernel_rule, ring_kernel
 
 PI = math.pi
 
 _MIN_NODES = 16
+# the floor of the graded variable's scale, for rims near the north pole
+_MIN_SCALE = 3e-3
 _DEGENERATE_GAP = 1e-6
 
 _MIN_RINGS = 32
@@ -109,95 +113,15 @@ def ring_energy_system(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phi, area, interaction
 
 
-def _solve_tridiagonal(banded: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with M X = rhs, for M tridiagonal in the (1, 1) banded form of
-    `scipy.linalg.solve_banded`: row 0 holds M[i - 1, i], row 1 the
-    diagonal and row 2 M[i + 1, i].
-
-    Gaussian elimination without pivoting, then back substitution, each a
-    loop over the rows of a C-ordered copy of rhs, so that every step is
-    one vector operation across all right-hand sides.  Without pivoting
-    this is stable when every pivot stays well away from 0; for the
-    not-a-knot slopes, see `_not_a_knot_rows`.
-    """
-    above, diagonal, below = (band.tolist() for band in banded)
-    solution = np.array(rhs, dtype=float, order="C")
-    rows = list(solution)
-    pivots = [diagonal[0]]
-    for i in range(1, len(rows)):
-        factor = below[i - 1] / pivots[-1]
-        pivots.append(diagonal[i] - factor * above[i])
-        rows[i] -= factor * rows[i - 1]
-    rows[-1] /= pivots[-1]
-    for i in range(len(rows) - 2, -1, -1):
-        rows[i] -= above[i + 1] * rows[i + 1]
-        rows[i] /= pivots[i]
-    return solution
-
-
-def _not_a_knot_rows(knots: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """Rows sum_{k,j} moments[:, k, j] c[k, j] as maps of the node values y.
-
-    c is the pp-form of the not-a-knot cubic spline through (knots, y):
-    c[k, j] multiplies (s - knots[j])^(3-k) on interval j.  With h the
-    knot spacings, D the divided differences of y and t the spline's
-    slopes at the knots, c[3, j] = y_j, c[2, j] = t_j, c[1, j] =
-    (3 D_j - 2 t_j - t_(j+1)) / h_j and c[0, j] = (t_j + t_(j+1) - 2 D_j)
-    / h_j^2 (de Boor, A Practical Guide to Splines, ch. IV).  So the rows
-    are L y + G t + E D, with L from moments[:, 3] and G and E from the
-    other three.  The slopes solve the tridiagonal system A t = B D,
-    whose first and last rows carry the not-a-knot conditions, so G t =
-    (A^-T G^T)^T B D: one tridiagonal solve with A^T for all rows at once,
-    then B and D as bidiagonal updates.
-    That is O(n^2) for n knots, where building the pp-form of the n x n
-    identity and multiplying by it costs O(n^3).
-
-    A^T is solved without pivoting, which is stable here although its
-    end columns, the not-a-knot rows of A, are not diagonally dominant.
-    Its interior columns are A's dominant rows and stay dominant through
-    the elimination.  The first pivot is h_1 with multiplier 1 + h_0 / h_1,
-    and the second is then h_0 + h_1 exactly.  The last pivot is at least
-    h_(n-3) / (2 + h_(n-2) / h_(n-3)).  On boundary-clustered knots both
-    factors stay below 2.3 (rims 0 to pi - 1e-5, n = 16 to 512).
-    """
-    n, count = knots.size, len(moments)
-    h = np.diff(knots)
-    d_start, d_end = knots[2] - knots[0], knots[-1] - knots[-3]
-    # G (on_slopes) and E (on_diffs) from a = m1 / h and b = m0 / h^2:
-    # t_j takes m2 - 2a + b, t_(j+1) takes b - a and D_j takes
-    # 3a - 2b = a - 2(b - a)
-    a = moments[:, 1] / h
-    b_minus_a = moments[:, 0] / (h * h)
-    b_minus_a -= a
-    on_slopes = np.empty((count, n))
-    np.subtract(moments[:, 2], a, out=on_slopes[:, :-1])
-    on_slopes[:, :-1] += b_minus_a
-    on_slopes[:, -1] = 0.0
-    on_slopes[:, 1:] += b_minus_a
-    on_diffs = b_minus_a
-    on_diffs *= -2.0
-    on_diffs += a
-    # A in banded form, transposed: row 0 holds A[i + 1, i], row 2 A[i, i + 1]
-    a_t = np.zeros((3, n))
-    a_t[0, 1:-1] = h[1:]
-    a_t[0, -1] = d_end
-    a_t[1, 0], a_t[1, -1] = h[1], h[-2]
-    a_t[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
-    a_t[2, 0] = d_start
-    a_t[2, 1:-1] = h[:-1]
-    z = _solve_tridiagonal(a_t, on_slopes.T).T
-    # z B: the interior rows of B D are 3 h_i D_(i-1) + 3 h_(i-1) D_i
-    inner, scratch = z[:, 1:-1], a[:, :-1]
-    on_diffs[:, :-1] += np.multiply(inner, 3.0 * h[1:], out=scratch)
-    on_diffs[:, 1:] += np.multiply(inner, 3.0 * h[:-1], out=scratch)
-    on_diffs[:, :2] += z[:, :1] * [(h[0] + 2.0 * d_start) * h[1] / d_start, h[0] ** 2 / d_start]
-    on_diffs[:, -2:] += z[:, -1:] * [h[-1] ** 2 / d_end, (2.0 * d_end + h[-1]) * h[-2] / d_end]
-    on_diffs /= h
-    rows = np.empty((count, n))
-    np.subtract(moments[:, 3], on_diffs, out=rows[:, :-1])
-    rows[:, -1] = 0.0
-    rows[:, 1:] += on_diffs
-    return rows
+def _chebyshev(x: np.ndarray, degree: int):
+    """T_0(x), ..., T_(degree - 1)(x), one array at a time, by the
+    three-term recurrence."""
+    previous, current, twice = np.ones_like(x), x, 2.0 * x
+    for _ in range(degree):
+        yield previous
+        following = twice * current
+        following -= previous
+        previous, current = current, following
 
 
 def nystrom_solve(
@@ -206,32 +130,28 @@ def nystrom_solve(
     """Solve the potential-balance equation on a prescribed south cap.
 
     The density is sought as smooth-times-edge-factor: in the rim
-    coordinate s = sqrt(cos(alpha) - cos(phi)) the unknown s*f(phi(s))
-    is represented by a not-a-knot cubic spline through its values at the
-    n boundary-clustered nodes, which builds the inverse-square-root rim
-    behaviour into the ansatz.  The collocation rows apply
-    `potential.kernel_rule` at the nodes, a block of rows at a time, with
-    one `KernelLayout` built per solve, whose panel ends are the knots,
-    so the rows use the same quadrature as the potential.  The basis is
-    never evaluated: the rule's weights are binned by knot interval j into
-    the product-integration moments sum w*(s - s_j)^(3-k) (Atkinson, The
-    Numerical Solution of Integral Equations of the Second Kind, 1997,
-    sec. 4.2), and `_not_a_knot_rows` maps them to the rows in O(n^2).
-    The shared GL-8 panels have one precomputed power tensor and their
-    moments one product per panel.  A node's diagonal is its own knot, so
-    its graded sides span the intervals below and above it with offsets
-    W(1 - u) and W u from their left knots, W the interval's width: their
-    moments are one product with a fixed table of (1 - u)^(3-k) or
-    u^(3-k), scaled by W^(3-k).  Only the first node's side below and the
-    last node's side above fall outside the knots, to the end intervals,
-    as the spline extrapolates; those two take the offsets from the
-    points themselves.  The unit-mass row is one more moment row, the
-    integral of (s - s_j)^(3-k) over each interval's span, with [0, s_0]
-    and [s_(n-1), smax] in the end intervals.  The (n+1) x (n+1) dense
-    system gives s*f at the nodes and the potential level, returned as a
-    node-only profile: its sigma is the monotone PCHIP through the solved
-    s*f at the knots, extrapolated to the rim and to smax, and its Robin
-    constant is the level.
+    coordinate s = sqrt(cos(alpha) - cos(phi)) the unknown sigma(s) =
+    s*f(phi(s)) is analytic, which builds the inverse-square-root rim
+    behaviour into the ansatz.  It is represented by its Chebyshev series
+    of d = max(16, n // 4) terms in the variable u of [0, 1] with s =
+    c*sinh(A*u), graded toward the rim on the scale c = sqrt(r1) on which
+    the edge part turns over (floored at 3e-3, capped at smax), so it
+    converges geometrically in d (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 8).  The unknowns are its d coefficients
+    and the potential level.  The collocation angles are the images of the
+    d Chebyshev points of the first kind in u, and their rim variables are
+    the knots of one `KernelLayout` per solve, so each row's kernel
+    diagonal sits on a panel end.  Row i is `potential.kernel_rule`'s
+    weights at angle i times the Chebyshev polynomials at the rule's
+    points (Atkinson, The Numerical Solution of Integral Equations of the
+    Second Kind, 1997, sec. 4.2), for the shared panels from one matrix per
+    solve and for the graded sides one block of rows at a time.  The
+    unit-mass row is Fejer's first rule in u (Waldvogel, BIT 46, 2006) on
+    sigma ds/du.  The (d+1) x (d+1) dense system gives the series and the
+    level, returned as a profile on the n boundary-clustered nodes: its
+    values are the series there, its sigma is the cubic Hermite spline
+    through the series' values and exact slopes at 0, the nodes, the
+    collocation knots and smax, and its Robin constant is the level.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
@@ -239,78 +159,57 @@ def nystrom_solve(
     if PI - cap.alpha <= _DEGENERATE_GAP:
         raise ValueError("cap is degenerate: rim angle within 1e-6 of pi")
 
-    grid = boundary_clustered_grid(cap, n)
-    nodes = np.asarray(grid.nodes)
-    knots = np.asarray(cap.s_of_phi(nodes))
-    layout = kernel_layout(cap, knots)
-    widths = np.diff(knots)
-    powers = np.arange(3, -1, -1)
+    d = max(_MIN_NODES, n // 4)
+    smax = cap.smax
+    scale = min(max(cap.sqrt_r1, _MIN_SCALE), smax)
+    stretch = math.asinh(smax / scale)
 
-    # the layout's panels: one per interval of 0, the knots and smax, the
-    # first and last falling to the spline's end intervals
-    panel_s = layout.shared_s.reshape(n + 1, -1)
-    panel_j = np.clip(np.arange(n + 1) - 1, 0, n - 2)
-    panel_powers = (panel_s - knots[panel_j][:, None])[:, :, None] ** powers
-    shared = panel_s.size
-    # row i's graded sides, below then above, span spline intervals i - 1
-    # and i, at offsets W(1 - u) and W u: (side, point, k) and (row, side, k)
-    side_table = np.stack(((1.0 - _SIDE_U)[:, None] ** powers, _SIDE_U[:, None] ** powers))
-    side_j = np.clip(np.arange(n)[:, None] + np.array([-1, 0]), 0, n - 2)
-    side_scale = widths[side_j][:, :, None] ** powers
-    # row n is the unit-mass row
-    moments = np.zeros((n + 1, 4, n - 1))
-    for start in range(0, n, _ROW_BLOCK):
-        rows = slice(start, min(start + _ROW_BLOCK, n))
-        points, weights = kernel_rule(layout, nodes[rows])
-        m = len(points)
-        block = moments[rows]
-        # (panel, row, k): one panel-size x 4 product per panel
-        panel_w = weights[:, :shared].reshape(m, n + 1, -1).transpose(1, 0, 2)
-        per_panel = np.matmul(panel_w, panel_powers)
-        block += per_panel[1:n].transpose(1, 2, 0)
-        block[:, :, 0] += per_panel[0]
-        block[:, :, -1] += per_panel[n]
-        # (row, side, k): one 196 x 4 product per side
-        side_w = weights[:, shared:].reshape(m, 2, -1)
-        per_side = np.matmul(side_w.transpose(1, 0, 2), side_table).transpose(1, 0, 2)
-        per_side *= side_scale[rows]
-        j = side_j[rows]
-        # the first node's side below and the last node's side above lie
-        # outside the knots: their offsets come from the points
-        side_s = points[:, shared:].reshape(m, 2, -1)
-        for r, side in ((-start, 0), (n - 1 - start, 1)):
-            if 0 <= r < m:
-                offset = side_s[r, side] - knots[j[r, side]]
-                per_side[r, side] = (side_w[r, side, :, None] * offset[:, None] ** powers).sum(0)
-        r = np.arange(m)
-        block[r, :, j[:, 0]] += per_side[:, 0]
-        block[r, :, j[:, 1]] += per_side[:, 1]
-    # the mass: int (s - s_j)^(3-k) ds over interval j, from 0 on the
-    # first and to smax on the last
-    lo = np.zeros(n - 1)
-    lo[0] = -knots[0]
-    hi = widths.copy()
-    hi[-1] = cap.smax - knots[-2]
-    exponents = (powers + 1)[:, None]
-    moments[n] = (hi**exponents - lo**exponents) / exponents
+    def chebyshev_x(s):
+        # the Chebyshev variable x = 2u - 1 of the rim variable s
+        return (2.0 / stretch) * np.arcsinh(s / scale) - 1.0
 
-    system = np.empty((n + 1, n + 1))
-    system[:, :n] = _not_a_knot_rows(knots, moments)
-    system[n, :n] *= 4.0 * PI
-    system[:n, n] = -1.0
-    system[n, n] = 0.0
+    # first-kind points in increasing order, and the angles of their s
+    theta = (np.arange(d, 0, -1) - 0.5) * (PI / d)
+    s = scale * np.sinh(0.5 * stretch * (1.0 + np.cos(theta)))
+    angles = cap.phi_of_s(s)
+    layout = kernel_layout(cap, cap.s_of_phi(angles))
+    shared = layout.shared_s.size
+    on_shared = np.stack(list(_chebyshev(chebyshev_x(layout.shared_s), d)), axis=1)
+    system = np.empty((d + 1, d + 1))
+    for start in range(0, d, _ROW_BLOCK):
+        rows = slice(start, min(start + _ROW_BLOCK, d))
+        points, weights = kernel_rule(layout, angles[rows])
+        side_w = weights[:, shared:]
+        on_sides = _chebyshev(chebyshev_x(points[:, shared:]), d)
+        sides = np.stack([np.einsum("rp,rp->r", side_w, t) for t in on_sides], axis=1)
+        system[rows, :d] = weights[:, :shared] @ on_shared + sides
+    # the unit mass: 4 pi times Fejer's first rule on [0, 1] for sigma
+    # ds/du, ds/du = A sqrt(c^2 + s^2), with the series at the points
+    # T_j = cos(j theta)
+    j = np.arange(1, d // 2 + 1)
+    fejer = 1.0 - 2.0 * (np.cos(2.0 * np.outer(theta, j)) / (4.0 * j * j - 1.0)).sum(axis=1)
+    fejer *= (4.0 * PI / d) * stretch * np.hypot(scale, s)
+    system[d, :d] = fejer @ np.cos(np.outer(theta, np.arange(d)))
+    system[:d, d] = -1.0
+    system[d, d] = 0.0
 
-    q, floor = _shifted_field(field, nodes)
-    rhs = np.append(-q, 1.0)
-
-    solution = dense_solve(system, rhs)
-    sigma = solution[:n]
-    fq = float(solution[n]) + floor
-    if not (np.all(np.isfinite(sigma)) and math.isfinite(fq)):
+    q, floor = _shifted_field(field, angles)
+    solution = dense_solve(system, np.append(-q, 1.0))
+    coeffs = solution[:d]
+    fq = float(solution[d]) + floor
+    if not (np.all(np.isfinite(coeffs)) and math.isfinite(fq)):
         raise NonconvergenceError(
             "collocation system produced non-finite values", math.nan, math.inf
         )
-    return DensityProfile(cap, grid, sigma / knots, fq, PiecewiseCubic.pchip(knots, sigma))
+    grid = boundary_clustered_grid(cap, n)
+    node_s = cap.s_of_phi(grid.nodes)
+    knots = np.union1d(layout.bounds, node_s)
+    x = chebyshev_x(knots)
+    # d(sigma)/ds = d(sigma)/dx * dx/ds
+    slopes = chebval(x, chebder(coeffs)) * 2.0 / (stretch * np.hypot(scale, knots))
+    sigma = PiecewiseCubic.hermite(knots, chebval(x, coeffs), slopes)
+    values = chebval(chebyshev_x(node_s), coeffs) / node_s
+    return DensityProfile(cap, grid, values, fq, sigma)
 
 
 def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:

@@ -10,7 +10,7 @@ that kernel, batched over the observation angles; its row-independent
 part, the `KernelLayout` of panels and distance factors, is built once
 per potential or Nystrom solve and passed to every block of angles.  The
 potential applies the rule to a profile's sigma, and the Nystrom oracle
-bins its weights into moments against the pieces of its spline.
+to the Chebyshev polynomials of its series.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ PI = math.pi
 _LEVELS = 12
 _N_OFF_SUPPORT = 64
 # angles per application of the kernel rule, which holds (angles, points)
-# arrays: about 300 kB a block for Nystrom rows at n = 256, and no more
-# for many angles.  With one layout per solve, blocks of 8, 16 and 32 rows
-# differ by less than the run-to-run spread in time (point charge (1, 2),
-# one BLAS thread: 11.0 / 9.8 / 10.1 ms at n = 128 and 35.3 / 30.4 / 28.8
-# ms at n = 256 in one run of 40 alternating solves, 32.4 ms for both 16
-# and 32 in another), while blocks of 32 raised the benchmark's peak
-# memory on the pipeline and tabulated workloads by 0.4-0.5 MB (seeds
-# 1701 and 1702) and blocks of 16 matched the parent
+# arrays: about 180 kB a block for Nystrom rows at n = 256 (d = 64), and
+# no more for many angles.  With one layout per solve, blocks of 16 and 32
+# rows take the same time and blocks of 8 longer (point charge (1, 2),
+# one BLAS thread, medians of 20 alternating solves: 3.8 / 3.2 / 3.2 ms
+# at n = 128 and 10.6 / 9.1 / 9.2 ms at n = 256 for 8 / 16 / 32), while
+# blocks of 32 raised the benchmark's peak memory on the pipeline and
+# tabulated workloads by 0.4-0.5 MB (seeds 1701 and 1702) and blocks of
+# 16 matched the parent
 _ROW_BLOCK = 16
 
 
@@ -49,9 +49,11 @@ def _unit_gl(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # the shared panel rule, one panel per smooth interval between knots:
-# GL-8 nodes and weights on [0, 1].  Everything that splits the shared
-# columns into panels takes the panel size from this rule
-_PANEL = _unit_gl(8)
+# GL-16 nodes and weights on [0, 1].  Everything that splits the shared
+# columns into panels takes the panel size from this rule.  With GL-8
+# panels the Nystrom oracle's node error stalls near 1.5e-10 (zero field,
+# rim pi/3, n = 48 to 128)
+_PANEL = _unit_gl(16)
 
 
 def _graded_side() -> Tuple[np.ndarray, np.ndarray]:
@@ -186,7 +188,7 @@ class KernelLayout:
     """The row-independent part of `kernel_rule` for one cap and knot set.
 
     bounds are 0, the knots and the cap's smax.  The shared columns are
-    one GL-8 panel on every interval between consecutive bounds: their
+    one `_PANEL` on every interval between consecutive bounds: their
     points s, 2 s^2, eight times their weights (the rule's 2 sigma(s) ds
     times the kernel's 4), and 1 -+ cos(xi) from s itself, 1 - cos(xi) =
     r1 + s^2 and 1 + cos(xi) = (smax - s)(smax + s) with the cap's r1

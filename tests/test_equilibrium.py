@@ -36,7 +36,6 @@ from capfield.fields import (
 from capfield import singular_quadrature
 from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from capfield._numerics import NonconvergenceError
-from capfield.oracle import nystrom_solve
 from capfield.support_finder import gonchar_heights, solve_support
 from conftest import ShiftedField, uniform_grid
 
@@ -692,15 +691,3 @@ class TestPiecewiseCubic:
     def test_bad_knots_refused(self, s, y):
         with pytest.raises(ValueError):
             PiecewiseCubic.pchip(s, y)
-
-    def test_profile_sigma_is_the_node_pchip(self):
-        # the Nystrom oracle's profile: sigma is the PCHIP of s*f through
-        # its nodes, extrapolated to the rim and to smax
-        cap = SphericalCap(1.0)
-        prof = nystrom_solve(ZeroField(), cap, 24)
-        s = np.asarray(cap.s_of_phi(prof.grid.nodes))
-        ref = PchipInterpolator(s, prof.values * s)
-        probe = np.linspace(0.0, cap.smax, 301)
-        np.testing.assert_allclose(prof.sigma(probe), ref(probe), rtol=1e-14, atol=0)
-        assert prof.mass == pytest.approx(4.0 * PI * float(ref.integrate(0.0, cap.smax)),
-                                          rel=1e-14)

@@ -60,6 +60,18 @@ class TestSphericalCap:
         assert cap.depth(np.array(phi)) == pytest.approx(depth, rel=1e-15)
         assert cap.s_of_phi(0.5 * alpha) == 0.0
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1.0, PI - 1e-3, PI - 1e-5])
+    def test_phi_of_s_round_trips_to_the_angles_resolution(self, alpha):
+        # s -> phi -> s loses no more than half an ulp of phi moves s, by
+        # ds/dphi = sin(phi) / (2 s); arccos(cos(alpha) - s^2) lost all of
+        # s = 1e-4 smax at a rim 1e-5 from the south pole
+        cap = SphericalCap(alpha)
+        s = cap.smax * np.array([1e-4, 1e-2, 0.3, 0.7071, 0.99])
+        phi = cap.phi_of_s(s)
+        resolution = 0.5 * np.spacing(phi) * np.sin(phi) / (2.0 * s)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(cap.s_of_phi(phi) - s) <= 4.0 * eps * s + 8.0 * resolution)
+
 
 class TestPhiGrid:
     def test_rejects_non_monotone(self):

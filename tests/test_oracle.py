@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
-from scipy.interpolate import CubicSpline, PchipInterpolator, PPoly
+from scipy.interpolate import BarycentricInterpolator, CubicHermiteSpline, CubicSpline, PPoly
 
 import capfield.oracle
 import capfield.potential
@@ -22,12 +22,7 @@ from capfield.equilibrium import nofield_density, pointcharge_density, quadratic
 from capfield.fields import ExternalField, PointChargeField, QuadraticField, ZeroField
 from capfield.geometry import SphericalCap, boundary_clustered_grid
 from capfield.potential import kernel_layout, kernel_rule, ring_kernel
-from capfield.oracle import (
-    _solve_tridiagonal,
-    discrete_energy_minimize,
-    nystrom_solve,
-    ring_energy_system,
-)
+from capfield.oracle import discrete_energy_minimize, nystrom_solve, ring_energy_system
 from capfield._numerics import NonconvergenceError
 
 PI = math.pi
@@ -140,38 +135,119 @@ class TestNystromSolve:
             nystrom_solve(ZeroField(), SphericalCap(PI - 1e-9), 32)
 
 
+# the worst relative node error and |mass - 1| of the not-a-knot spline
+# Nystrom that the Chebyshev collocation replaced, on the zero field
+# against `nofield_density`, by rim angle and n (rounded up to three
+# digits)
+_SPLINE_RIM_GRID = {
+    (0.0, 16): (1.28e-7, 2.27e-10),
+    (0.0, 64): (1.65e-7, 1.51e-12),
+    (0.0, 256): (1.62e-7, 1.34e-15),
+    (1e-8, 16): (1.28e-7, 2.27e-10),
+    (1e-8, 64): (1.65e-7, 1.51e-12),
+    (1e-8, 256): (1.65e-7, 1.56e-15),
+    (1e-6, 16): (1.28e-7, 2.27e-10),
+    (1e-6, 64): (1.65e-7, 1.52e-12),
+    (1e-6, 256): (1.53e-5, 1.48e-14),
+    (1e-3, 16): (2.70e-4, 1.10e-8),
+    (1e-3, 64): (1.88e-2, 1.35e-8),
+    (1e-3, 256): (1.26e-2, 5.98e-9),
+    (0.01, 16): (1.23e-2, 1.24e-6),
+    (0.01, 64): (2.30e-2, 8.86e-7),
+    (0.01, 256): (1.73e-4, 1.08e-9),
+    (0.1, 16): (3.05e-2, 1.08e-4),
+    (0.1, 64): (2.33e-4, 1.26e-6),
+    (0.1, 256): (3.27e-6, 4.30e-8),
+    (1.0, 16): (2.23e-4, 6.10e-5),
+    (1.0, 64): (3.31e-6, 4.32e-6),
+    (1.0, 256): (1.73e-7, 7.91e-8),
+    (2.5, 16): (1.94e-6, 3.18e-5),
+    (2.5, 64): (1.65e-7, 5.95e-7),
+    (2.5, 256): (1.22e-7, 9.56e-9),
+    (3.1, 16): (1.30e-7, 1.50e-7),
+    (3.1, 64): (1.68e-7, 2.57e-9),
+    (3.1, 256): (8.39e-7, 4.10e-11),
+    (PI - 1e-3, 16): (1.30e-7, 1.12e-10),
+    (PI - 1e-3, 64): (1.66e-7, 1.59e-12),
+    (PI - 1e-3, 256): (3.37e-5, 1.23e-14),
+    (PI - 1e-5, 16): (1.18e-7, 1.31e-11),
+    (PI - 1e-5, 64): (2.84e-6, 1.68e-12),
+    (PI - 1e-5, 256): (5.97e-4, 2.09e-12),
+}
+
+
+class TestNystromRimGrid:
+    @pytest.mark.parametrize("alpha,n", list(_SPLINE_RIM_GRID))
+    def test_no_worse_than_the_spline_oracle(self, alpha, n):
+        # nor worse than 1e-8, from rims at the north pole to rims 1e-5
+        # from the south pole
+        profile = nystrom_solve(ZeroField(), SphericalCap(alpha), n)
+        exact = nofield_density(alpha, np.asarray(profile.grid.nodes))
+        node_error = np.max(np.abs(np.asarray(profile.values) - exact) / exact)
+        spline_node, spline_mass = _SPLINE_RIM_GRID[alpha, n]
+        assert node_error <= max(spline_node, 1e-8)
+        assert abs(profile.mass - 1.0) <= max(spline_mass, 1e-8)
+
+
+def _graded_variable(cap):
+    """(c, A) of the oracle's graded variable s = c sinh(A u), u in [0, 1]."""
+    c = min(max(cap.sqrt_r1, 3e-3), cap.smax)
+    return c, math.asinh(cap.smax / c)
+
+
 def _reference_nystrom(field, cap, n):
     """The collocation solve with each row built as weights @ basis(points).
 
-    This evaluates every basis spline, scipy's not-a-knot `CubicSpline`
-    of the identity, at every quadrature point of every row; the oracle
-    gets the same rows from product-integration moments and its own
-    banded not-a-knot map.  Returns the node values, F_Q and the mass of
-    scipy's PCHIP through the solved s*f.
+    The unknowns are sigma at the d = max(16, n // 4) collocation knots,
+    the rim variables of the first-kind Chebyshev points' angles.  The
+    basis is scipy's `BarycentricInterpolator` of the identity in the
+    graded variable u, with the weights of those knots, evaluated at every
+    quadrature point of every row; the oracle gets the same rows from
+    Chebyshev polynomials, a block of rows at a time.  The mass row is the
+    interpolatory rule at the first-kind points, from the moments of the
+    Chebyshev polynomials.  Returns the node values, F_Q, the mass of
+    scipy's cubic Hermite spline through the interpolant's values and
+    slopes at 0, the nodes, the knots and smax, and that spline.
     """
-    grid = boundary_clustered_grid(cap, n)
-    nodes = np.asarray(grid.nodes)
-    knots = np.asarray(cap.s_of_phi(nodes))
-    basis = CubicSpline(knots, np.eye(n), axis=0, bc_type="not-a-knot")
+    d = max(16, n // 4)
+    c, stretch = _graded_variable(cap)
+
+    def u_of(s):
+        return np.arcsinh(s / c) / stretch
+
+    theta = (np.arange(d, 0, -1) - 0.5) * (PI / d)
+    u = 0.5 * (1.0 + np.cos(theta))
+    angles = cap.phi_of_s(c * np.sinh(stretch * u))
+    knots = cap.s_of_phi(angles)
+    basis = BarycentricInterpolator(u_of(knots), np.eye(d))
     layout = kernel_layout(cap, knots)
-    system = np.zeros((n + 1, n + 1))
-    for i in range(n):
-        points, weights = kernel_rule(layout, nodes[i : i + 1])
-        system[i, :n] = weights[0] @ basis(points[0])
-    system[:n, n] = -1.0
-    antiderivative = basis.antiderivative()
-    system[n, :n] = 4.0 * PI * (antiderivative(cap.smax) - antiderivative(0.0))
-    rhs = np.append(-field.value_at_x3(np.clip(np.cos(nodes), -1.0, 1.0)), 1.0)
+    system = np.zeros((d + 1, d + 1))
+    for i in range(d):
+        points, weights = kernel_rule(layout, angles[i : i + 1])
+        system[i, :d] = weights[0] @ basis(u_of(points[0]))
+    system[:d, d] = -1.0
+    j = np.arange(d)
+    moments = np.zeros(d)  # int_0^1 T_j(2u - 1) du
+    moments[::2] = 1.0 / (1.0 - j[::2] ** 2)
+    rule = np.linalg.solve(np.cos(np.outer(j, theta)), moments)
+    ds_du = stretch * c * np.cosh(stretch * u)
+    system[d, :d] = 4.0 * PI * (rule * ds_du) @ basis(u)
+    rhs = np.append(-field.value_at_x3(np.cos(angles)), 1.0)
     solution = scipy.linalg.solve(system, rhs)
-    values, fq = solution[:n] / knots, float(solution[n])
-    mass = 4.0 * PI * float(PchipInterpolator(knots, solution[:n]).integrate(0.0, cap.smax))
-    return values, fq, mass
+    interpolant = BarycentricInterpolator(u_of(knots), solution[:d])
+    node_s = cap.s_of_phi(boundary_clustered_grid(cap, n).nodes)
+    values = interpolant(u_of(node_s)) / node_s
+    table = np.union1d(np.concatenate(([0.0, cap.smax], knots)), node_s)
+    slopes = interpolant.derivative(u_of(table)) / (stretch * np.hypot(c, table))
+    sigma = CubicHermiteSpline(table, interpolant(u_of(table)), slopes)
+    mass = 4.0 * PI * float(sigma.integrate(0.0, cap.smax))
+    return values, float(solution[d]), mass, sigma
 
 
 class TestNystromProductIntegration:
     def test_no_basis_evaluation_per_row(self, monkeypatch):
-        # the rows and the unit-mass row come from moments through the
-        # banded not-a-knot map: no spline is built or evaluated for them
+        # the rows and the unit-mass row come from Chebyshev polynomials at
+        # the rule's points: no spline is built or evaluated for them
         built, calls = [], []
         build = CubicSpline.__init__
 
@@ -199,26 +275,30 @@ class TestNystromProductIntegration:
 
     @pytest.mark.parametrize("n", [16, 37, 64])
     def test_kernel_work_per_solve(self, kernel_work, monkeypatch, n):
-        # each row evaluates the kernel at the 8 (n + 1) shared GL-8 points
-        # and 2 x 196 graded-side points, and one layout serves every block
+        # each of the d = max(16, n // 4) rows evaluates the kernel at the
+        # shared panels' points, one panel per interval of 0, the d knots
+        # and smax, and at 2 x 196 graded-side points; one layout serves
+        # every block
+        d = max(16, n // 4)
+        panel = capfield.potential._PANEL[0].size
         for block in (5, capfield.potential._ROW_BLOCK):
             monkeypatch.setattr(capfield.oracle, "_ROW_BLOCK", block)
             kernel_work.update(points=0, layouts=0)
             nystrom_solve(PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), n)
-            assert kernel_work == {"points": n * (8 * (n + 1) + 2 * 196), "layouts": 1}
+            assert kernel_work == {"points": d * (panel * (d + 1) + 2 * 196), "layouts": 1}
 
     def test_panel_rule_swaps_in_one_place(self, monkeypatch):
-        # GL-16 shared panels in place of GL-8: the rule and the moment
-        # binning both follow, and the node values agree to the GL-8 floor
+        # GL-24 shared panels in place of GL-16: the rule follows, and the
+        # node values agree to the GL-16 floor
         field, cap, n = PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), 64
-        gl8 = nystrom_solve(field, cap, n)
-        monkeypatch.setattr(capfield.potential, "_PANEL", capfield.potential._unit_gl(16))
-        points, _ = kernel_rule(kernel_layout(cap, np.linspace(0.1, 1.0, n)), [2.0])
-        assert points.shape == (1, 16 * (n + 1) + 2 * 196)
         gl16 = nystrom_solve(field, cap, n)
-        rel = np.abs(gl16.values / gl8.values - 1.0).max()
+        monkeypatch.setattr(capfield.potential, "_PANEL", capfield.potential._unit_gl(24))
+        points, _ = kernel_rule(kernel_layout(cap, np.linspace(0.1, 1.0, n)), [2.0])
+        assert points.shape == (1, 24 * (n + 1) + 2 * 196)
+        gl24 = nystrom_solve(field, cap, n)
+        rel = np.abs(gl24.values / gl16.values - 1.0).max()
         assert 0.0 < rel <= 1e-6
-        assert abs(gl16.robin_constant / gl8.robin_constant - 1.0) <= 1e-6
+        assert abs(gl24.robin_constant / gl16.robin_constant - 1.0) <= 1e-6
 
     @given(
         kind=st.sampled_from(["zero", "point-charge", "quadratic"]),
@@ -238,7 +318,7 @@ class TestNystromProductIntegration:
             field = QuadraticField(1.0, b, b * b / 4.0 + v)
         cap = SphericalCap(alpha)
         profile = nystrom_solve(field, cap, n)
-        values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
+        values, fq_ref, mass_ref, _ = _reference_nystrom(field, cap, n)
         assert abs(profile.robin_constant - fq_ref) <= 1e-12
         assert abs(profile.mass - mass_ref) <= 1e-12
         scale = np.max(np.abs(values))
@@ -250,66 +330,30 @@ class TestNystromProductIntegration:
         [(PointChargeField(1.0, 2.0), ALPHA0_PC_12), (ZeroField(), 0.0), (ZeroField(), 2.5)],
     )
     def test_row_blocks_match_basis_reference(self, field, alpha):
-        # the first n is no multiple of the row block, so the last block is
-        # short; 256 is the largest solve the benchmark runs
+        # the first n gives d = 37, no multiple of the row block, so the
+        # last block is short; 256 is the largest solve the benchmark runs
         cap = SphericalCap(alpha)
-        for n in (2 * capfield.potential._ROW_BLOCK + 5, 256):
+        for n in (4 * (2 * capfield.potential._ROW_BLOCK + 5), 256):
             with np.errstate(all="raise"):
                 profile = nystrom_solve(field, cap, n)
-                values, fq_ref, mass_ref = _reference_nystrom(field, cap, n)
+                values, fq_ref, mass_ref, _ = _reference_nystrom(field, cap, n)
             assert abs(profile.robin_constant - fq_ref) <= 1e-12
             assert abs(profile.mass - mass_ref) <= 1e-12
             scale = np.max(np.abs(values))
             assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
 
-
-def _not_a_knot_transposed(knots):
-    """A^T of the not-a-knot slope system, in solve_banded's (1, 1) form,
-    and as a dense matrix."""
-    n, h = knots.size, np.diff(knots)
-    banded = np.zeros((3, n))
-    banded[0, 1:-1], banded[0, -1] = h[1:], knots[-1] - knots[-3]
-    banded[1, 0], banded[1, 1:-1], banded[1, -1] = h[1], 2.0 * (h[:-1] + h[1:]), h[-2]
-    banded[2, 0], banded[2, 1:-1] = knots[2] - knots[0], h[:-1]
-    dense = np.diag(banded[1]) + np.diag(banded[0, 1:], 1) + np.diag(banded[2, :-1], -1)
-    return banded, dense
-
-
-def _random_knots(n):
-    return np.sort(np.random.default_rng(n).uniform(0.0, 1.0, n))
-
-
-def _clustered_knots(n, alpha=ALPHA0_PC_12):
-    cap = SphericalCap(alpha)
-    return np.asarray(cap.s_of_phi(np.asarray(boundary_clustered_grid(cap, n).nodes)))
-
-
-class TestTridiagonalSolve:
-    """The numpy elimination of the not-a-knot slopes against LAPACK's
-    banded solve with partial pivoting.  A^T's end columns are not
-    diagonally dominant, and LAPACK swaps rows at the first, so the
-    elimination must match it in backward error as well as in value."""
-
-    @pytest.mark.parametrize("n", [16, 37, 64, 128, 256])
-    @pytest.mark.parametrize(
-        "knots",
-        [_clustered_knots, lambda n: _clustered_knots(n, 0.0),
-         lambda n: _clustered_knots(n, 3.0), _random_knots],
-        ids=["clustered", "clustered-full-sphere", "clustered-rim-3", "random"],
-    )
-    def test_matches_solve_banded(self, knots, n):
-        banded, dense = _not_a_knot_transposed(knots(n))
-        rhs = np.random.default_rng(n + 1).standard_normal((n + 1, n)).T
-        ref = scipy.linalg.solve_banded((1, 1), banded, rhs)
-        got = _solve_tridiagonal(banded, rhs)
-        eps = np.finfo(float).eps
-        size = np.max(np.abs(got), axis=0)
-        backward = np.max(np.abs(dense @ got - rhs), axis=0) / (
-            np.linalg.norm(dense, np.inf) * size
-        )
-        assert backward.max() <= 4.0 * eps
-        forward = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
-        assert forward.max() <= 8.0 * eps * np.linalg.cond(dense, np.inf)
+    def test_profile_sigma_is_the_hermite_table_of_the_interpolant(self):
+        # sigma is the cubic Hermite spline through the interpolant's values
+        # and exact slopes at 0, the nodes, the collocation knots and smax
+        cap = SphericalCap(1.0)
+        prof = nystrom_solve(ZeroField(), cap, 24)
+        _, _, mass_ref, ref = _reference_nystrom(ZeroField(), cap, 24)
+        probe = np.linspace(0.0, cap.smax, 301)
+        np.testing.assert_allclose(prof.sigma(probe), ref(probe), rtol=1e-12, atol=0)
+        slopes = ref(ref.x, 1)
+        np.testing.assert_allclose(prof.sigma.derivative()(ref.x), slopes,
+                                   rtol=0, atol=1e-10 * np.abs(slopes).max())
+        assert prof.mass == pytest.approx(mass_ref, rel=1e-12)
 
 
 class TestDiscreteEnergyMinimize:

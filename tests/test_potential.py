@@ -272,7 +272,7 @@ class TestPotentialOnSphere:
     @pytest.mark.parametrize("phi", [PI, PI - 1e-9])
     def test_nofield_cap_at_the_south_pole_for_a_rim_near_pi(self, phi):
         # with the rim near pi, cos(alpha) - cos(phi) rounds past smax^2 at
-        # the pole; a diagonal left beyond smax ended the last GL-8 panel on
+        # the pole; a diagonal left beyond smax ended the last shared panel on
         # the log singularity and gave U 113% too large at phi = pi
         alpha = 3.1
         prof = nofield_profile(alpha)
@@ -280,15 +280,16 @@ class TestPotentialOnSphere:
         assert potential_on_sphere(prof, phi) == pytest.approx(w, rel=1e-6)
 
     def test_one_layout_and_fixed_points_per_angle(self, kernel_work, monkeypatch):
-        # without knots every angle sees one GL-8 panel and 2 x 196
+        # without knots every angle sees one shared panel and 2 x 196
         # graded-side points; one layout serves every block of angles
         prof = nofield_profile(PI / 3)
         angles = np.linspace(0.0, PI, 101)
+        panel = capfield.potential._PANEL[0].size
         for block in (7, capfield.potential._ROW_BLOCK):
             monkeypatch.setattr(capfield.potential, "_ROW_BLOCK", block)
             kernel_work.update(points=0, layouts=0)
             potential_on_sphere(prof, angles)
-            assert kernel_work == {"points": angles.size * (8 + 2 * 196), "layouts": 1}
+            assert kernel_work == {"points": angles.size * (panel + 2 * 196), "layouts": 1}
 
     def test_vectorized_angles(self):
         # more angles than one application of the rule takes
@@ -307,7 +308,7 @@ def smooth_sigma(s):
 class TestKernelRule:
     def test_diagonal_snaps_onto_a_knot_one_ulp_away(self):
         # the diagonal of node phi must land on its own knot even when the
-        # knot was rounded differently; a GL-8 panel next to an unresolved
+        # knot was rounded differently; a shared panel next to an unresolved
         # log singularity would otherwise cost many digits
         cap = SphericalCap(0.9)
         phi = 1.7
@@ -360,11 +361,12 @@ class TestKernelRule:
         cap = SphericalCap(0.9)
         knots = cap.s_of_phi(boundary_clustered_grid(cap, 12).nodes)
         points, weights = kernel_rule(kernel_layout(cap, knots), [0.0, 1.3, 2.0, PI])
-        shared = 8 * (len(knots) + 1)
+        panel = capfield.potential._PANEL[0].size
+        shared = panel * (len(knots) + 1)
         assert np.all(points[:, :shared] == points[0, :shared])
         # each row leaves out the one or two panels that meet its diagonal
-        dead = np.sum(weights[:, :shared].reshape(4, -1, 8) == 0.0, axis=(1, 2))
-        assert np.all((dead == 8) | (dead == 16))
+        dead = np.sum(weights[:, :shared].reshape(4, -1, panel) == 0.0, axis=(1, 2))
+        assert np.all((dead == panel) | (dead == 2 * panel))
         assert np.all(weights[:, shared:] >= 0.0)
 
     def test_zero_width_sides_add_nothing(self):
@@ -372,7 +374,7 @@ class TestKernelRule:
         with np.errstate(all="raise"):
             points, weights = kernel_rule(kernel_layout(SphericalCap(0.9)), [0.3, PI])
         assert np.all(np.isfinite(weights))
-        sides = weights[:, 8:].reshape(2, 2, -1)
+        sides = weights[:, capfield.potential._PANEL[0].size :].reshape(2, 2, -1)
         assert np.all(sides[0, 0] == 0.0)  # below s0 = 0
         assert np.all(sides[1, 1] == 0.0)  # above s0 = smax
         assert np.all(sides[0, 1] > 0.0) and np.all(sides[1, 0] > 0.0)
