@@ -92,6 +92,11 @@ _K_LOG_BELOW = 1e-8
 # `verify`), while its graded sides reach the asymptote
 _AGM_STEPS = ((0.35, 3), (1e-2, 4), (1e-5, 5))
 _LN4 = math.log(4.0)
+# two rings both nearer the north pole than this are refused: below it
+# their 1 - cos factors, and the gap between them, leave the normal
+# floats, and the kernel loses digits (1e-13 near 2**-496, 1e-6 near
+# 2**-505) before it turns to nan
+_NEAR_POLE = 2.0 ** -480
 
 
 def _ellipkm1(p: np.ndarray) -> np.ndarray:
@@ -160,11 +165,13 @@ def _kernel_parts(one_m_cphi, one_p_cphi, one_m_cxi, one_p_cxi, gap, out=None):
 def ring_kernel(phi, xi, pairs=None):
     """Azimuthal integral of the inverse chordal distance between rings.
 
-    Log-divergent on the diagonal, which is rejected.  Vectorized: phi
-    and xi broadcast against each other, or with pairs = (rows, cols) the
-    kernel is taken between the rings phi[rows] and xi[cols], and the
-    terms 1 -+ cos of each ring are computed once and gathered.  Bitwise
-    symmetric in its two arguments, and the same bits either way.
+    Log-divergent on the diagonal, which is rejected, as is a pair of
+    rings both within `_NEAR_POLE` = 2**-480 of the north pole.
+    Vectorized: phi and xi broadcast against each other, or with pairs =
+    (rows, cols) the kernel is taken between the rings phi[rows] and
+    xi[cols], and the terms 1 -+ cos of each ring are computed once and
+    gathered.  Bitwise symmetric in its two arguments, and the same bits
+    either way.
     """
     p = _validated_angles(phi, "phi")
     arr = _validated_angles(xi, "xi")
@@ -176,6 +183,13 @@ def ring_kernel(phi, xi, pairs=None):
         terms = (terms[0][rows], terms[1][rows], terms[2][cols], terms[3][cols])
     if np.any(arr == p):
         raise ValueError("ring kernel is singular on the diagonal phi == xi")
+    # the cheap test first: a pair near the pole needs both least angles there
+    both = max(np.min(p, initial=PI), np.min(arr, initial=PI)) < _NEAR_POLE
+    if both and np.any(np.maximum(p, arr) < _NEAR_POLE):
+        raise ValueError(
+            f"ring kernel needs one ring of each pair at least {_NEAR_POLE:.3g} "
+            "(2**-480) from the north pole"
+        )
     gap = np.abs(4.0 * np.sin(0.5 * (p + arr)) * np.sin(0.5 * (p - arr)))
     out = 4.0 * _kernel_parts(*terms, gap)
     if out.ndim == 0:
@@ -316,8 +330,9 @@ def potential_on_sphere(profile: DensityProfile, phi):
     Integrates 2 sigma(s) M(phi, xi(s)) ds with `kernel_rule`, so both
     the rim behavior of the density and the logarithmic diagonal are
     resolved by smooth-panel quadrature.  The cap's `KernelLayout` is
-    built once per call.  Vectorized over phi; a scalar phi gives a
-    float.
+    built once per call, and the angles go through the rule in blocks of
+    `_ROW_BLOCK`, one block's points and weights alive at a time.
+    Vectorized over phi; a scalar phi gives a float.
     """
     p = _validated_angles(phi, "phi")
     layout = kernel_layout(profile.cap)
@@ -327,6 +342,7 @@ def potential_on_sphere(profile: DensityProfile, phi):
         rows = slice(start, start + _ROW_BLOCK)
         points, weights = kernel_rule(layout, flat[rows])
         total[rows] = np.einsum("ij,ij->i", weights, profile.sigma(points))
+        del points, weights
     total = total.reshape(p.shape)
     if not np.all(np.isfinite(total)):
         raise NonconvergenceError(

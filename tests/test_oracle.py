@@ -5,6 +5,7 @@ Closed-form reference values reproduced by tests/oracles/compute_reference_value
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +61,13 @@ class TestRingEnergySystem:
         s = np.sin(angles)
         np.testing.assert_allclose(area_weights, s / s.sum(), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [32, 64, 256])
+    @pytest.mark.parametrize("n", [32, 33, 63, 64, 100, 255, 256])
     def test_mirrored_pairs_equal_the_all_pairs_build(self, n):
         # the kernel is bitwise symmetric, so evaluating i < j and mirroring
-        # loses nothing against evaluating every ordered pair
+        # loses nothing against evaluating every ordered pair; from 91 rings
+        # on the matrix is built in bands, 100 and 255 with a short last one,
+        # and the kernel's AGM takes its step count from the least parameter
+        # of each call, which must not move a bit either
         phi, area_weights, mirrored = ring_energy_system(n)
         rows, cols = np.nonzero(~np.eye(n, dtype=bool))
         interaction = np.zeros((n, n))
@@ -72,8 +76,51 @@ class TestRingEnergySystem:
         interaction[np.arange(n), np.arange(n)] = (1.0 - off) / area_weights
         assert np.array_equal(mirrored, interaction)
 
+    @pytest.mark.parametrize("n", [64, 256, 1000])
+    def test_kernel_calls_hold_one_band(self, monkeypatch, n):
+        # each call evaluates at most _BAND_ENTRIES entries, and every pair
+        # i < j exactly once
+        sizes = []
+
+        def recording(*args):
+            values = ring_kernel(*args)
+            sizes.append(values.size)
+            return values
+
+        monkeypatch.setattr(capfield.oracle, "ring_kernel", recording)
+        ring_energy_system(n)
+        assert max(sizes) <= capfield.oracle._BAND_ENTRIES
+        assert sum(sizes) == n * (n - 1) // 2
+
+    def test_assembly_peak_memory(self):
+        # the banded build holds no n x n temporary beside the matrix
+        # itself (0.5 MiB at 256 rings); the whole-triangle build peaked
+        # at 3.78 MiB
+        ring_energy_system(256)
+        tracemalloc.start()
+        try:
+            ring_energy_system(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
+
 
 class TestNystromSolve:
+    def test_one_row_block_alive_at_a_time(self):
+        # the previous block's points and weights (0.37 MiB at n = 256) are
+        # freed before the next block's kernel rule runs; with both alive
+        # the solve peaked at 1.96 MiB
+        field, cap = PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12)
+        nystrom_solve(field, cap, 256)
+        tracemalloc.start()
+        try:
+            nystrom_solve(field, cap, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * 2**20
+
     def test_zero_field_matches_closed_form(self):
         alpha = PI / 3
         profile = nystrom_solve(ZeroField(), SphericalCap(alpha), 64)

@@ -210,6 +210,45 @@ class TestRingKernel:
         with pytest.raises(ValueError, match="singular on the diagonal"):
             ring_kernel(phi, phi, (rows, rows))
 
+    @pytest.mark.parametrize(
+        "phi,xi",
+        [
+            (0.0, 2.0**-480),
+            (2.0**-481, 2.0**-480),
+            (2.0**-480 * (1.0 - 2.0**-52), 2.0**-480),
+            (2.0**-480, 2.0**-480 * (1.0 + 2.0**-52)),
+            (0.0, 1e-100),
+            (1e-300, 1e-3),
+            (0.0, 1e-12),
+        ],
+    )
+    def test_rings_near_the_north_pole_match_mpmath(self, phi, xi):
+        # down to the bound, 1 - cos of the outer ring and the gap stay
+        # normal floats; the warning filter turns any stray underflow into
+        # an error
+        assert ring_kernel(phi, xi) == pytest.approx(mp_ring_kernel(phi, xi), rel=1e-14)
+        assert ring_kernel(xi, phi) == ring_kernel(phi, xi)
+
+    @pytest.mark.parametrize(
+        "phi,xi", [(0.0, 1e-300), (1e-300, 2e-300), (0.0, 1e-160), (2.0**-481, 2.0**-480.5)]
+    )
+    def test_rings_both_past_the_pole_bound_refused(self, phi, xi):
+        # past the bound the kernel loses digits and then turns to nan: it
+        # read nan at (0, 1e-300) and 6.283220e160 for 2 pi 1e160 at
+        # (0, 1e-160); a pair just inside the bound is refused too
+        with pytest.raises(ValueError, match=r"3\.2e-145 \(2\*\*-480\) from the north pole"):
+            ring_kernel(phi, xi)
+        pairs = (np.array([0, 1]), np.array([1, 0]))
+        with pytest.raises(ValueError, match="from the north pole"):
+            ring_kernel(np.array([phi, xi]), np.array([phi, xi]), pairs)
+
+    def test_pole_bound_is_per_pair(self):
+        # the bound holds per pair: a ring on the pole is fine beside a ring
+        # beyond the bound, in one call with other pairs
+        got = ring_kernel(np.array([0.0, 1e-200]), np.array([1.0, 0.5]))
+        assert got == pytest.approx([mp_ring_kernel(0.0, 1.0), mp_ring_kernel(1e-200, 0.5)],
+                                    rel=1e-14)
+
 
 class TestPotentialOnSphere:
     def test_uniform_measure_unit_potential(self):
