@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
+from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from ._numerics import NonconvergenceError, PiecewiseCubic
 from .equilibrium import DensityProfile
 from .fields import ExternalField
 from .geometry import SphericalCap, boundary_clustered_grid
-from .potential import _ROW_BLOCK, kernel_layout, kernel_rule, ring_kernel
+from .potential import _ROW_BLOCK, _side_fold, kernel_layout, kernel_rule, ring_kernel
 
 PI = math.pi
 
@@ -35,6 +35,14 @@ _MIN_NODES = 16
 # the floor of the graded variable's scale, for rims near the north pole
 _MIN_SCALE = 3e-3
 _DEGENERATE_GAP = 1e-6
+
+# kernel-rule entries per block of Nystrom rows: a block holds at most
+# _ROW_BLOCK rows, and fewer once a solve's rule is wider than 1,024
+# points a row (n >= 156).  At n = 256 (1,432 points) blocks of 8 / 11 /
+# 16 rows took 5.4 / 5.3 / 6.0 ms and peaked at 1.09 / 1.28 / 1.59 MiB
+# traced (point charge (1, 2) at its rim, one BLAS thread on a Xeon,
+# medians of 20 alternating solves)
+_ROW_ENTRIES = 16384
 
 _MIN_RINGS = 32
 # kernel entries per band of the ring matrix's assembly: its temporaries
@@ -131,17 +139,6 @@ def ring_energy_system(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phi, area, interaction
 
 
-def _chebyshev(x: np.ndarray, degree: int):
-    """T_0(x), ..., T_(degree - 1)(x), one array at a time, by the
-    three-term recurrence."""
-    previous, current, twice = np.ones_like(x), x, 2.0 * x
-    for _ in range(degree):
-        yield previous
-        following = twice * current
-        following -= previous
-        previous, current = current, following
-
-
 def nystrom_solve(
     field: ExternalField, cap: SphericalCap, n: int
 ) -> DensityProfile:
@@ -162,14 +159,19 @@ def nystrom_solve(
     diagonal sits on a panel end.  Row i is `potential.kernel_rule`'s
     weights at angle i times the Chebyshev polynomials at the rule's
     points (Atkinson, The Numerical Solution of Integral Equations of the
-    Second Kind, 1997, sec. 4.2), for the shared panels from one matrix per
-    solve and for the graded sides one block of rows at a time.  The
-    unit-mass row is Fejer's first rule in u (Waldvogel, BIT 46, 2006) on
-    sigma ds/du.  The (d+1) x (d+1) dense system gives the series and the
-    level, returned as a profile on the n boundary-clustered nodes: its
-    values are the series there, its sigma is the cubic Hermite spline
-    through the series' values and exact slopes at 0, the nodes, the
-    collocation knots and smax, and its Robin constant is the level.
+    Second Kind, 1997, sec. 4.2), with the polynomials evaluated in one
+    matrix per solve at the shared panels' nodes alone: row i's diagonal is
+    knot i, so its two graded sides are the whole panels i and i + 1, and
+    `potential._side_fold` carries their weights onto those panels' nodes,
+    exact for a polynomial of degree below the panel size in s on each.
+    A block of rows at a time, the rows are the shared product plus the
+    folded sides.  The unit-mass row is Fejer's first rule in u
+    (Waldvogel, BIT 46, 2006) on sigma ds/du.  The (d+1) x (d+1) dense
+    system gives the series and the level, returned as a profile on the n
+    boundary-clustered nodes: its values are the series there, its sigma
+    is the cubic Hermite spline through the series' values and exact
+    slopes at 0, the nodes, the collocation knots and smax, and its Robin
+    constant is the level.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
@@ -192,18 +194,28 @@ def nystrom_solve(
     angles = cap.phi_of_s(s)
     layout = kernel_layout(cap, cap.s_of_phi(angles))
     shared = layout.shared_s.size
-    on_shared = np.stack(list(_chebyshev(chebyshev_x(layout.shared_s), d)), axis=1)
+    on_shared = chebvander(chebyshev_x(layout.shared_s), d - 1)
+    # row i's diagonal is knot i, so its graded sides are the whole panels
+    # i and i + 1, which the fold takes onto those panels' nodes.  The
+    # panels are reshaped views, not a sliding window view: that goes
+    # through `__array_interface__`, which interns a new string per call,
+    # and in a long-lived process those doubled the interpreter's table of
+    # interned strings (0.5 MB) after about 3,300 solves
+    below, above = _side_fold()
+    count, size = below.shape
+    panels = on_shared.reshape(d + 1, size, d)
     system = np.empty((d + 1, d + 1))
-    for start in range(0, d, _ROW_BLOCK):
-        rows = slice(start, min(start + _ROW_BLOCK, d))
-        points, weights = kernel_rule(layout, angles[rows])
+    height = max(1, min(_ROW_BLOCK, _ROW_ENTRIES // (shared + 2 * count)))
+    for start in range(0, d, height):
+        stop = min(start + height, d)
+        weights = kernel_rule(layout, angles[start:stop])[1]
         side_w = weights[:, shared:]
-        on_sides = _chebyshev(chebyshev_x(points[:, shared:]), d)
-        sides = np.stack([np.einsum("rp,rp->r", side_w, t) for t in on_sides], axis=1)
-        system[rows, :d] = weights[:, :shared] @ on_shared + sides
+        sides = np.einsum("rq,rqk->rk", side_w[:, :count] @ below, panels[start:stop])
+        sides += np.einsum("rq,rqk->rk", side_w[:, count:] @ above, panels[start + 1 : stop + 1])
+        system[start:stop, :d] = weights[:, :shared] @ on_shared + sides
         # one block's scratch alive at a time: the next kernel_rule call
         # would otherwise run beside this block's arrays
-        del points, weights, side_w, sides
+        del weights, side_w, sides
     # the unit mass: 4 pi times Fejer's first rule on [0, 1] for sigma
     # ds/du, ds/du = A sqrt(c^2 + s^2), with the series at the points
     # T_j = cos(j theta)

@@ -32,14 +32,16 @@ PI = math.pi
 _LEVELS = 12
 _N_OFF_SUPPORT = 64
 # angles per application of the kernel rule, which holds (angles, points)
-# arrays: about 180 kB a block for Nystrom rows at n = 256 (d = 64), and
-# no more for many angles.  With one layout per solve, blocks of 16 and 32
-# rows take the same time and blocks of 8 longer (point charge (1, 2),
-# one BLAS thread, medians of 20 alternating solves: 3.8 / 3.2 / 3.2 ms
-# at n = 128 and 10.6 / 9.1 / 9.2 ms at n = 256 for 8 / 16 / 32), while
-# blocks of 32 raised the benchmark's peak memory on the pipeline and
-# tabulated workloads by 0.4-0.5 MB (seeds 1701 and 1702) and blocks of
-# 16 matched the parent
+# arrays: about 118 kB a block for Nystrom rows at n = 128 (d = 32, 920
+# points a row), and no more for many angles; the oracle narrows its
+# blocks for wider rules (`oracle._ROW_ENTRIES`).  Nystrom solves at
+# n = 128, with one layout each and their graded sides folded onto the
+# panels, took 2.45 / 2.1 / 2.35 ms in blocks of 8 / 16 / 32 rows and
+# peaked at 0.49 / 0.82 / 1.46 MiB traced (point charge (1, 2) at its
+# rim, one BLAS thread on a Xeon, medians of 20 alternating solves),
+# while blocks of 32 raised the benchmark's peak memory on the pipeline
+# and tabulated workloads by 0.4-0.5 MB (seeds 1701 and 1702) and blocks
+# of 16 did not
 _ROW_BLOCK = 16
 
 
@@ -79,6 +81,43 @@ def _graded_side() -> Tuple[np.ndarray, np.ndarray]:
 
 
 _SIDE_U, _SIDE_W = _graded_side()
+
+# `_side_fold`'s matrices, one pair per panel rule
+_FOLDS = {}
+
+
+def _side_fold() -> Tuple[np.ndarray, np.ndarray]:
+    """The graded sides of a row whose diagonal sits on a panel end, folded
+    onto the nodes of the two whole panels beside it.
+
+    The side below then spans the whole panel before the diagonal, its
+    point j at fraction 1 - _SIDE_U[j] of it, and the side above the whole
+    panel after it, at fraction _SIDE_U[j].  Returns the two (196, panel
+    size) matrices of the `_PANEL` nodes' Lagrange basis at those
+    fractions, below then above: a side's 196 weights times its matrix
+    are weights at its panel's nodes that integrate every polynomial of
+    degree below the panel size on that panel alike (product integration;
+    Atkinson 1997, sec. 4.2).  The basis at fraction 1 - u is that of the
+    mirrored nodes 1 - x at u, so the deepest side points keep their
+    offsets.  Made once per panel rule, read-only.
+    """
+    nodes = _PANEL[0]
+    key = nodes.tobytes()
+    if key not in _FOLDS:
+        folds = []
+        for panel_nodes in (1.0 - nodes, nodes):
+            # prod over p != q of (u - x_p) / (x_q - x_p), one factor at a time
+            apart = panel_nodes[:, None] - panel_nodes
+            np.fill_diagonal(apart, 1.0)
+            basis = np.ones((_SIDE_U.size, nodes.size))
+            for p, node in enumerate(panel_nodes):
+                factor = (_SIDE_U - node)[:, None] / apart[:, p]
+                factor[:, p] = 1.0
+                basis *= factor
+            basis.flags.writeable = False
+            folds.append(basis)
+        _FOLDS[key] = tuple(folds)
+    return _FOLDS[key]
 
 
 # K(1 - p) takes the arithmetic-geometric mean down to this p and the

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
+from numpy.polynomial.chebyshev import chebvander
 from scipy.interpolate import BarycentricInterpolator, CubicHermiteSpline, CubicSpline, PPoly
 
 import capfield.oracle
@@ -346,6 +347,74 @@ class TestNystromProductIntegration:
         rel = np.abs(gl24.values / gl16.values - 1.0).max()
         assert 0.0 < rel <= 1e-6
         assert abs(gl24.robin_constant / gl16.robin_constant - 1.0) <= 1e-6
+
+    def test_fold_reproduces_panel_polynomials(self):
+        # each fold matrix carries every polynomial of degree below the
+        # panel size from the panel's nodes to the side points, at
+        # fraction 1 - u of the panel below the diagonal and u above it
+        nodes, u = capfield.potential._PANEL[0], capfield.potential._SIDE_U
+        below, above = capfield.potential._side_fold()
+        powers = np.arange(nodes.size)
+        for fold, at in ((below, 1.0 - u), (above, u)):
+            assert fold.shape == (u.size, nodes.size)
+            np.testing.assert_allclose(
+                fold @ nodes[:, None] ** powers, at[:, None] ** powers, rtol=0, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("alpha", [0.0, ALPHA0_PC_12, 2.5])
+    @pytest.mark.parametrize("n", [64, 148, 256])
+    def test_folded_rows_match_per_point_projection(self, monkeypatch, alpha, n):
+        # the rows with their graded sides folded onto the panels beside
+        # the diagonal against weights @ T(points) over all of a row's
+        # kernel points; the rows do not depend on the field
+        systems = []
+
+        def solve(system, rhs):
+            systems.append(system.copy())
+            return np.linalg.solve(system, rhs)
+
+        monkeypatch.setattr(capfield.oracle, "dense_solve", solve)
+        cap = SphericalCap(alpha)
+        nystrom_solve(ZeroField(), cap, n)
+        d = max(16, n // 4)
+        c, stretch = _graded_variable(cap)
+        theta = (np.arange(d, 0, -1) - 0.5) * (PI / d)
+        angles = cap.phi_of_s(c * np.sinh(0.5 * stretch * (1.0 + np.cos(theta))))
+        layout = kernel_layout(cap, cap.s_of_phi(angles))
+        points, weights = kernel_rule(layout, angles)
+        x = (2.0 / stretch) * np.arcsinh(points / c) - 1.0
+        rows = np.einsum("rp,rpk->rk", weights, chebvander(x, d - 1))
+        moved = np.abs(systems[0][:d, :d] - rows).max(axis=1) / np.abs(rows).max(axis=1)
+        assert moved.max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 128, 256])
+    def test_chebyshev_values_per_solve(self, monkeypatch, n):
+        # the basis is evaluated at the 16 (d + 1) shared nodes alone: the
+        # graded sides reach it through the fold, with no values of their own
+        computed = []
+
+        def counted(x, degree):
+            values = chebvander(x, degree)
+            computed.append(values.size)
+            return values
+
+        monkeypatch.setattr(capfield.oracle, "chebvander", counted)
+        nystrom_solve(PointChargeField(1.0, 2.0), SphericalCap(ALPHA0_PC_12), n)
+        d = max(16, n // 4)
+        assert sum(computed) == capfield.potential._PANEL[0].size * (d + 1) * d
+
+    def test_chebvander_is_the_three_term_recurrence(self):
+        # numpy's Vandermonde matrix multiplies in the recurrence's order,
+        # 2x T_k - T_(k-1), so the shared nodes' values keep their bits
+        x = np.concatenate(([-1.0, 0.0, 1.0], np.random.default_rng(7).uniform(-1, 1, 999)))
+        previous, current, twice = np.ones_like(x), x, 2.0 * x
+        columns = []
+        for _ in range(64):
+            columns.append(previous)
+            following = twice * current
+            following -= previous
+            previous, current = current, following
+        assert np.array_equal(chebvander(x, 63), np.stack(columns, axis=1))
 
     @given(
         kind=st.sampled_from(["zero", "point-charge", "quadratic"]),

@@ -170,11 +170,19 @@ def test_rim_quantities_live_in_geometry():
     assert found == []
 
 
+def _absolute(node: ast.ImportFrom) -> str:
+    """The module an import from names; a relative one, `from . import x`
+    or `from .x import y`, within the package."""
+    if node.level == 0:
+        return node.module
+    return ".".join(filter(None, ("capfield", node.module)))
+
+
 def _imported_modules(tree: ast.Module) -> list[str]:
     modules = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            modules += [f"{node.module}.{alias.name}" for alias in node.names]
+            modules += [f"{_absolute(node)}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
     return modules
@@ -202,8 +210,8 @@ def _scipy_names(tree: ast.Module, path: Path) -> list[str]:
     def visit(node: ast.AST, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "scipy":
-            found.extend(f"{path.name}:{where}: {node.module}.{a.name}" for a in node.names)
+        if isinstance(node, ast.ImportFrom) and _absolute(node).split(".")[0] == "scipy":
+            found.extend(f"{path.name}:{where}: {_absolute(node)}.{a.name}" for a in node.names)
         elif isinstance(node, ast.Import):
             found.extend(f"{path.name}:{where}: {a.name}" for a in node.names
                          if a.name.split(".")[0] == "scipy")
@@ -214,6 +222,18 @@ def _scipy_names(tree: ast.Module, path: Path) -> list[str]:
 
     visit(tree, "<module>")
     return found
+
+
+def test_relative_imports_resolve_within_the_package():
+    # `from . import name` has no module of its own: it is checked as
+    # capfield.name, not crashed on
+    tree = ast.parse(
+        "from . import potential\nfrom .fields import ZeroField\nfrom scipy import special\n"
+    )
+    assert _imported_modules(tree) == [
+        "capfield.potential", "capfield.fields.ZeroField", "scipy.special"
+    ]
+    assert _scipy_names(tree, Path("m.py")) == ["m.py:<module>: scipy.special"]
 
 
 def test_no_module_names_scipy():
@@ -232,10 +252,11 @@ def test_fields_import_only_numerics():
     fields = Path(capfield.__file__).parent / "fields.py"
     local = []
     for node in ast.walk(ast.parse(fields.read_text())):
-        if isinstance(node, ast.ImportFrom) and node.level > 0:
-            local.append(f"capfield.{node.module}")
-        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "capfield":
-            local.append(node.module)
+        if isinstance(node, ast.ImportFrom) and _absolute(node).split(".")[0] == "capfield":
+            if node.module is None:
+                local += [f"capfield.{a.name}" for a in node.names]
+            else:
+                local.append(_absolute(node))
         elif isinstance(node, ast.Import):
             local += [a.name for a in node.names if a.name.split(".")[0] == "capfield"]
     assert local == ["capfield._numerics"]
