@@ -1,9 +1,10 @@
 """Shared numerical helpers: the nonconvergence error, a bracketed root
-finder, Gauss-Legendre nodes, adaptive Chebyshev tables and piecewise
-cubics.
+finder, Gauss-Legendre nodes, adaptive Chebyshev tables, the graded
+Chebyshev series of the density profiles and piecewise cubics.
 
-`PiecewiseCubic` is the one spline of the package: the sigma tables of
-the density profiles and the monotone PCHIP (Fritsch & Carlson 1980) of a
+`GradedSeries` is the rim-variable density sigma of every profile, the
+pipeline's sigma table and the Nystrom oracle's solved series alike.
+`PiecewiseCubic` is the monotone PCHIP (Fritsch & Carlson 1980) of a
 tabulated field.  The Chebyshev tables take their DCT-I from numpy's real
 FFT, and the Gauss-Legendre rules are polished from numpy's.  scipy is
 never imported here.
@@ -246,6 +247,72 @@ def chebyshev_table(
     return coeffs, tail
 
 
+class GradedSeries:
+    """sigma(s) = s * f(phi(s)) of a profile on [0, smax]: a Chebyshev series,
+    of at least two terms, in x = 2u - 1 of u in [0, 1], where s = start +
+    scale * sinh(stretch * u), graded to resolve the edge part's turn
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    Below a positive start it is the cubic through the series at start +
+    h * (0, 1, 2, 3), h = min(start, (smax - start) / 3): a series that
+    ends on its noise plateau diverges off its interval.
+    """
+
+    def __init__(self, coefficients, start: float, scale: float, stretch: float) -> None:
+        self._coefficients = np.asarray(coefficients, dtype=float)
+        self._start, self._scale, self._stretch = float(start), float(scale), float(stretch)
+        self._step = min(self._start, self._scale * math.sinh(self._stretch) / 3.0)
+        if self._start > 0.0:
+            rim = self(self._start + self._step * np.arange(4.0))
+            self._rim = [np.diff(rim, k)[0] for k in range(4)]
+
+    def __call__(self, s) -> np.ndarray:
+        """Values at the points s, of any shape."""
+        s = np.asarray(s, dtype=float)
+        # x = (2 / stretch) asinh((s - start) / scale) - 1, at s >= start
+        x = np.arcsinh(np.maximum(s - self._start, 0.0) / self._scale)
+        x *= 2.0 / self._stretch
+        x -= 1.0
+        out = self._clenshaw(x)
+        below = s < self._start
+        if self._start > 0.0 and below.any():
+            out[below] = self._cubic(s[below])
+        return out
+
+    def integral(self) -> float:
+        """Integral over [0, smax]: the series' by Clenshaw-Curtis in u on
+        sigma ds/du, 64 points past its degree for the grading's cosh
+        (Trefethen, ch. 19), and the cubic's by two-point Gauss-Legendre."""
+        n = self._coefficients.size + 64
+        x = np.cos(math.pi * np.arange(n + 1) / n)
+        ds_du = np.cosh(0.5 * self._stretch * (x + 1.0))
+        c = _chebyshev_coefficients(self._clenshaw(x) * ds_du)[::2]
+        total = self._scale * self._stretch * float(c @ (1.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)))
+        if self._start > 0.0:
+            nodes = self._start * (0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0))
+            total += 0.5 * self._start * float(self._cubic(nodes).sum())
+        return total
+
+    def _clenshaw(self, x: np.ndarray) -> np.ndarray:
+        """The series at x by Clenshaw's recurrence, in `chebval`'s order and bits."""
+        c = self._coefficients
+        twice = 2.0 * x
+        b0, b1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+        for k in c[-3::-1]:
+            np.subtract(k, b1, out=t)
+            b1 *= twice
+            b1 += b0
+            b0, t = t, b0
+        b1 *= x
+        b1 += b0
+        return b1
+
+    def _cubic(self, s: np.ndarray) -> np.ndarray:
+        # Newton's forward form on the nodes t = 0, 1, 2, 3 of t = (s - start) / h
+        t = (s - self._start) / self._step
+        d0, d1, d2, d3 = self._rim
+        return d0 + t * (d1 + 0.5 * (t - 1.0) * (d2 + (t - 2.0) / 3.0 * d3))
+
+
 class PiecewiseCubic:
     """Polynomial pieces c_0,k + c_1,k t + c_2,k t^2 + ... in t = s - s_k.
 
@@ -264,18 +331,6 @@ class PiecewiseCubic:
         self._coefficients = coefficients
 
     @classmethod
-    def hermite(cls, s, values, slopes) -> "PiecewiseCubic":
-        """The cubic Hermite spline through values with slopes at the knots s."""
-        s, y = _knots_and_values(s, values)
-        d = np.asarray(slopes, dtype=float)
-        if d.shape != s.shape:
-            raise ValueError("need one slope per knot")
-        h = np.diff(s)
-        secant = np.diff(y) / h
-        t = (d[:-1] + d[1:] - 2.0 * secant) / h
-        return cls(s, np.stack((y[:-1], d[:-1], (secant - d[:-1]) / h - t, t / h)))
-
-    @classmethod
     def pchip(cls, s, values) -> "PiecewiseCubic":
         """The monotone PCHIP through values at the knots s.
 
@@ -285,21 +340,26 @@ class PiecewiseCubic:
         shape (Moler, Numerical Computing with MATLAB, 3.6).  Two samples
         give the line through them.
         """
-        s, y = _knots_and_values(s, values)
+        s, y = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
+        if s.ndim != 1 or s.size < 2 or y.shape != s.shape:
+            raise ValueError("need matching 1-d knots and values, at least two")
         h = np.diff(s)
+        if not np.all(h > 0.0):
+            raise ValueError("knots must be strictly increasing")
         m = np.diff(y) / h
-        if m.size == 1:
-            return cls.hermite(s, y, np.full(2, m[0]))
-        d = np.empty_like(y)
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        return cls.hermite(s, y, d)
+        d = np.full_like(y, m[0])
+        if m.size > 1:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        # the cubic Hermite pieces through the values with slopes d
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        return cls(s, np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)))
 
     def derivative(self) -> "PiecewiseCubic":
         """The pieces' derivative, one degree lower on the same breakpoints."""
@@ -346,21 +406,6 @@ class PiecewiseCubic:
             out += term
         return out
 
-    def integrate(self, a: float, b: float) -> float:
-        """Integral of cubic pieces over [a, b], a <= b, with the end pieces
-        extended past the knots."""
-        if not a <= b:
-            raise ValueError("need a <= b")
-        first, last = np.searchsorted(self._inner, [a, b], side="right")
-        # each piece's antiderivative from its left end: over the whole
-        # piece up to b's, then up to b, less the first one's up to a
-        c = self._coefficients
-        t = np.append(np.diff(self._breakpoints)[first:last], b - self._left[last])
-        parts = _antiderivative(c[:, first : last + 1], t)
-        parts[0] -= _antiderivative(c[:, first : first + 1], np.array([a - self._left[first]]))[0]
-        # summed left to right
-        return float(np.cumsum(parts)[-1])
-
 
 def _monotone_step(s: np.ndarray) -> int:
     """1 for a nondecreasing and -1 for a nonincreasing 1-d s, else 0.
@@ -372,28 +417,6 @@ def _monotone_step(s: np.ndarray) -> int:
     if s[0] <= s[-1]:
         return 1 if np.all(s[:-1] <= s[1:]) else 0
     return -1 if np.all(s[1:] <= s[:-1]) else 0
-
-
-def _knots_and_values(s, values) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if s.ndim != 1 or s.size < 2 or y.shape != s.shape:
-        raise ValueError("need matching 1-d knots and values, at least two")
-    if not np.all(np.diff(s) > 0.0):
-        raise ValueError("knots must be strictly increasing")
-    return s, y
-
-
-def _antiderivative(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Integral of each column's cubic from its piece's left end to t past it."""
-    t2 = t * t
-    out = c[0] * t
-    out += c[1] * t2 * 0.5
-    t2 *= t
-    out += c[2] * t2 * (1.0 / 3.0)
-    t2 *= t
-    out += c[3] * t2 * 0.25
-    return out
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:

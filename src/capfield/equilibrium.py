@@ -11,12 +11,10 @@ All integrations near the rim use the cap's rim variable s =
 sqrt(cos(alpha) - cos(phi)) (`geometry.SphericalCap`), in which
 f*ds-densities are smooth and bounded.  A profile backed by a density
 callable holds sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a
-variable graded toward the rim, read out as a cubic Hermite spline
-(`sigma_interpolant`); its integral is the mass, and the potentials
-integrate it against the ring kernel.  The Nystrom oracle builds its
-profiles itself, as the same kind of Hermite spline through its own
-Chebyshev series.  Both are `_numerics.PiecewiseCubic`, a pp-form cubic
-on numpy alone.
+variable graded toward the rim (`sigma_interpolant`); its integral is the
+mass, and the potentials integrate it against the ring kernel.  The
+Nystrom oracle builds its profiles itself, from its solved series.  Both
+are one `_numerics.GradedSeries`, read as it is, never resampled.
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
 
-from ._numerics import PiecewiseCubic, chebyshev_table
+from ._numerics import GradedSeries, chebyshev_table
 from .fields import ExternalField, QuadraticField
 from .geometry import PhiGrid, SphericalCap, _validated_angles
 from .singular_quadrature import _second_stage_integral, _stage_F_south_vec, first_stage_table
@@ -39,10 +36,6 @@ PI = math.pi
 # grid nodes must keep this clearance from the cap rim, where the density
 # model switches to the analytic edge factor
 RIM_GUARD_BAND = 1e-6
-
-# knots of the sigma spline of callable-backed profiles, in each of its two
-# sets: graded toward the rim, and uniform in s
-_SIGMA_KNOTS = 512
 
 
 def edge_factor(alpha, phi):
@@ -166,8 +159,8 @@ class DensityProfile:
     """Radial density samples on a cap, with its rim-variable density.
 
     values[i] is the surface density at grid.nodes[i]; sigma(s) is
-    f(phi(s)) * s in the cap's rim variable, a piecewise cubic (see
-    `sigma_interpolant`), which is what potentials and the mass
+    f(phi(s)) * s in the cap's rim variable, a graded Chebyshev series
+    (see `sigma_interpolant`), which is what potentials and the mass
     integrate.  mass is 4 pi times the integral of sigma over [0, smax];
     negative_nodes lists indices where the computed density came out
     negative (flagged, never clamped).
@@ -177,7 +170,7 @@ class DensityProfile:
     grid: PhiGrid
     values: np.ndarray
     robin_constant: float
-    sigma: PiecewiseCubic = dataclass_field(repr=False)
+    sigma: GradedSeries = dataclass_field(repr=False)
     mass: float = dataclass_field(init=False)
     negative_nodes: tuple[int, ...] = dataclass_field(init=False)
 
@@ -189,8 +182,7 @@ class DensityProfile:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "robin_constant", float(self.robin_constant))
-        mass = 4.0 * PI * self.sigma.integrate(0.0, self.cap.smax)
-        object.__setattr__(self, "mass", float(mass))
+        object.__setattr__(self, "mass", 4.0 * PI * self.sigma.integral())
         negative = tuple(int(i) for i in np.flatnonzero(arr < 0.0))
         object.__setattr__(self, "negative_nodes", negative)
 
@@ -199,8 +191,8 @@ def sigma_interpolant(
     cap: SphericalCap,
     density_fn: Callable[[np.ndarray], np.ndarray],
     noise: tuple[float, int],
-) -> PiecewiseCubic:
-    """Piecewise cubic sigma(s) = f(phi(s)) * s in the cap's rim variable.
+) -> GradedSeries:
+    """The series sigma(s) = f(phi(s)) * s in the cap's rim variable.
 
     sigma is smooth and bounded up to s = 0 even though f itself blows up
     at the rim, so this is the right variable for potentials and masses.
@@ -209,13 +201,10 @@ def sigma_interpolant(
     with s = s_lo + d*sinh(A*u), graded toward the rim on the scale
     d = max(sqrt(r1), s_lo) on which the edge part turns over,
     however small the rim; a full sphere has no edge part, and d = smax.
-    The samples start at s_lo, clear of the rim guard band, where phi(s)
-    still lies strictly inside the cap.  The result is the cubic Hermite
-    spline through the table's values and exact slopes at fixed knots,
-    graded ones and ones uniform in s, which resolve the field's own
-    scale; its first piece also covers [0, s_lo].  noise is (relative
-    tail, degree) of the series the callable reads, if any: the table stops
-    once it is as fine as that.
+    The samples start at s_lo, clear of the rim guard band, inside the
+    cap; below s_lo the series is read through a cubic.  noise is
+    (relative tail, degree) of the series the callable reads, if any: the
+    table stops once it is as fine as that.
     """
     alpha, smax = cap.alpha, cap.smax
     s_lo = float(cap.s_of_phi(min(alpha + 2.0 * RIM_GUARD_BAND, 0.5 * (alpha + PI))))
@@ -228,13 +217,7 @@ def sigma_interpolant(
         return s * np.asarray(density_fn(cap.phi_of_s(s)), dtype=float)
 
     coeffs, _ = chebyshev_table(sample, "sigma table", noise)
-    graded = s_lo + scale * np.sinh(stretch * np.linspace(0.0, 1.0, _SIGMA_KNOTS)[:-1])
-    s = np.union1d(graded, np.linspace(s_lo, smax, _SIGMA_KNOTS))
-    u = np.arcsinh((s - s_lo) / scale) / stretch
-    x = 2.0 * u - 1.0
-    # d(sigma)/ds = d(sigma)/dx * dx/du * du/ds
-    slopes = chebval(x, chebder(coeffs)) * 2.0 / (stretch * scale * np.cosh(stretch * u))
-    return PiecewiseCubic.hermite(s, chebval(x, coeffs), slopes)
+    return GradedSeries(coeffs, s_lo, scale, stretch)
 
 
 def profile_from_callable(

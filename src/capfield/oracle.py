@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval, chebvander
+from numpy.polynomial.chebyshev import chebvander
 
-from ._numerics import NonconvergenceError, PiecewiseCubic
+from ._numerics import GradedSeries, NonconvergenceError
 from .equilibrium import DensityProfile
 from .fields import ExternalField
 from .geometry import SphericalCap, boundary_clustered_grid
@@ -37,11 +37,9 @@ _MIN_SCALE = 3e-3
 _DEGENERATE_GAP = 1e-6
 
 # kernel-rule entries per block of Nystrom rows: a block holds at most
-# _ROW_BLOCK rows, and fewer once a solve's rule is wider than 1,024
-# points a row (n >= 156).  At n = 256 (1,432 points) blocks of 8 / 11 /
-# 16 rows took 5.4 / 5.3 / 6.0 ms and peaked at 1.09 / 1.28 / 1.59 MiB
-# traced (point charge (1, 2) at its rim, one BLAS thread on a Xeon,
-# medians of 20 alternating solves)
+# _ROW_BLOCK rows, and fewer once a solve's rule is wider than 1,024 points
+# a row (n >= 156), which is faster there and holds less (at n = 256,
+# `BENCH_nystrom_fold.json`)
 _ROW_ENTRIES = 16384
 
 _MIN_RINGS = 32
@@ -147,13 +145,11 @@ def nystrom_solve(
     The density is sought as smooth-times-edge-factor: in the rim
     coordinate s = sqrt(cos(alpha) - cos(phi)) the unknown sigma(s) =
     s*f(phi(s)) is analytic, which builds the inverse-square-root rim
-    behaviour into the ansatz.  It is represented by its Chebyshev series
-    of d = max(16, n // 4) terms in the variable u of [0, 1] with s =
-    c*sinh(A*u), graded toward the rim on the scale c = sqrt(r1) on which
-    the edge part turns over (floored at 3e-3, capped at smax), so it
-    converges geometrically in d (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 8).  The unknowns are its d coefficients
-    and the potential level.  The collocation angles are the images of the
+    behaviour into the ansatz.  It is a `GradedSeries` of d = max(16,
+    n // 4) terms in u of [0, 1] with s = c*sinh(A*u), graded on the scale
+    c = sqrt(r1) on which the edge part turns over (floored at 3e-3,
+    capped at smax); the unknowns are its d coefficients and the
+    potential level.  The collocation angles are the images of the
     d Chebyshev points of the first kind in u, and their rim variables are
     the knots of one `KernelLayout` per solve, so each row's kernel
     diagonal sits on a panel end.  Row i is `potential.kernel_rule`'s
@@ -168,10 +164,8 @@ def nystrom_solve(
     folded sides.  The unit-mass row is Fejer's first rule in u
     (Waldvogel, BIT 46, 2006) on sigma ds/du.  The (d+1) x (d+1) dense
     system gives the series and the level, returned as a profile on the n
-    boundary-clustered nodes: its values are the series there, its sigma
-    is the cubic Hermite spline through the series' values and exact
-    slopes at 0, the nodes, the collocation knots and smax, and its Robin
-    constant is the level.
+    boundary-clustered nodes: its sigma is the series, its values are the
+    series there over s, and its Robin constant is the level.
     """
     if not isinstance(n, (int, np.integer)) or n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes")
@@ -183,24 +177,18 @@ def nystrom_solve(
     smax = cap.smax
     scale = min(max(cap.sqrt_r1, _MIN_SCALE), smax)
     stretch = math.asinh(smax / scale)
-
-    def chebyshev_x(s):
-        # the Chebyshev variable x = 2u - 1 of the rim variable s
-        return (2.0 / stretch) * np.arcsinh(s / scale) - 1.0
-
     # first-kind points in increasing order, and the angles of their s
     theta = (np.arange(d, 0, -1) - 0.5) * (PI / d)
     s = scale * np.sinh(0.5 * stretch * (1.0 + np.cos(theta)))
     angles = cap.phi_of_s(s)
     layout = kernel_layout(cap, cap.s_of_phi(angles))
     shared = layout.shared_s.size
-    on_shared = chebvander(chebyshev_x(layout.shared_s), d - 1)
+    # the basis at the Chebyshev variable x = 2u - 1 of the shared nodes
+    on_shared = chebvander((2.0 / stretch) * np.arcsinh(layout.shared_s / scale) - 1.0, d - 1)
     # row i's diagonal is knot i, so its graded sides are the whole panels
     # i and i + 1, which the fold takes onto those panels' nodes.  The
-    # panels are reshaped views, not a sliding window view: that goes
-    # through `__array_interface__`, which interns a new string per call,
-    # and in a long-lived process those doubled the interpreter's table of
-    # interned strings (0.5 MB) after about 3,300 solves
+    # panels are reshaped views: a sliding window view interns a new string
+    # per call, which in a long-lived process grows the interpreter's table
     below, above = _side_fold()
     count, size = below.shape
     panels = on_shared.reshape(d + 1, size, d)
@@ -236,13 +224,8 @@ def nystrom_solve(
         )
     grid = boundary_clustered_grid(cap, n)
     node_s = cap.s_of_phi(grid.nodes)
-    knots = np.union1d(layout.bounds, node_s)
-    x = chebyshev_x(knots)
-    # d(sigma)/ds = d(sigma)/dx * dx/ds
-    slopes = chebval(x, chebder(coeffs)) * 2.0 / (stretch * np.hypot(scale, knots))
-    sigma = PiecewiseCubic.hermite(knots, chebval(x, coeffs), slopes)
-    values = chebval(chebyshev_x(node_s), coeffs) / node_s
-    return DensityProfile(cap, grid, values, fq, sigma)
+    sigma = GradedSeries(coeffs, 0.0, scale, stretch)
+    return DensityProfile(cap, grid, sigma(node_s) / node_s, fq, sigma)
 
 
 def discrete_energy_minimize(field: ExternalField, n: int) -> EnergyMinimum:

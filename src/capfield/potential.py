@@ -32,16 +32,11 @@ PI = math.pi
 _LEVELS = 12
 _N_OFF_SUPPORT = 64
 # angles per application of the kernel rule, which holds (angles, points)
-# arrays: about 118 kB a block for Nystrom rows at n = 128 (d = 32, 920
-# points a row), and no more for many angles; the oracle narrows its
-# blocks for wider rules (`oracle._ROW_ENTRIES`).  Nystrom solves at
-# n = 128, with one layout each and their graded sides folded onto the
-# panels, took 2.45 / 2.1 / 2.35 ms in blocks of 8 / 16 / 32 rows and
-# peaked at 0.49 / 0.82 / 1.46 MiB traced (point charge (1, 2) at its
-# rim, one BLAS thread on a Xeon, medians of 20 alternating solves),
-# while blocks of 32 raised the benchmark's peak memory on the pipeline
-# and tabulated workloads by 0.4-0.5 MB (seeds 1701 and 1702) and blocks
-# of 16 did not
+# arrays: about 118 kB a block for Nystrom rows at n = 128, and no more for
+# many angles; the oracle narrows its blocks for wider rules
+# (`oracle._ROW_ENTRIES`).  Nystrom solves at n = 128 took 2.45 / 2.1 /
+# 2.35 ms in blocks of 8 / 16 / 32 rows (`BENCH_nystrom_fold.json`), and
+# blocks of 32 raised the benchmark's peak memory by 0.4-0.5 MB
 _ROW_BLOCK = 16
 
 
@@ -370,17 +365,29 @@ def potential_on_sphere(profile: DensityProfile, phi):
     the rim behavior of the density and the logarithmic diagonal are
     resolved by smooth-panel quadrature.  The cap's `KernelLayout` is
     built once per call, and the angles go through the rule in blocks of
-    `_ROW_BLOCK`, one block's points and weights alive at a time.
-    Vectorized over phi; a scalar phi gives a float.
+    `_ROW_BLOCK`, one block's points and weights alive at a time; sigma is
+    written over the points, read once at the shared panel and once at the
+    graded sides that all rows off the support share.  Vectorized over
+    phi; a scalar phi gives a float.
     """
     p = _validated_angles(phi, "phi")
     layout = kernel_layout(profile.cap)
     flat = p.ravel()
+    off = profile.cap.depth(flat) <= 0.0
+    shared, sigma = layout.shared_s.size, profile.sigma
+    on_shared, off_sides = sigma(layout.shared_s), None
     total = np.empty(flat.size)
     for start in range(0, flat.size, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         points, weights = kernel_rule(layout, flat[rows])
-        total[rows] = np.einsum("ij,ij->i", weights, profile.sigma(points))
+        on = ~off[rows]
+        if not on.all():
+            if off_sides is None:
+                off_sides = sigma(points[np.argmin(on), shared:])
+            points[~on, shared:] = off_sides
+        points[on, shared:] = sigma(points[on, shared:])
+        points[:, :shared] = on_shared
+        total[rows] = np.einsum("ij,ij->i", weights, points)
         del points, weights
     total = total.reshape(p.shape)
     if not np.all(np.isfinite(total)):

@@ -156,12 +156,14 @@ def ffunctional_quadratic(a: float, b: float, c: float, alpha: float) -> float:
 # on which the edge weight turns over, is finer than one uniform panel
 _RULE_PANELS = 16
 _RULE_POINTS = 8
+# panels per block of the rule: the 11,000 points of a 1,601-sample table,
+# all alive at once, grew and trimmed the heap top on every call
+_RULE_BLOCK = 1024
 
 
-def _rim_rule(
-    field: ExternalField, cap: SphericalCap
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Abscissae x3 = cos(alpha) - s^2, weights and edge weights of the rule.
+def _rim_rule(field: ExternalField, cap: SphericalCap):
+    """Abscissae x3 = cos(alpha) - s^2 and weights times edge weights of
+    the rule, a block of `_RULE_BLOCK` panels at a time.
 
     Between two neighbouring knots a tabulated field is one cubic in x3,
     so a polynomial of degree 6 in s, and each panel's Gauss-Legendre
@@ -170,9 +172,7 @@ def _rim_rule(
     cap's `r1`: the plain measure dx3 = 2s ds plus the edge factor of
     the cap's equilibrium density.
     """
-    ca = math.cos(cap.alpha)
-    smax = cap.smax
-    sq_r1 = cap.sqrt_r1
+    ca, smax, sq_r1 = math.cos(cap.alpha), cap.smax, cap.sqrt_r1
     width = smax / _RULE_PANELS
     edges = [np.linspace(0.0, smax, _RULE_PANELS + 1)]
     if 0.0 < sq_r1 < width:
@@ -185,22 +185,25 @@ def _rim_rule(
     edges = np.sort(np.concatenate(edges))
     edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     x, w = gauss_legendre(_RULE_POINTS)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    s = np.multiply.outer(half, x)
-    s += mid[:, None]
-    s = s.ravel()
-    weights = np.multiply.outer(half, w).ravel()
-    kappa = np.arctan2(sq_r1, s)
-    kappa *= s
-    np.subtract(sq_r1, kappa, out=kappa)
-    kappa *= 4.0 / PI
-    kappa += 2.0 * s
-    # s <= smax = sqrt(1 + cos(alpha)), so only x3 >= -1 can bind
-    x3 = s * s
-    np.subtract(ca, x3, out=x3)
-    np.maximum(x3, -1.0, out=x3)
-    return x3, weights, kappa
+    for start in range(0, edges.size - 1, _RULE_BLOCK):
+        block = edges[start : start + _RULE_BLOCK + 1]
+        half = 0.5 * np.diff(block)
+        s = np.multiply.outer(half, x)
+        s += 0.5 * (block[1:] + block[:-1])[:, None]
+        s = s.ravel()
+        kappa = np.arctan2(sq_r1, s)
+        kappa *= s
+        np.subtract(sq_r1, kappa, out=kappa)
+        kappa *= 4.0 / PI
+        kappa += 2.0 * s
+        weights = np.multiply.outer(half, w).ravel()
+        weights *= kappa
+        del kappa
+        # x3 in s's place: s <= smax = sqrt(1 + cos(alpha)), so only x3 >= -1 binds
+        s *= s
+        np.subtract(ca, s, out=s)
+        np.maximum(s, -1.0, out=s)
+        yield s, weights
 
 
 def ffunctional_numeric(field: ExternalField, alpha: float) -> float:
@@ -209,14 +212,15 @@ def ffunctional_numeric(field: ExternalField, alpha: float) -> float:
     The field mass over the cap and the two edge-weighted field integrals
     are taken together in the variable s = sqrt(cos(alpha) - cos(phi)),
     which absorbs the rim singularity of the weight, on the panels of
-    `_rim_rule`: one vectorized field evaluation per call.
+    `_rim_rule`: one vectorized field evaluation per block of panels.
     """
     cap = SphericalCap(alpha)
-    x3, weights, kappa = _rim_rule(field, cap)
-    q = np.asarray(field.value_at_x3(x3), dtype=float)
-    # a plain sum, not a BLAS dot: on a multi-threaded BLAS a dot of this
-    # length can cost milliseconds
-    return 0.5 * PI / cap.normalizer * (2.0 + float(np.sum(weights * kappa * q)))
+    terms = []
+    for x3, weights in _rim_rule(field, cap):
+        weights *= field.value_at_x3(x3)
+        terms.append(weights)
+    # one plain sum, not a BLAS dot, which can cost milliseconds multi-threaded
+    return 0.5 * PI / cap.normalizer * (2.0 + float(np.sum(np.concatenate(terms))))
 
 
 def _rim_equation(field: ExternalField):

@@ -1,5 +1,6 @@
 """The shared numerical helpers: Brent's bracketed root finder, the
-Gauss-Legendre rules and the adaptive Chebyshev tables."""
+Gauss-Legendre rules, the adaptive Chebyshev tables and the graded
+Chebyshev series of the density profiles."""
 
 import math
 import random
@@ -7,11 +8,14 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy.fft import dct
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from capfield import support_finder
 from capfield._numerics import (
+    GradedSeries,
     NonconvergenceError,
     _chebyshev_coefficients,
     brent_root,
@@ -161,3 +165,50 @@ def test_gauss_legendre_against_mpmath(n):
         assert relative(w, weights) <= 2e-13
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
     assert gauss_legendre(n)[0] is x and not (x.flags.writeable or w.flags.writeable)
+
+
+# a graded series as the profiles hold it: scale, stretch and the start
+# of the pipeline's table for a rim near 0.7, whose smax is 1.3
+GRADED = (1e-3, 0.5, math.asinh((1.3 - 1e-3) / 0.5))
+
+
+@pytest.mark.parametrize("terms", [2, 3, 17, 33, 65, 200])
+def test_graded_series_is_chebval_in_the_graded_variable(terms):
+    # the in-place Clenshaw recurrence keeps numpy's bits, on points of any
+    # shape, at and above a start of 0 as in the Nystrom oracle
+    _, scale, stretch = GRADED
+    coeffs = np.random.default_rng(terms).standard_normal(terms)
+    s = np.concatenate(([0.0, 1.3], np.random.default_rng(1).uniform(0.0, 1.3, 998)))
+    x = (2.0 / stretch) * np.arcsinh(s / scale) - 1.0
+    series = GradedSeries(coeffs, 0.0, scale, stretch)
+    assert np.array_equal(series(s), chebval(x, coeffs))
+    assert np.array_equal(series(s.reshape(10, -1)), chebval(x, coeffs).reshape(10, -1))
+
+
+def test_graded_series_below_its_start_is_the_cubic_through_it():
+    # continuous at the start, and the cubic through the series at
+    # start * (1, 2, 3, 4) below it, however far the series itself would
+    # run off there
+    start, scale, stretch = GRADED
+    coeffs = 0.5 ** np.arange(64) * np.random.default_rng(2).standard_normal(64)
+    series = GradedSeries(coeffs, start, scale, stretch)
+    nodes = start * np.arange(1.0, 5.0)
+    cubic = np.polynomial.Polynomial.fit(nodes, series(nodes), 3)
+    below = np.linspace(0.0, start, 101)[:-1]
+    scale_y = np.max(np.abs(series(np.linspace(0.0, 1.3, 101))))
+    np.testing.assert_allclose(series(below), cubic(below), rtol=0, atol=1e-13 * scale_y)
+    assert series(np.nextafter(start, 0.0)) == pytest.approx(series(start), abs=1e-13 * scale_y)
+
+
+@pytest.mark.parametrize("start", [0.0, GRADED[0]])
+def test_graded_series_integral_against_quad(start):
+    # Clenshaw-Curtis in u on the series times ds/du, and the cubic below
+    # a positive start, against adaptive quadrature over [0, smax]
+    _, scale, stretch = GRADED
+    coeffs = 0.7 ** np.arange(40) * np.random.default_rng(3).standard_normal(40)
+    series = GradedSeries(coeffs, start, scale, stretch)
+    smax = start + scale * math.sinh(stretch)
+    expected, err = quad(lambda s: float(series(s)), 0.0, smax, points=[start] if start else None,
+                         epsabs=0.0, epsrel=1e-13, limit=200)
+    assert err <= 1e-12 * abs(expected)
+    assert series.integral() == pytest.approx(expected, rel=1e-12, abs=0)

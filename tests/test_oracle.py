@@ -14,18 +14,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from numpy.polynomial.chebyshev import chebvander
-from scipy.interpolate import BarycentricInterpolator, CubicHermiteSpline, CubicSpline, PPoly
+from scipy.interpolate import BarycentricInterpolator, CubicSpline, PPoly
 
 import capfield.oracle
 import capfield.potential
 
-from capfield._numerics import PiecewiseCubic
-from capfield.equilibrium import nofield_density, pointcharge_density, quadratic_density
+from capfield._numerics import GradedSeries, PiecewiseCubic
+from capfield.equilibrium import (
+    density_general,
+    nofield_density,
+    pointcharge_density,
+    quadratic_density,
+)
 from capfield.fields import ExternalField, PointChargeField, QuadraticField, ZeroField
 from capfield.geometry import SphericalCap, boundary_clustered_grid
 from capfield.potential import kernel_layout, kernel_rule, ring_kernel
 from capfield.oracle import discrete_energy_minimize, nystrom_solve, ring_energy_system
 from capfield._numerics import NonconvergenceError
+from capfield.support_finder import solve_support
 
 PI = math.pi
 
@@ -253,9 +259,9 @@ def _reference_nystrom(field, cap, n):
     quadrature point of every row; the oracle gets the same rows from
     Chebyshev polynomials, a block of rows at a time.  The mass row is the
     interpolatory rule at the first-kind points, from the moments of the
-    Chebyshev polynomials.  Returns the node values, F_Q, the mass of
-    scipy's cubic Hermite spline through the interpolant's values and
-    slopes at 0, the nodes, the knots and smax, and that spline.
+    Chebyshev polynomials.  Returns the node values, F_Q, the mass, the
+    interpolant's integral by numpy's 200-point Gauss-Legendre rule in u,
+    and the interpolant as a function of s.
     """
     d = max(16, n // 4)
     c, stretch = _graded_variable(cap)
@@ -285,17 +291,17 @@ def _reference_nystrom(field, cap, n):
     interpolant = BarycentricInterpolator(u_of(knots), solution[:d])
     node_s = cap.s_of_phi(boundary_clustered_grid(cap, n).nodes)
     values = interpolant(u_of(node_s)) / node_s
-    table = np.union1d(np.concatenate(([0.0, cap.smax], knots)), node_s)
-    slopes = interpolant.derivative(u_of(table)) / (stretch * np.hypot(c, table))
-    sigma = CubicHermiteSpline(table, interpolant(u_of(table)), slopes)
-    mass = 4.0 * PI * float(sigma.integrate(0.0, cap.smax))
-    return values, float(solution[d]), mass, sigma
+    x, w = np.polynomial.legendre.leggauss(200)
+    u = 0.5 * (x + 1.0)
+    mass = 2.0 * PI * float(w @ (interpolant(u) * stretch * c * np.cosh(stretch * u)))
+    return values, float(solution[d]), mass, lambda s: interpolant(u_of(s))
 
 
 class TestNystromProductIntegration:
     def test_no_basis_evaluation_per_row(self, monkeypatch):
         # the rows and the unit-mass row come from Chebyshev polynomials at
-        # the rule's points: no spline is built or evaluated for them
+        # the rule's points: no spline is built or evaluated for them, and
+        # the solved series is read once, at the nodes
         built, calls = [], []
         build = CubicSpline.__init__
 
@@ -310,7 +316,7 @@ class TestNystromProductIntegration:
             return counted
 
         monkeypatch.setattr(CubicSpline, "__init__", counted_build)
-        for spline in (PPoly, PiecewiseCubic):
+        for spline in (PPoly, PiecewiseCubic, GradedSeries):
             monkeypatch.setattr(spline, "__call__", counting(spline.__call__))
         counts = {}
         for n in (16, 64):
@@ -458,18 +464,44 @@ class TestNystromProductIntegration:
             scale = np.max(np.abs(values))
             assert np.max(np.abs(np.asarray(profile.values) - values)) <= 1e-10 * scale
 
-    def test_profile_sigma_is_the_hermite_table_of_the_interpolant(self):
-        # sigma is the cubic Hermite spline through the interpolant's values
-        # and exact slopes at 0, the nodes, the collocation knots and smax
+    def test_profile_sigma_is_the_collocation_series(self):
+        # sigma is the solved series itself, the interpolant through its
+        # values at the collocation knots, over all of [0, smax]
         cap = SphericalCap(1.0)
         prof = nystrom_solve(ZeroField(), cap, 24)
         _, _, mass_ref, ref = _reference_nystrom(ZeroField(), cap, 24)
         probe = np.linspace(0.0, cap.smax, 301)
         np.testing.assert_allclose(prof.sigma(probe), ref(probe), rtol=1e-12, atol=0)
-        slopes = ref(ref.x, 1)
-        np.testing.assert_allclose(prof.sigma.derivative()(ref.x), slopes,
-                                   rtol=0, atol=1e-10 * np.abs(slopes).max())
         assert prof.mass == pytest.approx(mass_ref, rel=1e-12)
+
+
+class TestRimCondition:
+    """sigma(0) = lim s f(phi(s)) at the rim is the weight of the density's
+    inverse-square-root edge: it vanishes on the true support, is negative
+    on a cap too wide and positive on one too narrow, read from the
+    pipeline's profile and the Nystrom oracle's alike."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [PointChargeField(1.0, 2.0), PointChargeField(0.8, 1.7), QuadraticField(1.0, 2.5, 2.0)],
+        ids=["pc-1-2", "pc-0.8-1.7", "quadratic"],
+    )
+    def test_sigma_at_the_rim_reads_the_rim_condition(self, field):
+        rim = solve_support(field).alpha0
+        for shift in (-0.2, 0.0, 0.2):
+            cap = SphericalCap(rim + shift)
+            pipeline = density_general(field, cap, boundary_clustered_grid(cap, 64)).sigma
+            nystrom = nystrom_solve(field, cap, 128).sigma
+            top = np.max(np.abs(pipeline(np.linspace(0.0, cap.smax, 201))))
+            at_rim, oracle_at_rim = float(pipeline(0.0)), float(nystrom(0.0))
+            assert abs(at_rim - oracle_at_rim) <= 1e-8 * top
+            if shift < 0.0:
+                assert at_rim < 0.0 and oracle_at_rim < 0.0
+            elif shift > 0.0:
+                assert at_rim > 0.0 and oracle_at_rim > 0.0
+            else:
+                assert abs(at_rim) <= 1e-8 * top
+                assert abs(oracle_at_rim) <= 1e-12 * top
 
 
 class TestDiscreteEnergyMinimize:

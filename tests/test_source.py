@@ -189,10 +189,11 @@ def _imported_modules(tree: ast.Module) -> list[str]:
 
 
 def test_no_module_imports_interpolation_or_fft():
-    # densities, potentials, the oracles and tables read their splines
-    # from `_numerics.PiecewiseCubic`, and the Chebyshev tables take their
-    # DCT from numpy's FFT; tests keep scipy's splines and DCT as
-    # referees.  A bare `import scipy` would reach the subpackages lazily
+    # densities, potentials and the oracles read sigma as a
+    # `_numerics.GradedSeries`, tables read `_numerics.PiecewiseCubic`'s
+    # PCHIP, and the Chebyshev tables take their DCT from numpy's FFT;
+    # tests keep scipy's splines, interpolants and DCT as referees.  A bare
+    # `import scipy` would reach the subpackages lazily
     found = sorted(
         f"{path.name}: {module}"
         for path in SOURCES
@@ -237,8 +238,8 @@ def test_relative_imports_resolve_within_the_package():
 
 
 def test_no_module_names_scipy():
-    # the ring kernel's K is an AGM, the Nystrom's spline slopes a numpy
-    # elimination and the energy oracle's steps numpy's dense solve, so
+    # the ring kernel's K is an AGM, the Nystrom's sigma its own series
+    # and the energy oracle's steps numpy's dense solve, so
     # no command loads scipy; the tests keep it as a referee
     found = sorted(
         name for path in SOURCES for name in _scipy_names(ast.parse(path.read_text()), path)
