@@ -1,13 +1,12 @@
 """Shared numerical helpers: the nonconvergence error, a bracketed root
-finder, Gauss-Legendre nodes, adaptive Chebyshev tables, the graded
-Chebyshev series of the density profiles and piecewise cubics.
+finder, Gauss-Legendre nodes, adaptive Chebyshev tables, Clenshaw's sum of
+a Chebyshev series, and the density profile record with its graded series.
 
-`GradedSeries` is the rim-variable density sigma of every profile, the
-pipeline's sigma table and the Nystrom oracle's solved series alike.
-`PiecewiseCubic` is the monotone PCHIP (Fritsch & Carlson 1980) of a
-tabulated field.  The Chebyshev tables take their DCT-I from numpy's real
-FFT, and the Gauss-Legendre rules are polished from numpy's.  scipy is
-never imported here.
+`DensityProfile` is what the pipeline and the Nystrom oracle both return,
+kept here so that the oracles need no closed-form module; its sigma is a
+`GradedSeries`, and its mass that series' integral.  The Chebyshev tables
+take their DCT-I from numpy's real FFT, and the Gauss-Legendre rules are
+polished from numpy's.  scipy is never imported here.
 
 `np` is the one numpy handle of the modules that a command imports at
 start-up (`cli`, `_numerics`, `fields`, `geometry`, `support_finder`):
@@ -22,7 +21,8 @@ import importlib.util
 import math
 import numbers
 import sys
-from typing import Callable
+from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING, Callable
 
 
 def _lazy_module(name: str):
@@ -45,6 +45,9 @@ def _lazy_module(name: str):
 
 
 np = _lazy_module("numpy")
+
+if TYPE_CHECKING:
+    from .geometry import PhiGrid, SphericalCap
 
 
 class NonconvergenceError(RuntimeError):
@@ -204,6 +207,24 @@ def _chebyshev_coefficients(samples: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def clenshaw(x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The Chebyshev series of at least two terms at the points x, by
+    Clenshaw's recurrence (Math. Tables Aids Comput. 9, 1955) on scratch
+    arrays, in the operation order of numpy's Chebyshev evaluation and so
+    with its bits."""
+    c = coefficients
+    twice = 2.0 * x
+    b0, b1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    for k in c[-3::-1]:
+        np.subtract(k, b1, out=t)
+        b1 *= twice
+        b1 += b0
+        b0, t = t, b0
+    b1 *= x
+    b1 += b0
+    return b1
+
+
 def _tail(coeffs: np.ndarray) -> float:
     """Largest of the last coefficients relative to the largest overall."""
     scale = float(np.max(np.abs(coeffs)))
@@ -272,7 +293,7 @@ class GradedSeries:
         x = np.arcsinh(np.maximum(s - self._start, 0.0) / self._scale)
         x *= 2.0 / self._stretch
         x -= 1.0
-        out = self._clenshaw(x)
+        out = clenshaw(x, self._coefficients)
         below = s < self._start
         if self._start > 0.0 and below.any():
             out[below] = self._cubic(s[below])
@@ -285,26 +306,12 @@ class GradedSeries:
         n = self._coefficients.size + 64
         x = np.cos(math.pi * np.arange(n + 1) / n)
         ds_du = np.cosh(0.5 * self._stretch * (x + 1.0))
-        c = _chebyshev_coefficients(self._clenshaw(x) * ds_du)[::2]
+        c = _chebyshev_coefficients(clenshaw(x, self._coefficients) * ds_du)[::2]
         total = self._scale * self._stretch * float(c @ (1.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)))
         if self._start > 0.0:
             nodes = self._start * (0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0))
             total += 0.5 * self._start * float(self._cubic(nodes).sum())
         return total
-
-    def _clenshaw(self, x: np.ndarray) -> np.ndarray:
-        """The series at x by Clenshaw's recurrence, in `chebval`'s order and bits."""
-        c = self._coefficients
-        twice = 2.0 * x
-        b0, b1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
-        for k in c[-3::-1]:
-            np.subtract(k, b1, out=t)
-            b1 *= twice
-            b1 += b0
-            b0, t = t, b0
-        b1 *= x
-        b1 += b0
-        return b1
 
     def _cubic(self, s: np.ndarray) -> np.ndarray:
         # Newton's forward form on the nodes t = 0, 1, 2, 3 of t = (s - start) / h
@@ -313,118 +320,32 @@ class GradedSeries:
         return d0 + t * (d1 + 0.5 * (t - 1.0) * (d2 + (t - 2.0) / 3.0 * d3))
 
 
-class PiecewiseCubic:
-    """Polynomial pieces c_0,k + c_1,k t + c_2,k t^2 + ... in t = s - s_k.
+@dataclass(frozen=True, eq=False)
+class DensityProfile:
+    """Radial density samples on a cap, with its rim-variable density.
 
-    Piece k covers [s_k, s_k+1] of the strictly increasing breakpoints;
-    the first and last pieces extend to everything below and above.  The
-    coefficients are one row per power, one column per piece: cubic
-    pieces have four rows, their derivative three.  A piece is evaluated
-    in powers of t, in the order of scipy's `PPoly`, so either gives the
-    same bits.
+    values[i] is the surface density at grid.nodes[i]; sigma(s) is
+    f(phi(s)) * s in the cap's rim variable, a graded Chebyshev series,
+    which is what potentials and the mass integrate.  mass is 4 pi times
+    the integral of sigma over [0, smax]; negative_nodes lists indices
+    where the computed density came out negative (flagged, never clamped).
     """
 
-    def __init__(self, breakpoints: np.ndarray, coefficients: np.ndarray) -> None:
-        self._breakpoints = breakpoints
-        self._inner = breakpoints[1:-1]
-        self._left = breakpoints[:-1]
-        self._coefficients = coefficients
+    cap: SphericalCap
+    grid: PhiGrid
+    values: np.ndarray
+    robin_constant: float
+    sigma: GradedSeries = dataclass_field(repr=False)
+    mass: float = dataclass_field(init=False)
+    negative_nodes: tuple[int, ...] = dataclass_field(init=False)
 
-    @classmethod
-    def pchip(cls, s, values) -> "PiecewiseCubic":
-        """The monotone PCHIP through values at the knots s.
-
-        Interior slopes are the weighted harmonic mean of the neighbouring
-        secants, or 0 where they differ in sign or one vanishes; the end
-        slopes are the one-sided three-point estimate, kept within the
-        shape (Moler, Numerical Computing with MATLAB, 3.6).  Two samples
-        give the line through them.
-        """
-        s, y = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
-        if s.ndim != 1 or s.size < 2 or y.shape != s.shape:
-            raise ValueError("need matching 1-d knots and values, at least two")
-        h = np.diff(s)
-        if not np.all(h > 0.0):
-            raise ValueError("knots must be strictly increasing")
-        m = np.diff(y) / h
-        d = np.full_like(y, m[0])
-        if m.size > 1:
-            w1 = 2.0 * h[1:] + h[:-1]
-            w2 = h[1:] + 2.0 * h[:-1]
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-                d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
-            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        # the cubic Hermite pieces through the values with slopes d
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        return cls(s, np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)))
-
-    def derivative(self) -> "PiecewiseCubic":
-        """The pieces' derivative, one degree lower on the same breakpoints."""
-        powers = np.arange(1.0, self._coefficients.shape[0])
-        return PiecewiseCubic(self._breakpoints, self._coefficients[1:] * powers[:, None])
-
-    def __call__(self, s) -> np.ndarray:
-        """Values at the points s, of any shape."""
-        s = np.asarray(s, dtype=float)
-        return self._at(s, _monotone_step(s))
-
-    def _at(self, s: np.ndarray, step: int) -> np.ndarray:
-        """Values at s, where step is `_monotone_step(s)`.
-
-        Points in general position find their pieces by binary search.
-        A monotone 1-d s is split into runs by binary search of the
-        breakpoints among the points instead, and each piece's
-        coefficients are repeated over its run; both give the same
-        pieces, right-continuous at the breakpoints.
-        """
-        if step:
-            # the points of each piece, in the order of s: the first and
-            # last pieces take everything below and above the knots
-            ends = np.searchsorted(s[::step], self._breakpoints)
-            ends[0], ends[-1] = 0, s.size
-            counts = (ends[1:] - ends[:-1])[::step]
-
-            def gather(row: np.ndarray) -> np.ndarray:
-                return np.repeat(row[::step], counts)
-        else:
-            pieces = np.searchsorted(self._inner, s, side="right")
-
-            def gather(row: np.ndarray) -> np.ndarray:
-                return row.take(pieces)
-
-        c = self._coefficients
-        t = s - gather(self._left)
-        out, power = gather(c[0]), t
-        for j, row in enumerate(c[1:]):
-            if j:
-                power = power * t
-            term = gather(row)
-            term *= power
-            out += term
-        return out
-
-
-def _monotone_step(s: np.ndarray) -> int:
-    """1 for a nondecreasing and -1 for a nonincreasing 1-d s, else 0.
-
-    A NaN anywhere, or an empty s, gives 0.
-    """
-    if s.ndim != 1 or s.size == 0:
-        return 0
-    if s[0] <= s[-1]:
-        return 1 if np.all(s[:-1] <= s[1:]) else 0
-    return -1 if np.all(s[1:] <= s[:-1]) else 0
-
-
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point slope at an end, 0 against the end secant's
-    sign and at most three times it where the secants change sign."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return float(d)
+    def __post_init__(self) -> None:
+        arr = np.array(self.values, dtype=float)
+        if arr.shape != (len(self.grid),):
+            raise ValueError("values must match the grid node count")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "robin_constant", float(self.robin_constant))
+        object.__setattr__(self, "mass", 4.0 * math.pi * self.sigma.integral())
+        negative = tuple(int(i) for i in np.flatnonzero(arr < 0.0))
+        object.__setattr__(self, "negative_nodes", negative)

@@ -36,7 +36,7 @@ from .support_finder import ffunctional, gonchar_heights, solve_support
 # (`_numerics.np`), so that the closed-form commands, which compute with
 # `math` alone, run on the standard library; no command loads scipy
 if TYPE_CHECKING:
-    from .equilibrium import DensityProfile
+    from ._numerics import DensityProfile
 
 # the pipeline's density has unit mass by construction, so its computed
 # mass misses 1 by its own error; the acceptance gate holds every shipped
@@ -204,6 +204,8 @@ def _cmd_oracle(args: argparse.Namespace):
 
     if args.mode == "energy" and args.csv_path is not None:
         raise ValueError("--csv writes a density table, which only --mode nystrom computes")
+    if args.mode == "energy" and args.alpha is not None:
+        raise ValueError("the energy oracle finds its own support, so --alpha is for --mode nystrom")
     if args.mode == "nystrom":
         field = _admissible_field(args)
         alpha = _require_alpha(args)

@@ -14,18 +14,18 @@ callable holds sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a
 variable graded toward the rim (`sigma_interpolant`); its integral is the
 mass, and the potentials integrate it against the ring kernel.  The
 Nystrom oracle builds its profiles itself, from its solved series.  Both
-are one `_numerics.GradedSeries`, read as it is, never resampled.
+are one `_numerics.GradedSeries`, read as it is, never resampled, in the
+record `_numerics.DensityProfile`, which the oracles use without this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
 
-from ._numerics import GradedSeries, chebyshev_table
+from ._numerics import DensityProfile, GradedSeries, chebyshev_table
 from .fields import ExternalField, QuadraticField
 from .geometry import PhiGrid, SphericalCap, _validated_angles
 from .singular_quadrature import _second_stage_integral, _stage_F_south_vec, first_stage_table
@@ -152,39 +152,6 @@ def quadratic_density(a: float, b: float, c: float, alpha0: float, phi):
     if np.asarray(phi).ndim == 0:
         return float(f), float(fq)
     return f, float(fq)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityProfile:
-    """Radial density samples on a cap, with its rim-variable density.
-
-    values[i] is the surface density at grid.nodes[i]; sigma(s) is
-    f(phi(s)) * s in the cap's rim variable, a graded Chebyshev series
-    (see `sigma_interpolant`), which is what potentials and the mass
-    integrate.  mass is 4 pi times the integral of sigma over [0, smax];
-    negative_nodes lists indices where the computed density came out
-    negative (flagged, never clamped).
-    """
-
-    cap: SphericalCap
-    grid: PhiGrid
-    values: np.ndarray
-    robin_constant: float
-    sigma: GradedSeries = dataclass_field(repr=False)
-    mass: float = dataclass_field(init=False)
-    negative_nodes: tuple[int, ...] = dataclass_field(init=False)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (len(self.grid),):
-            raise ValueError("values must match the grid node count")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "robin_constant", float(self.robin_constant))
-        object.__setattr__(self, "mass", 4.0 * PI * self.sigma.integral())
-        negative = tuple(int(i) for i in np.flatnonzero(arr < 0.0))
-        object.__setattr__(self, "negative_nodes", negative)
 
 
 def sigma_interpolant(

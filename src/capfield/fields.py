@@ -8,7 +8,7 @@ The closed-form fields are so by construction, since their constructors
 refuse every other parameter; a table is checked exactly on the pieces of
 its interpolant (`TabulatedField.require_south_cap`).
 
-A table's interpolant is the monotone PCHIP of `_numerics.PiecewiseCubic`.
+A table's interpolant is the monotone PCHIP of `PiecewiseCubic`.
 `_numerics` is the only capfield module imported here, so that a field
 loads neither scipy nor the Abel stages, and numpy comes from its lazy
 handle: building a closed-form field executes no numpy, evaluating it
@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from ._numerics import PiecewiseCubic, _monotone_step, np
+from ._numerics import np
 
 
 class ExternalField(abc.ABC):
@@ -157,6 +157,113 @@ class QuadraticField(ExternalField):
         return out
 
 
+class PiecewiseCubic:
+    """Polynomial pieces c_0,k + c_1,k t + c_2,k t^2 + ... in t = s - s_k.
+
+    Piece k covers [s_k, s_k+1] of the strictly increasing breakpoints;
+    the first and last pieces extend to everything below and above.  The
+    coefficients are one row per power, one column per piece: cubic
+    pieces have four rows, their derivative three.  A piece is evaluated
+    in powers of t, in the order of scipy's `PPoly`, so either gives the
+    same bits.
+    """
+
+    def __init__(self, breakpoints: np.ndarray, coefficients: np.ndarray) -> None:
+        self._breakpoints = breakpoints
+        self._inner = breakpoints[1:-1]
+        self._left = breakpoints[:-1]
+        self._coefficients = coefficients
+
+    @classmethod
+    def pchip(cls, s, values) -> "PiecewiseCubic":
+        """The monotone PCHIP through values at the knots s.
+
+        Interior slopes are the weighted harmonic mean of the neighbouring
+        secants, or 0 where they differ in sign or one vanishes; the end
+        slopes are the one-sided three-point estimate, kept within the
+        shape (Moler, Numerical Computing with MATLAB, 3.6).  Two samples
+        give the line through them.
+        """
+        s, y = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
+        if s.ndim != 1 or s.size < 2 or y.shape != s.shape:
+            raise ValueError("need matching 1-d knots and values, at least two")
+        h = np.diff(s)
+        if not np.all(h > 0.0):
+            raise ValueError("knots must be strictly increasing")
+        m = np.diff(y) / h
+        d = np.full_like(y, m[0])
+        if m.size > 1:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        # the cubic Hermite pieces through the values with slopes d
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        return cls(s, np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)))
+
+    def _at(self, s: np.ndarray, step: int) -> np.ndarray:
+        """Values at s, where step is `_monotone_step(s)`.
+
+        Points in general position find their pieces by binary search.
+        A monotone 1-d s is split into runs by binary search of the
+        breakpoints among the points instead, and each piece's
+        coefficients are repeated over its run; both give the same
+        pieces, right-continuous at the breakpoints.
+        """
+        if step:
+            # the points of each piece, in the order of s: the first and
+            # last pieces take everything below and above the knots
+            ends = np.searchsorted(s[::step], self._breakpoints)
+            ends[0], ends[-1] = 0, s.size
+            counts = (ends[1:] - ends[:-1])[::step]
+
+            def gather(row: np.ndarray) -> np.ndarray:
+                return np.repeat(row[::step], counts)
+        else:
+            pieces = np.searchsorted(self._inner, s, side="right")
+
+            def gather(row: np.ndarray) -> np.ndarray:
+                return row.take(pieces)
+
+        c = self._coefficients
+        t = s - gather(self._left)
+        out, power = gather(c[0]), t
+        for j, row in enumerate(c[1:]):
+            if j:
+                power = power * t
+            term = gather(row)
+            term *= power
+            out += term
+        return out
+
+
+def _monotone_step(s: np.ndarray) -> int:
+    """1 for a nondecreasing and -1 for a nonincreasing 1-d s, else 0.
+
+    A NaN anywhere, or an empty s, gives 0.
+    """
+    if s.ndim != 1 or s.size == 0:
+        return 0
+    if s[0] <= s[-1]:
+        return 1 if np.all(s[:-1] <= s[1:]) else 0
+    return -1 if np.all(s[1:] <= s[:-1]) else 0
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end, 0 against the end secant's
+    sign and at most three times it where the secants change sign."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return float(d)
+
+
 def _parse_rows(lines: list[str]) -> np.ndarray:
     """(rows, 2) floats from the first two comma-separated columns; empty lines are skipped."""
     return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"')
@@ -210,7 +317,7 @@ class TabulatedField(ExternalField):
         self._x = x
         self._y = y
         self._values = PiecewiseCubic.pchip(x, y)
-        self._slopes = self._values.derivative()
+        self._slopes = PiecewiseCubic(x, self._values._coefficients[1:] * [[1.0], [2.0], [3.0]])
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedField":

@@ -1,17 +1,19 @@
 """Independent ground-truth solvers for weighted cap equilibria.
 
 Two routes that never touch the closed-form densities, so either can
-referee them.  ``nystrom_solve`` discretizes the potential-balance
-equation on a prescribed cap by collocation of a Chebyshev series of the
-rim-variable density, integrated against the kernel by the potentials'
-own rule, and solves for the series together with the potential level in
-one dense system.  ``discrete_energy_minimize`` drops any support assumption: it
-minimizes the discretized weighted energy over probability weights on
-latitude rings covering the whole sphere by an exact active-set solve,
-and the support emerges as the set of rings left free.  Each of its
-steps is one bordered dense solve on the free rings, and it starts from
-the support that the same solve finds on half as many rings, so only the
-rings beside the coarse rim still move.
+referee them: they and the potentials load no closed-form module, and
+return the `_numerics` profile record.  ``nystrom_solve`` discretizes
+the potential-balance equation on a prescribed cap by collocation of a
+Chebyshev series of the rim-variable density, integrated against the
+kernel by the potentials' own rule, and solves for the series together
+with the potential level in one dense system.
+``discrete_energy_minimize`` drops any support assumption: it minimizes
+the discretized weighted energy over probability weights on latitude
+rings covering the whole sphere by an exact active-set solve, and the
+support emerges as the set of rings left free.  Each of its steps is one
+bordered dense solve on the free rings, and it starts from the support
+that the same solve finds on half as many rings, so only the rings
+beside the coarse rim still move.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
-from ._numerics import GradedSeries, NonconvergenceError
-from .equilibrium import DensityProfile
+from ._numerics import DensityProfile, GradedSeries, NonconvergenceError
 from .fields import ExternalField
 from .geometry import SphericalCap, boundary_clustered_grid
 from .potential import _ROW_BLOCK, _side_fold, kernel_layout, kernel_rule, ring_kernel

@@ -21,8 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._numerics import NonconvergenceError, gauss_legendre
-from .equilibrium import DensityProfile
+from ._numerics import DensityProfile, NonconvergenceError, gauss_legendre
 from .fields import ExternalField
 from .geometry import SphericalCap, _validated_angles
 

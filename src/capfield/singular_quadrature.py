@@ -19,7 +19,8 @@ degree doubled until the coefficient tail settles (see
 `first_stage_table`).  The second stage differentiates under the integral
 as well: its integrand p - 2*(1-c)*p' is one Chebyshev series, built once
 per table from the table's own coefficients, so each second-stage point
-costs one series evaluation.
+costs one series evaluation.  Both series are summed by `_numerics.clenshaw`,
+the recurrence that sums the profiles' sigma series as well.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebmulx, chebval
+from numpy.polynomial.chebyshev import chebder, chebmulx
 
-from ._numerics import _tail, chebyshev_table, gauss_legendre
+from ._numerics import _tail, chebyshev_table, clenshaw, gauss_legendre
 from .fields import ExternalField, TabulatedField
 from .geometry import SphericalCap, _validated_angle
 
@@ -147,11 +148,11 @@ class FirstStageTable:
         return (2.0 * np.asarray(c, dtype=float) + 1.0 - self.c_max) / (1.0 + self.c_max)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        return chebval(self._x(c), self.coeffs)
+        return clenshaw(self._x(c), self.coeffs)
 
     def _integrand(self, c: np.ndarray) -> np.ndarray:
         """The second-stage integrand p(c) - 2*(1-c)*p'(c)."""
-        return chebval(self._x(c), self._fused)
+        return clenshaw(self._x(c), self._fused)
 
 
 def first_stage_table(field: ExternalField, alpha: float) -> FirstStageTable:

@@ -562,6 +562,14 @@ class TestOracleCommand:
         assert not table.exists()
         assert "--csv" in capsys.readouterr().err
 
+    def test_energy_mode_refuses_alpha(self, tmp_path, capsys):
+        # the energy oracle finds its own support; a rim it would ignore
+        # is refused rather than dropped without a word
+        code, summary = run_cli(["oracle", "--mode", "energy", "--alpha", "0.7"], tmp_path)
+        assert code == 2
+        assert summary is None
+        assert "finds its own support" in capsys.readouterr().err
+
     def test_energy_mode_takes_any_field(self, tmp_path):
         # no support is assumed, so a field outside the south-cap
         # hypotheses still has a discrete energy minimizer

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from capfield._numerics import _monotone_step
 from capfield.fields import (
     PointChargeField,
     QuadraticField,
     TabulatedField,
     ZeroField,
+    _monotone_step,
 )
 from conftest import ShiftedField
 

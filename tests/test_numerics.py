@@ -20,6 +20,7 @@ from capfield._numerics import (
     _chebyshev_coefficients,
     brent_root,
     chebyshev_table,
+    clenshaw,
     gauss_legendre,
 )
 from capfield.fields import PointChargeField, QuadraticField
@@ -183,6 +184,9 @@ def test_graded_series_is_chebval_in_the_graded_variable(terms):
     series = GradedSeries(coeffs, 0.0, scale, stretch)
     assert np.array_equal(series(s), chebval(x, coeffs))
     assert np.array_equal(series(s.reshape(10, -1)), chebval(x, coeffs).reshape(10, -1))
+    # the first-stage table sums its series by the same recurrence, at its
+    # rim value a single point
+    assert all(clenshaw(v, coeffs) == chebval(v, coeffs) for v in x[:8])
 
 
 def test_graded_series_below_its_start_is_the_cubic_through_it():

@@ -19,14 +19,16 @@ from scipy.interpolate import BarycentricInterpolator, CubicSpline, PPoly
 import capfield.oracle
 import capfield.potential
 
-from capfield._numerics import GradedSeries, PiecewiseCubic
+from capfield._numerics import GradedSeries
 from capfield.equilibrium import (
     density_general,
     nofield_density,
     pointcharge_density,
     quadratic_density,
 )
-from capfield.fields import ExternalField, PointChargeField, QuadraticField, ZeroField
+from capfield.fields import (
+    ExternalField, PiecewiseCubic, PointChargeField, QuadraticField, ZeroField,
+)
 from capfield.geometry import SphericalCap, boundary_clustered_grid
 from capfield.potential import kernel_layout, kernel_rule, ring_kernel
 from capfield.oracle import discrete_energy_minimize, nystrom_solve, ring_energy_system
@@ -316,8 +318,9 @@ class TestNystromProductIntegration:
             return counted
 
         monkeypatch.setattr(CubicSpline, "__init__", counted_build)
-        for spline in (PPoly, PiecewiseCubic, GradedSeries):
-            monkeypatch.setattr(spline, "__call__", counting(spline.__call__))
+        for spline, method in ((PPoly, "__call__"), (PiecewiseCubic, "_at"),
+                               (GradedSeries, "__call__")):
+            monkeypatch.setattr(spline, method, counting(getattr(spline, method)))
         counts = {}
         for n in (16, 64):
             calls.clear()

@@ -9,6 +9,7 @@ from scipy.special import ellipk as scipy_ellipk, ellipkm1
 
 import capfield.potential
 from capfield.equilibrium import (
+    density_general,
     nofield_density,
     pointcharge_density,
     profile_from_callable,
@@ -24,6 +25,7 @@ from capfield.potential import (
     ring_kernel,
     verify_equilibrium,
 )
+from capfield.support_finder import solve_support
 from conftest import uniform_grid
 
 PI = math.pi
@@ -455,6 +457,18 @@ class TestVerifyEquilibrium:
         )
         report = verify_equilibrium(QuadraticField(1.0, 2.5, 2.0), prof, tol=1e-4)
         assert report.verdict
+
+    @pytest.mark.parametrize("q, h", [(0.05, 1.2), (0.001, 1.001)])
+    def test_accepts_pipeline_density_on_a_small_rim(self, q, h):
+        # rims of 0.234 and 0.045: the on-support deviation grows as the
+        # rim shrinks (4.4e-10 and 1.1e-6 at n = 32, against 6.6e-14 at
+        # the rim 0.727 of the charge (1, 2)), but stays within tol
+        field = PointChargeField(q, h)
+        cap = SphericalCap(solve_support(field).alpha0)
+        prof = density_general(field, cap, boundary_clustered_grid(cap, 32))
+        report = verify_equilibrium(field, prof, tol=1e-4)
+        assert report.verdict
+        assert abs(prof.mass - 1.0) <= 1e-10
 
     def test_full_sphere_has_no_off_support_region(self):
         prof = uniform_profile()

@@ -3,6 +3,7 @@ reference script behind the suite's frozen constants."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -190,7 +191,7 @@ def _imported_modules(tree: ast.Module) -> list[str]:
 
 def test_no_module_imports_interpolation_or_fft():
     # densities, potentials and the oracles read sigma as a
-    # `_numerics.GradedSeries`, tables read `_numerics.PiecewiseCubic`'s
+    # `_numerics.GradedSeries`, tables read `fields.PiecewiseCubic`'s
     # PCHIP, and the Chebyshev tables take their DCT from numpy's FFT;
     # tests keep scipy's splines, interpolants and DCT as referees.  A bare
     # `import scipy` would reach the subpackages lazily
@@ -263,10 +264,8 @@ def test_fields_import_only_numerics():
     assert local == ["capfield._numerics"]
 
 
-# the closed-form density code the oracles referee, and the names of it
-# that they may use: the profile record alone
-CLOSED_FORM_MODULES = {"equilibrium", "singular_quadrature", "support_finder"}
-ORACLE_MAY_USE = {"equilibrium": {"DensityProfile"}}
+# the closed-form density code the oracles referee
+CLOSED_FORM_MODULES = ("equilibrium", "singular_quadrature", "support_finder")
 
 
 def test_oracles_import_nothing_from_the_closed_forms():
@@ -283,14 +282,26 @@ def test_oracles_import_nothing_from_the_closed_forms():
                     continue
                 for alias in node.names:
                     if module in CLOSED_FORM_MODULES:
-                        if alias.name not in ORACLE_MAY_USE.get(module, set()):
-                            found.append(f"{name}: {module}.{alias.name}")
+                        found.append(f"{name}: {module}.{alias.name}")
                     elif alias.name in CLOSED_FORM_MODULES:
                         found.append(f"{name}: {alias.name}")
             elif isinstance(node, ast.Import):
                 found += [f"{name}: {a.name}" for a in node.names
                           if a.name.split(".")[-1] in CLOSED_FORM_MODULES]
     assert found == []
+
+
+def test_importing_the_oracles_executes_no_closed_form_module():
+    # the static check above sees the oracles' own imports; this one sees
+    # every module that importing them executes, through any chain
+    closed = [f"capfield.{name}" for name in CLOSED_FORM_MODULES]
+    code = ("import sys, capfield.oracle, capfield.potential; "
+            f"print([m for m in {closed!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # the modules a closed-form command imports; they take numpy from the
