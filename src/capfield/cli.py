@@ -5,8 +5,8 @@ residuals, method, timings} plus command-specific extras, and density
 commands can emit a CSV table.  Identical configurations produce
 byte-identical outputs: timings stay empty unless --timings is passed,
 floats are printed with 17 significant digits, and files use LF line
-endings.  Exit codes: 0 success, 2 validation or pin mismatch, 3
-numerical nonconvergence.
+endings.  Exit codes: 0 success, 2 validation, pin mismatch or an
+output that cannot be written, 3 numerical nonconvergence.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -122,11 +123,12 @@ def _summary(method, alpha0=None, fq=None, mass=None, residuals=None, **extra) -
 
 
 def _profile_summary(args: argparse.Namespace, field: ExternalField, alpha: float,
-                     profile: DensityProfile, method: str, **extra) -> dict:
+                     profile: DensityProfile, method: str) -> dict:
     """The summary of a density profile on the cap with rim alpha, with its
     CSV table written when --csv is given."""
     summary = _summary(method, alpha, profile.robin_constant, profile.mass,
-                       {"mass_error": abs(profile.mass - 1.0)}, **extra)
+                       {"mass_error": abs(profile.mass - 1.0)},
+                       negative_nodes=len(profile.negative_nodes))
     if args.csv_path is not None:
         emit_density_table(profile, field, args.csv_path)
         summary["csv"] = str(args.csv_path)
@@ -169,8 +171,7 @@ def _cmd_density(args: argparse.Namespace):
         raise NonconvergenceError(
             f"density mass misses 1 by more than {_MASS_TOLERANCE:g}", profile.mass, mass_error
         )
-    summary = _profile_summary(args, field, alpha, profile, "TwoStageInversion",
-                               negative_nodes=len(profile.negative_nodes))
+    summary = _profile_summary(args, field, alpha, profile, "TwoStageInversion")
     return summary, f"alpha0 = {_fmt(alpha)}  mass = {_fmt(profile.mass)}"
 
 
@@ -338,15 +339,25 @@ def run(args: argparse.Namespace) -> int:
         status = _apply_pin(args, summary)
 
     payload = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    print(line)
+    try:
+        print(line)
+        if args.json_path is None:
+            sys.stdout.write(payload)
+        sys.stdout.flush()
+    except BrokenPipeError as err:
+        # what is still buffered goes to the null device, so that the
+        # interpreter's last flush at exit finds nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write to standard output: {err}", file=sys.stderr)
+        return 2
     if args.json_path is not None:
         try:
             Path(args.json_path).write_text(payload)
         except OSError as err:
             print(f"cannot write summary {args.json_path}: {err}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(payload)
     return status
 
 

@@ -8,7 +8,11 @@ The closed-form fields are so by construction, since their constructors
 refuse every other parameter; a table is checked exactly on the pieces of
 its interpolant (`TabulatedField.require_south_cap`).
 
-A table's interpolant is the monotone PCHIP of `PiecewiseCubic`.
+A table's interpolant is its monotone PCHIP, held as one row per power
+and one column per piece, and `TabulatedField` is the only code that reads
+those rows: it evaluates them, checks them against the hypotheses, and
+sums its slope over the first Abel stage's arcs exactly piece by piece
+(`TabulatedField.slope_integral`).
 `_numerics` is the only capfield module imported here, so that a field
 loads neither scipy nor the Abel stages, and numpy comes from its lazy
 handle: building a closed-form field executes no numpy, evaluating it
@@ -157,88 +161,32 @@ class QuadraticField(ExternalField):
         return out
 
 
-class PiecewiseCubic:
-    """Polynomial pieces c_0,k + c_1,k t + c_2,k t^2 + ... in t = s - s_k.
+def _pchip_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, pieces) rows y, d, c, e of the monotone PCHIP through (x, y).
 
-    Piece k covers [s_k, s_k+1] of the strictly increasing breakpoints;
-    the first and last pieces extend to everything below and above.  The
-    coefficients are one row per power, one column per piece: cubic
-    pieces have four rows, their derivative three.  A piece is evaluated
-    in powers of t, in the order of scipy's `PPoly`, so either gives the
-    same bits.
+    On [x_k, x_k+1] the interpolant is y + d*t + c*t^2 + e*t^3 with
+    t = x3 - x_k, column k.  Interior slopes d are the weighted harmonic
+    mean of the neighbouring secants, or 0 where they differ in sign or
+    one vanishes; the end slopes are the one-sided three-point estimate,
+    kept within the shape (Moler, Numerical Computing with MATLAB, 3.6).
+    Two samples give the line through them.  x is strictly increasing,
+    as `TabulatedField` checks.
     """
-
-    def __init__(self, breakpoints: np.ndarray, coefficients: np.ndarray) -> None:
-        self._breakpoints = breakpoints
-        self._inner = breakpoints[1:-1]
-        self._left = breakpoints[:-1]
-        self._coefficients = coefficients
-
-    @classmethod
-    def pchip(cls, s, values) -> "PiecewiseCubic":
-        """The monotone PCHIP through values at the knots s.
-
-        Interior slopes are the weighted harmonic mean of the neighbouring
-        secants, or 0 where they differ in sign or one vanishes; the end
-        slopes are the one-sided three-point estimate, kept within the
-        shape (Moler, Numerical Computing with MATLAB, 3.6).  Two samples
-        give the line through them.
-        """
-        s, y = np.asarray(s, dtype=float), np.asarray(values, dtype=float)
-        if s.ndim != 1 or s.size < 2 or y.shape != s.shape:
-            raise ValueError("need matching 1-d knots and values, at least two")
-        h = np.diff(s)
-        if not np.all(h > 0.0):
-            raise ValueError("knots must be strictly increasing")
-        m = np.diff(y) / h
-        d = np.full_like(y, m[0])
-        if m.size > 1:
-            w1 = 2.0 * h[1:] + h[:-1]
-            w2 = h[1:] + 2.0 * h[:-1]
-            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-                d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
-            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        # the cubic Hermite pieces through the values with slopes d
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        return cls(s, np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)))
-
-    def _at(self, s: np.ndarray, step: int) -> np.ndarray:
-        """Values at s, where step is `_monotone_step(s)`.
-
-        Points in general position find their pieces by binary search.
-        A monotone 1-d s is split into runs by binary search of the
-        breakpoints among the points instead, and each piece's
-        coefficients are repeated over its run; both give the same
-        pieces, right-continuous at the breakpoints.
-        """
-        if step:
-            # the points of each piece, in the order of s: the first and
-            # last pieces take everything below and above the knots
-            ends = np.searchsorted(s[::step], self._breakpoints)
-            ends[0], ends[-1] = 0, s.size
-            counts = (ends[1:] - ends[:-1])[::step]
-
-            def gather(row: np.ndarray) -> np.ndarray:
-                return np.repeat(row[::step], counts)
-        else:
-            pieces = np.searchsorted(self._inner, s, side="right")
-
-            def gather(row: np.ndarray) -> np.ndarray:
-                return row.take(pieces)
-
-        c = self._coefficients
-        t = s - gather(self._left)
-        out, power = gather(c[0]), t
-        for j, row in enumerate(c[1:]):
-            if j:
-                power = power * t
-            term = gather(row)
-            term *= power
-            out += term
-        return out
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full_like(y, m[0])
+    if m.size > 1:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    # the cubic Hermite pieces through the values with slopes d
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
 
 
 def _monotone_step(s: np.ndarray) -> int:
@@ -267,6 +215,13 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 def _parse_rows(lines: list[str]) -> np.ndarray:
     """(rows, 2) floats from the first two comma-separated columns; empty lines are skipped."""
     return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"')
+
+
+# elements per block of a table's per-piece sums (`slope_integral`): 64 KB
+# temporaries stay under the C allocator's default mmap threshold, so each
+# block reuses heap memory, where larger ones fault in fresh pages on every
+# call.  A block holds whole rows, so its size does not change the sums' bits
+_PIECE_BLOCK = 1 << 13
 
 
 class TabulatedField(ExternalField):
@@ -316,8 +271,9 @@ class TabulatedField(ExternalField):
         x.flags.writeable = False
         self._x = x
         self._y = y
-        self._values = PiecewiseCubic.pchip(x, y)
-        self._slopes = PiecewiseCubic(x, self._values._coefficients[1:] * [[1.0], [2.0], [3.0]])
+        self._values = _pchip_rows(x, y)
+        # the slope's rows d, 2c, 3e: one quadratic per piece
+        self._slopes = self._values[1:] * [[1.0], [2.0], [3.0]]
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedField":
@@ -356,14 +312,6 @@ class TabulatedField(ExternalField):
         """The sample abscissae: the interpolant is one cubic between neighbours."""
         return self._x
 
-    @property
-    def slope_coefficients(self) -> np.ndarray:
-        """(3, knots - 1) rows u2, u1, u0: on [x_k, x_k+1] the slope is
-        u2*t^2 + u1*t + u0 with t = x3 - x_k, column k."""
-        coeffs = self._slopes._coefficients[::-1]
-        coeffs.flags.writeable = False
-        return coeffs
-
     def require_south_cap(self) -> None:
         """Refuse the table unless its interpolant is nondecreasing and convex.
 
@@ -382,7 +330,7 @@ class TabulatedField(ExternalField):
                 f"tabulated field is not monotone in x3: Q = {float(y[i])}, "
                 f"{float(y[i + 1])} at x3 = {float(x[i])}, {float(x[i + 1])}"
             )
-        u2, u1, _ = self.slope_coefficients
+        _, u1, u2 = self._slopes
         curvature = np.minimum(u1, u1 + 2.0 * u2 * np.diff(x))
         bad = np.flatnonzero(~(curvature >= -1e-8 * scale))
         if bad.size:
@@ -392,7 +340,21 @@ class TabulatedField(ExternalField):
                 f"on the piece [{float(x[k])}, {float(x[k + 1])}]"
             )
 
-    def _evaluate(self, pieces: PiecewiseCubic, x3):
+    def _range_error(self) -> ValueError:
+        return ValueError(
+            f"x3 outside tabulated range [{float(self._x[0])}, {float(self._x[-1])}]"
+        )
+
+    def _evaluate(self, rows: np.ndarray, x3):
+        """The pieces of rows, one per power of t = x3 - x_k, at x3.
+
+        Points in general position find their pieces by binary search.
+        A monotone 1-d x3 is split into runs by binary search of the knots
+        among the points instead, and each piece's row entries are
+        repeated over its run; both give the same pieces, right-continuous
+        at the knots.  The powers are summed in the order of scipy's
+        `PPoly`, so either gives the same bits.
+        """
         x = np.asarray(x3, dtype=float)
         step = _monotone_step(x)
         # a monotone input's range is its two ends; a NaN is not refused,
@@ -402,12 +364,67 @@ class TabulatedField(ExternalField):
         else:
             low, high = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
         if low < self._x[0] or high > self._x[-1]:
-            raise ValueError(
-                f"x3 outside tabulated range [{float(self._x[0])}, {float(self._x[-1])}]"
-            )
-        out = pieces._at(x, step)
+            raise self._range_error()
+        if step:
+            # the points of each piece, in the order of x: the first and
+            # last pieces take everything below and above the inner knots
+            ends = np.searchsorted(x[::step], self._x)
+            ends[0], ends[-1] = 0, x.size
+            counts = (ends[1:] - ends[:-1])[::step]
+
+            def gather(row: np.ndarray) -> np.ndarray:
+                return np.repeat(row[::step], counts)
+        else:
+            pieces = np.searchsorted(self._x[1:-1], x, side="right")
+
+            def gather(row: np.ndarray) -> np.ndarray:
+                return row.take(pieces)
+
+        t = x - gather(self._x[:-1])
+        out, power = gather(rows[0]), t
+        for j, row in enumerate(rows[1:]):
+            if j:
+                power = power * t
+            term = gather(row)
+            term *= power
+            out += term
         if x.ndim == 0:
             return float(out)
+        return out
+
+    def slope_integral(self, c: np.ndarray) -> np.ndarray:
+        """Integral over s in [0, sqrt(1+c)] of the slope at c - s^2, per c.
+
+        On the piece [x_k, x_k + h] the slope is u0 + u1*t + u2*t^2 in
+        t = x3 - x_k, and the piece covers s in [b, a] with
+        a = sqrt(c - x_k), tau = min(h, c - x_k) and b = sqrt(a^2 - tau).
+        With s = a - u, t = u*(2a - u), so over the piece's width
+        delta = tau/(a + b) in s the means of t and t^2 are
+        delta*(a - delta/3) and delta^2*(4a^2/3 - a*delta + delta^2/5).
+        Each piece's polynomial is used on its own piece only, and no two
+        nearby powers of s are subtracted, so the sum keeps full relative
+        accuracy.  Only pieces below c contribute.  The first Abel stage
+        of a table is this sum (`singular_quadrature._first_stage_integral`).
+        """
+        c = np.asarray(c, dtype=float)
+        knots = self._x
+        top = float(np.max(c))
+        if top > knots[-1]:
+            raise self._range_error()
+        pieces = int(np.searchsorted(knots, top))
+        x, width = knots[:pieces], np.diff(knots)[:pieces]
+        u0, u1, u2 = self._slopes[:, :pieces]
+        rows = max(1, _PIECE_BLOCK // max(pieces, 1))
+        out = np.empty(c.shape, dtype=float)
+        for start in range(0, c.size, rows):
+            d = np.maximum(c[start : start + rows, None] - x, 0.0)
+            tau = np.minimum(width, d)
+            a = np.sqrt(d)
+            span = a + np.sqrt(d - tau)
+            delta = tau / np.where(span > 0.0, span, 1.0)
+            mean_t = delta * (a - delta / 3.0)
+            mean_t2 = delta * delta * ((4.0 / 3.0) * d - delta * (a - 0.2 * delta))
+            out[start : start + rows] = np.sum(delta * (u0 + u1 * mean_t + u2 * mean_t2), axis=1)
         return out
 
     def value_at_x3(self, x3):

@@ -12,8 +12,9 @@ The first stage depends on the field and on c = cos(t) only.  Integrated
 by parts, its smooth factor p(c) = Q(-1) + 2*sqrt(1+c) * (integral of
 Q'(c - s^2) over s in [0, sqrt(1+c)]) needs the field's slope and no
 derivative of its own (`_first_stage_integral`): fixed Gauss-Legendre
-nodes for an analytic field, and exact sums over the pieces of a
-tabulated field, whose slope is one quadratic between knots.  p is built
+nodes for an analytic field, and for a tabulated field, whose slope is
+one quadratic between knots, the table's own exact sums over its pieces
+(`fields.TabulatedField.slope_integral`).  p is built
 once per density as a Chebyshev table on [-1, cos(alpha)], with the
 degree doubled until the coefficient tail settles (see
 `first_stage_table`).  The second stage differentiates under the integral
@@ -45,11 +46,6 @@ _N_SECOND_STAGE = 96
 # row block size for the second-stage integral, whose point count follows
 # the grid; bounds peak memory at a few MB
 _CHUNK = 8192
-# elements per block of the per-piece sums of a table: 64 KB temporaries
-# stay under the C allocator's default mmap threshold, so each block reuses
-# heap memory, where larger ones fault in fresh pages on every call.  A
-# block holds whole rows, so its size does not change the sums' bits
-_PIECE_BLOCK = 1 << 13
 
 
 def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
@@ -60,55 +56,18 @@ def _first_stage_integral(field: ExternalField, c: np.ndarray) -> np.ndarray:
     half-integral 2 * (integral over the same s of Q(c - s^2)), taken
     under the integral.  With s = sqrt(1+c)*v an analytic field takes 96
     Gauss-Legendre nodes in v; a tabulated field sums its pieces exactly
-    (`_table_slope_integral`).
+    (`fields.TabulatedField.slope_integral`).
     """
     c = np.asarray(c, dtype=float)
     q_south = float(field.value_at_x3(-1.0))
     if isinstance(field, TabulatedField):
-        return q_south + 2.0 * np.sqrt(1.0 + c) * _table_slope_integral(field, c)
+        return q_south + 2.0 * np.sqrt(1.0 + c) * field.slope_integral(c)
     v, w = gauss_legendre(_N_FIRST_STAGE)
     vv = 0.5 * (v + 1.0)
     args = c[:, None] * (1.0 - vv * vv)[None, :] - (vv * vv)[None, :]
     np.clip(args, -1.0, 1.0, out=args)
     slope = np.asarray(field.slope_at_x3(args.ravel()), dtype=float).reshape(args.shape)
     return q_south + 2.0 * ((1.0 + c) * (slope @ (0.5 * w)))
-
-
-def _table_slope_integral(field: TabulatedField, c: np.ndarray) -> np.ndarray:
-    """Integral over s in [0, sqrt(1+c)] of the table's slope at c - s^2.
-
-    On the piece [x_k, x_k + h] the slope is u0 + u1*t + u2*t^2 in
-    t = x3 - x_k, and the piece covers s in [b, a] with a = sqrt(c - x_k),
-    tau = min(h, c - x_k) and b = sqrt(a^2 - tau).  With s = a - u,
-    t = u*(2a - u), so over the piece's width delta = tau/(a + b) in s the
-    means of t and t^2 are delta*(a - delta/3) and
-    delta^2*(4a^2/3 - a*delta + delta^2/5).  Each piece's polynomial is
-    used on its own piece only, and no two nearby powers of s are
-    subtracted, so the sum keeps full relative accuracy.  Only pieces
-    below c contribute.
-    """
-    knots = field.knots
-    coeffs = field.slope_coefficients
-    top = float(np.max(c))
-    if top > knots[-1]:
-        raise ValueError(
-            f"x3 outside tabulated range [{float(knots[0])}, {float(knots[-1])}]"
-        )
-    pieces = int(np.searchsorted(knots, top))
-    x, width = knots[:pieces], np.diff(knots)[:pieces]
-    u2, u1, u0 = coeffs[0, :pieces], coeffs[1, :pieces], coeffs[2, :pieces]
-    rows = max(1, _PIECE_BLOCK // max(pieces, 1))
-    out = np.empty(c.shape, dtype=float)
-    for start in range(0, c.size, rows):
-        d = np.maximum(c[start : start + rows, None] - x, 0.0)
-        tau = np.minimum(width, d)
-        a = np.sqrt(d)
-        span = a + np.sqrt(d - tau)
-        delta = tau / np.where(span > 0.0, span, 1.0)
-        mean_t = delta * (a - delta / 3.0)
-        mean_t2 = delta * delta * ((4.0 / 3.0) * d - delta * (a - 0.2 * delta))
-        out[start : start + rows] = np.sum(delta * (u0 + u1 * mean_t + u2 * mean_t2), axis=1)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

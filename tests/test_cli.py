@@ -98,7 +98,7 @@ class TestSupportCommand:
         "lo, hi, argv, where",
         [(-0.5, 1.0, ["support"], "fields._evaluate"),
          (-1.0, 0.5, ["density", "--alpha", "0.5", "--n", "16"],
-          "singular_quadrature._table_slope_integral")],
+          "fields.slope_integral")],
         ids=["south-pole-uncovered", "cap-uncovered"],
     )
     def test_table_short_of_the_range_names_it_in_plain_floats(
@@ -504,6 +504,25 @@ class TestVerifyCommand:
         assert summary["residuals"]["mass_error"] <= 1e-8
 
 
+    def test_solved_rim_of_a_table_passes(self, tmp_path):
+        # the potentials read the table at angles in no monotone order, so
+        # its pieces are found by binary search
+        x = np.linspace(-1.0, 1.0, 1601)
+        table = write_table(tmp_path / "pc.csv", x, PointChargeField(1.0, 2.0).value_at_x3(x))
+        tab = ["--field", "tabulated", "--table", str(table)]
+        code, support = run_cli(["support", *tab], tmp_path, "support.json")
+        assert code == 0
+        assert abs(support["alpha0"] - ALPHA0_PC_12) <= 1e-8
+        code, summary = run_cli(
+            ["verify", *tab, "--alpha", repr(support["alpha0"]), "--n", "24"], tmp_path
+        )
+        assert code == 0
+        assert summary["verdict"] is True
+        assert summary["negative_nodes"] == 0
+        assert summary["residuals"]["sup_deviation"] <= 1e-8
+        assert summary["residuals"]["mass_error"] <= 1e-10
+
+
 class TestOracleCommand:
     def test_nystrom_zero_field(self, tmp_path):
         alpha = PI / 3
@@ -513,7 +532,41 @@ class TestOracleCommand:
         )
         assert code == 0
         assert summary["method"] == "NystromCollocation"
+        assert summary["negative_nodes"] == 0
         assert abs(summary["FQ"] - PI / (PI - alpha + math.sin(alpha))) <= 1e-4
+
+    def test_nystrom_counts_negative_nodes(self, tmp_path, monkeypatch):
+        # the Nystrom's summary flags a density of either sign as density's
+        # does: here every node of a profile forced negative
+        from capfield import oracle
+
+        solve = oracle.dense_solve
+
+        def negated(system, rhs):
+            solution = solve(system, rhs)
+            solution[:-1] *= -1.0
+            return solution
+
+        monkeypatch.setattr(oracle, "dense_solve", negated)
+        code, summary = run_cli(
+            ["oracle", "--field", "point-charge", "--alpha", "0.7", "--n", "16"], tmp_path
+        )
+        assert code == 0
+        assert summary["negative_nodes"] == 16
+
+    def test_nystrom_refuses_a_pole_at_the_cap_top(self, tmp_path, capsys):
+        # a charge on the sphere is infinite at the top of a full-sphere cap,
+        # outside the hypotheses, as density refuses it
+        code, summary = run_cli(
+            ["oracle", "--field", "north-pole", "--q", "1", "--alpha", "0", "--n", "16"],
+            tmp_path,
+        )
+        assert code == 2
+        assert summary is None
+        assert capsys.readouterr().err == (
+            "validation error in oracle.nystrom_solve: field is not finite at the"
+            " cap's top x3 = cos(alpha) = 1.0\n"
+        )
 
     def test_nystrom_non_finite_solution_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -786,6 +839,27 @@ class TestArgumentHandling:
             "tabulated field's interpolant would overflow: Q = 0.0, 1e+308 at x3 = -1.0, 0.0"
         )
         assert "Warning" not in done.stderr
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_2_without_a_traceback(self, tmp_path, buffered):
+        # the pipe's read end is closed before the run, so every write to
+        # stdout fails, whether at the print or at the flush
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(capfield.__file__).parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "capfield.cli", "gonchar", "--q", "1"],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                cwd=tmp_path,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 2
+        assert done.stderr == "cannot write to standard output: [Errno 32] Broken pipe\n"
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebfit
 from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from capfield._numerics import GradedSeries
 from capfield.equilibrium import (
@@ -29,12 +29,10 @@ from capfield.equilibrium import (
 )
 from capfield.fields import (
     ExternalField,
-    PiecewiseCubic,
     PointChargeField,
     QuadraticField,
     TabulatedField,
     ZeroField,
-    _monotone_step,
 )
 from capfield import singular_quadrature
 from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
@@ -654,11 +652,6 @@ class TestSigmaTable:
             )
 
 
-def _graded_knots(s_lo, smax, n):
-    """Knots graded toward s_lo > 0."""
-    return s_lo + (smax - s_lo) * np.linspace(0.0, 1.0, n) ** 2
-
-
 PCHIP_DATA = {
     "monotone": (np.array([0.1, 0.15, 0.3, 0.32, 0.6, 0.9, 1.4]),
                  np.array([0.0, 0.2, 0.25, 0.9, 1.0, 3.0, 3.1])),
@@ -672,45 +665,31 @@ PCHIP_DATA = {
 }
 
 
-def _pieces_at(pieces, s):
-    """The pieces' values at the points s, of any shape."""
-    s = np.asarray(s, dtype=float)
-    return pieces._at(s, _monotone_step(s))
-
-
 class TestPiecewiseCubic:
-    """scipy's splines referee the numpy PCHIP of a tabulated field."""
-
-    def test_pchip_pieces_match_scipy_hermite(self):
-        # the PCHIP's pieces are the cubic Hermite pieces through its knot
-        # values and slopes, on knots graded toward s_lo > 0, with the first
-        # piece extended over [0, s_lo], and at points of any shape
-        s_lo, smax = 2e-3, 1.3
-        s = _graded_knots(s_lo, smax, 41)
-        values = np.cos(3.0 * s) * s
-        ours = PiecewiseCubic.pchip(s, values)
-        ref = CubicHermiteSpline(s, values, PchipInterpolator(s, values).derivative()(s))
-        probe = np.concatenate((np.linspace(0.0, s_lo, 7), np.linspace(0.0, smax + 0.1, 501), s))
-        np.testing.assert_allclose(_pieces_at(ours, probe), ref(probe), rtol=0,
-                                   atol=8.0 * np.finfo(float).eps)
-        assert _pieces_at(ours, probe.reshape(3, -1)).shape == (3, probe.size // 3)
+    """scipy's PchipInterpolator referees the piecewise cubic of a table."""
 
     @pytest.mark.parametrize("s, y", PCHIP_DATA.values(), ids=PCHIP_DATA.keys())
     def test_pchip_matches_scipy(self, s, y):
-        ours = PiecewiseCubic.pchip(s, y)
-        ref = PchipInterpolator(s, y, extrapolate=True)
+        # the knots scaled into [-1, 1], where a table's abscissae lie
+        x = 2.0 * (s - s[0]) / (s[-1] - s[0]) - 1.0
+        if np.min(y) < 0.0:
+            with pytest.warns(UserWarning, match="negative values"):
+                table = TabulatedField(x, y)
+        else:
+            table = TabulatedField(x, y)
+        ref = PchipInterpolator(x, y, extrapolate=False)
         # rows of powers 1, t, t^2, t^3 over the pieces: the first two are
         # the PCHIP's knot values and slopes
         expected = ref.c[::-1]
         tol = 8.0 * np.finfo(float).eps * np.max(np.abs(expected), axis=1, keepdims=True)
-        assert np.all(np.abs(ours._coefficients - expected) <= tol)
-        # values in every piece and extrapolated past both ends
-        probe = np.linspace(s[0] - 0.1, s[-1] + 0.1, 401)
-        np.testing.assert_allclose(_pieces_at(ours, probe), ref(probe), rtol=0, atol=1e-14)
+        assert np.all(np.abs(table._values - expected) <= tol)
+        # values in every piece
+        probe = np.linspace(x[0], x[-1], 401)
+        np.testing.assert_allclose(table.value_at_x3(probe), ref(probe), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize(
         "s, y", [([0.1, 0.1, 0.2], [0.0, 1.0, 2.0]), ([0.1], [0.0]), ([0.1, 0.2], [0.0])]
     )
     def test_bad_knots_refused(self, s, y):
         with pytest.raises(ValueError):
-            PiecewiseCubic.pchip(s, y)
+            TabulatedField(s, y)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from capfield import fields
 from capfield.fields import (
     PointChargeField,
     QuadraticField,
@@ -292,7 +293,8 @@ class TestTablePchipReferee:
         f = TabulatedField(x3, q)
         ref = PchipInterpolator(x3, q, extrapolate=False)
         slope = ref.derivative()
-        assert np.array_equal(f.slope_coefficients, slope.c)
+        # the slope's rows d, 2c, 3e, in scipy's order of powers
+        assert np.array_equal(f._slopes[::-1], slope.c)
         for name, x in _probes(f.knots).items():
             value, rate = f.value_at_x3(x), f.slope_at_x3(x)
             assert np.shape(value) == np.shape(x) == np.shape(rate), name
@@ -300,14 +302,18 @@ class TestTablePchipReferee:
             assert np.array_equal(rate, slope(x)), name
 
     @pytest.mark.parametrize("x3, q", REFEREE_SAMPLES.values(), ids=REFEREE_SAMPLES.keys())
-    def test_sorted_locate_matches_binary_search(self, x3, q):
+    def test_sorted_locate_matches_binary_search(self, x3, q, monkeypatch):
         f = TabulatedField(x3, q)
-        for name, x in _probes(f.knots).items():
-            step = _monotone_step(np.asarray(x))
-            assert step == {"ascending": 1, "descending": -1}.get(name, 0)
-            for pieces in (f._values, f._slopes):
-                assert np.array_equal(pieces._at(np.asarray(x), step),
-                                      pieces._at(np.asarray(x), 0)), name
+        probes = _probes(f.knots)
+        for name, x in probes.items():
+            assert _monotone_step(np.asarray(x)) == {"ascending": 1, "descending": -1}.get(name, 0)
+        located = {name: (f.value_at_x3(x), f.slope_at_x3(x)) for name, x in probes.items()}
+        # every input by binary search alone
+        monkeypatch.setattr(fields, "_monotone_step", lambda x: 0)
+        for name, x in probes.items():
+            value, rate = located[name]
+            assert np.array_equal(f.value_at_x3(x), value), name
+            assert np.array_equal(f.slope_at_x3(x), rate), name
 
     def test_range_is_checked_on_every_path(self):
         f = TabulatedField(np.array([-0.5, 0.0, 0.5]), np.array([1.0, 1.5, 2.5]))

@@ -27,7 +27,7 @@ from capfield.equilibrium import (
     quadratic_density,
 )
 from capfield.fields import (
-    ExternalField, PiecewiseCubic, PointChargeField, QuadraticField, ZeroField,
+    ExternalField, PointChargeField, QuadraticField, TabulatedField, ZeroField,
 )
 from capfield.geometry import SphericalCap, boundary_clustered_grid
 from capfield.potential import kernel_layout, kernel_rule, ring_kernel
@@ -318,7 +318,7 @@ class TestNystromProductIntegration:
             return counted
 
         monkeypatch.setattr(CubicSpline, "__init__", counted_build)
-        for spline, method in ((PPoly, "__call__"), (PiecewiseCubic, "_at"),
+        for spline, method in ((PPoly, "__call__"), (TabulatedField, "_evaluate"),
                                (GradedSeries, "__call__")):
             monkeypatch.setattr(spline, method, counting(getattr(spline, method)))
         counts = {}

@@ -191,8 +191,8 @@ def _imported_modules(tree: ast.Module) -> list[str]:
 
 def test_no_module_imports_interpolation_or_fft():
     # densities, potentials and the oracles read sigma as a
-    # `_numerics.GradedSeries`, tables read `fields.PiecewiseCubic`'s
-    # PCHIP, and the Chebyshev tables take their DCT from numpy's FFT;
+    # `_numerics.GradedSeries`, tables read their own PCHIP's rows in
+    # `fields`, and the Chebyshev tables take their DCT from numpy's FFT;
     # tests keep scipy's splines, interpolants and DCT as referees.  A bare
     # `import scipy` would reach the subpackages lazily
     found = sorted(
