@@ -180,10 +180,12 @@ def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # stops falling below the plateau level, which is the sampled function's
 # own noise, such as rounding.  A tail still falling at the cap degree is
 # an unresolved feature of the sampled function, such as the knots of a
-# tabulated field inside the cap.  A function read from another
-# table can state that table's noise: its degree and relative tail.  From
-# that degree on, a tail at or below that level also ends the loop, since a
-# finer table would resolve only the other table's truncation.
+# tabulated field inside the cap.  A function that reads another table
+# can state that table's noise: its relative tail, and the degree at which
+# the function resolves that table's terms.  From that degree on, a tail at
+# or below that level also ends the loop, since a finer table would resolve
+# only the other table's truncation; below it, the plateau rule does not,
+# since a coarser table truncates terms that the other table holds.
 _TABLE_START_DEGREE = 16
 _TABLE_MAX_DEGREE = 1024
 _TABLE_TAIL_TERMS = 4
@@ -244,11 +246,12 @@ def chebyshev_table(
     there.  The points are nested Chebyshev points of the second kind,
     so each doubling of the degree reuses the samples already taken.
     noise is (relative tail, degree) of the table that sample reads, if
-    any; the default states none.  Raises NonconvergenceError, naming
+    any, a degree past the cap degree counting as the cap; the default
+    states none.  Raises NonconvergenceError, naming
     what, when the coefficients have not settled by the cap degree or the
     tail is not finite.
     """
-    noise_tail, noise_degree = noise
+    noise_tail, noise_degree = noise[0], min(noise[1], _TABLE_MAX_DEGREE)
     n = _TABLE_START_DEGREE
     values = sample(np.cos(math.pi * np.arange(n + 1) / n))
     coeffs = _chebyshev_coefficients(values)
@@ -263,61 +266,38 @@ def chebyshev_table(
         n, values = 2 * n, doubled
         coeffs = _chebyshev_coefficients(values)
         previous, tail = tail, _tail(coeffs)
-        if tail <= _TABLE_PLATEAU_TOL and tail >= 0.5 * previous:
+        if n >= noise_degree and tail <= _TABLE_PLATEAU_TOL and tail >= 0.5 * previous:
             break
     return coeffs, tail
 
 
 class GradedSeries:
     """sigma(s) = s * f(phi(s)) of a profile on [0, smax]: a Chebyshev series,
-    of at least two terms, in x = 2u - 1 of u in [0, 1], where s = start +
-    scale * sinh(stretch * u), graded to resolve the edge part's turn
+    of at least two terms, in x = 2u - 1 of u in [0, 1], where s = scale *
+    sinh(stretch * u), graded to resolve the edge part's turn
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-    Below a positive start it is the cubic through the series at start +
-    h * (0, 1, 2, 3), h = min(start, (smax - start) / 3): a series that
-    ends on its noise plateau diverges off its interval.
     """
 
-    def __init__(self, coefficients, start: float, scale: float, stretch: float) -> None:
+    def __init__(self, coefficients, scale: float, stretch: float) -> None:
         self._coefficients = np.asarray(coefficients, dtype=float)
-        self._start, self._scale, self._stretch = float(start), float(scale), float(stretch)
-        self._step = min(self._start, self._scale * math.sinh(self._stretch) / 3.0)
-        if self._start > 0.0:
-            rim = self(self._start + self._step * np.arange(4.0))
-            self._rim = [np.diff(rim, k)[0] for k in range(4)]
+        self._scale, self._stretch = float(scale), float(stretch)
 
     def __call__(self, s) -> np.ndarray:
-        """Values at the points s, of any shape."""
-        s = np.asarray(s, dtype=float)
-        # x = (2 / stretch) asinh((s - start) / scale) - 1, at s >= start
-        x = np.arcsinh(np.maximum(s - self._start, 0.0) / self._scale)
+        """Values at the points s of [0, smax], of any shape."""
+        # x = (2 / stretch) asinh(s / scale) - 1
+        x = np.arcsinh(np.asarray(s, dtype=float) / self._scale)
         x *= 2.0 / self._stretch
         x -= 1.0
-        out = clenshaw(x, self._coefficients)
-        below = s < self._start
-        if self._start > 0.0 and below.any():
-            out[below] = self._cubic(s[below])
-        return out
+        return clenshaw(x, self._coefficients)
 
     def integral(self) -> float:
-        """Integral over [0, smax]: the series' by Clenshaw-Curtis in u on
-        sigma ds/du, 64 points past its degree for the grading's cosh
-        (Trefethen, ch. 19), and the cubic's by two-point Gauss-Legendre."""
+        """Integral over [0, smax], by Clenshaw-Curtis in u on sigma ds/du,
+        64 points past its degree for the grading's cosh (Trefethen, ch. 19)."""
         n = self._coefficients.size + 64
         x = np.cos(math.pi * np.arange(n + 1) / n)
         ds_du = np.cosh(0.5 * self._stretch * (x + 1.0))
         c = _chebyshev_coefficients(clenshaw(x, self._coefficients) * ds_du)[::2]
-        total = self._scale * self._stretch * float(c @ (1.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)))
-        if self._start > 0.0:
-            nodes = self._start * (0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0))
-            total += 0.5 * self._start * float(self._cubic(nodes).sum())
-        return total
-
-    def _cubic(self, s: np.ndarray) -> np.ndarray:
-        # Newton's forward form on the nodes t = 0, 1, 2, 3 of t = (s - start) / h
-        t = (s - self._start) / self._step
-        d0, d1, d2, d3 = self._rim
-        return d0 + t * (d1 + 0.5 * (t - 1.0) * (d2 + (t - 2.0) / 3.0 * d3))
+        return self._scale * self._stretch * float(c @ (1.0 / (1.0 - np.arange(0, n + 1, 2) ** 2)))
 
 
 @dataclass(frozen=True, eq=False)

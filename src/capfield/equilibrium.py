@@ -9,9 +9,10 @@ admissible field through the two Abel stages.
 
 All integrations near the rim use the cap's rim variable s =
 sqrt(cos(alpha) - cos(phi)) (`geometry.SphericalCap`), in which
-f*ds-densities are smooth and bounded.  A profile backed by a density
-callable holds sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a
-variable graded toward the rim (`sigma_interpolant`); its integral is the
+f*ds-densities are smooth and bounded.  The pipeline's profile holds
+sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a variable graded
+toward the rim (`sigma_interpolant`), sampled in s itself from the rim s = 0
+on, where sigma is the support condition's residual; its integral is the
 mass, and the potentials integrate it against the ring kernel.  The
 Nystrom oracle builds its profiles itself, from its solved series.  Both
 are one `_numerics.GradedSeries`, read as it is, never resampled, in the
@@ -21,20 +22,25 @@ record `_numerics.DensityProfile`, which the oracles use without this module.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from ._numerics import DensityProfile, GradedSeries, chebyshev_table
 from .fields import ExternalField, QuadraticField
 from .geometry import PhiGrid, SphericalCap, _validated_angles
-from .singular_quadrature import _second_stage_integral, _stage_F_south_vec, first_stage_table
+from .singular_quadrature import (
+    FirstStageTable,
+    _second_stage_integral,
+    _stage_F_south_vec,
+    first_stage_table,
+)
 from .support_finder import ffunctional_pointcharge, ffunctional_quadratic
 
 PI = math.pi
 
-# grid nodes must keep this clearance from the cap rim, where the density
-# model switches to the analytic edge factor
+# grid nodes must keep this clearance from the cap rim: node values are
+# computed in phi, where the edge term reads the depth cos(alpha) - cos(phi),
+# and an ulp of phi is a relative error of ulp / (phi - alpha) in the depth
 RIM_GUARD_BAND = 1e-6
 
 
@@ -154,54 +160,49 @@ def quadratic_density(a: float, b: float, c: float, alpha0: float, phi):
     return f, float(fq)
 
 
-def sigma_interpolant(
-    cap: SphericalCap,
-    density_fn: Callable[[np.ndarray], np.ndarray],
-    noise: tuple[float, int],
-) -> GradedSeries:
-    """The series sigma(s) = f(phi(s)) * s in the cap's rim variable.
+def sigma_interpolant(cap: SphericalCap, p: FirstStageTable, fq: float) -> GradedSeries:
+    """The pipeline's series sigma(s) = f(phi(s)) * s in the cap's rim variable.
 
     sigma is smooth and bounded up to s = 0 even though f itself blows up
     at the rim, so this is the right variable for potentials and masses.
-    It is tabulated from the density callable as a Chebyshev series of
-    adaptive degree (see `chebyshev_table`) in the variable u of [0, 1]
-    with s = s_lo + d*sinh(A*u), graded toward the rim on the scale
-    d = max(sqrt(r1), s_lo) on which the edge part turns over,
-    however small the rim; a full sphere has no edge part, and d = smax.
-    The samples start at s_lo, clear of the rim guard band, inside the
-    cap; below s_lo the series is read through a cubic.  noise is
-    (relative tail, degree) of the series the callable reads, if any: the
-    table stops once it is as fine as that.
+    With the depth m = s^2, f is the Robin-weighted edge factor plus the
+    second Abel stage (`density_general`), so in s
+
+        sigma(s) = fq/(4 pi) * (s + (2/pi)(sqrt(r1) - s atan(sqrt(r1)/s)))
+                   - (sqrt(r1) p(cos(alpha)) + s I(s^2)) / (2 pi^2),
+
+    I the second-stage integral of the first-stage table p; at the rim
+    sigma(0) = sqrt(r1) (fq - p(cos(alpha))) / (2 pi^2), the residual of the
+    support condition.  It is tabulated as a Chebyshev series of adaptive
+    degree (see `chebyshev_table`) in the variable u of [0, 1] with s =
+    c*sinh(A*u), graded toward the rim on the scale c = sqrt(r1) on which
+    the edge part turns over, however small the rim; a full sphere has no
+    edge part, and c = smax, as on a rim whose edge part is below rounding.
+    The table stops once it is as fine as the second-stage integrand
+    series that it reads, at twice that series' degree.
     """
-    alpha, smax = cap.alpha, cap.smax
-    s_lo = float(cap.s_of_phi(min(alpha + 2.0 * RIM_GUARD_BAND, 0.5 * (alpha + PI))))
-    scale = max(cap.sqrt_r1, s_lo) if alpha > 0.0 else smax
-    stretch = math.asinh((smax - s_lo) / scale)
+    smax, root = cap.smax, cap.sqrt_r1
+    # an edge part of height (2/pi) sqrt(r1) below rounding in sigma is
+    # graded as the full sphere's, which has none
+    scale = root if root > np.finfo(float).eps * smax else smax
+    stretch = math.asinh(smax / scale)
+    rim = root * float(p(math.cos(cap.alpha)))
 
     def sample(x: np.ndarray) -> np.ndarray:
-        # sigma at the points x = 2*u - 1 of [-1, 1]
-        s = s_lo + scale * np.sinh(0.5 * stretch * (x + 1.0))
-        return s * np.asarray(density_fn(cap.phi_of_s(s)), dtype=float)
+        # sigma at the points x = 2*u - 1 of [-1, 1]; rounding can push s
+        # an ulp past smax, and its depth past the pole's
+        s = scale * np.sinh(0.5 * stretch * (x + 1.0))
+        inner = _second_stage_integral(p._integrand, np.minimum(s * s, cap.pole_depth), cap)
+        edge = s + (2.0 / PI) * (root - s * np.arctan2(root, s))
+        return fq / (4.0 * PI) * edge - (rim + s * inner) / (2.0 * PI * PI)
 
-    coeffs, _ = chebyshev_table(sample, "sigma table", noise)
-    return GradedSeries(coeffs, s_lo, scale, stretch)
-
-
-def profile_from_callable(
-    cap: SphericalCap,
-    grid: PhiGrid,
-    fn: Callable[[np.ndarray], np.ndarray],
-    robin_constant: float,
-    noise: tuple[float, int] = (0.0, 0),
-) -> DensityProfile:
-    """Profile backed by a vectorized density callable.
-
-    noise is (relative tail, degree) of the series fn reads, if any (see
-    `sigma_interpolant`).
-    """
-    values = np.asarray(fn(grid.nodes), dtype=float)
-    sigma = sigma_interpolant(cap, fn, noise)
-    return DensityProfile(cap, grid, values, robin_constant, sigma)
+    # sigma reads the integrand series, of degree N in c, at c = cos(alpha)
+    # - m (1 - y^2) with m = s^2, so it is resolved near degree 2N in s; on a
+    # field that the first stage resolves only to its plateau, a finer sigma
+    # table would chase the series' truncation up to the cap degree
+    tail, degree = p.integrand_noise
+    coeffs, _ = chebyshev_table(sample, "sigma table", (tail, 2 * degree))
+    return GradedSeries(coeffs, scale, stretch)
 
 
 def _check_grid_inside(cap: SphericalCap, grid: PhiGrid) -> None:
@@ -231,11 +232,7 @@ def density_general(
     pole = _second_stage_integral(lambda c: (1.0 - c) * p(c), np.array([cap.pole_depth]), cap)
     fq = PI / cap.normalizer * (1.0 + 2.0 / PI * float(pole[0]))
 
-    def density_fn(phi):
-        phi = np.asarray(phi, dtype=float)
-        return fq / (4.0 * PI) * edge_factor(cap.alpha, phi) + _stage_F_south_vec(p, phi, cap)
-
-    # sigma reads the second-stage integrand series: on a field that the
-    # first stage resolves only to its plateau, a sigma table finer than
-    # that series would chase its truncation up to the cap degree
-    return profile_from_callable(cap, grid, density_fn, fq, p.integrand_noise)
+    values = fq / (4.0 * PI) * edge_factor(cap.alpha, grid.nodes) + _stage_F_south_vec(
+        p, grid.nodes, cap
+    )
+    return DensityProfile(cap, grid, values, fq, sigma_interpolant(cap, p, fq))

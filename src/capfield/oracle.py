@@ -231,7 +231,7 @@ def nystrom_solve(
         )
     grid = boundary_clustered_grid(cap, n)
     node_s = cap.s_of_phi(grid.nodes)
-    sigma = GradedSeries(coeffs, 0.0, scale, stretch)
+    sigma = GradedSeries(coeffs, scale, stretch)
     return DensityProfile(cap, grid, sigma(node_s) / node_s, fq, sigma)
 
 

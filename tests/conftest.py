@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import capfield.potential
 from capfield.fields import ExternalField
@@ -41,6 +42,21 @@ def uniform_grid(lo: float, hi: float, n: int) -> PhiGrid:
         raise ValueError("need at least one node")
     u = np.arange(1, n + 1) / (n + 1.0)
     return PhiGrid(a + (b - a) * u)
+
+
+def mass_by_quadrature(f, alpha: float) -> float:
+    """4 pi times the integral of sigma(s) = f(phi(s)) * s over [0, smax] by
+    scipy's adaptive quadrature: the mass of the closed-form density f, a
+    callable of one polar angle, on the cap with rim angle alpha."""
+    smax = math.sqrt(1.0 + math.cos(alpha))
+
+    def sigma(s: float) -> float:
+        u = min(1.0, max(-1.0, math.cos(alpha) - s * s))
+        return f(math.acos(u)) * s
+
+    val, err = quad(sigma, 0.0, smax, epsabs=1e-12, epsrel=1e-12, limit=200)
+    assert err < 1e-9
+    return 4.0 * math.pi * val
 
 
 @dataclass(frozen=True)

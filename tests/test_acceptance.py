@@ -14,7 +14,6 @@ from capfield.equilibrium import (
     density_general,
     nofield_density,
     pointcharge_density,
-    profile_from_callable,
     quadratic_density,
 )
 from capfield.fields import PointChargeField, QuadraticField, ZeroField
@@ -22,7 +21,7 @@ from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_so
 from capfield.oracle import discrete_energy_minimize, nystrom_solve
 from capfield.potential import verify_equilibrium
 from capfield.support_finder import gonchar_heights, solve_support
-from conftest import golden_section_support
+from conftest import golden_section_support, mass_by_quadrature
 
 PI = math.pi
 
@@ -45,12 +44,6 @@ def _best_of(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _closed_form_profile(alpha, fn, robin, n=48):
-    cap = SphericalCap(alpha)
-    grid = boundary_clustered_grid(cap, n)
-    return profile_from_callable(cap, grid, fn, robin)
 
 
 def test_criterion_01_capacity_closed_form():
@@ -121,91 +114,41 @@ def test_criterion_05_pipeline_vs_closed_form():
 
 def test_criterion_06_unit_mass():
     t0 = time.perf_counter()
-    profiles = []
-    for a in (PI / 6, PI / 3, PI / 2, 2 * PI / 3):
-        robin = PI / (PI - a + math.sin(a))
-        profiles.append(
-            ("bare cap", _closed_form_profile(a, lambda p, a=a: nofield_density(a, p), robin, 96))
-        )
+    densities = [("bare cap", a, lambda p, a=a: nofield_density(a, p))
+                 for a in (PI / 6, PI / 3, PI / 2, 2 * PI / 3)]
     for q, h, a0 in (
         (1.0, 2.0, ALPHA0_PC_12),
         (1.0, 0.5, ALPHA0_PC_1HALF),
         (2.0, 1.5, ALPHA0_PC_2_15),
+        (1.0, 1.0, ALPHA0_NP_1),
     ):
-        fq = pointcharge_density(q, h, a0, a0 + 1e-3)[1]
-        profiles.append(
-            (
-                f"charge q={q} h={h}",
-                _closed_form_profile(
-                    a0, lambda p, q=q, h=h, a0=a0: pointcharge_density(q, h, a0, p)[0], fq, 96
-                ),
-            )
+        name = "on-sphere charge" if h == 1.0 else f"charge q={q} h={h}"
+        densities.append(
+            (name, a0, lambda p, q=q, h=h, a0=a0: pointcharge_density(q, h, a0, p)[0])
         )
-    fq_np = (PI + (PI - ALPHA0_NP_1)) / (math.sin(ALPHA0_NP_1) + PI - ALPHA0_NP_1)
-    profiles.append(
-        (
-            "on-sphere charge",
-            _closed_form_profile(
-                ALPHA0_NP_1, lambda p: pointcharge_density(1.0, 1.0, ALPHA0_NP_1, p)[0], fq_np, 96
-            ),
-        )
+    densities.append(
+        ("quadratic", ALPHA0_QUAD, lambda p: quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, p)[0])
     )
-    fq_q = quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, ALPHA0_QUAD + 1e-3)[1]
-    profiles.append(
-        (
-            "quadratic",
-            _closed_form_profile(
-                ALPHA0_QUAD,
-                lambda p: quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, p)[0],
-                fq_q,
-                96,
-            ),
-        )
-    )
-    worst = max(abs(profile.mass - 1.0) for _, profile in profiles)
+    masses = [(name, mass_by_quadrature(density, alpha)) for name, alpha, density in densities]
+    worst = max(abs(mass - 1.0) for _, mass in masses)
     elapsed = time.perf_counter() - t0
-    for name, profile in profiles:
-        assert abs(profile.mass - 1.0) <= 1e-6, f"{name}: mass {profile.mass!r}"
-    _report(6, "unit mass", f"{len(profiles)} densities, worst {worst:.1e}", elapsed, 10.0)
+    for name, mass in masses:
+        assert abs(mass - 1.0) <= 1e-6, f"{name}: mass {mass!r}"
+    _report(6, "unit mass", f"{len(masses)} densities, worst {worst:.1e}", elapsed, 10.0)
 
 
 def test_criterion_07_variational_inequalities():
     t0 = time.perf_counter()
-    triples = [
-        (
-            "axis charge",
-            PointChargeField(1.0, 2.0),
-            ALPHA0_PC_12,
-            lambda a: (
-                lambda p: pointcharge_density(1.0, 2.0, a, p)[0],
-                pointcharge_density(1.0, 2.0, a, a + 1e-3)[1],
-            ),
-        ),
-        (
-            "on-sphere charge",
-            PointChargeField(1.0, 1.0),
-            ALPHA0_NP_1,
-            lambda a: (
-                lambda p: pointcharge_density(1.0, 1.0, a, p)[0],
-                (PI + (PI - a)) / (math.sin(a) + PI - a),
-            ),
-        ),
-        (
-            "quadratic",
-            QuadraticField(1.0, 2.5, 2.0),
-            ALPHA0_QUAD,
-            lambda a: (
-                lambda p: quadratic_density(1.0, 2.5, 2.0, a, p)[0],
-                quadratic_density(1.0, 2.5, 2.0, a, a + 1e-3)[1],
-            ),
-        ),
+    pairs = [
+        ("axis charge", PointChargeField(1.0, 2.0), ALPHA0_PC_12),
+        ("on-sphere charge", PointChargeField(1.0, 1.0), ALPHA0_NP_1),
+        ("quadratic", QuadraticField(1.0, 2.5, 2.0), ALPHA0_QUAD),
     ]
-    for name, field, a0, make in triples:
+    for name, field, a0 in pairs:
         for shift in (0.0, 0.2, -0.2):
-            fn, robin = make(a0 + shift)
-            report = verify_equilibrium(
-                field, _closed_form_profile(a0 + shift, fn, robin), tol=1e-4
-            )
+            cap = SphericalCap(a0 + shift)
+            profile = density_general(field, cap, boundary_clustered_grid(cap, 48))
+            report = verify_equilibrium(field, profile, tol=1e-4)
             if shift == 0.0:
                 assert report.verdict, f"{name} at its support angle: {report}"
             else:

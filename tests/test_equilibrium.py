@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebfit
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from capfield._numerics import GradedSeries
@@ -24,7 +23,6 @@ from capfield.equilibrium import (
     edge_factor,
     nofield_density,
     pointcharge_density,
-    profile_from_callable,
     quadratic_density,
 )
 from capfield.fields import (
@@ -38,7 +36,7 @@ from capfield import singular_quadrature
 from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from capfield._numerics import NonconvergenceError
 from capfield.support_finder import gonchar_heights, solve_support
-from conftest import ShiftedField, uniform_grid
+from conftest import ShiftedField, mass_by_quadrature, uniform_grid
 
 PI = math.pi
 
@@ -175,19 +173,6 @@ def point_charges(draw):
         "full-inside": lo * (1.0 - 0.9 * u),
     }[region]
     return q, h
-
-
-def mass_by_quadrature(f, alpha: float) -> float:
-    # independent mass integral in the edge variable s
-    smax = math.sqrt(1.0 + math.cos(alpha))
-
-    def sigma(s: float) -> float:
-        u = min(1.0, max(-1.0, math.cos(alpha) - s * s))
-        return f(math.acos(u)) * s
-
-    val, err = quad(sigma, 0.0, smax, epsabs=1e-12, epsrel=1e-12, limit=200)
-    assert err < 1e-9
-    return 4.0 * PI * val
 
 
 class TestCapacity:
@@ -534,19 +519,13 @@ def _node_profile(cap, grid, values, robin_constant):
     c = min(max(cap.sqrt_r1, 3e-3), cap.smax)
     stretch = math.asinh(cap.smax / c)
     coeffs = chebfit(2.0 * np.arcsinh(s / c) / stretch - 1.0, values * s, min(15, s.size - 1))
-    return DensityProfile(cap, grid, values, robin_constant, GradedSeries(coeffs, 0.0, c, stretch))
+    return DensityProfile(cap, grid, values, robin_constant, GradedSeries(coeffs, c, stretch))
 
 
 class TestProfilesAndMass:
     def test_closed_form_profile_mass(self):
         cap = SphericalCap(ALPHA0_PC_12)
-        grid = boundary_clustered_grid(cap, 48)
-        prof = profile_from_callable(
-            cap,
-            grid,
-            lambda p: pointcharge_density(1.0, 2.0, ALPHA0_PC_12, p)[0],
-            FQ_PC_12,
-        )
+        prof = density_general(PointChargeField(1.0, 2.0), cap, boundary_clustered_grid(cap, 48))
         assert prof.mass == pytest.approx(1.0, abs=1e-8)
 
     def test_node_only_profile_mass(self):
@@ -580,28 +559,19 @@ class TestProfilesAndMass:
 
     def test_nofield_profile_mass(self):
         cap = SphericalCap(PI / 3)
-        grid = boundary_clustered_grid(cap, 48)
-        prof = profile_from_callable(
-            cap,
-            grid,
-            lambda p: nofield_density(PI / 3, p),
-            1.0 / capacity_south_cap(PI / 3),
-        )
+        prof = density_general(ZeroField(), cap, boundary_clustered_grid(cap, 48))
         assert prof.mass == pytest.approx(1.0, abs=1e-7)
 
 
 class TestSigmaTable:
-    @pytest.mark.parametrize("alpha", [0.3, 0.1, 1e-2, 1e-3, 1e-4, 0.0])
+    @pytest.mark.parametrize("alpha", [0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-12, 1e-300, 5e-324, 0.0])
     def test_small_rim_mass(self, alpha):
         # the edge part turns over on the scale sqrt(1 - cos(alpha)), which
-        # the graded table resolves however small the rim
+        # the graded table resolves however small the rim; below rounding,
+        # down to a sqrt(r1) of 0 at a positive rim, it is graded as the
+        # full sphere
         cap = SphericalCap(alpha)
-        prof = profile_from_callable(
-            cap,
-            boundary_clustered_grid(cap, 64),
-            lambda p: pointcharge_density(0.5, 2.2, alpha, p)[0],
-            pointcharge_density(0.5, 2.2, alpha, PI)[1],
-        )
+        prof = density_general(PointChargeField(0.5, 2.2), cap, boundary_clustered_grid(cap, 64))
         assert abs(prof.mass - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("h", [3.0, (1.0 + math.sqrt(5.0)) / 2.0 + 1.0])
@@ -615,41 +585,53 @@ class TestSigmaTable:
         assert abs(prof.mass - 1.0) <= 1e-11
 
     def test_spline_matches_the_density(self):
-        # sigma is the table's series itself, so it reproduces sigma
-        # between the table's points too
-        alpha = 0.05
-        cap = SphericalCap(alpha)
-        prof = profile_from_callable(
-            cap, boundary_clustered_grid(cap, 16), lambda p: nofield_density(alpha, p),
-            PI / cap.normalizer,
-        )
-        # s from phi by the product form of cos(alpha) - cos(phi), which
-        # keeps its relative accuracy at the rim
-        phi = np.linspace(alpha + 1e-5, PI, 1001)
-        s = np.sqrt(2.0 * np.sin(0.5 * (phi + alpha)) * np.sin(0.5 * (phi - alpha)))
-        expected = s * nofield_density(alpha, phi)
-        assert np.max(np.abs(prof.sigma(s) - expected)) <= 1e-11 * np.max(expected)
+        # sigma is the table's series itself, sampled in s, so it reproduces
+        # s f of the closed form between the table's points too, down to
+        # the rim
+        cases = [
+            (ZeroField(), 0.05, lambda p: nofield_density(0.05, p)),
+            (PointChargeField(1.0, 2.0), ALPHA0_PC_12,
+             lambda p: pointcharge_density(1.0, 2.0, ALPHA0_PC_12, p)[0]),
+            (QuadraticField(1.0, 2.5, 2.0), ALPHA0_QUAD,
+             lambda p: quadratic_density(1.0, 2.5, 2.0, ALPHA0_QUAD, p)[0]),
+        ]
+        for field, alpha, density in cases:
+            cap = SphericalCap(alpha)
+            prof = density_general(field, cap, boundary_clustered_grid(cap, 16))
+            # s from phi by the product form of cos(alpha) - cos(phi), which
+            # keeps its relative accuracy at the rim
+            phi = alpha + (PI - alpha) * np.linspace(0.0, 1.0, 1001)[1:] ** 2
+            s = np.sqrt(2.0 * np.sin(0.5 * (phi + alpha)) * np.sin(0.5 * (phi - alpha)))
+            expected = s * density(phi)
+            error = np.max(np.abs(prof.sigma(s) - expected))
+            assert error <= 1e-11 * np.max(np.abs(expected)), field
 
-    def test_table_on_its_plateau_is_not_extrapolated_below_s_lo(self):
-        # the 201-sample table's sigma series ends on its noise plateau, which
-        # run past s_lo toward the rim threw the mass off by millions; below
-        # s_lo sigma is the cubic through the series beside it
+    def test_table_on_its_plateau_keeps_its_mass(self):
+        # the 201-sample table's sigma series ends on its noise plateau,
+        # which the sampling from the rim on leaves inside its interval
         x = np.linspace(-1.0, 1.0, 201)
         field = TabulatedField(x, x * x + 2.5 * x + 2.0)
-        alpha = solve_support(field).alpha0
-        cap = SphericalCap(alpha)
+        cap = SphericalCap(solve_support(field).alpha0)
         prof = density_general(field, cap, boundary_clustered_grid(cap, 16))
-        s_lo = float(cap.s_of_phi(alpha + 2e-6))
-        top = np.max(np.abs(prof.sigma(np.linspace(0.0, cap.smax, 201))))
-        assert abs(prof.sigma(np.nextafter(s_lo, 0.0)) - prof.sigma(s_lo)) <= 1e-12 * top
         assert abs(prof.mass - 1.0) <= 1e-6
 
+    def test_plateau_waits_for_the_integrand_degree(self):
+        # a 1601-sample point-charge table: its sigma table's tail levels off
+        # near 1e-8 at degree 32, below the degree 64 of the second-stage
+        # integrand series that it reads, whose terms a table stopped there
+        # truncates (|mass - 1| = 6.8e-10 when it stops)
+        x = np.linspace(-1.0, 1.0, 1601)
+        field = TabulatedField(x, PointChargeField(1.054738, 1.511859).value_at_x3(x))
+        cap = SphericalCap(solve_support(field).alpha0)
+        prof = density_general(field, cap, boundary_clustered_grid(cap, 32))
+        assert abs(prof.mass - 1.0) <= 1e-10
+
     def test_unresolved_density_raises(self):
-        cap = SphericalCap(0.5)
+        # a constant of 1e300 swamps the terms of sigma, which the table
+        # then cannot resolve
+        cap = SphericalCap(1.905)
         with pytest.raises(NonconvergenceError, match="sigma table unresolved"):
-            profile_from_callable(
-                cap, boundary_clustered_grid(cap, 8), lambda p: np.sin(1e4 * p), 1.0
-            )
+            density_general(QuadraticField(1.0, 2.5, 1e300), cap, boundary_clustered_grid(cap, 8))
 
 
 PCHIP_DATA = {

@@ -497,13 +497,13 @@ class TestRimCondition:
             nystrom = nystrom_solve(field, cap, 128).sigma
             top = np.max(np.abs(pipeline(np.linspace(0.0, cap.smax, 201))))
             at_rim, oracle_at_rim = float(pipeline(0.0)), float(nystrom(0.0))
-            assert abs(at_rim - oracle_at_rim) <= 1e-8 * top
+            assert abs(at_rim - oracle_at_rim) <= 1e-12 * top
             if shift < 0.0:
                 assert at_rim < 0.0 and oracle_at_rim < 0.0
             elif shift > 0.0:
                 assert at_rim > 0.0 and oracle_at_rim > 0.0
             else:
-                assert abs(at_rim) <= 1e-8 * top
+                assert abs(at_rim) <= 1e-14 * top
                 assert abs(oracle_at_rim) <= 1e-12 * top
 
 

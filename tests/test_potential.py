@@ -8,13 +8,8 @@ import pytest
 from scipy.special import ellipk as scipy_ellipk, ellipkm1
 
 import capfield.potential
-from capfield.equilibrium import (
-    density_general,
-    nofield_density,
-    pointcharge_density,
-    profile_from_callable,
-)
-from capfield.fields import PointChargeField, ZeroField
+from capfield.equilibrium import density_general
+from capfield.fields import PointChargeField, QuadraticField, ZeroField
 from capfield.geometry import SphericalCap, boundary_clustered_grid, capacity_south_cap
 from capfield.potential import (
     EquilibriumReport,
@@ -36,32 +31,17 @@ FQ_PC_12 = 1.491533425110004003327
 
 def uniform_profile(n=40):
     cap = SphericalCap(0.0)
-    grid = uniform_grid(0.0, PI, n)
-    return profile_from_callable(
-        cap, grid, lambda p: np.full_like(np.asarray(p, float), 1.0 / (4.0 * PI)), 1.0
-    )
+    return density_general(ZeroField(), cap, uniform_grid(0.0, PI, n))
 
 
 def nofield_profile(alpha, n=64):
     cap = SphericalCap(alpha)
-    grid = boundary_clustered_grid(cap, n)
-    return profile_from_callable(
-        cap,
-        grid,
-        lambda p: nofield_density(alpha, p),
-        1.0 / capacity_south_cap(alpha),
-    )
+    return density_general(ZeroField(), cap, boundary_clustered_grid(cap, n))
 
 
-def pointcharge_profile(n=64):
-    cap = SphericalCap(ALPHA0_PC_12)
-    grid = boundary_clustered_grid(cap, n)
-    return profile_from_callable(
-        cap,
-        grid,
-        lambda p: pointcharge_density(1.0, 2.0, ALPHA0_PC_12, p)[0],
-        FQ_PC_12,
-    )
+def pointcharge_profile(n=64, alpha=ALPHA0_PC_12):
+    cap = SphericalCap(alpha)
+    return density_general(PointChargeField(1.0, 2.0), cap, boundary_clustered_grid(cap, n))
 
 
 def elliptic_k(k):
@@ -442,19 +422,8 @@ class TestVerifyEquilibrium:
         assert not report.verdict
 
     def test_accepts_quadratic_triple(self):
-        from capfield.equilibrium import quadratic_density
-        from capfield.fields import QuadraticField
-
-        alpha0 = 1.905121063815038955604994
-        fq = 2.375621847562275707877242
-        cap = SphericalCap(alpha0)
-        grid = boundary_clustered_grid(cap, 64)
-        prof = profile_from_callable(
-            cap,
-            grid,
-            lambda p: quadratic_density(1.0, 2.5, 2.0, alpha0, p)[0],
-            fq,
-        )
+        cap = SphericalCap(1.905121063815038955604994)
+        prof = density_general(QuadraticField(1.0, 2.5, 2.0), cap, boundary_clustered_grid(cap, 64))
         report = verify_equilibrium(QuadraticField(1.0, 2.5, 2.0), prof, tol=1e-4)
         assert report.verdict
 
@@ -478,30 +447,14 @@ class TestVerifyEquilibrium:
 
     def test_rejects_support_guessed_too_small(self):
         # rim pushed outward: the variational inequality fails off support
-        wrong = ALPHA0_PC_12 + 0.2
-        cap = SphericalCap(wrong)
-        grid = boundary_clustered_grid(cap, 64)
-        prof = profile_from_callable(
-            cap,
-            grid,
-            lambda p: pointcharge_density(1.0, 2.0, wrong, p)[0],
-            pointcharge_density(1.0, 2.0, wrong, PI)[1],
-        )
+        prof = pointcharge_profile(alpha=ALPHA0_PC_12 + 0.2)
         report = verify_equilibrium(PointChargeField(1.0, 2.0), prof, tol=1e-4)
         assert not report.verdict
         assert report.min_slack_off_support < -1e-4
 
     def test_rejects_support_guessed_too_large(self):
         # rim pulled inward: the density develops a negative lobe
-        wrong = ALPHA0_PC_12 - 0.2
-        cap = SphericalCap(wrong)
-        grid = boundary_clustered_grid(cap, 64)
-        prof = profile_from_callable(
-            cap,
-            grid,
-            lambda p: pointcharge_density(1.0, 2.0, wrong, p)[0],
-            pointcharge_density(1.0, 2.0, wrong, PI)[1],
-        )
+        prof = pointcharge_profile(alpha=ALPHA0_PC_12 - 0.2)
         report = verify_equilibrium(PointChargeField(1.0, 2.0), prof, tol=1e-4)
         assert not report.verdict
         assert len(prof.negative_nodes) > 0
