@@ -9,14 +9,14 @@ admissible field through the two Abel stages.
 
 All integrations near the rim use the cap's rim variable s =
 sqrt(cos(alpha) - cos(phi)) (`geometry.SphericalCap`), in which
-f*ds-densities are smooth and bounded.  The pipeline's profile holds
-sigma(s) = s*f(phi(s)) as an adaptive Chebyshev table in a variable graded
-toward the rim (`sigma_interpolant`), sampled in s itself from the rim s = 0
-on, where sigma is the support condition's residual; its integral is the
-mass, and the potentials integrate it against the ring kernel.  The
-Nystrom oracle builds its profiles itself, from its solved series.  Both
-are one `_numerics.GradedSeries`, read as it is, never resampled, in the
-record `_numerics.DensityProfile`, which the oracles use without this module.
+f*ds-densities are smooth and bounded.  The pipeline's density is one
+function sigma(s) = s*f(phi(s)) (`_sigma`): its node values are sigma(s)/s,
+and its profile holds sigma as an adaptive Chebyshev table graded toward
+the rim (`sigma_interpolant`), whose integral is the mass and which the
+potentials integrate against the ring kernel.  The Nystrom oracle builds
+its profiles itself, from its solved series.  Both are one
+`_numerics.GradedSeries`, read as it is, never resampled, in the record
+`_numerics.DensityProfile`, which the oracles use without this module.
 """
 
 from __future__ import annotations
@@ -31,16 +31,16 @@ from .geometry import PhiGrid, SphericalCap, _validated_angles
 from .singular_quadrature import (
     FirstStageTable,
     _second_stage_integral,
-    _stage_F_south_vec,
     first_stage_table,
+    second_stage,
 )
 from .support_finder import ffunctional_pointcharge, ffunctional_quadratic
 
 PI = math.pi
 
-# grid nodes must keep this clearance from the cap rim: node values are
-# computed in phi, where the edge term reads the depth cos(alpha) - cos(phi),
-# and an ulp of phi is a relative error of ulp / (phi - alpha) in the depth
+# grid nodes keep this clearance from the cap rim: at a soft edge sigma
+# vanishes like s^2 while its terms stay of size sqrt(r1), so a node's
+# relative error on every route grows like rounding over the depth s^2
 RIM_GUARD_BAND = 1e-6
 
 
@@ -160,41 +160,43 @@ def quadratic_density(a: float, b: float, c: float, alpha0: float, phi):
     return f, float(fq)
 
 
-def sigma_interpolant(cap: SphericalCap, p: FirstStageTable, fq: float) -> GradedSeries:
-    """The pipeline's series sigma(s) = f(phi(s)) * s in the cap's rim variable.
-
-    sigma is smooth and bounded up to s = 0 even though f itself blows up
-    at the rim, so this is the right variable for potentials and masses.
-    With the depth m = s^2, f is the Robin-weighted edge factor plus the
-    second Abel stage (`density_general`), so in s
+def _sigma(cap: SphericalCap, p: FirstStageTable, fq: float, s: np.ndarray) -> np.ndarray:
+    """The pipeline's sigma(s) = s * f(phi(s)) at the cap's rim variables s,
+    f the Robin-weighted edge factor plus the second Abel stage:
 
         sigma(s) = fq/(4 pi) * (s + (2/pi)(sqrt(r1) - s atan(sqrt(r1)/s)))
                    - (sqrt(r1) p(cos(alpha)) + s I(s^2)) / (2 pi^2),
 
-    I the second-stage integral of the first-stage table p; at the rim
-    sigma(0) = sqrt(r1) (fq - p(cos(alpha))) / (2 pi^2), the residual of the
-    support condition.  It is tabulated as a Chebyshev series of adaptive
-    degree (see `chebyshev_table`) in the variable u of [0, 1] with s =
-    c*sinh(A*u), graded toward the rim on the scale c = sqrt(r1) on which
-    the edge part turns over, however small the rim; a full sphere has no
-    edge part, and c = smax, as on a rim whose edge part is below rounding.
-    The table stops once it is as fine as the second-stage integrand
-    series that it reads, at twice that series' degree.
+    I the second-stage integral of the first-stage table p
+    (`singular_quadrature.second_stage`): bounded and smooth down to the
+    rim, where sigma(0) = sqrt(r1) (fq - p(cos(alpha))) / (2 pi^2) is the
+    residual of the support condition.
+    """
+    root = cap.sqrt_r1
+    edge = s + (2.0 / PI) * (root - s * np.arctan2(root, s))
+    return fq / (4.0 * PI) * edge - second_stage(p, s, cap) / (2.0 * PI * PI)
+
+
+def sigma_interpolant(cap: SphericalCap, p: FirstStageTable, fq: float) -> GradedSeries:
+    """The pipeline's sigma (`_sigma`) as a series in the cap's rim variable.
+
+    It is tabulated as a Chebyshev series of adaptive degree (see
+    `chebyshev_table`) in the variable u of [0, 1] with s = c*sinh(A*u),
+    graded toward the rim on the scale c = sqrt(r1) on which the edge part
+    turns over, however small the rim; a full sphere has no edge part, and
+    c = smax, as on a rim whose edge part is below rounding.  The table
+    stops once it is as fine as the second-stage integrand series that it
+    reads, at twice that series' degree.
     """
     smax, root = cap.smax, cap.sqrt_r1
     # an edge part of height (2/pi) sqrt(r1) below rounding in sigma is
     # graded as the full sphere's, which has none
     scale = root if root > np.finfo(float).eps * smax else smax
     stretch = math.asinh(smax / scale)
-    rim = root * float(p(math.cos(cap.alpha)))
 
     def sample(x: np.ndarray) -> np.ndarray:
-        # sigma at the points x = 2*u - 1 of [-1, 1]; rounding can push s
-        # an ulp past smax, and its depth past the pole's
-        s = scale * np.sinh(0.5 * stretch * (x + 1.0))
-        inner = _second_stage_integral(p._integrand, np.minimum(s * s, cap.pole_depth), cap)
-        edge = s + (2.0 / PI) * (root - s * np.arctan2(root, s))
-        return fq / (4.0 * PI) * edge - (rim + s * inner) / (2.0 * PI * PI)
+        # sigma at the points x = 2*u - 1 of [-1, 1]
+        return _sigma(cap, p, fq, scale * np.sinh(0.5 * stretch * (x + 1.0)))
 
     # sigma reads the integrand series, of degree N in c, at c = cos(alpha)
     # - m (1 - y^2) with m = s^2, so it is resolved near degree 2N in s; on a
@@ -212,27 +214,23 @@ def _check_grid_inside(cap: SphericalCap, grid: PhiGrid) -> None:
         )
 
 
-def density_general(
-    field: ExternalField, cap: SphericalCap, grid: PhiGrid
-) -> DensityProfile:
+def density_general(field: ExternalField, cap: SphericalCap, grid: PhiGrid) -> DensityProfile:
     """Equilibrium density on a prescribed cap support for any field.
 
-    Runs the two Abel stages on the supplied grid and assembles the density
-    as Robin-weighted edge factor plus the field-driven correction.  The
-    first stage is tabulated once per call and shared by the node values,
-    the Robin constant and the profile's sigma table.  The
-    grid must stay clear of the rim guard band.  Negative node values are
-    flagged in the result, not clamped: they signal that the prescribed cap
-    is not the true support.
+    Runs the two Abel stages; the node values are sigma(s)/s at the nodes'
+    rim variables, from the one sigma (`_sigma`) that the profile's table
+    samples.  The first stage is tabulated once per call and shared by the
+    node values, the Robin constant and the sigma table.  The grid must
+    stay clear of the rim guard band.  Negative node values are flagged in
+    the result, not clamped: they signal that the prescribed cap is not the
+    true support.
     """
     _check_grid_inside(cap, grid)
+    field.require_finite_at_top(cap.alpha)
     p = first_stage_table(field, cap.alpha)
     # 8*sqrt(m)*G(m) at the pole depth m, four times the second-stage
     # half-integral at the pole, is -(2/pi) times this integral
     pole = _second_stage_integral(lambda c: (1.0 - c) * p(c), np.array([cap.pole_depth]), cap)
     fq = PI / cap.normalizer * (1.0 + 2.0 / PI * float(pole[0]))
-
-    values = fq / (4.0 * PI) * edge_factor(cap.alpha, grid.nodes) + _stage_F_south_vec(
-        p, grid.nodes, cap
-    )
-    return DensityProfile(cap, grid, values, fq, sigma_interpolant(cap, p, fq))
+    s = cap.s_of_phi(grid.nodes)
+    return DensityProfile(cap, grid, _sigma(cap, p, fq, s) / s, fq, sigma_interpolant(cap, p, fq))

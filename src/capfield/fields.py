@@ -40,6 +40,13 @@ class ExternalField(abc.ABC):
     def slope_at_x3(self, x3):
         """dQhat/dx3 at x3 in [-1, 1]; accepts scalars or arrays."""
 
+    def require_finite_at_top(self, alpha: float) -> None:
+        """Refuse a Q infinite at the top x3 = cos(alpha) of the south cap with
+        rim alpha, as a charge on the sphere is at a rim of 0 (ValueError)."""
+        top = math.cos(alpha)
+        if not math.isfinite(self.value_at_x3(top)):
+            raise ValueError(f"field is not finite at the cap's top x3 = cos(alpha) = {top!r}")
+
 
 class ZeroField(ExternalField):
     def value_at_x3(self, x3):

@@ -173,12 +173,7 @@ def nystrom_solve(
     n = int(n)
     if PI - cap.alpha <= _DEGENERATE_GAP:
         raise ValueError("cap is degenerate: rim angle within 1e-6 of pi")
-    # a field with a pole at the cap's top, as a charge on the sphere at a
-    # rim of 0, is outside the hypotheses, and its collocation would
-    # return a density of either sign
-    top = math.cos(cap.alpha)
-    if not math.isfinite(field.value_at_x3(top)):
-        raise ValueError(f"field is not finite at the cap's top x3 = cos(alpha) = {top!r}")
+    field.require_finite_at_top(cap.alpha)
 
     d = max(_MIN_NODES, n // 4)
     smax = cap.smax

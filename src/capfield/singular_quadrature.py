@@ -21,7 +21,9 @@ degree doubled until the coefficient tail settles (see
 as well: its integrand p - 2*(1-c)*p' is one Chebyshev series, built once
 per table from the table's own coefficients, so each second-stage point
 costs one series evaluation.  Both series are summed by `_numerics.clenshaw`,
-the recurrence that sums the profiles' sigma series as well.
+the recurrence that sums the profiles' sigma series as well.  The second
+stage is taken times the rim variable s (`second_stage`), the field's part
+of the pipeline's one sigma(s) (`equilibrium`).
 """
 
 from __future__ import annotations
@@ -167,21 +169,18 @@ def _second_stage_integral(
     return out
 
 
-def _stage_F_south_vec(p: FirstStageTable, phi: np.ndarray, cap: SphericalCap) -> np.ndarray:
-    """Second Abel stage on a south cap, vectorized over phi in (alpha, pi].
+def second_stage(p: FirstStageTable, s: np.ndarray, cap: SphericalCap) -> np.ndarray:
+    """The second Abel stage times -2*pi^2*s, at the rim variables s of a
+    south cap: sqrt(r1) * p(cos(alpha)) + s * I(s^2), bounded down to s = 0.
 
-    (2/pi) * d/dm of the half-integral 2*sqrt(m)*G(m), differentiated under
-    the integral: g(cos(alpha))/sqrt(m) - 2*sqrt(m) * (integral over y of
-    dg/dc).  The 1/sin(phi) prefactor of the original phi-derivative
-    cancels against dm/dphi = sin(phi).  In the variable tau of
-    `_second_stage_integral` the y-integral becomes an integral of
+    The stage is (2/pi) * d/dm of the half-integral 2*sqrt(m)*G(m) at the
+    depth m = s^2, differentiated under the integral: g(cos(alpha))/sqrt(m)
+    - 2*sqrt(m) * (integral over y of dg/dc).  In the variable tau of
+    `_second_stage_integral` the y-integral I becomes an integral of
     sqrt(1-c) * dg/dc = (p - 2*(1-c)*p')/(8*pi), which has no 1/sqrt(1-c)
     left: it stays bounded at the pole of a full-sphere support, where c
     reaches 1, and smooth on the scale 1 - cos(alpha) of a small rim.
     """
-    phi = np.asarray(phi, dtype=float)
-    # rounding in phi can push the pole depth an ulp past its true maximum
-    m = np.minimum(cap.depth(phi), cap.pole_depth)
-    rim = cap.sqrt_r1 * float(p(math.cos(cap.alpha)))
-    inner = _second_stage_integral(p._integrand, m, cap)
-    return -(rim / np.sqrt(m) + inner) / (2.0 * PI * PI)
+    # rounding can push s an ulp past smax, and its depth past the pole's
+    inner = _second_stage_integral(p._integrand, np.minimum(s * s, cap.pole_depth), cap)
+    return cap.sqrt_r1 * float(p(math.cos(cap.alpha))) + s * inner

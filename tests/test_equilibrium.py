@@ -606,6 +606,21 @@ class TestSigmaTable:
             error = np.max(np.abs(prof.sigma(s) - expected))
             assert error <= 1e-11 * np.max(np.abs(expected)), field
 
+    @pytest.mark.parametrize(
+        "field, alpha",
+        [(ZeroField(), 1.0), (PointChargeField(1.0, 2.0), ALPHA0_PC_12),
+         (PointChargeField(1.0, 1.0), ALPHA0_NP_1), (QuadraticField(1.0, 2.5, 2.0), ALPHA0_QUAD)],
+        ids=["zero", "point-charge", "north-pole", "quadratic"],
+    )
+    def test_node_values_read_the_sigma_that_the_table_samples(self, field, alpha):
+        # the node values and the table's samples come from one sigma(s):
+        # times s, the values are the series at the nodes' s
+        cap = SphericalCap(alpha)
+        prof = density_general(field, cap, boundary_clustered_grid(cap, 64))
+        s = cap.s_of_phi(prof.grid.nodes)
+        sigma = prof.sigma(s)
+        assert np.max(np.abs(prof.values * s - sigma)) <= 1e-12 * np.max(np.abs(sigma))
+
     def test_table_on_its_plateau_keeps_its_mass(self):
         # the 201-sample table's sigma series ends on its noise plateau,
         # which the sampling from the rim on leaves inside its interval

@@ -26,8 +26,8 @@ from capfield.singular_quadrature import (
     FirstStageTable,
     _first_stage_integral,
     _second_stage_integral,
-    _stage_F_south_vec,
     first_stage_table,
+    second_stage,
 )
 from conftest import ShiftedField
 
@@ -65,8 +65,10 @@ UNIFORM = SmoothFactor(np.ones_like, np.zeros_like)  # the unit constant field
 
 
 def stage_F(p, phi: float, alpha: float) -> float:
-    # second stage at one angle of the south cap with rim alpha
-    return float(_stage_F_south_vec(p, np.array([phi]), SphericalCap(alpha))[0])
+    # second stage at one angle of the south cap with rim alpha, from its
+    # form in the rim variable s = sqrt(cos(alpha) - cos(phi))
+    s = math.sqrt(math.cos(alpha) - math.cos(phi))
+    return float(second_stage(p, np.array([s]), SphericalCap(alpha))[0]) / (-2.0 * PI * PI * s)
 
 
 def stage_g(field, t: float, cap) -> float:

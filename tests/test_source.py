@@ -73,6 +73,50 @@ def test_every_private_definition_is_referenced():
     assert unreferenced == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _class_private_attributes(tree: ast.Module) -> set[str]:
+    """Private attributes that the module's classes define: their methods
+    and class-level names, and what they store on an instance, by
+    assignment or by `object.__setattr__` in a frozen dataclass."""
+    names = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, ast.Assign):
+                names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names.add(item.target.id)
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return {name for name in names if isinstance(name, str) and _is_private(name)}
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # a private attribute is its class's own business: a module that
+    # needs one from a class of another module asks that module for it
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    defined = {name: _class_private_attributes(tree) for name, tree in trees.items()}
+    assert defined["singular_quadrature"]
+    found = []
+    for name, tree in trees.items():
+        foreign = set().union(*(attrs for other, attrs in defined.items() if other != name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in foreign
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 def test_benchmark_records_are_well_formed():
     # a speed claim rests on a committed BENCH_*.json; each must name its
     # seeds and hold a parent and a change run for every pair it names
